@@ -1,7 +1,8 @@
 //! Fault-injection overhead benchmark: what does arming the link
 //! conditioner cost the Phase I hot path?
 //!
-//! Three configurations over the same tiny world:
+//! Three configurations over the same tiny world, each a 1×1 (sequential)
+//! run of the Phase I scheduler:
 //!
 //! * `none` — no conditioner installed. The engine's per-hop check is a
 //!   single `Option` test that branch-predicts away; this is the
@@ -20,7 +21,10 @@ use std::sync::Arc;
 use traffic_shadowing::robustness::fault_targets;
 use traffic_shadowing::shadow_chaos::{FaultProfile, OutageSpec, Window};
 use traffic_shadowing::shadow_core::campaign::Phase1Config;
-use traffic_shadowing::shadow_core::executor::{run_phase1_sharded_conditioned, TelemetryOptions};
+use traffic_shadowing::shadow_core::executor::{
+    run_phase1_work_stealing_bounded, StealConfig, TelemetryOptions,
+};
+use traffic_shadowing::shadow_core::sink::SinkConfig;
 use traffic_shadowing::shadow_core::world::{generate_spec, WorldConfig};
 use traffic_shadowing::shadow_netsim::fault::LinkConditioner;
 
@@ -54,12 +58,14 @@ fn bench(c: &mut Criterion) {
     for (label, conditioner) in &cases {
         group.bench_function(&format!("phase1_{label}"), |b| {
             b.iter(|| {
-                run_phase1_sharded_conditioned(
+                run_phase1_work_stealing_bounded(
                     &spec,
                     &config,
-                    1,
+                    StealConfig::with_workers(1),
                     TelemetryOptions::disabled(),
                     conditioner.clone(),
+                    SinkConfig::retained(),
+                    None,
                 )
             })
         });

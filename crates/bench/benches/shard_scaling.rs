@@ -1,36 +1,33 @@
-//! Shard-scaling benchmark: Phase I cost as the campaign is split across
-//! 1/2/4/8 shards (one private world per shard, merged with the
-//! order-stable absorb). The output is byte-identical for every shard
-//! count — see `tests/sharded_equivalence.rs` — so this axis measures pure
-//! speedup.
+//! Shard-scaling benchmark: Phase I cost as the campaign is split into
+//! 1/2/4/8 shards — the work-stealing scheduler at K chunks on K workers
+//! (one private world per chunk, merged with the order-stable absorb). The
+//! output is byte-identical for every shard count — see
+//! `tests/sharded_equivalence.rs` — so this axis measures pure speedup.
 //!
-//! Two metrics per thread count:
+//! Two metrics per shard count:
 //!
-//! * `BENCH shard_scaling/phase1_threads_K` — wall-clock of the threaded
-//!   executor on *this* host. On a single-core box (most CI runners) this
-//!   cannot improve with K: the shards time-slice one core and each one
-//!   replays the pre-flight, so wall-clock *grows* with K.
-//! * `SHARD_SPEEDUP {"threads":K,...}` — the critical path: the slowest
-//!   single shard's full pipeline (instantiate + pre-flight + owned Phase
-//!   I slice), measured with shards run one at a time so they never
-//!   contend. This is the wall-clock a host with >= K idle cores gets, and
-//!   the number the >=2x-at-4-threads acceptance point reads.
+//! * `BENCH shard_scaling/phase1_threads_K` — wall-clock of the K×K
+//!   scheduler on *this* host. On a host with fewer than K cores the
+//!   chunks time-slice the cores and each one replays the pre-flight, so
+//!   wall-clock stops improving (and grows) past the core count.
+//! * `SHARD_EVENTS {"threads":K,...}` — per-shard simulator event counts
+//!   from a metrics-enabled run (taken outside the timed loop; the
+//!   criterion measurements keep telemetry disabled), so load imbalance
+//!   across the round-robin VP split is visible.
 //!
-//! A third line, `SHARD_EVENTS {"threads":K,...}`, reports per-shard
-//! simulator event counts from a metrics-enabled run (taken outside the
-//! timed loop; the criterion measurements keep telemetry disabled) so load
-//! imbalance across the round-robin VP split is visible.
+//! The sequential-over-parallel speedup of Phase I is measured, with the
+//! set-up split out, by the repository benchmark's traced run
+//! (`executor.speedup` in `perfbench/`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use std::time::Instant;
-use traffic_shadowing::shadow_core::campaign::{CampaignRunner, Phase1Config};
+use traffic_shadowing::shadow_core::campaign::Phase1Config;
 use traffic_shadowing::shadow_core::executor::{
-    run_phase1_sharded, run_phase1_sharded_with, shard_vps, TelemetryOptions,
+    run_phase1_work_stealing_bounded, StealConfig, TelemetryOptions,
 };
-use traffic_shadowing::shadow_core::noise::NoiseFilter;
 use traffic_shadowing::shadow_core::sink::SinkConfig;
 use traffic_shadowing::shadow_core::world::{generate_spec, WorldConfig};
-use traffic_shadowing::shadow_vantage::platform::VpId;
+
+const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 fn bench(c: &mut Criterion) {
     let spec = generate_spec(WorldConfig::standard(7));
@@ -39,45 +36,23 @@ fn bench(c: &mut Criterion) {
         "\nsharding {} VPs across worker threads (standard world)",
         spec.platform.vps.len()
     );
+    let run = |k: usize, telemetry: TelemetryOptions| {
+        run_phase1_work_stealing_bounded(
+            &spec,
+            &config,
+            StealConfig::with_workers(k).with_chunks(k),
+            telemetry,
+            None,
+            SinkConfig::retained(),
+            None,
+        )
+    };
 
-    // Critical-path measurement: run each shard's pipeline alone and take
-    // the slowest — the ideal-parallel wall-clock.
-    let vp_ids: Vec<VpId> = spec.platform.vps.iter().map(|vp| vp.id).collect();
-    let mut sequential_ns: Option<u128> = None;
-    for threads in [1usize, 2, 4, 8] {
-        let assignment = shard_vps(&vp_ids, threads);
-        let mut critical_ns: u128 = 0;
-        for owned in &assignment {
-            let start = Instant::now();
-            let mut world = spec.instantiate();
-            NoiseFilter::run_and_apply(&mut world);
-            let plan = CampaignRunner::plan_phase1(&world, &config);
-            let data = CampaignRunner::execute_phase1(
-                &mut world,
-                &plan,
-                &config,
-                SinkConfig::retained(),
-                |vp| owned.contains(&vp),
-            );
-            criterion::black_box(data);
-            critical_ns = critical_ns.max(start.elapsed().as_nanos());
-        }
-        let baseline = *sequential_ns.get_or_insert(critical_ns);
-        println!(
-            "SHARD_SPEEDUP {{\"threads\":{},\"sequential_ns\":{},\"critical_path_ns\":{},\"speedup\":{:.2}}}",
-            threads,
-            baseline,
-            critical_ns,
-            baseline as f64 / critical_ns as f64
-        );
-    }
-
-    // One metrics-enabled run per thread count (outside the timed group —
+    // One metrics-enabled run per shard count (outside the timed group —
     // the criterion loop below stays telemetry-disabled) to report how
     // evenly the event load splits across shards.
-    for threads in [1usize, 2, 4, 8] {
-        let sharded =
-            run_phase1_sharded_with(&spec, &config, threads, TelemetryOptions::enabled(false));
+    for threads in SHARD_COUNTS {
+        let sharded = run(threads, TelemetryOptions::enabled(false));
         let drained = &sharded.data.metrics.run.events_drained_per_shard;
         let total: u64 = drained.values().sum();
         let per_shard: Vec<String> = drained
@@ -92,12 +67,12 @@ fn bench(c: &mut Criterion) {
         );
     }
 
-    // Wall-clock of the real threaded executor on this host.
+    // Wall-clock of the K×K scheduler on this host.
     let mut group = c.benchmark_group("shard_scaling");
     group.sample_size(10);
-    for threads in [1usize, 2, 4, 8] {
+    for threads in SHARD_COUNTS {
         group.bench_function(&format!("phase1_threads_{threads}"), |b| {
-            b.iter(|| run_phase1_sharded(&spec, &config, threads))
+            b.iter(|| run(threads, TelemetryOptions::disabled()))
         });
     }
     group.finish();

@@ -16,7 +16,6 @@ use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
 pub mod correlate;
 pub mod encryption;
 pub mod hotpath;
-pub mod scale;
 pub mod serving;
 pub mod topo;
 

@@ -1,26 +1,32 @@
-//! Deterministic sharded campaign execution.
+//! Deterministic parallel campaign execution: one work-stealing scheduler.
 //!
 //! The campaign is embarrassingly parallel across vantage points: every
 //! decoy is sent by exactly one VP, and the global send schedule is a pure
-//! function of the (deterministic) world. A sharded run therefore:
+//! function of the (deterministic) world. A parallel run therefore:
 //!
 //! 1. generates the [`WorldSpec`] once (all randomness lives there);
-//! 2. partitions the VP set round-robin into `K` shards;
-//! 3. instantiates one private [`World`] per shard from the shared spec —
-//!    identical topology, identical exhibitor seeds, identical honeypots;
-//! 4. replays the Appendix-E pre-flight in every shard (cheap, and it keeps
-//!    each shard's platform vetting — and thus the global plan — identical);
-//! 5. computes the *global* plan in every shard and posts only the sends
-//!    owned by that shard, running the clock through the global grace
-//!    window so retention-store timing matches the sequential run;
-//! 6. merges shard outputs with the commutative, order-stable
-//!    [`CampaignData::absorb`].
+//! 2. instantiates a scout [`World`] on the calling thread, replays the
+//!    Appendix-E pre-flight on it, and compiles the global Phase I plan
+//!    there once, shared read-only with every chunk;
+//! 3. partitions the VP set round-robin into [`StealConfig::chunks`]
+//!    chunks, drained by [`StealConfig::workers`] threads that steal from
+//!    each other once their own deque runs dry;
+//! 4. runs every chunk in a private world instantiated from the shared
+//!    spec — identical topology, exhibitor seeds and honeypots, and (after
+//!    its own pre-flight replay) identical platform vetting — posting only
+//!    the sends its VPs own and running the clock through the global grace
+//!    window, so retention-store timing matches the sequential run;
+//! 5. merges chunk outputs in chunk-index order with the commutative,
+//!    order-stable [`CampaignData::absorb`].
+//!
+//! Sequential is the 1×1 shape and "K shards" is K chunks on K workers;
+//! every shape produces the same bytes.
 //!
 //! Because exhibitor randomness is value-derived (seeded per observation
 //! from the decoy domain and time, never from a shared RNG stream), a
-//! shard observing only its own VPs' decoys makes the same probing
+//! chunk observing only its own VPs' decoys makes the same probing
 //! decisions the sequential run makes for those decoys. The one documented
-//! divergence risk is retention-store *capacity* eviction (FIFO): a shard
+//! divergence risk is retention-store *capacity* eviction (FIFO): a chunk
 //! sees fewer identifiers than the sequential run, so a sequential run
 //! that overflows a retention store could replay a different (older)
 //! subset. The shipped worlds size retention well above per-store load;
@@ -40,10 +46,10 @@ use shadow_vantage::platform::VpId;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// What a (sharded or sequential) run records about itself.
+/// What a (parallel or sequential) run records about itself.
 ///
 /// Telemetry is installed **after** the pre-flight replay: the Appendix-E
-/// pre-flight runs identically in *every* shard, so counting it K times
+/// pre-flight runs identically in *every* chunk, so counting it K times
 /// would break the "merged world counters equal the sequential run's"
 /// invariant the telemetry exists to check.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -68,7 +74,7 @@ impl TelemetryOptions {
         }
     }
 
-    /// Build the per-shard engine handle.
+    /// Build the per-chunk engine handle.
     pub fn handle(&self, shard: u32) -> Telemetry {
         if self.journal {
             Telemetry::new(shard, true)
@@ -96,144 +102,25 @@ pub fn shard_vps(vps: &[VpId], shards: usize) -> Vec<BTreeSet<VpId>> {
 
 /// The set of VPs that actually execute under an optional bound: the
 /// first `limit` VPs in platform order, or `None` (everyone) when
-/// unbounded. A `Some` set composes with shard ownership by intersection.
+/// unbounded. A `Some` set composes with chunk ownership by intersection.
 fn executing_vps(vp_ids: &[VpId], limit: Option<usize>) -> Option<BTreeSet<VpId>> {
     limit.map(|n| vp_ids.iter().take(n).copied().collect())
 }
 
-/// Everything a sharded Phase I produces: the merged campaign data plus
-/// the per-shard worlds kept alive for Phase II continuation.
+/// Everything a parallel Phase I produces: the merged campaign data plus
+/// the per-chunk worlds kept alive for Phase II continuation.
 pub struct ShardedPhase1 {
-    /// Pre-flight outcome (identical in every shard; shard 0's copy).
+    /// Pre-flight outcome (identical in every chunk; chunk 0's copy).
     pub preflight: PreflightOutcome,
-    /// Merged Phase I data, absorbed in shard order.
+    /// Merged Phase I data, absorbed in chunk order.
     pub data: CampaignData,
-    /// Per-shard worlds, post Phase I. Shard 0's world doubles as the
+    /// Per-chunk worlds, post Phase I. Chunk 0's world doubles as the
     /// analysis world (its platform vetting matches the sequential run).
     pub worlds: Vec<World>,
-    /// The VP partition, by shard index.
+    /// The VP partition, by chunk index.
     pub assignment: Vec<BTreeSet<VpId>>,
-    /// Engine statistics summed across shards.
+    /// Engine statistics summed across chunks.
     pub stats: EngineStats,
-}
-
-/// Run Phase I across `shards` worker threads, one private world per
-/// shard, and merge the results. With `shards == 1` this is the
-/// sequential pipeline modulo thread spawn.
-pub fn run_phase1_sharded(spec: &WorldSpec, config: &Phase1Config, shards: usize) -> ShardedPhase1 {
-    run_phase1_sharded_with(spec, config, shards, TelemetryOptions::disabled())
-}
-
-/// [`run_phase1_sharded`] with per-shard telemetry. Each shard's engine
-/// gets its own handle (installed after the pre-flight replay); snapshots
-/// and journals ride back inside each shard's [`CampaignData`] and merge
-/// in [`CampaignData::absorb`].
-pub fn run_phase1_sharded_with(
-    spec: &WorldSpec,
-    config: &Phase1Config,
-    shards: usize,
-    telemetry: TelemetryOptions,
-) -> ShardedPhase1 {
-    run_phase1_sharded_conditioned(spec, config, shards, telemetry, None)
-}
-
-/// [`run_phase1_sharded_with`] under an optional fault conditioner. Every
-/// shard installs the *same* conditioner (its decisions are value-derived
-/// from packet bytes, so shards seeing disjoint traffic subsets still
-/// agree with the sequential run packet-for-packet). Installed after the
-/// pre-flight replay, alongside telemetry: the Appendix-E pre-flight vets
-/// the platform on a healthy network in every shard, keeping the global
-/// plan identical across shard counts even under faults.
-pub fn run_phase1_sharded_conditioned(
-    spec: &WorldSpec,
-    config: &Phase1Config,
-    shards: usize,
-    telemetry: TelemetryOptions,
-    conditioner: Option<Arc<LinkConditioner>>,
-) -> ShardedPhase1 {
-    run_phase1_sharded_sink(
-        spec,
-        config,
-        shards,
-        telemetry,
-        conditioner,
-        SinkConfig::retained(),
-    )
-}
-
-/// [`run_phase1_sharded_conditioned`] with an explicit sink configuration.
-/// Each shard installs its own [`crate::sink::CorrelationSink`] over the
-/// registry slice it owns; per-shard aggregates merge commutatively in
-/// [`CampaignData::absorb`]. With [`SinkConfig::streaming`] no shard ever
-/// buffers its arrival vector.
-pub fn run_phase1_sharded_sink(
-    spec: &WorldSpec,
-    config: &Phase1Config,
-    shards: usize,
-    telemetry: TelemetryOptions,
-    conditioner: Option<Arc<LinkConditioner>>,
-    sink: SinkConfig,
-) -> ShardedPhase1 {
-    run_phase1_sharded_bounded(spec, config, shards, telemetry, conditioner, sink, None)
-}
-
-/// [`run_phase1_sharded_sink`] with an optional execution bound: when
-/// `vp_limit` is `Some(n)`, only the first `n` VPs (in platform order)
-/// post their sends. World construction, pre-flight replay and plan
-/// compilation still run at full scale — the bound trims the measured
-/// slice, not the fixed per-shard setup cost, which is exactly what the
-/// scale bench wants to expose. Unbounded callers are unaffected.
-#[allow(clippy::too_many_arguments)]
-pub fn run_phase1_sharded_bounded(
-    spec: &WorldSpec,
-    config: &Phase1Config,
-    shards: usize,
-    telemetry: TelemetryOptions,
-    conditioner: Option<Arc<LinkConditioner>>,
-    sink: SinkConfig,
-    vp_limit: Option<usize>,
-) -> ShardedPhase1 {
-    let vp_ids: Vec<VpId> = spec.platform.vps.iter().map(|vp| vp.id).collect();
-    let allowed = executing_vps(&vp_ids, vp_limit);
-    let allowed = &allowed;
-    let assignment = shard_vps(&vp_ids, shards);
-
-    // Scoped threads: every shard borrows the shared spec; all joins
-    // happen before `scope` returns, in shard order, so the merge below
-    // is deterministic regardless of completion order.
-    let shard_outputs: Vec<(World, PreflightOutcome, CampaignData)> =
-        crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = assignment
-                .iter()
-                .enumerate()
-                .map(|(shard_idx, owned)| {
-                    let conditioner = conditioner.clone();
-                    s.spawn(move || {
-                        let started = std::time::Instant::now();
-                        let mut world = spec.instantiate();
-                        let preflight = NoiseFilter::run_and_apply(&mut world);
-                        world
-                            .engine
-                            .set_telemetry(telemetry.handle(shard_idx as u32));
-                        world.engine.set_conditioner(conditioner);
-                        let plan = CampaignRunner::plan_phase1(&world, config);
-                        let mut data =
-                            CampaignRunner::execute_phase1(&mut world, &plan, config, sink, |vp| {
-                                owned.contains(&vp)
-                                    && allowed.as_ref().is_none_or(|a| a.contains(&vp))
-                            });
-                        record_phase_wall(&mut data, "phase1", started);
-                        (world, preflight, data)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard worker panicked"))
-                .collect()
-        });
-
-    merge_shards(shard_outputs, assignment)
 }
 
 /// Execution shape for the work-stealing scheduler: how many path chunks
@@ -241,10 +128,12 @@ pub fn run_phase1_sharded_bounded(
 ///
 /// Chunks are the unit of stealing — more chunks means better balancing on
 /// skewed worlds (a VP whose paths trigger heavy probe replay no longer
-/// pins its whole fixed shard to one thread) at the cost of one world
+/// pins a whole worker's share to one thread) at the cost of one world
 /// instantiation + pre-flight replay per chunk. The defaults oversubscribe
 /// 2× so an unlucky worker always has something to steal, except at
 /// `workers == 1` where splitting only adds instantiation overhead.
+/// `with_workers(k).with_chunks(k)` is the "K shards" shape: the same
+/// round-robin partition, one chunk per worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StealConfig {
     /// Number of path-chunk work units (clamped to `[1, #VPs]`).
@@ -305,43 +194,38 @@ fn next_chunk(local: &Worker<usize>, me: usize, stealers: &[Stealer<usize>]) -> 
     }
 }
 
-/// Phase I under the work-stealing scheduler: the VP set splits into
-/// [`StealConfig::chunks`] round-robin path chunks, seeded across
-/// per-worker deques; idle workers steal chunks from their peers, so a
-/// skewed world (one chunk's VPs triggering heavy exhibitor replay) keeps
-/// every core busy instead of serializing on the slowest fixed shard.
+/// Phase I under the work-stealing scheduler — the one Phase I execution
+/// path. The VP set splits into [`StealConfig::chunks`] round-robin path
+/// chunks, seeded across per-worker deques; idle workers steal chunks from
+/// their peers, so a skewed world (one chunk's VPs triggering heavy
+/// exhibitor replay) keeps every core busy instead of serializing on the
+/// slowest chunk.
 ///
-/// Two structural differences from the fixed-shape
-/// [`run_phase1_sharded_sink`], both invisible in the output:
-///
-/// * the global plan is computed **once** on a scout world and shared
-///   read-only (`Arc`) with every chunk — the plan is a pure function of
-///   the post-pre-flight world, so replanning per chunk was pure overhead
-///   (and the dominant serial tail at paper scale);
-/// * chunk→thread placement is nondeterministic (stealing), but each chunk
+/// * The global plan is compiled **once**, on a scout world built on the
+///   calling thread, and shared read-only (`Arc`) with every chunk — the
+///   plan is a pure function of the post-pre-flight world.
+/// * Chunk→thread placement is nondeterministic (stealing), but each chunk
 ///   runs in its own private world keyed by chunk index and the merge
 ///   folds in chunk-index order, so output is byte-identical to the
-///   sequential run for any `(chunks, workers)` — the same guarantee the
-///   fixed path gives, enforced by `tests/sharded_equivalence.rs`.
+///   sequential run for any `(chunks, workers)`, enforced by
+///   `tests/sharded_equivalence.rs`.
+/// * Telemetry and the fault conditioner go in per chunk, **after** the
+///   pre-flight replay, which therefore vets the platform on a healthy
+///   network and keeps the plan identical under faults. Every chunk
+///   installs the same conditioner; its decisions are value-derived from
+///   packet bytes, so chunks seeing disjoint traffic still agree with the
+///   sequential run packet for packet. Per-chunk snapshots, journals and
+///   sink aggregates ride back inside each chunk's [`CampaignData`] and
+///   merge in [`CampaignData::absorb`]; under [`SinkConfig::streaming`] no
+///   chunk buffers its arrivals.
+/// * When `vp_limit` is `Some(n)`, only the first `n` VPs in (pre-vetting)
+///   platform order post their sends. World construction, pre-flight
+///   replay and plan compilation still run at full scale: the bound trims
+///   the executed slice, not the set-up.
 ///
 /// The scout world is not wasted: worker 0 uses it (post-pre-flight,
 /// pre-telemetry) for the first chunk it claims, so `chunks == 1` costs
 /// exactly one instantiation, like the sequential pipeline.
-pub fn run_phase1_work_stealing(
-    spec: &WorldSpec,
-    config: &Phase1Config,
-    steal: StealConfig,
-    telemetry: TelemetryOptions,
-    conditioner: Option<Arc<LinkConditioner>>,
-    sink: SinkConfig,
-) -> ShardedPhase1 {
-    run_phase1_work_stealing_bounded(spec, config, steal, telemetry, conditioner, sink, None)
-}
-
-/// [`run_phase1_work_stealing`] with the same optional execution bound as
-/// [`run_phase1_sharded_bounded`]: `vp_limit` trims which VPs post sends
-/// while the scout world, pre-flight replay and shared plan stay at full
-/// scale.
 #[allow(clippy::too_many_arguments)]
 pub fn run_phase1_work_stealing_bounded(
     spec: &WorldSpec,
@@ -360,7 +244,9 @@ pub fn run_phase1_work_stealing_bounded(
     let assignment = shard_vps(&vp_ids, chunks);
 
     // Scout: pay one instantiation + pre-flight up front to compute the
-    // global plan every chunk shares.
+    // global plan every chunk shares. It stays on the calling thread: a plan
+    // compiled on a worker lands in a fresh per-thread malloc arena and
+    // raises peak RSS.
     let mut scout = spec.instantiate();
     let scout_preflight = NoiseFilter::run_and_apply(&mut scout);
     let plan = Arc::new(CampaignRunner::plan_phase1(&scout, config));
@@ -430,11 +316,29 @@ pub fn run_phase1_work_stealing_bounded(
     )
 }
 
-/// Phase II under the work-stealing scheduler, over the chunk worlds kept
-/// from [`run_phase1_work_stealing`]. The sweep plan is computed once on
-/// chunk 0's world and shared; workers steal `(chunk, world)` pairs from a
-/// global injector until the queue drains. Byte-identical to
-/// [`run_phase2_sharded_sink`] for the same assignment.
+/// "K shards": [`run_phase1_work_stealing_bounded`] at `shards` chunks on
+/// `shards` workers, unbounded. Kept for the repository benchmark's traced
+/// run (`perfbench/`), which times the daemon's Phase I shape through it.
+pub fn run_phase1_sharded_sink(
+    spec: &WorldSpec,
+    config: &Phase1Config,
+    shards: usize,
+    telemetry: TelemetryOptions,
+    conditioner: Option<Arc<LinkConditioner>>,
+    sink: SinkConfig,
+) -> ShardedPhase1 {
+    let steal = StealConfig::with_workers(shards).with_chunks(shards);
+    run_phase1_work_stealing_bounded(spec, config, steal, telemetry, conditioner, sink, None)
+}
+
+/// Phase II under the work-stealing scheduler — the one Phase II execution
+/// path — over the chunk worlds kept from
+/// [`run_phase1_work_stealing_bounded`]: each chunk sweeps the traced paths
+/// whose triggering VP it owns. The sweep plan is computed once on chunk
+/// 0's world and shared; workers steal `(chunk, world)` pairs from a global
+/// injector until the queue drains. Observer localization reads the merged
+/// aggregates' smallest-triggering-TTL fold, so [`SinkConfig::streaming`]
+/// sweeps never buffer arrivals.
 pub fn run_phase2_work_stealing(
     worlds: &mut [World],
     assignment: &[BTreeSet<VpId>],
@@ -503,7 +407,7 @@ pub fn run_phase2_work_stealing(
     (results, merged)
 }
 
-/// Fold a shard's wall-clock into its already-taken snapshot. The snapshot
+/// Fold a chunk's wall-clock into its already-taken snapshot. The snapshot
 /// is taken inside the phase runner (before the full phase duration is
 /// known), so the elapsed time is added to the frozen side here.
 fn record_phase_wall(data: &mut CampaignData, phase: &str, started: std::time::Instant) {
@@ -564,65 +468,6 @@ fn merge_shards(
         assignment,
         stats,
     }
-}
-
-/// Run Phase II across the shard worlds kept from Phase I: each shard
-/// sweeps the traced paths whose triggering VP it owns. Returns merged
-/// localization results and the merged Phase II campaign data.
-pub fn run_phase2_sharded(
-    worlds: &mut [World],
-    assignment: &[BTreeSet<VpId>],
-    paths: &[PathKey],
-    config: &Phase2Config,
-) -> (Vec<TracerouteResult>, CampaignData) {
-    run_phase2_sharded_sink(worlds, assignment, paths, config, SinkConfig::retained())
-}
-
-/// [`run_phase2_sharded`] with an explicit sink configuration. Observer
-/// localization reads the merged aggregates' smallest-triggering-TTL fold,
-/// so [`SinkConfig::streaming`] sweeps never buffer arrivals either.
-pub fn run_phase2_sharded_sink(
-    worlds: &mut [World],
-    assignment: &[BTreeSet<VpId>],
-    paths: &[PathKey],
-    config: &Phase2Config,
-    sink: SinkConfig,
-) -> (Vec<TracerouteResult>, CampaignData) {
-    assert_eq!(
-        worlds.len(),
-        assignment.len(),
-        "one world per shard, in shard order"
-    );
-    let mut shard_outputs: Vec<(Vec<PathKey>, CampaignData)> = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = worlds
-            .iter_mut()
-            .zip(assignment.iter())
-            .map(|(world, owned)| {
-                s.spawn(move || {
-                    let started = std::time::Instant::now();
-                    let plan = Phase2Runner::plan(world, paths, config);
-                    let mut data =
-                        Phase2Runner::execute(world, &plan, config, sink, |vp| owned.contains(&vp));
-                    record_phase_wall(&mut data, "phase2", started);
-                    (plan.traced, data)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard worker panicked"))
-            .collect()
-    });
-
-    // Every shard computed the same plan; shard 0's traced list is the
-    // global sweep order for localization.
-    let (traced, mut merged) = shard_outputs.remove(0);
-    for (_, data) in shard_outputs {
-        merged.absorb(data);
-    }
-    shadow_telemetry::sort_records(&mut merged.journal);
-    let results = Phase2Runner::localize(&merged, &traced, config.max_ttl);
-    (results, merged)
 }
 
 #[cfg(test)]

@@ -39,8 +39,8 @@ pub use correlate::{
 };
 pub use decoy::{DecoyProtocol, DecoyRecord, DecoyRegistry};
 pub use executor::{
-    run_phase1_sharded, run_phase1_sharded_conditioned, run_phase1_sharded_sink,
-    run_phase2_sharded, run_phase2_sharded_sink, shard_vps, ShardedPhase1,
+    run_phase1_sharded_sink, run_phase1_work_stealing_bounded, run_phase2_work_stealing, shard_vps,
+    ShardedPhase1, StealConfig,
 };
 pub use ident::{DecoyIdent, IdentError};
 pub use noise::{NoiseFilter, PreflightOutcome};

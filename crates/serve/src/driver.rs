@@ -2,9 +2,10 @@
 //!
 //! A daemon run is `waves` bounded sub-campaigns ("waves") laid end to end
 //! on a simulated-time axis. Each wave is a complete
-//! [`Study::run_sharded`] over a derived per-wave seed: a fresh world, a
-//! fresh Phase I/II, its own streamed classification. The driver then
-//! folds the wave into cumulative state using only commutative operations
+//! [`Study::run_sharded`] over a derived per-wave seed — the work-stealing
+//! scheduler at K chunks on K workers: fresh worlds, one shared Phase I
+//! plan, a fresh Phase I/II, its own streamed classification. The driver
+//! then folds the wave into cumulative state using only commutative operations
 //! — [`CorrelationAggregates::absorb`], [`MetricsSnapshot::merge`], and a
 //! journal append with every record's timestamp offset by the cumulative
 //! sim-time cursor.
@@ -65,7 +66,9 @@ pub struct ServeConfig {
     pub study: StudyConfig,
     /// Total waves in the campaign.
     pub waves: usize,
-    /// Worker threads per wave (`Study::run_sharded`'s K).
+    /// Shards per wave (`Study::run_sharded`'s K): the scheduler runs K
+    /// chunks on K worker threads. Recorded in the checkpoint, so a resume
+    /// must use the same K.
     pub shards: usize,
     /// Write a checkpoint here after every wave (`None`: never persist).
     pub checkpoint_path: Option<PathBuf>,

@@ -6,14 +6,15 @@
 //! Run with `cargo run --release --example full_campaign [seed] [--shards N]
 //! [--tiny] [--metrics-out PATH] [--journal PATH]`.
 //!
-//! `--shards N` executes the campaign across N worker threads (one world
-//! per shard, merged deterministically); the output is byte-identical to
-//! the sequential run for any N. `--metrics-out` writes the merged
+//! `--shards N` executes the campaign across N worker threads (the
+//! work-stealing scheduler at N chunks on N workers: one world per chunk,
+//! one shared plan, merged deterministically); the output is byte-identical
+//! to the sequential run for any N. `--metrics-out` writes the merged
 //! telemetry snapshot as JSON (and prints a summary table); `--journal`
-//! writes the canonically sorted event journal as JSONL (compare runs
-//! with the `journal_diff` example). `--tiny` runs the small test world
-//! instead of the paper-scale one (used by CI). `--loss P` injects P%
-//! uniform per-link packet loss (with the standard DNS retry policy);
+//! writes the canonically sorted event journal as JSONL (compare runs with
+//! the `journal_diff` example). `--tiny` runs the small test world instead
+//! of the paper-scale one (used by CI). `--loss P` injects P% uniform
+//! per-link packet loss (with the standard DNS retry policy);
 //! `--fault-seed S` re-keys which packets the faults hit.
 //!
 //! `--encryption <level>` runs the whole campaign at one deployment level
@@ -386,8 +387,9 @@ fn print_encryption_report(
 /// streamed end-to-end — arrivals fold into capture-time sinks and are
 /// never retained, so the sample-level tables (Figure 6 origins, probing
 /// payloads, case studies) are skipped; the aggregate report and telemetry
-/// artifacts still print. Without `--shards`, the work-stealing executor
-/// runs with one worker per available core and a single shared scout plan.
+/// artifacts still print. The work-stealing scheduler compiles one shared
+/// scout plan either way; without `--shards` it runs one worker per
+/// available core, with `--shards K` at K chunks on K workers.
 fn run_paper_scale(
     seed: u64,
     factor: u32,

@@ -16,8 +16,7 @@ use shadow_core::campaign::{CampaignData, CampaignRunner, Phase1Config};
 use shadow_core::correlate::{Combo, CorrelatedRequest, Correlator, PathKey};
 use shadow_core::decoy::DecoyProtocol;
 use shadow_core::executor::{
-    run_phase1_sharded_sink, run_phase1_work_stealing, run_phase2_sharded_sink,
-    run_phase2_work_stealing, ShardedPhase1, StealConfig, TelemetryOptions,
+    run_phase1_work_stealing_bounded, run_phase2_work_stealing, StealConfig, TelemetryOptions,
 };
 use shadow_core::noise::{NoiseFilter, PreflightOutcome};
 use shadow_core::phase2::{paths_to_trace_streamed, Phase2Config, Phase2Runner, TracerouteResult};
@@ -222,6 +221,8 @@ pub struct StudyOutcome {
 pub struct Study;
 
 impl Study {
+    /// The straight-line sequential reference: one world, no threads. The
+    /// equivalence suites compare every parallel shape against it.
     pub fn run(config: StudyConfig) -> StudyOutcome {
         // `World::build` is `generate_spec(..).instantiate()`; going
         // through the spec here keeps one copy around for compiling the
@@ -231,21 +232,15 @@ impl Study {
         let mut world = spec.instantiate();
         let preflight = NoiseFilter::run_and_apply(&mut world);
         // Telemetry and faults start *after* the pre-flight, mirroring the
-        // sharded path (where the pre-flight replays in every shard and
+        // parallel path (where the pre-flight replays in every chunk and
         // must not be counted K times, and vets the platform on a healthy
         // network so the global plan survives impairment).
         world.engine.set_telemetry(config.telemetry.handle(0));
         world.engine.set_conditioner(conditioner);
 
-        let phase1_config = config.phase1_effective();
-        let mut phase1 = CampaignRunner::run_phase1_with(&mut world, &phase1_config, config.sink());
-        let correlated = if config.retain_arrivals {
-            Correlator::new(&phase1.registry).correlate(&phase1.arrivals)
-        } else {
-            Vec::new()
-        };
-
-        let (traced_paths, traceroutes, mut phase2_data) = if config.run_phase2 {
+        let phase1 =
+            CampaignRunner::run_phase1_with(&mut world, &config.phase1_effective(), config.sink());
+        let phase2 = config.run_phase2.then(|| {
             let traced = paths_to_trace_streamed(&phase1.aggregates, config.trace_cap_per_protocol);
             let (results, data) = Phase2Runner::run_with(
                 &mut world,
@@ -253,134 +248,85 @@ impl Study {
                 &config.phase2_effective(),
                 config.sink(),
             );
-            (traced, results, Some(data))
-        } else {
-            (Vec::new(), Vec::new(), None)
-        };
-        let (metrics, journal) =
-            finalize_telemetry(&config, &mut phase1, phase2_data.as_mut(), &correlated);
-
-        let mut dest_names: BTreeMap<Ipv4Addr, String> = BTreeMap::new();
-        for dest in &world.dns_destinations {
-            dest_names.insert(dest.addr, dest.dest.name.to_string());
-        }
-        for site in &world.tranco {
-            dest_names.insert(site.addr, format!("site:{}", site.country));
-        }
-
-        let blocklist = Blocklist::from_addrs(world.ground_truth.blocklisted_addrs.iter().copied());
-        let mut port_scanner = PortScanner::new();
-        for addr in &world.ground_truth.bgp_speaking_observers {
-            port_scanner.set_open(*addr, 179);
-        }
-        let router_graph = finalize_router_graph(phase2_data.as_ref(), &world);
-
-        StudyOutcome {
-            world,
-            preflight,
-            phase1,
-            phase2: phase2_data,
-            correlated,
-            retained: config.retain_arrivals,
-            traced_paths,
-            traceroutes,
-            router_graph,
-            dest_names,
-            blocklist,
-            port_scanner,
-            metrics,
-            journal,
-        }
+            (traced, results, data)
+        });
+        Self::assemble(config, world, preflight, phase1, phase2)
     }
 
-    /// [`Study::run`], executed across `shards` worker threads (one
-    /// private world per shard, VPs partitioned round-robin). Produces
-    /// byte-identical output to the sequential path for any shard count —
-    /// `tests/sharded_equivalence.rs` enforces this on the exported
-    /// analysis bundle.
+    /// [`Study::run`] across `shards` worker threads: the work-stealing
+    /// scheduler at `shards` chunks on `shards` workers (VPs partitioned
+    /// round-robin, one private world per chunk). Byte-identical to the
+    /// sequential path for any shard count — `tests/sharded_equivalence.rs`
+    /// enforces this on the exported analysis bundle.
     pub fn run_sharded(config: StudyConfig, shards: usize) -> StudyOutcome {
-        let spec = generate_spec(config.world.clone());
-        let phase1_config = config.phase1_effective();
-        let sharded = run_phase1_sharded_sink(
-            &spec,
-            &phase1_config,
-            shards,
-            config.telemetry,
-            config.conditioner(&spec),
-            config.sink(),
-        );
-        Self::assemble_sharded(config, sharded, None)
+        Self::run_work_stealing(
+            config,
+            StealConfig::with_workers(shards).with_chunks(shards),
+        )
     }
 
     /// [`Study::run`] under the work-stealing scheduler: VPs split into
     /// [`StealConfig::chunks`] work units drained by
     /// [`StealConfig::workers`] threads, with the global plan computed
-    /// once and shared. Byte-identical to [`Study::run`] and
-    /// [`Study::run_sharded`] for any execution shape (enforced by
+    /// once on the calling thread and shared. Byte-identical to
+    /// [`Study::run`] for any execution shape (enforced by
     /// `tests/sharded_equivalence.rs`); this is the path that scales to
     /// core count on skewed worlds, and the one `--paper-scale` campaigns
-    /// should use.
+    /// use.
     pub fn run_work_stealing(config: StudyConfig, steal: StealConfig) -> StudyOutcome {
         let spec = generate_spec(config.world.clone());
-        let phase1_config = config.phase1_effective();
-        let sharded = run_phase1_work_stealing(
+        let mut sharded = run_phase1_work_stealing_bounded(
             &spec,
-            &phase1_config,
+            &config.phase1_effective(),
             steal,
             config.telemetry,
             config.conditioner(&spec),
             config.sink(),
+            None,
         );
-        Self::assemble_sharded(config, sharded, Some(steal.workers))
+        let phase2 = config.run_phase2.then(|| {
+            let traced =
+                paths_to_trace_streamed(&sharded.data.aggregates, config.trace_cap_per_protocol);
+            let (results, data) = run_phase2_work_stealing(
+                &mut sharded.worlds,
+                &sharded.assignment,
+                &traced,
+                &config.phase2_effective(),
+                steal.workers,
+                config.sink(),
+            );
+            (traced, results, data)
+        });
+        // Chunk 0's world carries the analysis inputs: platform vetting,
+        // destinations, and ground truth are spec data, identical in every
+        // chunk and in the sequential run.
+        let world = sharded.worlds.swap_remove(0);
+        Self::assemble(config, world, sharded.preflight, sharded.data, phase2)
     }
 
-    /// Shared continuation for the sharded execution paths: correlation,
-    /// Phase II over the kept chunk worlds (work-stealing when
-    /// `steal_workers` is set, one-thread-per-shard otherwise), telemetry
-    /// finalization, and the analysis inputs.
-    fn assemble_sharded(
+    /// The post-Phase-II tail every execution path shares: correlation (in
+    /// retained mode), telemetry finalization, and the analysis inputs —
+    /// destination names, blocklist, port scanner and router graph.
+    /// `phase2` is the traced paths, their localization results, and the
+    /// sweep's data, when Phase II ran.
+    fn assemble(
         config: StudyConfig,
-        mut sharded: ShardedPhase1,
-        steal_workers: Option<usize>,
+        world: World,
+        preflight: PreflightOutcome,
+        mut phase1: CampaignData,
+        phase2: Option<(Vec<PathKey>, Vec<TracerouteResult>, CampaignData)>,
     ) -> StudyOutcome {
-        let mut phase1 = sharded.data;
-        let preflight = sharded.preflight;
         let correlated = if config.retain_arrivals {
             Correlator::new(&phase1.registry).correlate(&phase1.arrivals)
         } else {
             Vec::new()
         };
-
-        let (traced_paths, traceroutes, mut phase2_data) = if config.run_phase2 {
-            let traced = paths_to_trace_streamed(&phase1.aggregates, config.trace_cap_per_protocol);
-            let (results, data) = match steal_workers {
-                Some(workers) => run_phase2_work_stealing(
-                    &mut sharded.worlds,
-                    &sharded.assignment,
-                    &traced,
-                    &config.phase2_effective(),
-                    workers,
-                    config.sink(),
-                ),
-                None => run_phase2_sharded_sink(
-                    &mut sharded.worlds,
-                    &sharded.assignment,
-                    &traced,
-                    &config.phase2_effective(),
-                    config.sink(),
-                ),
-            };
-            (traced, results, Some(data))
-        } else {
-            (Vec::new(), Vec::new(), None)
+        let (traced_paths, traceroutes, mut phase2_data) = match phase2 {
+            Some((traced, results, data)) => (traced, results, Some(data)),
+            None => (Vec::new(), Vec::new(), None),
         };
         let (metrics, journal) =
             finalize_telemetry(&config, &mut phase1, phase2_data.as_mut(), &correlated);
-
-        // Shard 0's world carries the analysis inputs: platform vetting,
-        // destinations, and ground truth are spec data, identical in every
-        // shard and in the sequential run.
-        let world = sharded.worlds.swap_remove(0);
 
         let mut dest_names: BTreeMap<Ipv4Addr, String> = BTreeMap::new();
         for dest in &world.dns_destinations {
@@ -417,8 +363,8 @@ impl Study {
 }
 
 /// Finalize the Phase II router-graph builder against the world's geo
-/// database. The builder's per-shard folds are commutative and each probe
-/// path is wholly owned by one shard, so the merged builder — and hence
+/// database. The builder's per-chunk folds are commutative and each probe
+/// path is wholly owned by one chunk, so the merged builder — and hence
 /// the finalized graph — is identical for any shard count.
 fn finalize_router_graph(phase2: Option<&CampaignData>, world: &World) -> shadow_topo::RouterGraph {
     phase2

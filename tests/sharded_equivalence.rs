@@ -8,8 +8,16 @@
 //! the unsolicited-request classifications. Two distinct seeds are tested
 //! so a bug that collapses output to a constant cannot pass.
 
+use std::collections::BTreeSet;
+use traffic_shadowing::shadow_core::campaign::{CampaignRunner, Phase1Config};
 use traffic_shadowing::shadow_core::correlate::CorrelatedRequest;
-use traffic_shadowing::shadow_core::executor::StealConfig;
+use traffic_shadowing::shadow_core::executor::{
+    run_phase1_work_stealing_bounded, StealConfig, TelemetryOptions,
+};
+use traffic_shadowing::shadow_core::noise::NoiseFilter;
+use traffic_shadowing::shadow_core::sink::SinkConfig;
+use traffic_shadowing::shadow_core::world::{generate_spec, WorldConfig};
+use traffic_shadowing::shadow_vantage::platform::VpId;
 use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
 
 const SHARD_COUNTS: [usize; 4] = [1, 3, 7, 0 /* replaced by num_cpus */];
@@ -166,5 +174,65 @@ fn distinct_seeds_still_differ_under_sharding() {
     assert_ne!(
         a.phase1.aggregates, b.phase1.aggregates,
         "different seeds must produce different sharded traffic"
+    );
+}
+
+/// The scheduler's `vp_limit` bound: at every shape, a bounded Phase I
+/// equals the straight-line composition (instantiate → pre-flight → plan →
+/// execute) filtered to the first `n` VPs in pre-vetting platform order,
+/// and an unbounded one equals it unfiltered.
+#[test]
+fn vp_limit_matches_filtered_sequential_composition() {
+    let spec = generate_spec(WorldConfig::tiny(99));
+    let config = Phase1Config::default();
+    let platform_order: Vec<VpId> = spec.platform.vps.iter().map(|vp| vp.id).collect();
+    let shapes = [
+        StealConfig::with_workers(1),
+        StealConfig::with_workers(2).with_chunks(2),
+        StealConfig::with_workers(3).with_chunks(7),
+    ];
+    let mut decoys = Vec::new();
+    for limit in [Some(3), None] {
+        let allowed: Option<BTreeSet<VpId>> =
+            limit.map(|n| platform_order.iter().take(n).copied().collect());
+        let mut world = spec.instantiate();
+        NoiseFilter::run_and_apply(&mut world);
+        let plan = CampaignRunner::plan_phase1(&world, &config);
+        let expected = CampaignRunner::execute_phase1(
+            &mut world,
+            &plan,
+            &config,
+            SinkConfig::retained(),
+            |vp| allowed.as_ref().is_none_or(|a| a.contains(&vp)),
+        );
+        for shape in shapes {
+            let bounded = run_phase1_work_stealing_bounded(
+                &spec,
+                &config,
+                shape,
+                TelemetryOptions::disabled(),
+                None,
+                SinkConfig::retained(),
+                limit,
+            );
+            assert_eq!(
+                expected.registry.len(),
+                bounded.data.registry.len(),
+                "vp_limit {limit:?}, {shape:?}: decoy registries differ in size"
+            );
+            assert_eq!(
+                expected.arrivals, bounded.data.arrivals,
+                "vp_limit {limit:?}, {shape:?}: Phase I arrival streams diverge"
+            );
+            assert_eq!(
+                expected.aggregates, bounded.data.aggregates,
+                "vp_limit {limit:?}, {shape:?}: streamed aggregates diverge"
+            );
+        }
+        decoys.push(expected.registry.len());
+    }
+    assert!(
+        0 < decoys[0] && decoys[0] < decoys[1],
+        "the bound must trim the campaign to a non-empty slice: {decoys:?}"
     );
 }
