@@ -3,14 +3,11 @@
 //! came).
 
 use serde::{Deserialize, Serialize};
-use shadow_core::correlate::CorrelatedRequest;
 use shadow_core::decoy::{DecoyProtocol, DecoyRegistry};
 use shadow_core::sink::{
     CorrelationAggregates, OUTCOME_DNS_EARLY, OUTCOME_DNS_LATE, OUTCOME_HTTP_EARLY,
     OUTCOME_HTTP_LATE,
 };
-use shadow_honeypot::capture::ArrivalProtocol;
-use shadow_netsim::time::SimDuration;
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
@@ -72,78 +69,14 @@ impl DestinationBreakdown {
     }
 }
 
-/// Compute Figure 5 over all DNS decoys, grouped by destination name.
+/// Compute Figure 5 over all DNS decoys, grouped by destination name. The
+/// strongest outcome per decoy is decoded from the capture-time fold's
+/// outcome bits (the bit precedence mirrors the [`DecoyOutcome`] ordering);
+/// a decoy with no fold stayed silent.
 pub fn compute(
-    registry: &DecoyRegistry,
-    correlated: &[CorrelatedRequest],
-    dest_names: &BTreeMap<Ipv4Addr, String>,
-) -> Vec<DestinationBreakdown> {
-    let hour = SimDuration::from_hours(1);
-    // Per decoy domain: the strongest outcome observed.
-    let mut outcome_per_decoy: BTreeMap<&shadow_packet::dns::DnsName, DecoyOutcome> =
-        BTreeMap::new();
-    for req in correlated {
-        if req.decoy.protocol != DecoyProtocol::Dns || !req.label.is_unsolicited() {
-            continue;
-        }
-        let class = match req.arrival.protocol {
-            ArrivalProtocol::Http | ArrivalProtocol::Https => {
-                if req.interval > hour {
-                    DecoyOutcome::HttpLater
-                } else {
-                    DecoyOutcome::HttpWithinHour
-                }
-            }
-            ArrivalProtocol::Dns => {
-                if req.interval > hour {
-                    DecoyOutcome::DnsRepeatsLater
-                } else {
-                    DecoyOutcome::DnsRepeatsWithinHour
-                }
-            }
-        };
-        outcome_per_decoy
-            .entry(&req.decoy.domain)
-            .and_modify(|c| *c = (*c).max(class))
-            .or_insert(class);
-    }
-
-    group_by_destination(registry, dest_names, |domain| {
-        outcome_per_decoy.get(domain).copied()
-    })
-}
-
-/// The streamed Figure 5: the strongest outcome per decoy is decoded from
-/// the capture-time fold's outcome bits (the bit precedence mirrors the
-/// [`DecoyOutcome`] ordering, so the decoded class equals the batch `max`).
-pub fn compute_streamed(
     registry: &DecoyRegistry,
     aggregates: &CorrelationAggregates,
     dest_names: &BTreeMap<Ipv4Addr, String>,
-) -> Vec<DestinationBreakdown> {
-    group_by_destination(registry, dest_names, |domain| {
-        let fold = aggregates.decoys.get(domain)?;
-        if fold.outcome_bits & OUTCOME_HTTP_LATE != 0 {
-            Some(DecoyOutcome::HttpLater)
-        } else if fold.outcome_bits & OUTCOME_HTTP_EARLY != 0 {
-            Some(DecoyOutcome::HttpWithinHour)
-        } else if fold.outcome_bits & OUTCOME_DNS_LATE != 0 {
-            Some(DecoyOutcome::DnsRepeatsLater)
-        } else if fold.outcome_bits & OUTCOME_DNS_EARLY != 0 {
-            Some(DecoyOutcome::DnsRepeatsWithinHour)
-        } else {
-            None
-        }
-    })
-}
-
-/// Shared denominator walk: every DNS decoy in the registry lands in its
-/// destination's row with the outcome `classify` assigns it (`None` =
-/// silent).
-fn group_by_destination(
-    registry: &DecoyRegistry,
-    dest_names: &BTreeMap<Ipv4Addr, String>,
-    classify: impl Fn(&shadow_packet::dns::DnsName) -> Option<DecoyOutcome>,
 ) -> Vec<DestinationBreakdown> {
     let mut per_dest: BTreeMap<String, DestinationBreakdown> = BTreeMap::new();
     for decoy in registry.iter() {
@@ -162,7 +95,21 @@ fn group_by_destination(
                 outcomes: BTreeMap::new(),
             });
         entry.decoys += 1;
-        let outcome = classify(&decoy.domain).unwrap_or(DecoyOutcome::Silent);
+        let bits = aggregates
+            .decoys
+            .get(&decoy.domain)
+            .map_or(0, |fold| fold.outcome_bits);
+        let outcome = if bits & OUTCOME_HTTP_LATE != 0 {
+            DecoyOutcome::HttpLater
+        } else if bits & OUTCOME_HTTP_EARLY != 0 {
+            DecoyOutcome::HttpWithinHour
+        } else if bits & OUTCOME_DNS_LATE != 0 {
+            DecoyOutcome::DnsRepeatsLater
+        } else if bits & OUTCOME_DNS_EARLY != 0 {
+            DecoyOutcome::DnsRepeatsWithinHour
+        } else {
+            DecoyOutcome::Silent
+        };
         *entry.outcomes.entry(outcome).or_insert(0) += 1;
     }
     per_dest.into_values().collect()
@@ -171,8 +118,8 @@ fn group_by_destination(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shadow_core::correlate::Correlator;
-    use shadow_honeypot::capture::Arrival;
+    use shadow_core::sink::SinkConfig;
+    use shadow_honeypot::capture::{Arrival, ArrivalProtocol};
     use shadow_netsim::time::SimTime;
     use shadow_packet::dns::DnsName;
     use shadow_vantage::platform::VpId;
@@ -214,11 +161,11 @@ mod tests {
             mk(&rec.domain, 30_000, ArrivalProtocol::Dns), // DNS<1h
             mk(&rec.domain, 90_000_000, ArrivalProtocol::Https), // HTTP>1h (25h)
         ];
-        let correlator = Correlator::new(&registry);
-        let correlated = correlator.correlate(&arrivals);
+        let aggregates =
+            CorrelationAggregates::from_arrivals(&registry, &arrivals, &SinkConfig::streaming());
         let mut names = BTreeMap::new();
         names.insert(yandex, "Yandex".to_string());
-        let rows = compute(&registry, &correlated, &names);
+        let rows = compute(&registry, &aggregates, &names);
         assert_eq!(rows.len(), 1);
         let row = &rows[0];
         assert_eq!(row.decoys, 2);

@@ -8,9 +8,9 @@
 //!   concentrate in CN ISPs; probes originate largely from local ISPs.
 
 use serde::{Deserialize, Serialize};
-use shadow_core::correlate::CorrelatedRequest;
 use shadow_core::decoy::{DecoyProtocol, DecoyRegistry};
 use shadow_core::phase2::TracerouteResult;
+use shadow_core::sink::{CorrelationAggregates, OUTCOME_HTTP_EARLY, OUTCOME_HTTP_LATE};
 use shadow_geo::{CountryCode, GeoDb};
 use shadow_netsim::time::SimDuration;
 use shadow_vantage::platform::{Platform, VpId};
@@ -24,63 +24,46 @@ pub struct ResolverCase {
     pub decoys: usize,
     pub shadowed_decoys: usize,
     pub http_probed_decoys: usize,
-    /// Median interval of unsolicited requests.
+    /// Median interval of unsolicited requests, at histogram resolution:
+    /// the upper edge of the interval bucket that holds it.
     pub median_interval_ms: Option<u64>,
-    /// Fraction of unsolicited requests arriving ≥ 10 days later.
+    /// Fraction of unsolicited requests arriving more than 10 days later.
     pub ten_day_tail: f64,
 }
 
 impl ResolverCase {
+    /// Shadowed and HTTP(S)-probed decoys come from the per-decoy outcome
+    /// bits, the interval statistics from the (DNS, `dst`) histogram.
     pub fn compute(
         registry: &DecoyRegistry,
-        correlated: &[CorrelatedRequest],
+        aggregates: &CorrelationAggregates,
         dst: Ipv4Addr,
         destination: &str,
     ) -> Self {
-        let decoys = registry
-            .iter()
-            .filter(|d| d.protocol == DecoyProtocol::Dns && d.dst() == dst)
-            .count();
-        let mut shadowed: BTreeSet<&str> = BTreeSet::new();
-        let mut http_probed: BTreeSet<&str> = BTreeSet::new();
-        let mut intervals: Vec<u64> = Vec::new();
-        for req in correlated {
-            if req.decoy.protocol != DecoyProtocol::Dns
-                || req.decoy.dst() != dst
-                || !req.label.is_unsolicited()
-            {
+        let mut case = Self {
+            destination: destination.to_string(),
+            ..Self::default()
+        };
+        for decoy in registry.iter() {
+            if decoy.protocol != DecoyProtocol::Dns || decoy.dst() != dst {
                 continue;
             }
-            shadowed.insert(req.decoy.domain.as_str());
-            intervals.push(req.interval.millis());
-            if matches!(
-                req.arrival.protocol,
-                shadow_honeypot::capture::ArrivalProtocol::Http
-                    | shadow_honeypot::capture::ArrivalProtocol::Https
-            ) {
-                http_probed.insert(req.decoy.domain.as_str());
+            case.decoys += 1;
+            if let Some(fold) = aggregates.decoys.get(&decoy.domain) {
+                case.shadowed_decoys += 1;
+                if fold.outcome_bits & (OUTCOME_HTTP_EARLY | OUTCOME_HTTP_LATE) != 0 {
+                    case.http_probed_decoys += 1;
+                }
             }
         }
-        intervals.sort();
-        let median_interval_ms = if intervals.is_empty() {
-            None
-        } else {
-            Some(intervals[intervals.len() / 2])
-        };
-        let ten_days = SimDuration::from_days(10).millis();
-        let ten_day_tail = if intervals.is_empty() {
-            0.0
-        } else {
-            intervals.iter().filter(|&&i| i >= ten_days).count() as f64 / intervals.len() as f64
-        };
-        Self {
-            destination: destination.to_string(),
-            decoys,
-            shadowed_decoys: shadowed.len(),
-            http_probed_decoys: http_probed.len(),
-            median_interval_ms,
-            ten_day_tail,
+        if let Some(hist) = aggregates.interval_hists.get(&(DecoyProtocol::Dns, dst)) {
+            let total = hist.total();
+            case.median_interval_ms = hist.median_upper_edge_ms();
+            if let Some(within) = hist.cumulative_at(SimDuration::from_days(10).millis()) {
+                case.ten_day_tail = (total - within) as f64 / total.max(1) as f64;
+            }
         }
+        case
     }
 
     pub fn shadowed_fraction(&self) -> f64 {
@@ -114,7 +97,7 @@ impl AnycastCase {
     /// in-country instance. `split` is the country whose instance shadows.
     pub fn compute(
         registry: &DecoyRegistry,
-        correlated: &[CorrelatedRequest],
+        aggregates: &CorrelationAggregates,
         platform: &Platform,
         dst: Ipv4Addr,
         destination: &str,
@@ -122,15 +105,12 @@ impl AnycastCase {
     ) -> Self {
         let country_of: BTreeMap<VpId, CountryCode> =
             platform.vps.iter().map(|vp| (vp.id, vp.country)).collect();
-        let mut problematic: BTreeSet<VpId> = BTreeSet::new();
-        for req in correlated {
-            if req.decoy.protocol == DecoyProtocol::Dns
-                && req.decoy.dst() == dst
-                && req.label.is_unsolicited()
-            {
-                problematic.insert(req.decoy.vp);
-            }
-        }
+        let problematic: BTreeSet<VpId> = aggregates
+            .paths
+            .keys()
+            .filter(|key| key.protocol == DecoyProtocol::Dns && key.dst == dst)
+            .map(|key| key.vp)
+            .collect();
         let mut seen: BTreeSet<VpId> = BTreeSet::new();
         let mut in_country = (0, 0);
         let mut elsewhere = (0, 0);
@@ -189,9 +169,11 @@ pub struct CnObserverCase {
 }
 
 impl CnObserverCase {
+    /// Observer IPs come from Phase II; the origin split reads the
+    /// streamed origin fold, one country lookup per distinct origin key.
     pub fn compute(
         results: &[TracerouteResult],
-        correlated: &[CorrelatedRequest],
+        aggregates: &CorrelationAggregates,
         geo: &GeoDb,
     ) -> Self {
         let mut observers: BTreeSet<Ipv4Addr> = BTreeSet::new();
@@ -212,19 +194,17 @@ impl CnObserverCase {
                     .unwrap_or(false)
             })
             .count();
-        let mut cn_orig = 0usize;
-        let mut total_orig = 0usize;
-        for req in correlated {
-            if matches!(req.decoy.protocol, DecoyProtocol::Http | DecoyProtocol::Tls)
-                && req.label.is_unsolicited()
-            {
-                total_orig += 1;
+        let mut cn_orig = 0u64;
+        let mut total_orig = 0u64;
+        for (&(decoy, _, _, src), &count) in &aggregates.origins {
+            if matches!(decoy, DecoyProtocol::Http | DecoyProtocol::Tls) {
+                total_orig += count;
                 if geo
-                    .country_of(req.arrival.src)
+                    .country_of(src)
                     .map(|c| c.as_str() == "CN")
                     .unwrap_or(false)
                 {
-                    cn_orig += 1;
+                    cn_orig += count;
                 }
             }
         }
@@ -251,7 +231,7 @@ impl CnObserverCase {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shadow_core::correlate::Correlator;
+    use shadow_core::sink::SinkConfig;
     use shadow_geo::country::cc;
     use shadow_honeypot::capture::{Arrival, ArrivalProtocol};
     use shadow_netsim::time::SimTime;
@@ -315,10 +295,10 @@ mod tests {
             mk(&de_rec.domain, 1_100),
             mk(&cn_rec.domain, 10_000_000),
         ];
-        let correlator = Correlator::new(&registry);
-        let correlated = correlator.correlate(&arrivals);
+        let aggregates =
+            CorrelationAggregates::from_arrivals(&registry, &arrivals, &SinkConfig::streaming());
         let case =
-            AnycastCase::compute(&registry, &correlated, &platform(), dst, "114DNS", cc("CN"));
+            AnycastCase::compute(&registry, &aggregates, &platform(), dst, "114DNS", cc("CN"));
         assert_eq!(case.in_country, (1, 1));
         assert_eq!(case.elsewhere, (0, 1));
         assert_eq!(case.in_country_ratio(), 1.0);
@@ -360,20 +340,25 @@ mod tests {
                 ArrivalProtocol::Dns,
             ));
         }
-        // 3 of 4 shadowed; 2 of 4 HTTP-probed; one ≥10 days.
+        // 3 of 4 shadowed; 2 of 4 HTTP-probed; one more than 10 days.
         arrivals.push(mk(&recs[0].domain, 2 * day, ArrivalProtocol::Dns));
         arrivals.push(mk(&recs[1].domain, 3 * day, ArrivalProtocol::Http));
         arrivals.push(mk(&recs[2].domain, 12 * day, ArrivalProtocol::Https));
         arrivals.sort_by_key(|a| a.at);
-        let correlator = Correlator::new(&registry);
-        let correlated = correlator.correlate(&arrivals);
-        let case = ResolverCase::compute(&registry, &correlated, dst, "Yandex");
+        let aggregates =
+            CorrelationAggregates::from_arrivals(&registry, &arrivals, &SinkConfig::streaming());
+        let case = ResolverCase::compute(&registry, &aggregates, dst, "Yandex");
         assert_eq!(case.decoys, 4);
         assert_eq!(case.shadowed_decoys, 3);
         assert_eq!(case.http_probed_decoys, 2);
         assert!((case.shadowed_fraction() - 0.75).abs() < 1e-9);
         assert!((case.http_probed_fraction() - 0.5).abs() < 1e-9);
-        assert!(case.ten_day_tail > 0.0);
-        assert!(case.median_interval_ms.is_some());
+        // Unsolicited intervals ≈ 2 d, 3 d and 12 d: one of three past 10 d,
+        // and the median (3 d) sits in the (1 d, 3 d] bucket.
+        assert!((case.ten_day_tail - 1.0 / 3.0).abs() < 1e-9);
+        assert_eq!(
+            case.median_interval_ms,
+            Some(SimDuration::from_days(3).millis())
+        );
     }
 }

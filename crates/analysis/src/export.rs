@@ -11,7 +11,6 @@ use crate::location::{ObserverHopTable, ObserverIpSummary};
 use crate::origins::OriginAsReport;
 use crate::probing::ProbingReport;
 use crate::reuse::ReuseReport;
-use crate::temporal::Cdf;
 use serde::Serialize;
 use shadow_core::decoy::DecoyProtocol;
 use shadow_core::sink::IntervalHistogram;
@@ -65,18 +64,9 @@ impl SerializableHopTable {
     }
 }
 
-/// Turn a CDF into its paper-grid points with owned labels.
-pub fn grid_points(cdf: &Cdf) -> Vec<(String, f64)> {
-    cdf.paper_grid()
-        .into_iter()
-        .map(|(label, v)| (label.to_string(), v))
-        .collect()
-}
-
-/// The streamed [`grid_points`]: the same paper grid, read from a sink
-/// interval histogram (bit-identical to the retained CDF at these points).
-pub fn grid_points_streamed(hist: &IntervalHistogram) -> Vec<(String, f64)> {
-    crate::temporal::histogram_paper_grid(hist)
+/// An interval histogram's paper-grid points with owned labels.
+pub fn grid_points(hist: &IntervalHistogram) -> Vec<(String, f64)> {
+    crate::temporal::paper_grid(hist)
         .into_iter()
         .map(|(label, v)| (label.to_string(), v))
         .collect()
@@ -144,11 +134,10 @@ mod tests {
 
     #[test]
     fn grid_points_are_owned() {
-        let cdf = Cdf::from_durations(vec![
-            shadow_netsim::time::SimDuration::from_secs(30),
-            shadow_netsim::time::SimDuration::from_days(2),
-        ]);
-        let points = grid_points(&cdf);
+        let mut hist = IntervalHistogram::default();
+        hist.record(30_000);
+        hist.record(2 * 86_400_000);
+        let points = grid_points(&hist);
         assert_eq!(points.len(), 6);
         assert_eq!(points[0].0, "1s");
         assert!(points.last().unwrap().1 >= 0.99);

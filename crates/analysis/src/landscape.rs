@@ -2,7 +2,7 @@
 //! grouped by VP country and destination.
 
 use serde::{Deserialize, Serialize};
-use shadow_core::correlate::{CorrelatedRequest, Correlator, PathKey};
+use shadow_core::correlate::PathKey;
 use shadow_core::decoy::{DecoyProtocol, DecoyRegistry};
 use shadow_core::sink::CorrelationAggregates;
 use shadow_geo::CountryCode;
@@ -37,37 +37,12 @@ pub struct LandscapeReport {
 }
 
 impl LandscapeReport {
-    /// Compute the landscape. `dest_names` maps destination addresses to
+    /// Compute the landscape. The problematic paths are the keys of the
+    /// capture-time path fold; `dest_names` maps destination addresses to
     /// display names (resolver names / "tranco:CC" groups).
     pub fn compute(
         registry: &DecoyRegistry,
-        correlated: &[CorrelatedRequest],
-        platform: &Platform,
-        dest_names: &BTreeMap<Ipv4Addr, String>,
-    ) -> Self {
-        let correlator = Correlator::new(registry);
-        let problematic: BTreeSet<PathKey> = correlator
-            .problematic_paths(correlated)
-            .into_keys()
-            .collect();
-        Self::from_problematic(registry, &problematic, platform, dest_names)
-    }
-
-    /// The streamed [`LandscapeReport::compute`]: the problematic-path set
-    /// comes straight from the capture-time fold's path map.
-    pub fn compute_streamed(
-        registry: &DecoyRegistry,
         aggregates: &CorrelationAggregates,
-        platform: &Platform,
-        dest_names: &BTreeMap<Ipv4Addr, String>,
-    ) -> Self {
-        let problematic: BTreeSet<PathKey> = aggregates.paths.keys().copied().collect();
-        Self::from_problematic(registry, &problematic, platform, dest_names)
-    }
-
-    fn from_problematic(
-        registry: &DecoyRegistry,
-        problematic: &BTreeSet<PathKey>,
         platform: &Platform,
         dest_names: &BTreeMap<Ipv4Addr, String>,
     ) -> Self {
@@ -97,7 +72,7 @@ impl LandscapeReport {
                 .entry((country.to_string(), dest, decoy.protocol))
                 .or_insert((0, 0));
             entry.1 += 1;
-            if problematic.contains(&key) {
+            if aggregates.paths.contains_key(&key) {
                 entry.0 += 1;
             }
         }
@@ -187,7 +162,7 @@ impl LandscapeReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shadow_core::correlate::Correlator;
+    use shadow_core::sink::SinkConfig;
     use shadow_geo::country::cc;
     use shadow_honeypot::capture::{Arrival, ArrivalProtocol};
     use shadow_netsim::time::SimTime;
@@ -256,12 +231,12 @@ mod tests {
             }
         }
         arrivals.sort_by_key(|a| a.at);
-        let correlator = Correlator::new(&registry);
-        let correlated = correlator.correlate(&arrivals);
+        let aggregates =
+            CorrelationAggregates::from_arrivals(&registry, &arrivals, &SinkConfig::streaming());
         let mut names = BTreeMap::new();
         names.insert(yandex, "Yandex".to_string());
         names.insert(google, "Google".to_string());
-        let report = LandscapeReport::compute(&registry, &correlated, &platform(), &names);
+        let report = LandscapeReport::compute(&registry, &aggregates, &platform(), &names);
 
         assert_eq!(report.destination_ratio("Yandex", DecoyProtocol::Dns), 1.0);
         assert_eq!(report.destination_ratio("Google", DecoyProtocol::Dns), 0.0);

@@ -42,4 +42,3 @@ pub use probing::ProbingReport;
 pub use report::{render_series, render_table};
 pub use reuse::ReuseReport;
 pub use robustness::{CellMetrics, CellReport, RobustnessReport};
-pub use temporal::Cdf;

@@ -2,8 +2,8 @@
 //! sent to Resolver_h, plus the blocklist labeling of origin IPs.
 
 use serde::{Deserialize, Serialize};
-use shadow_core::correlate::CorrelatedRequest;
 use shadow_core::decoy::DecoyProtocol;
+use shadow_core::sink::CorrelationAggregates;
 use shadow_geo::{AsCatalog, Asn, GeoDb};
 use shadow_honeypot::capture::ArrivalProtocol;
 use shadow_intel::Blocklist;
@@ -23,32 +23,32 @@ pub struct OriginAsReport {
 
 impl OriginAsReport {
     /// Aggregate over unsolicited requests from DNS decoys sent to the
-    /// destinations in `dests` (address → display name).
+    /// destinations in `dests` (address → display name): one AS lookup per
+    /// distinct origin key of the streamed aggregates.
     pub fn compute(
-        correlated: &[CorrelatedRequest],
+        aggregates: &CorrelationAggregates,
         dests: &BTreeMap<Ipv4Addr, String>,
         geo: &GeoDb,
         blocklist: &Blocklist,
     ) -> Self {
         let mut per_destination: BTreeMap<String, BTreeMap<u32, usize>> = BTreeMap::new();
         let mut origin_ips: BTreeMap<String, BTreeSet<Ipv4Addr>> = BTreeMap::new();
-        for req in correlated {
-            if req.decoy.protocol != DecoyProtocol::Dns || !req.label.is_unsolicited() {
+        for (&(decoy, dst, arrival, src), &count) in &aggregates.origins {
+            if decoy != DecoyProtocol::Dns {
                 continue;
             }
-            let Some(dest_name) = dests.get(&req.decoy.dst()) else {
+            let Some(dest_name) = dests.get(&dst) else {
                 continue;
             };
-            let src = req.arrival.src;
             if let Some(asn) = geo.asn_of(src) {
                 *per_destination
                     .entry(dest_name.clone())
                     .or_default()
                     .entry(asn.0)
-                    .or_insert(0) += 1;
+                    .or_insert(0) += count as usize;
             }
             origin_ips
-                .entry(req.arrival.protocol.as_str().to_string())
+                .entry(arrival.as_str().to_string())
                 .or_default()
                 .insert(src);
         }
@@ -133,12 +133,12 @@ pub fn arrival_protocol_label(p: ArrivalProtocol) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shadow_core::correlate::Correlator;
     use shadow_core::decoy::DecoyRegistry;
+    use shadow_core::sink::SinkConfig;
     use shadow_geo::country::cc;
     use shadow_geo::{GeoRecord, HostingLabel, Ipv4Prefix};
     use shadow_honeypot::capture::Arrival;
-    use shadow_netsim::time::{SimDuration, SimTime};
+    use shadow_netsim::time::SimTime;
     use shadow_packet::dns::DnsName;
     use shadow_vantage::platform::VpId;
 
@@ -176,8 +176,8 @@ mod tests {
             mk(9_000_000, google_egress, ArrivalProtocol::Dns),
             mk(9_500_000, dirty_origin, ArrivalProtocol::Http),
         ];
-        let correlator = Correlator::new(&registry);
-        let correlated = correlator.correlate(&arrivals);
+        let aggregates =
+            CorrelationAggregates::from_arrivals(&registry, &arrivals, &SinkConfig::streaming());
 
         let mut geo = GeoDb::new();
         geo.insert(GeoRecord {
@@ -203,12 +203,11 @@ mod tests {
         let mut dests = BTreeMap::new();
         dests.insert(dst114, "114DNS".to_string());
 
-        let report = OriginAsReport::compute(&correlated, &dests, &geo, &blocklist);
+        let report = OriginAsReport::compute(&aggregates, &dests, &geo, &blocklist);
         assert_eq!(report.top_origin_as("114DNS"), Some((15169, 2)));
         assert_eq!(report.origin_as_count("114DNS"), 2);
         assert!(report.as_share(15169) > 0.5, "Google dominates DNS origins");
         assert_eq!(report.blocklist_rates["DNS"], 0.0);
         assert_eq!(report.blocklist_rates["HTTP"], 1.0);
-        let _ = SimDuration::ZERO;
     }
 }

@@ -3,8 +3,8 @@
 //! (decoy protocol → arrival protocol) group.
 
 use serde::{Deserialize, Serialize};
-use shadow_core::correlate::CorrelatedRequest;
 use shadow_core::decoy::DecoyProtocol;
+use shadow_core::sink::CorrelationAggregates;
 use shadow_honeypot::capture::ArrivalProtocol;
 use shadow_intel::{classify_path, Blocklist, PayloadClass};
 use std::collections::{BTreeMap, BTreeSet};
@@ -26,49 +26,41 @@ pub struct ProbingReport {
 }
 
 impl ProbingReport {
-    /// Analyze unsolicited requests triggered by decoys of `decoy_protocol`.
+    /// Analyze unsolicited requests triggered by decoys of `decoy_protocol`,
+    /// from the streamed origin and HTTP-path folds: one payload
+    /// classification per distinct path.
     pub fn compute(
-        correlated: &[CorrelatedRequest],
+        aggregates: &CorrelationAggregates,
         decoy_protocol: DecoyProtocol,
         blocklist: &Blocklist,
     ) -> Self {
         let mut report = Self::default();
-        for req in correlated {
-            if req.decoy.protocol != decoy_protocol || !req.label.is_unsolicited() {
+        for (&(decoy, _, arrival, src), &count) in &aggregates.origins {
+            if decoy != decoy_protocol {
                 continue;
             }
-            match req.arrival.protocol {
-                ArrivalProtocol::Http => {
-                    report.http_requests += 1;
-                    if let Some(path) = &req.arrival.http_path {
-                        match classify_path(path) {
-                            PayloadClass::Benign => report.benign += 1,
-                            PayloadClass::Enumeration => report.enumeration += 1,
-                            PayloadClass::Exploit => report.exploits += 1,
-                        }
-                        *report.top_paths.entry(path.clone()).or_insert(0) += 1;
-                    }
-                    report
-                        .origin_ips
-                        .entry("HTTP".to_string())
-                        .or_default()
-                        .insert(req.arrival.src);
-                }
-                ArrivalProtocol::Https => {
-                    report
-                        .origin_ips
-                        .entry("HTTPS".to_string())
-                        .or_default()
-                        .insert(req.arrival.src);
-                }
-                ArrivalProtocol::Dns => {
-                    report
-                        .origin_ips
-                        .entry("DNS".to_string())
-                        .or_default()
-                        .insert(req.arrival.src);
-                }
+            if arrival == ArrivalProtocol::Http {
+                report.http_requests += count as usize;
             }
+            report
+                .origin_ips
+                .entry(arrival.as_str().to_string())
+                .or_default()
+                .insert(src);
+        }
+        for (path, &count) in aggregates
+            .http_paths
+            .get(&decoy_protocol)
+            .into_iter()
+            .flatten()
+        {
+            let count = count as usize;
+            match classify_path(path) {
+                PayloadClass::Benign => report.benign += count,
+                PayloadClass::Enumeration => report.enumeration += count,
+                PayloadClass::Exploit => report.exploits += count,
+            }
+            report.top_paths.insert(path.clone(), count);
         }
         report.blocklist_rates = report
             .origin_ips
@@ -96,8 +88,8 @@ impl ProbingReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shadow_core::correlate::Correlator;
     use shadow_core::decoy::DecoyRegistry;
+    use shadow_core::sink::SinkConfig;
     use shadow_honeypot::capture::Arrival;
     use shadow_netsim::time::SimTime;
     use shadow_packet::dns::DnsName;
@@ -132,10 +124,10 @@ mod tests {
             mk(7_000, clean, ArrivalProtocol::Http, Some("/")),
             mk(8_000, dirty, ArrivalProtocol::Https, None),
         ];
-        let correlator = Correlator::new(&registry);
-        let correlated = correlator.correlate(&arrivals);
+        let aggregates =
+            CorrelationAggregates::from_arrivals(&registry, &arrivals, &SinkConfig::streaming());
         let blocklist = Blocklist::from_addrs([dirty]);
-        let report = ProbingReport::compute(&correlated, DecoyProtocol::Dns, &blocklist);
+        let report = ProbingReport::compute(&aggregates, DecoyProtocol::Dns, &blocklist);
         assert_eq!(report.http_requests, 3);
         assert_eq!(report.enumeration, 2);
         assert_eq!(report.benign, 1);

@@ -3,10 +3,8 @@
 //! produce more than 10".
 
 use serde::{Deserialize, Serialize};
-use shadow_core::correlate::CorrelatedRequest;
 use shadow_core::decoy::DecoyProtocol;
 use shadow_core::sink::CorrelationAggregates;
-use shadow_netsim::time::SimDuration;
 use std::collections::BTreeMap;
 
 /// Reuse statistics over decoys of one protocol.
@@ -19,37 +17,10 @@ pub struct ReuseReport {
 }
 
 impl ReuseReport {
-    /// Compute over `correlated`, counting unsolicited requests arriving
-    /// more than `cutoff` after decoy emission.
-    pub fn compute(
-        correlated: &[CorrelatedRequest],
-        protocol: DecoyProtocol,
-        cutoff: SimDuration,
-    ) -> Self {
-        let mut late_counts: BTreeMap<String, usize> = BTreeMap::new();
-        let mut triggered: BTreeMap<&str, ()> = BTreeMap::new();
-        for req in correlated {
-            if req.decoy.protocol != protocol || !req.label.is_unsolicited() {
-                continue;
-            }
-            triggered.insert(req.decoy.domain.as_str(), ());
-            if req.interval > cutoff {
-                *late_counts
-                    .entry(req.decoy.domain.as_str().to_string())
-                    .or_insert(0) += 1;
-            }
-        }
-        Self {
-            triggered_decoys: triggered.len(),
-            late_counts,
-        }
-    }
-
-    /// The streamed equivalent of [`ReuseReport::compute`], read from the
-    /// capture-time per-decoy folds. The cutoff is whatever
+    /// Read from the capture-time per-decoy folds. The cutoff is whatever
     /// `SinkConfig::late_cutoff` the campaign streamed with (1 h in the
     /// shipped configurations — the paper's framing).
-    pub fn from_aggregates(aggregates: &CorrelationAggregates, protocol: DecoyProtocol) -> Self {
+    pub fn compute(aggregates: &CorrelationAggregates, protocol: DecoyProtocol) -> Self {
         let mut late_counts: BTreeMap<String, usize> = BTreeMap::new();
         let mut triggered_decoys = 0;
         for (domain, fold) in &aggregates.decoys {
@@ -102,8 +73,8 @@ impl ReuseReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shadow_core::correlate::Correlator;
     use shadow_core::decoy::DecoyRegistry;
+    use shadow_core::sink::SinkConfig;
     use shadow_honeypot::capture::{Arrival, ArrivalProtocol};
     use shadow_netsim::time::SimTime;
     use shadow_packet::dns::DnsName;
@@ -149,10 +120,9 @@ mod tests {
         }
         arrivals.push(mk(&lazy.domain, 60_000));
         arrivals.sort_by_key(|a| a.at);
-        let correlator = Correlator::new(&registry);
-        let correlated = correlator.correlate(&arrivals);
-        let report =
-            ReuseReport::compute(&correlated, DecoyProtocol::Dns, SimDuration::from_hours(1));
+        let aggregates =
+            CorrelationAggregates::from_arrivals(&registry, &arrivals, &SinkConfig::streaming());
+        let report = ReuseReport::compute(&aggregates, DecoyProtocol::Dns);
         assert_eq!(report.triggered_decoys, 2);
         assert_eq!(
             report.late_active_decoys(),

@@ -1,114 +1,19 @@
 //! Temporal analysis: the interval CDFs of Figures 4 and 7.
 //!
-//! Two representations coexist: the sample-exact [`Cdf`] (built from
-//! retained per-request intervals) and the streamed fixed-bucket
-//! [`IntervalHistogram`] folded at capture time. The paper's figures only
-//! ever read the CDF at the fixed grid 1 s / 1 min / 1 h / 1 d / 10 d /
-//! 30 d — every grid point is a histogram bucket edge, so the histogram's
-//! cumulative counts reproduce the batch CDF fractions *bit-for-bit*
+//! The sink folds every unsolicited interval into a fixed-bucket
+//! [`IntervalHistogram`] at capture time. The paper's figures only ever
+//! read the CDF at the fixed grid 1 s / 1 min / 1 h / 1 d / 10 d / 30 d —
+//! every grid point is a histogram bucket edge, so the histogram's
+//! cumulative counts give the sample CDF's fractions *bit for bit*
 //! (`grid_exactness` test below).
 
-use serde::{Deserialize, Serialize};
-use shadow_core::correlate::CorrelatedRequest;
 use shadow_core::decoy::DecoyProtocol;
 use shadow_core::sink::{CorrelationAggregates, IntervalHistogram};
 use shadow_netsim::time::SimDuration;
 
-/// An empirical CDF over durations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Cdf {
-    /// Sorted sample, milliseconds.
-    samples: Vec<u64>,
-}
-
-impl Cdf {
-    pub fn from_durations(mut durations: Vec<SimDuration>) -> Self {
-        durations.sort();
-        Self {
-            samples: durations.into_iter().map(|d| d.millis()).collect(),
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Fraction of samples ≤ `d`.
-    pub fn fraction_at(&self, d: SimDuration) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let idx = self.samples.partition_point(|&s| s <= d.millis());
-        idx as f64 / self.samples.len() as f64
-    }
-
-    /// The `q`-quantile (0..=1) of the sample.
-    pub fn quantile(&self, q: f64) -> Option<SimDuration> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let idx = ((self.samples.len() - 1) as f64 * q).round() as usize;
-        Some(SimDuration::from_millis(self.samples[idx]))
-    }
-
-    /// Evaluate at the paper's figure grid: 1 s, 1 min, 1 h, 1 d, 10 d, 30 d.
-    pub fn paper_grid(&self) -> Vec<(&'static str, f64)> {
-        [
-            ("1s", SimDuration::from_secs(1)),
-            ("1min", SimDuration::from_mins(1)),
-            ("1h", SimDuration::from_hours(1)),
-            ("1d", SimDuration::from_days(1)),
-            ("10d", SimDuration::from_days(10)),
-            ("30d", SimDuration::from_days(30)),
-        ]
-        .into_iter()
-        .map(|(label, d)| (label, self.fraction_at(d)))
-        .collect()
-    }
-
-    /// Detect a spike around an hourly mark: the paper uses the *absence*
-    /// of spikes at TTL-ish boundaries (≈1 h) to rule out cache refreshing.
-    /// Returns the fraction of mass inside `window` of `mark`.
-    pub fn mass_near(&self, mark: SimDuration, window: SimDuration) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let lo = mark.millis().saturating_sub(window.millis());
-        let hi = mark.millis().saturating_add(window.millis());
-        let count = self.samples.iter().filter(|&&s| s >= lo && s <= hi).count();
-        count as f64 / self.samples.len() as f64
-    }
-}
-
-/// Figure 4 / Figure 7: CDF of intervals between decoys of `protocol` (to
+/// Figure 4 / Figure 7: intervals between decoys of `protocol` (to
 /// destinations in `dst_filter`, if given) and the unsolicited requests
 /// they triggered.
-pub fn interval_cdf(
-    correlated: &[CorrelatedRequest],
-    protocol: DecoyProtocol,
-    dst_filter: Option<&[std::net::Ipv4Addr]>,
-) -> Cdf {
-    let samples = correlated
-        .iter()
-        .filter(|r| r.label.is_unsolicited())
-        .filter(|r| r.decoy.protocol == protocol)
-        .filter(|r| match dst_filter {
-            Some(dsts) => dsts.contains(&r.decoy.dst()),
-            None => true,
-        })
-        .map(|r| r.interval)
-        .collect();
-    Cdf::from_durations(samples)
-}
-
-/// The streamed Figure 4 / Figure 7 series: the same selection as
-/// [`interval_cdf`], read from the capture-time aggregates instead of a
-/// retained request vector.
 pub fn interval_histogram(
     aggregates: &CorrelationAggregates,
     protocol: DecoyProtocol,
@@ -120,10 +25,9 @@ pub fn interval_histogram(
     })
 }
 
-/// Evaluate a streamed histogram at the paper's figure grid, mirroring
-/// [`Cdf::paper_grid`] (empty series reads 0.0 everywhere, like the
-/// empty CDF).
-pub fn histogram_paper_grid(hist: &IntervalHistogram) -> Vec<(&'static str, f64)> {
+/// Evaluate a histogram at the paper's figure grid: 1 s, 1 min, 1 h, 1 d,
+/// 10 d, 30 d (an empty series reads 0.0 everywhere).
+pub fn paper_grid(hist: &IntervalHistogram) -> Vec<(&'static str, f64)> {
     [
         ("1s", SimDuration::from_secs(1)),
         ("1min", SimDuration::from_mins(1)),
@@ -141,39 +45,54 @@ pub fn histogram_paper_grid(hist: &IntervalHistogram) -> Vec<(&'static str, f64)
 mod tests {
     use super::*;
 
-    fn cdf(ms: &[u64]) -> Cdf {
-        Cdf::from_durations(ms.iter().map(|&m| SimDuration::from_millis(m)).collect())
+    /// The sample-exact reference: an empirical CDF over a sorted sample.
+    struct Cdf {
+        samples: Vec<u64>,
+    }
+
+    impl Cdf {
+        fn new(ms: &[u64]) -> Self {
+            let mut samples = ms.to_vec();
+            samples.sort();
+            Self { samples }
+        }
+
+        /// Fraction of samples ≤ `d`.
+        fn fraction_at(&self, d: SimDuration) -> f64 {
+            if self.samples.is_empty() {
+                return 0.0;
+            }
+            let idx = self.samples.partition_point(|&s| s <= d.millis());
+            idx as f64 / self.samples.len() as f64
+        }
+
+        /// Fraction of samples in `[mark - window, mark + window]`.
+        fn mass_near(&self, mark: SimDuration, window: SimDuration) -> f64 {
+            let (lo, hi) = (
+                mark.millis() - window.millis(),
+                mark.millis() + window.millis(),
+            );
+            let count = self.samples.iter().filter(|&&s| s >= lo && s <= hi).count();
+            count as f64 / self.samples.len() as f64
+        }
+    }
+
+    fn hist(ms: &[u64]) -> IntervalHistogram {
+        let mut hist = IntervalHistogram::default();
+        for &s in ms {
+            hist.record(s);
+        }
+        hist
     }
 
     #[test]
     fn fractions_monotone() {
-        let c = cdf(&[100, 1_000, 60_000, 3_600_000, 86_400_000]);
-        let grid = c.paper_grid();
+        let grid = paper_grid(&hist(&[100, 1_000, 60_000, 3_600_000, 86_400_000]));
         for pair in grid.windows(2) {
             assert!(pair[0].1 <= pair[1].1, "CDF must be monotone");
         }
-        assert!((c.fraction_at(SimDuration::from_secs(1)) - 0.4).abs() < 1e-9);
-        assert_eq!(c.fraction_at(SimDuration::from_days(2)), 1.0);
-    }
-
-    #[test]
-    fn quantiles() {
-        let c = cdf(&[10, 20, 30, 40, 50]);
-        assert_eq!(c.quantile(0.0), Some(SimDuration::from_millis(10)));
-        assert_eq!(c.quantile(0.5), Some(SimDuration::from_millis(30)));
-        assert_eq!(c.quantile(1.0), Some(SimDuration::from_millis(50)));
-        assert_eq!(Cdf::from_durations(vec![]).quantile(0.5), None);
-    }
-
-    #[test]
-    fn mass_near_detects_spikes() {
-        // 3 of 4 samples within ±5 min of the 1 h mark.
-        let hour = 3_600_000;
-        let c = cdf(&[hour - 60_000, hour, hour + 120_000, 10 * hour]);
-        let mass = c.mass_near(SimDuration::from_hours(1), SimDuration::from_mins(5));
-        assert!((mass - 0.75).abs() < 1e-9);
-        let none = c.mass_near(SimDuration::from_hours(5), SimDuration::from_mins(5));
-        assert_eq!(none, 0.0);
+        assert!((grid[0].1 - 0.4).abs() < 1e-9);
+        assert_eq!(grid[3].1, 1.0);
     }
 
     #[test]
@@ -201,31 +120,47 @@ mod tests {
             2_592_000_000,
             2_592_000_001,
         ];
-        let c = cdf(&samples);
-        let mut hist = IntervalHistogram::default();
-        for &s in &samples {
-            hist.record(s);
-        }
-        for ((label_c, frac_c), (label_h, frac_h)) in
-            c.paper_grid().into_iter().zip(histogram_paper_grid(&hist))
-        {
-            assert_eq!(label_c, label_h);
+        let cdf = Cdf::new(&samples);
+        for (label, fraction) in paper_grid(&hist(&samples)) {
+            let edge = match label {
+                "1s" => SimDuration::from_secs(1),
+                "1min" => SimDuration::from_mins(1),
+                "1h" => SimDuration::from_hours(1),
+                "1d" => SimDuration::from_days(1),
+                "10d" => SimDuration::from_days(10),
+                _ => SimDuration::from_days(30),
+            };
             assert_eq!(
-                frac_c.to_bits(),
-                frac_h.to_bits(),
-                "grid point {label_c}: batch CDF and streamed histogram diverge"
+                cdf.fraction_at(edge).to_bits(),
+                fraction.to_bits(),
+                "grid point {label}: sample CDF and streamed histogram diverge"
             );
         }
     }
 
     #[test]
-    fn empty_cdf_is_safe() {
-        let c = Cdf::from_durations(vec![]);
-        assert!(c.is_empty());
-        assert_eq!(c.fraction_at(SimDuration::from_days(1)), 0.0);
+    fn spike_window_matches_sample_mass_off_the_edges() {
+        // 3 of 4 samples within the 55–65 min window, none on its edges.
+        let hour = 3_600_000;
+        let samples = [hour - 60_000, hour, hour + 120_000, 10 * hour];
+        let (mark, window) = (SimDuration::from_hours(1), SimDuration::from_mins(5));
+        let streamed = hist(&samples)
+            .fraction_between(SimDuration::from_mins(55), SimDuration::from_mins(65))
+            .unwrap();
         assert_eq!(
-            c.mass_near(SimDuration::from_hours(1), SimDuration::from_mins(5)),
-            0.0
+            streamed.to_bits(),
+            Cdf::new(&samples).mass_near(mark, window).to_bits()
+        );
+        assert!((streamed - 0.75).abs() < 1e-9);
+    }
+
+    #[test]
+    fn empty_histogram_is_safe() {
+        let empty = IntervalHistogram::default();
+        assert!(paper_grid(&empty).iter().all(|&(_, f)| f == 0.0));
+        assert_eq!(
+            empty.fraction_between(SimDuration::from_mins(55), SimDuration::from_mins(65)),
+            None
         );
     }
 }

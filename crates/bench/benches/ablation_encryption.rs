@@ -30,7 +30,6 @@ fn run(seed: u64, encrypted: bool) -> StudyOutcome {
         run_phase2: false,
         telemetry: traffic_shadowing::shadow_core::executor::TelemetryOptions::disabled(),
         faults: None,
-        retain_arrivals: false,
     })
 }
 

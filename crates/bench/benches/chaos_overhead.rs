@@ -64,7 +64,7 @@ fn bench(c: &mut Criterion) {
                     StealConfig::with_workers(1),
                     TelemetryOptions::disabled(),
                     conditioner.clone(),
-                    SinkConfig::retained(),
+                    SinkConfig::streaming(),
                     None,
                 )
             })

@@ -1,15 +1,13 @@
-//! Correlation throughput: the batch `Correlator` (clone every arrival
-//! into a sample vector) against the capture-time `CorrelationSink`
-//! (classify and fold, retain nothing), over the same synthetic stream.
-//! Records `BENCH_correlate.json` so the streamed-vs-batch ratio and the
-//! 10x-scale peak-RSS gap are part of the repo's perf trajectory.
+//! Correlation throughput: the capture-time `CorrelationSink` (classify
+//! and fold, retain nothing) over a synthetic stream. Records
+//! `BENCH_correlate.json` so the sink's arrivals/sec and its 10x-scale
+//! peak RSS are part of the repo's perf trajectory.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use shadow_bench::correlate::{
     build_fixture, correlate_json_path, gen_stream, record_correlate_json, run_correlate,
 };
-use traffic_shadowing::shadow_core::correlate::Correlator;
-use traffic_shadowing::shadow_core::sink::{CorrelationAggregates, CorrelationSink, SinkConfig};
+use traffic_shadowing::shadow_core::sink::{CorrelationSink, SinkConfig};
 use traffic_shadowing::shadow_honeypot::capture::ArrivalSink;
 
 const DECOYS: usize = 1_200;
@@ -22,27 +20,22 @@ fn trajectory(_c: &mut Criterion) {
     if criterion::test_mode() {
         let metrics = run_correlate(60, 2_000);
         println!(
-            "Testing correlate/trajectory ... ok ({:.2}x streamed vs batch)",
-            metrics.streamed_over_batch
+            "Testing correlate/trajectory ... ok ({:.0} arrivals/s)",
+            metrics.streamed_arrivals_per_sec
         );
         return;
     }
     run_correlate(DECOYS, ARRIVALS / 10); // warm-up
     let metrics = run_correlate(DECOYS, ARRIVALS);
     println!(
-        "BENCH {{\"name\":\"correlate/throughput\",\"iters\":1,\"batch_arrivals_per_sec\":{:.0},\"streamed_arrivals_per_sec\":{:.0},\"streamed_over_batch\":{:.2}}}",
-        metrics.batch_arrivals_per_sec,
-        metrics.streamed_arrivals_per_sec,
-        metrics.streamed_over_batch
+        "BENCH {{\"name\":\"correlate/throughput\",\"iters\":1,\"streamed_arrivals_per_sec\":{:.0}}}",
+        metrics.streamed_arrivals_per_sec
     );
-    if let (Some(streamed), Some(batch)) =
-        (metrics.rss_streamed_10x_bytes, metrics.rss_batch_10x_bytes)
-    {
+    if let Some(streamed) = metrics.rss_streamed_10x_bytes {
         println!(
-            "peak RSS at 10x scale ({} arrivals): streamed {:.1} MiB, after batch buffering {:.1} MiB",
+            "peak RSS at 10x scale ({} arrivals): {:.1} MiB",
             metrics.arrivals * 10,
             streamed as f64 / (1 << 20) as f64,
-            batch as f64 / (1 << 20) as f64,
         );
     }
     let record = record_correlate_json(&correlate_json_path(), "correlate/throughput", metrics);
@@ -51,23 +44,12 @@ fn trajectory(_c: &mut Criterion) {
     }
 }
 
-/// Criterion comparison over a shared pre-built stream: identical input,
-/// identical classifier state machine, identical end artifact (the
-/// analysis aggregates) — the difference is retention. A correlate-only
-/// line shows what the sample vector alone costs.
+/// Criterion timing of the sink over a shared pre-built stream.
 fn bench(c: &mut Criterion) {
     let fixture = build_fixture(DECOYS);
     let stream = gen_stream(&fixture.records, ARRIVALS / 4);
-    let config = SinkConfig::streaming();
     let mut group = c.benchmark_group("correlate");
     group.throughput(Throughput::Elements(stream.len() as u64));
-    group.bench_function("batch_to_aggregates", |b| {
-        let correlator = Correlator::new(&fixture.registry);
-        b.iter(|| {
-            let correlated = correlator.correlate(&stream);
-            CorrelationAggregates::from_correlated(&correlated, config.late_cutoff).arrivals_seen
-        })
-    });
     group.bench_function("streamed_sink", |b| {
         b.iter(|| {
             let mut sink = CorrelationSink::new(fixture.registry.clone(), SinkConfig::streaming());
@@ -76,10 +58,6 @@ fn bench(c: &mut Criterion) {
             }
             sink.take_aggregates().arrivals_seen
         })
-    });
-    group.bench_function("batch_correlate_only", |b| {
-        let correlator = Correlator::new(&fixture.registry);
-        b.iter(|| correlator.correlate(&stream).len())
     });
     group.finish();
 

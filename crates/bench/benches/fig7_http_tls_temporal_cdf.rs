@@ -9,41 +9,47 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use shadow_bench::{pct, study};
 use traffic_shadowing::shadow_analysis::report::render_series;
-use traffic_shadowing::shadow_analysis::temporal::interval_cdf;
+use traffic_shadowing::shadow_analysis::temporal::{interval_histogram, paper_grid};
 use traffic_shadowing::shadow_core::decoy::DecoyProtocol;
+use traffic_shadowing::shadow_core::sink::IntervalHistogram;
 use traffic_shadowing::shadow_netsim::time::SimDuration;
 
 fn bench(c: &mut Criterion) {
     let outcome = study();
-    let (http, tls) = outcome.fig7_cdfs();
-    let dns = outcome.fig4_cdf();
+    let (http, tls) = outcome.fig7();
+    let dns = outcome.fig4();
 
     println!("\n=== Figure 7 (reproduced): HTTP/TLS interval CDFs ===");
     println!(
         "{}",
         render_series(
-            &format!("HTTP decoys (n={})", http.len()),
-            &http.paper_grid()
+            &format!("HTTP decoys (n={})", http.total()),
+            &paper_grid(&http)
         )
     );
     println!(
         "{}",
-        render_series(&format!("TLS decoys (n={})", tls.len()), &tls.paper_grid())
+        render_series(
+            &format!("TLS decoys (n={})", tls.total()),
+            &paper_grid(&tls)
+        )
     );
-    let day10 = SimDuration::from_days(10);
+    let tail = |hist: &IntervalHistogram| {
+        1.0 - hist.fraction_at(SimDuration::from_days(10)).unwrap_or(1.0)
+    };
     println!(
-        "≥10-day tail: HTTP {} | TLS {} | DNS (Resolver_h) {}",
-        pct(1.0 - http.fraction_at(day10)),
-        pct(1.0 - tls.fraction_at(day10)),
-        pct(1.0 - dns.fraction_at(day10)),
+        ">10-day tail: HTTP {} | TLS {} | DNS (Resolver_h) {}",
+        pct(tail(&http)),
+        pct(tail(&tls)),
+        pct(tail(&dns)),
     );
     println!("paper: HTTP/TLS retained shorter than DNS (smaller multi-day tail)\n");
 
-    c.bench_function("fig7/interval_cdfs", |b| {
+    c.bench_function("fig7/interval_histograms", |b| {
         b.iter(|| {
             (
-                interval_cdf(&outcome.correlated, DecoyProtocol::Http, None),
-                interval_cdf(&outcome.correlated, DecoyProtocol::Tls, None),
+                interval_histogram(&outcome.phase1.aggregates, DecoyProtocol::Http, None),
+                interval_histogram(&outcome.phase1.aggregates, DecoyProtocol::Tls, None),
             )
         })
     });

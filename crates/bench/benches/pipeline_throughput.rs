@@ -1,13 +1,13 @@
-//! Pipeline-scale benchmarks: how fast the simulator executes campaigns and
-//! the correlator digests capture streams — the numbers a user sizing a
-//! larger simulated world cares about.
+//! Pipeline-scale benchmarks: how fast the simulator executes campaigns —
+//! the numbers a user sizing a larger simulated world cares about. The
+//! capture-time correlation sink has its own harness
+//! (`correlate_throughput`).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use shadow_bench::hotpath::{pipeline_json_path, record_bench_json, run_hot_path};
-use shadow_bench::study;
 use traffic_shadowing::shadow_core::campaign::{CampaignRunner, Phase1Config};
-use traffic_shadowing::shadow_core::correlate::Correlator;
 use traffic_shadowing::shadow_core::noise::NoiseFilter;
+use traffic_shadowing::shadow_core::sink::SinkConfig;
 use traffic_shadowing::shadow_core::world::{World, WorldConfig};
 use traffic_shadowing::shadow_netsim::time::SimDuration;
 
@@ -35,24 +35,6 @@ fn hot_path(_c: &mut Criterion) {
 }
 
 fn bench(c: &mut Criterion) {
-    // Correlation throughput over the cached standard campaign.
-    let outcome = study();
-    println!(
-        "\ncorrelating {} arrivals against {} decoys",
-        outcome.phase1.arrivals.len(),
-        outcome.phase1.registry.len()
-    );
-    c.bench_function("pipeline/correlate_standard_campaign", |b| {
-        b.iter(|| {
-            let correlator = Correlator::new(&outcome.phase1.registry);
-            correlator.correlate(&outcome.phase1.arrivals)
-        })
-    });
-    c.bench_function("pipeline/problematic_paths", |b| {
-        let correlator = Correlator::new(&outcome.phase1.registry);
-        b.iter(|| correlator.problematic_paths(&outcome.correlated))
-    });
-
     // World construction.
     c.bench_function("pipeline/world_build_tiny", |b| {
         b.iter(|| World::build(WorldConfig::tiny(3)))
@@ -70,12 +52,17 @@ fn bench(c: &mut Criterion) {
                 world
             },
             |mut world| {
-                CampaignRunner::run_phase1(
+                let config = Phase1Config {
+                    grace: SimDuration::from_days(35),
+                    ..Phase1Config::default()
+                };
+                let plan = CampaignRunner::plan_phase1(&world, &config);
+                CampaignRunner::execute_phase1(
                     &mut world,
-                    &Phase1Config {
-                        grace: SimDuration::from_days(35),
-                        ..Phase1Config::default()
-                    },
+                    &plan,
+                    &config,
+                    SinkConfig::streaming(),
+                    |_| true,
                 )
             },
             BatchSize::PerIteration,

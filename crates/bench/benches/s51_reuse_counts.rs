@@ -7,7 +7,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use shadow_bench::{pct, study};
 use traffic_shadowing::shadow_analysis::reuse::ReuseReport;
 use traffic_shadowing::shadow_core::decoy::DecoyProtocol;
-use traffic_shadowing::shadow_netsim::time::SimDuration;
 
 fn bench(c: &mut Criterion) {
     let outcome = study();
@@ -30,13 +29,7 @@ fn bench(c: &mut Criterion) {
     println!("max reuse observed: {}\n", reuse.max_reuse());
 
     c.bench_function("s51/reuse_compute", |b| {
-        b.iter(|| {
-            ReuseReport::compute(
-                &outcome.correlated,
-                DecoyProtocol::Dns,
-                SimDuration::from_hours(1),
-            )
-        })
+        b.iter(|| ReuseReport::compute(&outcome.phase1.aggregates, DecoyProtocol::Dns))
     });
 
     shadow_bench::report_peak_rss("s51_reuse_counts");

@@ -54,7 +54,11 @@ fn bench(c: &mut Criterion) {
 
     c.bench_function("s5/probing_compute", |b| {
         b.iter(|| {
-            ProbingReport::compute(&outcome.correlated, DecoyProtocol::Dns, &outcome.blocklist)
+            ProbingReport::compute(
+                &outcome.phase1.aggregates,
+                DecoyProtocol::Dns,
+                &outcome.blocklist,
+            )
         })
     });
 

@@ -43,7 +43,7 @@ fn bench(c: &mut Criterion) {
             StealConfig::with_workers(k).with_chunks(k),
             telemetry,
             None,
-            SinkConfig::retained(),
+            SinkConfig::streaming(),
             None,
         )
     };

@@ -1,22 +1,19 @@
 //! Correlation-throughput fixture behind `BENCH_correlate.json`: a
 //! synthetic arrival stream over a registered decoy population, driven
-//! through both correlation paths — the retained batch [`Correlator`]
-//! (clone every arrival into a `CorrelatedRequest` sample vector) and the
-//! capture-time [`CorrelationSink`] (classify and fold, retain nothing).
+//! through the capture-time [`CorrelationSink`] (classify and fold, retain
+//! nothing).
 //!
 //! The trajectory record also carries a peak-RSS probe at 10x the timed
-//! scale: the streamed pass generates-and-drops each arrival, the batch
-//! pass must buffer the whole stream first, and the VmHWM delta between
-//! the two is the memory the streaming pipeline no longer pays.
+//! scale: the pass generates-and-drops each arrival, so the high-water
+//! mark is the sink's bounded state, not the stream.
 
 use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
 use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
-use traffic_shadowing::shadow_core::correlate::Correlator;
 use traffic_shadowing::shadow_core::decoy::{DecoyProtocol, DecoyRecord, DecoyRegistry};
-use traffic_shadowing::shadow_core::sink::{CorrelationAggregates, CorrelationSink, SinkConfig};
+use traffic_shadowing::shadow_core::sink::{CorrelationSink, SinkConfig};
 use traffic_shadowing::shadow_honeypot::capture::{Arrival, ArrivalProtocol, ArrivalSink, Label};
 use traffic_shadowing::shadow_netsim::time::{SimDuration, SimTime};
 use traffic_shadowing::shadow_packet::dns::DnsName;
@@ -98,7 +95,7 @@ pub fn gen_arrival(records: &[DecoyRecord], honeypot: &Label, state: &mut u64) -
     }
 }
 
-/// Materialize a full stream (the batch path's buffer).
+/// Materialize a full stream (the timed pass's input).
 pub fn gen_stream(records: &[DecoyRecord], arrivals: u64) -> Vec<Arrival> {
     let honeypot = Label::from("AUTH");
     let mut state = STREAM_SEED;
@@ -112,18 +109,11 @@ pub fn gen_stream(records: &[DecoyRecord], arrivals: u64) -> Vec<Arrival> {
 pub struct CorrelateMetrics {
     pub decoys: u64,
     pub arrivals: u64,
-    pub batch_elapsed_ns: u64,
     pub streamed_elapsed_ns: u64,
-    pub batch_arrivals_per_sec: f64,
     pub streamed_arrivals_per_sec: f64,
-    /// `streamed_arrivals_per_sec / batch_arrivals_per_sec`.
-    pub streamed_over_batch: f64,
-    /// VmHWM after a generate-and-fold streamed pass at 10x the timed
-    /// scale — no arrival vector ever exists (Linux; `None` elsewhere).
+    /// VmHWM after a generate-and-fold pass at 10x the timed scale — no
+    /// arrival vector ever exists (Linux; `None` elsewhere).
     pub rss_streamed_10x_bytes: Option<u64>,
-    /// VmHWM after the batch pass at the same 10x scale buffered the
-    /// whole stream and cloned it into `CorrelatedRequest`s.
-    pub rss_batch_10x_bytes: Option<u64>,
 }
 
 /// The perf-trajectory record committed as `BENCH_correlate.json`.
@@ -138,40 +128,23 @@ pub struct CorrelateRecord {
     pub speedup_streamed_per_sec: Option<f64>,
 }
 
-/// Time both correlation paths over an identical pre-built stream, then
-/// probe peak RSS at 10x scale. Streamed runs its RSS probe first —
-/// VmHWM is monotone, so ordering it after the batch buffer would mask
-/// the difference.
+/// Probe peak RSS over a generate-and-fold pass at 10x scale, then time the
+/// sink over a pre-built stream. The RSS probe runs first — VmHWM is
+/// monotone, so ordering it after the buffered stream would mask it.
 pub fn run_correlate(decoys: usize, arrivals: u64) -> CorrelateMetrics {
     let fixture = build_fixture(decoys);
 
-    // Streamed RSS probe before any buffering happens in this process.
-    let scale = arrivals * 10;
     let honeypot = Label::from("AUTH");
     let mut sink = CorrelationSink::new(fixture.registry.clone(), SinkConfig::streaming());
     let mut state = STREAM_SEED;
-    for _ in 0..scale {
+    for _ in 0..arrivals * 10 {
         let arrival = gen_arrival(&fixture.records, &honeypot, &mut state);
         sink.offer(&arrival);
     }
     std::hint::black_box(sink.take_aggregates().arrivals_seen);
     let rss_streamed_10x_bytes = peak_rss_bytes();
 
-    // Timed passes over an identical buffered stream. Both sides end at
-    // the same artifact — the analysis aggregates — so the comparison is
-    // pipeline-to-pipeline: batch clones every arrival+decoy into a
-    // `CorrelatedRequest` sample vector and folds afterwards; streamed
-    // folds at offer time and retains nothing.
     let stream = gen_stream(&fixture.records, arrivals);
-    let config = SinkConfig::streaming();
-    let correlator = Correlator::new(&fixture.registry);
-    let started = Instant::now();
-    let correlated = correlator.correlate(&stream);
-    let agg = CorrelationAggregates::from_correlated(&correlated, config.late_cutoff);
-    let batch_elapsed = started.elapsed();
-    std::hint::black_box(agg.arrivals_seen);
-    drop(correlated);
-
     let mut sink = CorrelationSink::new(fixture.registry.clone(), SinkConfig::streaming());
     let started = Instant::now();
     for arrival in &stream {
@@ -179,33 +152,13 @@ pub fn run_correlate(decoys: usize, arrivals: u64) -> CorrelateMetrics {
     }
     let streamed_elapsed = started.elapsed();
     std::hint::black_box(sink.take_aggregates().arrivals_seen);
-    drop(stream);
 
-    // Batch RSS probe: buffer the 10x stream, clone it through the
-    // correlator, fold to aggregates — the retained pipeline's resident
-    // cost for the same end artifact.
-    let buffered = gen_stream(&fixture.records, scale);
-    let correlated = Correlator::new(&fixture.registry).correlate(&buffered);
-    let agg = CorrelationAggregates::from_correlated(&correlated, config.late_cutoff);
-    std::hint::black_box(agg.arrivals_seen);
-    let rss_batch_10x_bytes = peak_rss_bytes();
-    drop(correlated);
-    drop(buffered);
-
-    let batch_secs = batch_elapsed.as_secs_f64().max(1e-9);
-    let streamed_secs = streamed_elapsed.as_secs_f64().max(1e-9);
-    let batch_arrivals_per_sec = arrivals as f64 / batch_secs;
-    let streamed_arrivals_per_sec = arrivals as f64 / streamed_secs;
     CorrelateMetrics {
         decoys: decoys as u64,
         arrivals,
-        batch_elapsed_ns: batch_elapsed.as_nanos() as u64,
         streamed_elapsed_ns: streamed_elapsed.as_nanos() as u64,
-        batch_arrivals_per_sec,
-        streamed_arrivals_per_sec,
-        streamed_over_batch: streamed_arrivals_per_sec / batch_arrivals_per_sec.max(1e-9),
+        streamed_arrivals_per_sec: arrivals as f64 / streamed_elapsed.as_secs_f64().max(1e-9),
         rss_streamed_10x_bytes,
-        rss_batch_10x_bytes,
     }
 }
 

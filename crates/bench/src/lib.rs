@@ -29,9 +29,7 @@ pub fn study() -> &'static StudyOutcome {
     STUDY.get_or_init(|| {
         eprintln!("[bench fixture] running the standard campaign (seed {BENCH_SEED})...");
         let started = std::time::Instant::now();
-        // Retained: the figure benches time the batch (sample-level)
-        // analysis passes against the streamed aggregates.
-        let outcome = Study::run(StudyConfig::standard(BENCH_SEED).with_retained_arrivals());
+        let outcome = Study::run(StudyConfig::standard(BENCH_SEED));
         eprintln!("[bench fixture] campaign done in {:?}", started.elapsed());
         outcome
     })

@@ -1,13 +1,11 @@
 //! Phase I: spread decoys from every vantage point to every destination,
-//! run the simulated clock forward, and harvest honeypot captures.
+//! run the simulated clock forward, and harvest the streamed correlation
+//! aggregates and VP reports.
 
 use crate::decoy::{DecoyProtocol, DecoyRegistry};
 use crate::sink::{CorrelationAggregates, CorrelationSink, SinkConfig};
 use crate::world::World;
 use serde::{Deserialize, Serialize};
-use shadow_honeypot::authority::ExperimentAuthorityHost;
-use shadow_honeypot::capture::{Arrival, CaptureLog};
-use shadow_honeypot::web::WebHost;
 use shadow_netsim::time::{SimDuration, SimTime};
 use shadow_netsim::topology::NodeId;
 use shadow_packet::transport::{DnsTransport, EncryptionDeployment, TlsMode};
@@ -62,15 +60,11 @@ impl Default for Phase1Config {
     }
 }
 
-/// Everything Phase I produced: the decoy registry, every capture, and the
-/// per-VP reports.
+/// Everything Phase I produced: the decoy registry, the capture-time
+/// correlation aggregates, and the per-VP reports.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignData {
     pub registry: DecoyRegistry,
-    /// Raw arrivals — populated only when the phase ran with
-    /// [`SinkConfig::retain_arrivals`]; the streaming default leaves this
-    /// empty and [`CampaignData::aggregates`] carries the analysis state.
-    pub arrivals: Vec<Arrival>,
     pub vp_reports: HashMap<VpId, VpReport>,
     /// When the last decoy left a VP.
     pub last_send: SimTime,
@@ -88,15 +82,12 @@ pub struct CampaignData {
 
 impl CampaignData {
     /// Absorb another phase's (or shard's) data. Commutative up to the
-    /// canonical orders the consumers see: arrivals are re-sorted into the
-    /// total [`Arrival::sort_key`] order after every merge, so the result
-    /// is independent of absorb order (e.g. worker-thread completion
-    /// order). Registries must be disjoint or identical per domain.
+    /// canonical orders the consumers see (the journal is re-sorted after
+    /// every merge), so the result is independent of absorb order (e.g.
+    /// worker-thread completion order). Registries must be disjoint or
+    /// identical per domain.
     pub fn absorb(&mut self, other: CampaignData) {
         self.registry.absorb(other.registry);
-        self.arrivals.extend(other.arrivals);
-        self.arrivals
-            .sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
         for (vp, report) in other.vp_reports {
             self.vp_reports.insert(vp, report);
         }
@@ -137,24 +128,6 @@ pub struct Phase1Plan {
 pub struct CampaignRunner;
 
 impl CampaignRunner {
-    /// Run Phase I on `world` and harvest captures. Keeps the raw arrival
-    /// vector alongside the streamed aggregates (the legacy contract most
-    /// direct callers expect); use [`CampaignRunner::run_phase1_with`] with
-    /// [`SinkConfig::streaming`] to drop the buffering.
-    pub fn run_phase1(world: &mut World, config: &Phase1Config) -> CampaignData {
-        Self::run_phase1_with(world, config, SinkConfig::retained())
-    }
-
-    /// [`CampaignRunner::run_phase1`] with an explicit sink configuration.
-    pub fn run_phase1_with(
-        world: &mut World,
-        config: &Phase1Config,
-        sink: SinkConfig,
-    ) -> CampaignData {
-        let plan = Self::plan_phase1(world, config);
-        Self::execute_phase1(world, &plan, config, sink, |_| true)
-    }
-
     /// Compute the full Phase I schedule without posting anything.
     pub fn plan_phase1(world: &World, config: &Phase1Config) -> Phase1Plan {
         let zone = world.zone.clone();
@@ -317,13 +290,12 @@ impl CampaignRunner {
             }
         }
         world.engine.run_until(plan.last_send + config.grace);
-        let (arrivals, vp_reports) = Self::harvest_filtered(world, &owns);
+        let vp_reports = Self::harvest(world, &owns);
         let aggregates = drain_sink(world, &shared);
         emit_phase_end(world, "phase1");
         let (metrics, journal) = drain_telemetry(world);
         CampaignData {
             registry,
-            arrivals,
             vp_reports,
             last_send: plan.last_send,
             metrics,
@@ -333,45 +305,19 @@ impl CampaignRunner {
         }
     }
 
-    /// Drain capture logs from the authoritative honeypot and the honey
-    /// web servers, and snapshot VP reports. Draining means each phase
-    /// sees only its own captures.
-    pub fn harvest(world: &mut World) -> (Vec<Arrival>, HashMap<VpId, VpReport>) {
-        Self::harvest_filtered(world, |_| true)
-    }
-
-    /// Like [`CampaignRunner::harvest`], but only snapshot reports for VPs
-    /// satisfying `owns` (a shard reports only the VPs it drove; the
-    /// others sat idle in its copy of the world).
-    pub fn harvest_filtered(
-        world: &mut World,
-        owns: impl Fn(VpId) -> bool,
-    ) -> (Vec<Arrival>, HashMap<VpId, VpReport>) {
-        let mut logs: Vec<CaptureLog> = Vec::new();
-        let auth_node = world.auth_node;
-        if let Some(auth) = world
-            .engine
-            .host_as_mut::<ExperimentAuthorityHost>(auth_node)
-        {
-            logs.push(std::mem::take(&mut auth.captures));
-        }
-        let web_nodes: Vec<_> = world.honey_web.iter().map(|&(node, _, _)| node).collect();
-        for node in web_nodes {
-            if let Some(web) = world.engine.host_as_mut::<WebHost>(node) {
-                logs.push(web.take_captures());
-            }
-        }
-        let arrivals = CaptureLog::merged(logs);
-        let mut vp_reports = HashMap::new();
-        for vp in &world.platform.vps {
-            if !owns(vp.id) {
-                continue;
-            }
-            if let Some(host) = world.engine.host_as::<VantagePointHost>(vp.node) {
-                vp_reports.insert(vp.id, host.report.clone());
-            }
-        }
-        (arrivals, vp_reports)
+    /// Snapshot the reports of the VPs satisfying `owns` (a chunk reports
+    /// only the VPs it drove; the others sat idle in its copy of the world).
+    pub fn harvest(world: &World, owns: impl Fn(VpId) -> bool) -> HashMap<VpId, VpReport> {
+        world
+            .platform
+            .vps
+            .iter()
+            .filter(|vp| owns(vp.id))
+            .filter_map(|vp| {
+                let host = world.engine.host_as::<VantagePointHost>(vp.node)?;
+                Some((vp.id, host.report.clone()))
+            })
+            .collect()
     }
 }
 

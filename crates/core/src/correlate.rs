@@ -1,13 +1,14 @@
 //! Correlation: map every honeypot arrival back to its decoy and decide
-//! whether it is *unsolicited* (Section 3's rules), then derive the
-//! problematic client-server paths of Figure 3.
+//! whether it is *unsolicited* (Section 3's rules). The capture-time
+//! [`crate::sink::CorrelationSink`] drives the rules per arrival and folds
+//! the problematic client-server paths of Figure 3 as it goes.
 
-use crate::decoy::{DecoyProtocol, DecoyRecord, DecoyRegistry};
+use crate::decoy::{DecoyProtocol, DecoyRecord};
 use serde::{Deserialize, Serialize};
 use shadow_honeypot::capture::{Arrival, ArrivalProtocol};
 use shadow_netsim::time::{SimDuration, SimTime};
 use shadow_vantage::platform::VpId;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Why an arrival counts as unsolicited (the paper's rules i–iii), or not.
@@ -114,7 +115,10 @@ impl PartialEq<&str> for Combo {
     }
 }
 
-/// One arrival resolved against the decoy registry.
+/// One arrival resolved against the decoy registry. No pipeline stage
+/// builds these (every analysis reads the streamed aggregates); the type
+/// stays because the repository benchmark (`perfbench/`) builds
+/// `StudyOutcome::correlated` as an empty vector of them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CorrelatedRequest {
     pub arrival: Arrival,
@@ -125,13 +129,6 @@ pub struct CorrelatedRequest {
     pub label: UnsolicitedLabel,
 }
 
-impl CorrelatedRequest {
-    /// The paper's protocol-combination label, e.g. "DNS-HTTP".
-    pub fn combo(&self) -> Combo {
-        Combo::new(self.decoy.protocol, self.arrival.protocol)
-    }
-}
-
 /// Identity of one client-server path (per decoy protocol).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
 pub struct PathKey {
@@ -140,29 +137,18 @@ pub struct PathKey {
     pub protocol: DecoyProtocol,
 }
 
-/// Aggregate over one problematic path.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProblematicPath {
-    pub key: PathKey,
-    pub unsolicited: usize,
-    pub first_unsolicited_at: SimTime,
-    pub decoys_triggering: usize,
-}
-
 /// The §3 classification rules as an incremental state machine: feed it
 /// (decoy, arrival) pairs in capture-time order and it labels each one
-/// immediately. This is the single implementation of the rules — the
-/// streaming [`crate::sink::CorrelationSink`] drives it per capture, and
-/// the batch [`Correlator`] drives it over a sorted arrival vector — so
-/// the two paths cannot drift apart.
+/// immediately. The streaming [`crate::sink::CorrelationSink`] drives it
+/// per capture.
 ///
 /// The only order-sensitive state is the first-seen time per DNS-decoy
 /// domain. All captures for one domain happen at the single authoritative
-/// host in simulated-time order, so streaming (capture order) and batch
-/// (sort order) see the same first-seen time; two arrivals in the same
-/// millisecond may swap which of them is labeled `SolicitedResolution`
-/// versus `ReplicationNoise`, but both labels are non-unsolicited, so
-/// every unsolicited-derived aggregate is invariant under the swap.
+/// host in simulated-time order, so any shard sees the same first-seen
+/// time; two arrivals in the same millisecond may swap which of them is
+/// labeled `SolicitedResolution` versus `ReplicationNoise`, but both labels
+/// are non-unsolicited, so every unsolicited-derived aggregate is invariant
+/// under the swap.
 #[derive(Debug, Default)]
 pub struct StreamingClassifier {
     replication_window: SimDuration,
@@ -213,118 +199,18 @@ impl StreamingClassifier {
     }
 }
 
-/// The correlation engine.
-pub struct Correlator<'a> {
-    registry: &'a DecoyRegistry,
-    /// Arrivals closer together than this (for the same DNS-decoy domain,
-    /// right after emission) are treated as on-path replication, not
-    /// shadowing (Appendix E).
-    replication_window: SimDuration,
-}
-
-impl<'a> Correlator<'a> {
-    pub fn new(registry: &'a DecoyRegistry) -> Self {
-        Self {
-            registry,
-            replication_window: SimDuration::from_millis(1_500),
-        }
-    }
-
-    pub fn with_replication_window(mut self, window: SimDuration) -> Self {
-        self.replication_window = window;
-        self
-    }
-
-    /// Correlate a time-sorted arrival stream. Arrivals whose domain does
-    /// not resolve to a registered decoy (scanner noise, corrupted labels)
-    /// are dropped.
-    ///
-    /// This is the batch adapter over [`StreamingClassifier`] — the same
-    /// state machine the capture-time [`crate::sink::CorrelationSink`]
-    /// runs, replayed over a buffered vector for callers that want the
-    /// per-request sample set rather than the streamed aggregates.
-    pub fn correlate(&self, arrivals: &[Arrival]) -> Vec<CorrelatedRequest> {
-        let mut classifier = StreamingClassifier::new(self.replication_window);
-        let mut out = Vec::with_capacity(arrivals.len());
-        for arrival in arrivals {
-            let Some(decoy) = self.registry.lookup(&arrival.domain) else {
-                continue;
-            };
-            out.push(CorrelatedRequest {
-                arrival: arrival.clone(),
-                decoy: decoy.clone(),
-                interval: arrival.at.since(decoy.planned_at),
-                label: classifier.classify(decoy, arrival),
-            });
-        }
-        out
-    }
-
-    /// Group unsolicited requests into problematic paths.
-    pub fn problematic_paths(
-        &self,
-        correlated: &[CorrelatedRequest],
-    ) -> BTreeMap<PathKey, ProblematicPath> {
-        let mut paths: BTreeMap<PathKey, ProblematicPath> = BTreeMap::new();
-        let mut triggering: BTreeMap<
-            PathKey,
-            std::collections::BTreeSet<&shadow_packet::dns::DnsName>,
-        > = BTreeMap::new();
-        for req in correlated {
-            if !req.label.is_unsolicited() {
-                continue;
-            }
-            let key = PathKey {
-                vp: req.decoy.vp,
-                dst: req.decoy.dst(),
-                protocol: req.decoy.protocol,
-            };
-            triggering.entry(key).or_default().insert(&req.decoy.domain);
-            paths
-                .entry(key)
-                .and_modify(|p| {
-                    p.unsolicited += 1;
-                    p.first_unsolicited_at = p.first_unsolicited_at.min(req.arrival.at);
-                })
-                .or_insert(ProblematicPath {
-                    key,
-                    unsolicited: 1,
-                    first_unsolicited_at: req.arrival.at,
-                    decoys_triggering: 0,
-                });
-        }
-        for (key, path) in paths.iter_mut() {
-            path.decoys_triggering = triggering.get(key).map(|s| s.len()).unwrap_or(0);
-        }
-        paths
-    }
-
-    /// All paths probed for a protocol (problematic or not): the Figure-3
-    /// denominator is (VPs × destinations).
-    pub fn total_paths(&self, protocol: DecoyProtocol) -> usize {
-        let mut keys: std::collections::BTreeSet<(VpId, Ipv4Addr)> =
-            std::collections::BTreeSet::new();
-        for decoy in self.registry.iter() {
-            if decoy.protocol == protocol {
-                keys.insert((decoy.vp, decoy.dst()));
-            }
-        }
-        keys.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::decoy::DecoyRegistry;
     use shadow_packet::dns::DnsName;
 
     fn zone() -> DnsName {
         DnsName::parse("www.experiment.example").unwrap()
     }
 
-    fn registry_with(protocol: DecoyProtocol) -> (DecoyRegistry, DecoyRecord) {
-        let mut reg = DecoyRegistry::new(zone());
-        let rec = reg.register(
+    fn decoy(protocol: DecoyProtocol) -> DecoyRecord {
+        DecoyRegistry::new(zone()).register(
             VpId(1),
             Ipv4Addr::new(10, 0, 0, 1),
             Ipv4Addr::new(77, 88, 8, 8),
@@ -332,8 +218,7 @@ mod tests {
             64,
             SimTime(1_000),
             None,
-        );
-        (reg, rec)
+        )
     }
 
     fn arrival(domain: &DnsName, at: u64, proto: ArrivalProtocol) -> Arrival {
@@ -347,104 +232,103 @@ mod tests {
         }
     }
 
+    /// Label `(at, protocol)` arrivals for one decoy in order.
+    fn labels(decoy: &DecoyRecord, stream: &[(u64, ArrivalProtocol)]) -> Vec<UnsolicitedLabel> {
+        let mut classifier =
+            StreamingClassifier::new(StreamingClassifier::DEFAULT_REPLICATION_WINDOW);
+        stream
+            .iter()
+            .map(|&(at, proto)| classifier.classify(decoy, &arrival(&decoy.domain, at, proto)))
+            .collect()
+    }
+
     #[test]
     fn first_dns_arrival_is_solicited_then_repeats_are_not() {
-        let (reg, rec) = registry_with(DecoyProtocol::Dns);
-        let correlator = Correlator::new(&reg);
-        let arrivals = vec![
-            arrival(&rec.domain, 2_000, ArrivalProtocol::Dns),
-            arrival(&rec.domain, 60_000, ArrivalProtocol::Dns),
-            arrival(&rec.domain, 86_400_000, ArrivalProtocol::Dns),
-        ];
-        let out = correlator.correlate(&arrivals);
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0].label, UnsolicitedLabel::SolicitedResolution);
-        assert_eq!(out[1].label, UnsolicitedLabel::RepeatedDnsQuery);
-        assert_eq!(out[2].label, UnsolicitedLabel::RepeatedDnsQuery);
-        assert_eq!(out[2].interval, SimDuration::from_millis(86_399_000));
+        let rec = decoy(DecoyProtocol::Dns);
+        let out = labels(
+            &rec,
+            &[
+                (2_000, ArrivalProtocol::Dns),
+                (60_000, ArrivalProtocol::Dns),
+                (86_400_000, ArrivalProtocol::Dns),
+            ],
+        );
+        assert_eq!(
+            out,
+            [
+                UnsolicitedLabel::SolicitedResolution,
+                UnsolicitedLabel::RepeatedDnsQuery,
+                UnsolicitedLabel::RepeatedDnsQuery,
+            ]
+        );
     }
 
     #[test]
     fn http_and_tls_arrivals_always_unsolicited() {
-        let (reg, rec) = registry_with(DecoyProtocol::Dns);
-        let correlator = Correlator::new(&reg);
-        let out = correlator.correlate(&[
-            arrival(&rec.domain, 5_000, ArrivalProtocol::Http),
-            arrival(&rec.domain, 6_000, ArrivalProtocol::Https),
-        ]);
-        assert!(out
-            .iter()
-            .all(|r| r.label == UnsolicitedLabel::HttpTlsArrival));
-        assert_eq!(out[0].combo(), "DNS-HTTP");
-        assert_eq!(out[1].combo(), "DNS-HTTPS");
+        let rec = decoy(DecoyProtocol::Dns);
+        let out = labels(
+            &rec,
+            &[
+                (5_000, ArrivalProtocol::Http),
+                (6_000, ArrivalProtocol::Https),
+            ],
+        );
+        assert!(out.iter().all(|&l| l == UnsolicitedLabel::HttpTlsArrival));
+        assert_eq!(Combo::new(rec.protocol, ArrivalProtocol::Http), "DNS-HTTP");
+        assert_eq!(
+            Combo::new(rec.protocol, ArrivalProtocol::Https),
+            "DNS-HTTPS"
+        );
     }
 
     #[test]
     fn dns_arrival_for_http_decoy_is_cross_protocol() {
-        let (reg, rec) = registry_with(DecoyProtocol::Http);
-        let correlator = Correlator::new(&reg);
-        let out = correlator.correlate(&[arrival(&rec.domain, 9_000, ArrivalProtocol::Dns)]);
-        assert_eq!(out[0].label, UnsolicitedLabel::CrossProtocol);
-        assert_eq!(out[0].combo(), "HTTP-DNS");
-        assert!(out[0].label.is_unsolicited());
+        let rec = decoy(DecoyProtocol::Http);
+        let out = labels(&rec, &[(9_000, ArrivalProtocol::Dns)]);
+        assert_eq!(out, [UnsolicitedLabel::CrossProtocol]);
+        assert!(out[0].is_unsolicited());
+        assert_eq!(Combo::new(rec.protocol, ArrivalProtocol::Dns), "HTTP-DNS");
     }
 
     #[test]
     fn replication_noise_window() {
-        let (reg, rec) = registry_with(DecoyProtocol::Dns);
-        let correlator = Correlator::new(&reg);
-        let out = correlator.correlate(&[
-            arrival(&rec.domain, 2_000, ArrivalProtocol::Dns),
-            arrival(&rec.domain, 2_500, ArrivalProtocol::Dns), // replication
-            arrival(&rec.domain, 30_000, ArrivalProtocol::Dns), // retry
-        ]);
-        assert_eq!(out[1].label, UnsolicitedLabel::ReplicationNoise);
-        assert!(!out[1].label.is_unsolicited());
-        assert_eq!(out[2].label, UnsolicitedLabel::RepeatedDnsQuery);
+        let rec = decoy(DecoyProtocol::Dns);
+        let out = labels(
+            &rec,
+            &[
+                (2_000, ArrivalProtocol::Dns),
+                (2_500, ArrivalProtocol::Dns),  // replication
+                (30_000, ArrivalProtocol::Dns), // retry
+            ],
+        );
+        assert_eq!(out[1], UnsolicitedLabel::ReplicationNoise);
+        assert!(!out[1].is_unsolicited());
+        assert_eq!(out[2], UnsolicitedLabel::RepeatedDnsQuery);
     }
 
     #[test]
-    fn unknown_domains_dropped() {
-        let (reg, _) = registry_with(DecoyProtocol::Dns);
-        let correlator = Correlator::new(&reg);
-        let foreign = zone().prepend("not-a-decoy").unwrap();
-        let out = correlator.correlate(&[arrival(&foreign, 1, ArrivalProtocol::Dns)]);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn problematic_paths_aggregate() {
-        let mut reg = DecoyRegistry::new(zone());
-        let a = reg.register(
-            VpId(1),
-            Ipv4Addr::new(10, 0, 0, 1),
-            Ipv4Addr::new(77, 88, 8, 8),
-            DecoyProtocol::Dns,
-            64,
-            SimTime(1_000),
-            None,
-        );
-        let b = reg.register(
-            VpId(1),
-            Ipv4Addr::new(10, 0, 0, 1),
-            Ipv4Addr::new(77, 88, 8, 8),
-            DecoyProtocol::Dns,
-            64,
-            SimTime(2_000),
-            None,
-        );
-        let correlator = Correlator::new(&reg);
-        let out = correlator.correlate(&[
-            arrival(&a.domain, 3_000, ArrivalProtocol::Dns), // solicited
-            arrival(&a.domain, 90_000, ArrivalProtocol::Dns), // unsolicited
-            arrival(&a.domain, 95_000, ArrivalProtocol::Http), // unsolicited
-            arrival(&b.domain, 4_000, ArrivalProtocol::Dns), // solicited
-        ]);
-        let paths = correlator.problematic_paths(&out);
-        assert_eq!(paths.len(), 1);
-        let path = paths.values().next().unwrap();
-        assert_eq!(path.unsolicited, 2);
-        assert_eq!(path.decoys_triggering, 1, "only decoy A triggered");
-        assert_eq!(correlator.total_paths(DecoyProtocol::Dns), 1);
+    fn classifier_state_is_per_domain() {
+        let mut registry = DecoyRegistry::new(zone());
+        let mut register = |at| {
+            registry.register(
+                VpId(1),
+                Ipv4Addr::new(10, 0, 0, 1),
+                Ipv4Addr::new(77, 88, 8, 8),
+                DecoyProtocol::Dns,
+                64,
+                SimTime(at),
+                None,
+            )
+        };
+        let (a, b) = (register(1_000), register(2_000));
+        let mut classifier =
+            StreamingClassifier::new(StreamingClassifier::DEFAULT_REPLICATION_WINDOW);
+        let mut classify = |d: &DecoyRecord, at| {
+            classifier.classify(d, &arrival(&d.domain, at, ArrivalProtocol::Dns))
+        };
+        assert_eq!(classify(&a, 3_000), UnsolicitedLabel::SolicitedResolution);
+        assert_eq!(classify(&a, 90_000), UnsolicitedLabel::RepeatedDnsQuery);
+        assert_eq!(classify(&b, 95_000), UnsolicitedLabel::SolicitedResolution);
+        assert_eq!(classifier.tracked_domains(), 2);
     }
 }

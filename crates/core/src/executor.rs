@@ -216,8 +216,7 @@ fn next_chunk(local: &Worker<usize>, me: usize, stealers: &[Stealer<usize>]) -> 
 ///   packet bytes, so chunks seeing disjoint traffic still agree with the
 ///   sequential run packet for packet. Per-chunk snapshots, journals and
 ///   sink aggregates ride back inside each chunk's [`CampaignData`] and
-///   merge in [`CampaignData::absorb`]; under [`SinkConfig::streaming`] no
-///   chunk buffers its arrivals.
+///   merge in [`CampaignData::absorb`]; no chunk buffers its arrivals.
 /// * When `vp_limit` is `Some(n)`, only the first `n` VPs in (pre-vetting)
 ///   platform order post their sends. World construction, pre-flight
 ///   replay and plan compilation still run at full scale: the bound trims
@@ -337,8 +336,8 @@ pub fn run_phase1_sharded_sink(
 /// whose triggering VP it owns. The sweep plan is computed once on chunk
 /// 0's world and shared; workers steal `(chunk, world)` pairs from a global
 /// injector until the queue drains. Observer localization reads the merged
-/// aggregates' smallest-triggering-TTL fold, so [`SinkConfig::streaming`]
-/// sweeps never buffer arrivals.
+/// aggregates' smallest-triggering-TTL fold, so sweeps never buffer
+/// arrivals.
 pub fn run_phase2_work_stealing(
     worlds: &mut [World],
     assignment: &[BTreeSet<VpId>],
@@ -448,7 +447,7 @@ fn merge_shards(
                 seq: u64::MAX,
                 event: EventKind::ShardMerged {
                     shard: shard_idx as u32,
-                    arrivals: shard_data.arrivals.len() as u64,
+                    arrivals: shard_data.aggregates.arrivals_seen,
                     decoys: shard_data.registry.len() as u64,
                 },
             });

@@ -12,8 +12,10 @@
 //!   observers, honeypots, VPs) from a seeded configuration;
 //! * [`campaign`] — Phase I: spread decoys from every VP to every
 //!   destination under the ethical rate limit, capture arrivals;
-//! * [`correlate`] — label arrivals, apply unsolicited rules (i)–(iii),
-//!   derive problematic paths;
+//! * [`correlate`] — the unsolicited rules (i)–(iii) as a capture-time
+//!   state machine;
+//! * [`sink`] — the capture-time sink that classifies every arrival and
+//!   folds it into the aggregates every analysis reads;
 //! * [`phase2`] — hop-by-hop traceroute: locate observers, harvest ICMP-
 //!   revealed router addresses;
 //! * [`noise`] — Appendix E mitigations: pair-resolver interception test
@@ -33,10 +35,7 @@ pub mod sink;
 pub mod world;
 
 pub use campaign::{CampaignData, CampaignRunner, Phase1Config};
-pub use correlate::{
-    Combo, CorrelatedRequest, Correlator, PathKey, ProblematicPath, StreamingClassifier,
-    UnsolicitedLabel,
-};
+pub use correlate::{Combo, CorrelatedRequest, PathKey, StreamingClassifier, UnsolicitedLabel};
 pub use decoy::{DecoyProtocol, DecoyRecord, DecoyRegistry};
 pub use executor::{
     run_phase1_sharded_sink, run_phase1_work_stealing_bounded, run_phase2_work_stealing, shard_vps,

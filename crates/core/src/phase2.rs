@@ -8,7 +8,7 @@
 //! deepest ICMP hop bounds the destination distance.
 
 use crate::campaign::{CampaignData, CampaignRunner, PlannedSend};
-use crate::correlate::{Correlator, PathKey};
+use crate::correlate::PathKey;
 use crate::decoy::{DecoyProtocol, DecoyRegistry};
 use crate::sink::{CorrelationAggregates, SinkConfig};
 use crate::world::World;
@@ -93,32 +93,6 @@ pub struct Phase2Plan {
 pub struct Phase2Runner;
 
 impl Phase2Runner {
-    /// Trace the given problematic paths. Returns per-path localization and
-    /// the Phase II campaign data (new decoys + their captures), which the
-    /// caller may absorb into the global data set.
-    pub fn run(
-        world: &mut World,
-        paths: &[PathKey],
-        config: &Phase2Config,
-    ) -> (Vec<TracerouteResult>, CampaignData) {
-        Self::run_with(world, paths, config, SinkConfig::retained())
-    }
-
-    /// [`Phase2Runner::run`] with an explicit sink configuration —
-    /// [`SinkConfig::streaming`] localizes from the capture-time
-    /// aggregates without ever buffering the sweep's arrivals.
-    pub fn run_with(
-        world: &mut World,
-        paths: &[PathKey],
-        config: &Phase2Config,
-        sink: SinkConfig,
-    ) -> (Vec<TracerouteResult>, CampaignData) {
-        let plan = Self::plan(world, paths, config);
-        let data = Self::execute(world, &plan, config, sink, |_| true);
-        let results = Self::localize(&data, &plan.traced, config.max_ttl);
-        (results, data)
-    }
-
     /// Compute the full sweep schedule without posting anything.
     pub fn plan(world: &World, paths: &[PathKey], config: &Phase2Config) -> Phase2Plan {
         let zone = world.zone.clone();
@@ -233,7 +207,7 @@ impl Phase2Runner {
             }
         }
         world.engine.run_until(plan.last_send + config.grace);
-        let (arrivals, vp_reports) = CampaignRunner::harvest_filtered(world, &owns);
+        let vp_reports = CampaignRunner::harvest(world, &owns);
         let aggregates = crate::campaign::drain_sink(world, &shared);
 
         // Fold this shard's Time-Exceeded evidence into the router graph.
@@ -269,7 +243,6 @@ impl Phase2Runner {
         let (metrics, journal) = crate::campaign::drain_telemetry(world);
         CampaignData {
             registry,
-            arrivals,
             vp_reports,
             last_send: plan.last_send,
             metrics,
@@ -281,38 +254,10 @@ impl Phase2Runner {
 
     /// Pure localization from Phase II data (separated for testing).
     ///
-    /// The smallest-triggering-TTL fold comes straight from the streamed
-    /// [`CorrelationAggregates`] — the sink already tracked the per-path
-    /// minimum at capture time, so no arrival buffering or re-correlation
-    /// is needed. Hand-built data carrying only raw arrivals (no sink ran)
-    /// falls back to the batch correlator.
+    /// The smallest triggering TTL per path comes straight from the
+    /// streamed [`CorrelationAggregates`]: the sink tracked the per-path
+    /// minimum at capture time.
     pub fn localize(data: &CampaignData, traced: &[PathKey], max_ttl: u8) -> Vec<TracerouteResult> {
-        // Smallest triggering TTL per path.
-        let min_trigger: HashMap<PathKey, u8> =
-            if data.aggregates.classified == 0 && !data.arrivals.is_empty() {
-                let correlator = Correlator::new(&data.registry);
-                let correlated = correlator.correlate(&data.arrivals);
-                let mut fold: HashMap<PathKey, u8> = HashMap::new();
-                for req in correlated.iter().filter(|r| r.label.is_unsolicited()) {
-                    let key = PathKey {
-                        vp: req.decoy.vp,
-                        dst: req.decoy.dst(),
-                        protocol: req.decoy.protocol,
-                    };
-                    let ttl = req.decoy.ttl();
-                    fold.entry(key)
-                        .and_modify(|t| *t = (*t).min(ttl))
-                        .or_insert(ttl);
-                }
-                fold
-            } else {
-                data.aggregates
-                    .paths
-                    .iter()
-                    .map(|(key, fold)| (*key, fold.min_trigger_ttl))
-                    .collect()
-            };
-
         // ICMP evidence per (vp, dst): hop → router address; and, for DNS,
         // the smallest TTL that produced a destination answer.
         let mut results = Vec::with_capacity(traced.len());
@@ -358,7 +303,7 @@ impl Phase2Runner {
                 (None, None) => None,
             };
 
-            let observer_hop = min_trigger.get(key).copied();
+            let observer_hop = data.aggregates.min_trigger_ttl(key);
             let normalized_hop = match (observer_hop, dest_distance) {
                 (Some(hop), Some(dist)) if dist > 0 => {
                     Some((((hop as u32 * 10).div_ceil(dist as u32)) as u8).clamp(1, 10))
@@ -390,34 +335,16 @@ impl Phase2Runner {
     }
 }
 
-/// Convenience: pick the Phase II input from Phase I output, capped and
-/// deterministic (sorted by path key).
-pub fn paths_to_trace(
-    correlated: &[crate::correlate::CorrelatedRequest],
-    registry: &DecoyRegistry,
-    cap_per_protocol: usize,
-) -> Vec<PathKey> {
-    let correlator = Correlator::new(registry);
-    cap_paths(
-        correlator.problematic_paths(correlated).keys(),
-        cap_per_protocol,
-    )
-}
-
-/// [`paths_to_trace`] from streamed aggregates — identical selection (the
-/// aggregate path map holds the same keys in the same `BTreeMap` order the
-/// batch correlator derives), no correlated vector required.
+/// Pick the Phase II input from Phase I's streamed aggregates: the
+/// problematic paths in path-key order, at most `cap_per_protocol` per
+/// decoy protocol.
 pub fn paths_to_trace_streamed(
     aggregates: &CorrelationAggregates,
     cap_per_protocol: usize,
 ) -> Vec<PathKey> {
-    cap_paths(aggregates.paths.keys(), cap_per_protocol)
-}
-
-fn cap_paths<'a>(keys: impl Iterator<Item = &'a PathKey>, cap_per_protocol: usize) -> Vec<PathKey> {
     let mut per_protocol: BTreeMap<DecoyProtocol, usize> = BTreeMap::new();
     let mut out = Vec::new();
-    for key in keys {
+    for key in aggregates.paths.keys() {
         let count = per_protocol.entry(key.protocol).or_insert(0);
         if *count < cap_per_protocol {
             *count += 1;

@@ -1,30 +1,28 @@
-//! Streaming correlation: the capture-time sink that replaces batch
-//! post-hoc analysis.
+//! Streaming correlation: the capture-time sink every analysis reads.
 //!
-//! The batch pipeline buffered every honeypot [`Arrival`], then re-scanned
-//! the full vector once per analysis module — O(arrivals) memory and a
-//! serial tail after the simulation finished. The [`CorrelationSink`]
-//! inverts that dataflow: each arrival is classified the moment a honeypot
-//! captures it (decoy lookup + the §3 rules via
-//! [`StreamingClassifier`]) and folded into [`CorrelationAggregates`] —
-//! compact maps bounded by the number of decoys, paths, and destinations,
+//! No honeypot [`Arrival`] is buffered. The [`CorrelationSink`] classifies
+//! each arrival the moment a honeypot captures it (decoy lookup + the §3
+//! rules via [`StreamingClassifier`]) and folds it into
+//! [`CorrelationAggregates`]: compact maps bounded by the number of
+//! decoys, paths, destinations, origin addresses and probed HTTP paths,
 //! never by traffic volume. Each shard owns one sink; per-shard aggregates
-//! merge commutatively through `CampaignData::absorb`, and the merged
-//! result is byte-identical to running the batch correlator over the
-//! merged arrival vector (pinned by `tests/streaming_equivalence.rs`).
+//! merge commutatively through `CampaignData::absorb`, and every report
+//! reads the merged aggregates alone. Lookups that need the world (origin
+//! AS, country, blocklist, payload class) run once per distinct key at
+//! report time, so the sink itself needs no `GeoDb`.
+//! `tests/streaming_rules_prop.rs` pins every report against a naive
+//! whole-vector reference over the raw arrivals.
 //!
 //! Why per-shard folding is exact: decoy domains are unique and each
 //! belongs to exactly one VP, hence one shard. All DNS captures for a
 //! domain happen at the single authoritative host in simulated-time order,
-//! so the first-seen time the classifier keys on is the same whether the
-//! stream is consumed at capture time or sorted afterwards. The only
-//! ambiguity — two same-millisecond duplicates swapping
-//! `SolicitedResolution` and `ReplicationNoise` — is between two
-//! non-unsolicited labels, which no aggregate distinguishes.
+//! so the first-seen time the classifier keys on is the same in every
+//! shard and in the sequential run. The only ambiguity — two
+//! same-millisecond duplicates swapping `SolicitedResolution` and
+//! `ReplicationNoise` — is between two non-unsolicited labels, which no
+//! aggregate distinguishes.
 
-use crate::correlate::{
-    Combo, CorrelatedRequest, PathKey, ProblematicPath, StreamingClassifier, UnsolicitedLabel,
-};
+use crate::correlate::{PathKey, StreamingClassifier, UnsolicitedLabel};
 use crate::decoy::{DecoyProtocol, DecoyRecord, DecoyRegistry};
 use serde::{Deserialize, Serialize};
 use shadow_honeypot::capture::{
@@ -45,28 +43,15 @@ pub struct SinkConfig {
     /// Strict cutoff separating "within the hour" from "later" in the
     /// per-decoy folds (Figure 5 classes, §5.1 reuse counting).
     pub late_cutoff: SimDuration,
-    /// Keep the raw arrivals in the honeypot capture logs as well. `false`
-    /// (the streaming default) is what keeps peak memory flat; `true`
-    /// preserves the legacy per-request sample set for analyses that need
-    /// individual arrivals (origin ASes, probing payloads, case studies).
-    pub retain_arrivals: bool,
 }
 
 impl SinkConfig {
-    /// The streaming default: aggregates only, no arrival buffering.
+    /// The shipped configuration: Appendix E's replication window and the
+    /// paper's 1 h late cutoff.
     pub fn streaming() -> Self {
         Self {
             replication_window: StreamingClassifier::DEFAULT_REPLICATION_WINDOW,
             late_cutoff: SimDuration::from_hours(1),
-            retain_arrivals: false,
-        }
-    }
-
-    /// Streaming aggregates plus the legacy buffered arrival vector.
-    pub fn retained() -> Self {
-        Self {
-            retain_arrivals: true,
-            ..Self::streaming()
         }
     }
 }
@@ -79,15 +64,18 @@ impl Default for SinkConfig {
 
 /// Inclusive upper bucket edges (milliseconds) of the fixed-bucket
 /// interval histograms. Includes **every** paper-grid point (1 s, 1 min,
-/// 1 h, 1 d, 10 d, 30 d — `Cdf::paper_grid`), so cumulative bucket counts
-/// reproduce the batch sample-CDF fractions at the grid *exactly*, plus
-/// intermediate edges for resolution.
-pub const INTERVAL_EDGES_MS: [u64; 12] = [
+/// 1 h, 1 d, 10 d, 30 d), so cumulative bucket counts are the exact
+/// sample-CDF fractions at the grid, plus the edges the other printed
+/// statistics read: 10 min (the §6 wire-evidence cut) and 55/65 min (the
+/// Figure 4 cache-refresh spike window around 1 h).
+pub const INTERVAL_EDGES_MS: [u64; 14] = [
     1_000,         // 1 s
     10_000,        // 10 s
     60_000,        // 1 min
     600_000,       // 10 min
+    3_300_000,     // 55 min
     3_600_000,     // 1 h
+    3_900_000,     // 65 min
     21_600_000,    // 6 h
     86_400_000,    // 1 d
     259_200_000,   // 3 d
@@ -136,15 +124,15 @@ impl IntervalHistogram {
 
     /// Samples ≤ `edge_ms`. Exact only when `edge_ms` is one of
     /// [`INTERVAL_EDGES_MS`]; `None` otherwise (an inexact answer would
-    /// silently diverge from the batch CDF).
+    /// silently diverge from the sample CDF).
     pub fn cumulative_at(&self, edge_ms: u64) -> Option<u64> {
         let idx = INTERVAL_EDGES_MS.iter().position(|&e| e == edge_ms)?;
         Some(self.counts[..=idx].iter().sum())
     }
 
-    /// Fraction of samples ≤ `edge_ms` — the CDF value at a bucket edge.
-    /// Computed as the same integer-count division the batch
-    /// `Cdf::fraction_at` performs, so the two agree bit-for-bit.
+    /// Fraction of samples ≤ `edge` — the CDF value at a bucket edge, as
+    /// the integer-count division a sorted sample vector would give, so it
+    /// is exact bit for bit. `None` when empty or `edge` is not an edge.
     pub fn fraction_at(&self, edge: SimDuration) -> Option<f64> {
         let total = self.total();
         if total == 0 {
@@ -152,6 +140,29 @@ impl IntervalHistogram {
         }
         self.cumulative_at(edge.millis())
             .map(|n| n as f64 / total as f64)
+    }
+
+    /// Fraction of samples in `(lo, hi]`; `None` when empty or either
+    /// bound is not an edge.
+    pub fn fraction_between(&self, lo: SimDuration, hi: SimDuration) -> Option<f64> {
+        let total = self.total();
+        let inside = self.cumulative_at(hi.millis())? - self.cumulative_at(lo.millis())?;
+        (total > 0).then(|| inside as f64 / total as f64)
+    }
+
+    /// Upper edge of the bucket holding the sample of 0-based rank
+    /// `total / 2` — the median at bucket resolution. `None` when empty or
+    /// when the median lies past the last edge.
+    pub fn median_upper_edge_ms(&self) -> Option<u64> {
+        let rank = self.total() / 2;
+        let mut seen = 0;
+        for (bucket, &count) in self.counts.iter().enumerate() {
+            seen += count;
+            if seen > rank {
+                return INTERVAL_EDGES_MS.get(bucket).copied();
+            }
+        }
+        None
     }
 
     /// Raw bucket counts (len = `INTERVAL_EDGES_MS.len() + 1`, overflow
@@ -198,9 +209,14 @@ pub struct PathFold {
     pub min_trigger_ttl: u8,
 }
 
+/// One origin key: (decoy protocol, destination, arrival protocol, source
+/// address) — who sent unsolicited traffic about which decoys.
+pub type OriginKey = (DecoyProtocol, Ipv4Addr, ArrivalProtocol, Ipv4Addr);
+
 /// Compact per-shard correlation state. Every map is bounded by decoys,
-/// paths, or destinations — never by arrival volume — and every field
-/// merges commutatively in [`CorrelationAggregates::absorb`].
+/// paths, destinations, origin addresses or probed HTTP paths — never by
+/// arrival volume — and every field merges commutatively in
+/// [`CorrelationAggregates::absorb`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CorrelationAggregates {
     /// Arrivals offered to the sink, including unknown-domain noise.
@@ -215,15 +231,19 @@ pub struct CorrelationAggregates {
     /// Unsolicited-interval histograms per (decoy protocol, destination) —
     /// the streamed source of the Figure 4/7 temporal CDFs.
     pub interval_hists: BTreeMap<(DecoyProtocol, Ipv4Addr), IntervalHistogram>,
-    /// Unsolicited arrivals per protocol combination (§5.2).
-    pub combos: BTreeMap<Combo, u64>,
-    /// Unsolicited arrivals per (path, arrival protocol) — the observer
-    /// combination input (Table: per-AS combos).
+    /// Unsolicited arrivals per (path, arrival protocol) — the §5.2
+    /// protocol combinations, overall and per observer AS.
     pub path_combos: BTreeMap<(PathKey, ArrivalProtocol), u64>,
     /// Problematic-path folds (Figure 3, Phase II trace targets).
     pub paths: BTreeMap<PathKey, PathFold>,
-    /// Per-decoy folds (Figure 5 breakdown, §5.1 reuse).
+    /// Per-decoy folds (Figure 5 breakdown, §5.1 reuse, Case I).
     pub decoys: BTreeMap<DnsName, DecoyFold>,
+    /// Unsolicited arrivals per [`OriginKey`] (Figure 6 origin ASes, §5
+    /// origin blocklist rates, Case III).
+    pub origins: BTreeMap<OriginKey, u64>,
+    /// Unsolicited HTTP arrivals per decoy protocol and requested path (§5
+    /// payload triage).
+    pub http_paths: BTreeMap<DecoyProtocol, BTreeMap<String, u64>>,
 }
 
 impl CorrelationAggregates {
@@ -247,11 +267,21 @@ impl CorrelationAggregates {
             dst: decoy.dst(),
             protocol: decoy.protocol,
         };
-        *self
-            .combos
-            .entry(Combo::new(decoy.protocol, arrival.protocol))
-            .or_insert(0) += 1;
         *self.path_combos.entry((key, arrival.protocol)).or_insert(0) += 1;
+        *self
+            .origins
+            .entry((decoy.protocol, decoy.dst(), arrival.protocol, arrival.src))
+            .or_insert(0) += 1;
+        if let (ArrivalProtocol::Http, Some(path)) = (arrival.protocol, &arrival.http_path) {
+            // Probed paths repeat, so the path is cloned only for a new key.
+            let per_path = self.http_paths.entry(decoy.protocol).or_default();
+            match per_path.get_mut(path.as_str()) {
+                Some(n) => *n += 1,
+                None => {
+                    per_path.insert(path.clone(), 1);
+                }
+            }
+        }
         self.interval_hists
             .entry((decoy.protocol, decoy.dst()))
             .or_default()
@@ -311,9 +341,6 @@ impl CorrelationAggregates {
         for (key, hist) in other.interval_hists {
             self.interval_hists.entry(key).or_default().merge(&hist);
         }
-        for (combo, n) in other.combos {
-            *self.combos.entry(combo).or_insert(0) += n;
-        }
         for (key, n) in other.path_combos {
             *self.path_combos.entry(key).or_insert(0) += n;
         }
@@ -344,49 +371,29 @@ impl CorrelationAggregates {
                 }
             }
         }
+        for (key, n) in other.origins {
+            *self.origins.entry(key).or_insert(0) += n;
+        }
+        for (protocol, paths) in other.http_paths {
+            let mine = self.http_paths.entry(protocol).or_default();
+            for (path, n) in paths {
+                *mine.entry(path).or_insert(0) += n;
+            }
+        }
     }
 
-    /// The batch twin: run the identical lookup → classify → fold pipeline
-    /// over a sorted arrival vector. Equivalence tests compare this
-    /// against what the capture-time sinks streamed.
+    /// Offer a capture-ordered arrival vector to a fresh [`CorrelationSink`]
+    /// — how tests build aggregates without running a campaign.
     pub fn from_arrivals(
         registry: &DecoyRegistry,
         arrivals: &[Arrival],
         config: &SinkConfig,
     ) -> Self {
-        let mut classifier = StreamingClassifier::new(config.replication_window);
-        let mut agg = Self::default();
+        let mut sink = CorrelationSink::new(Arc::new(registry.clone()), *config);
         for arrival in arrivals {
-            agg.arrivals_seen += 1;
-            let Some(decoy) = registry.lookup(&arrival.domain) else {
-                continue;
-            };
-            let label = classifier.classify(decoy, arrival);
-            agg.fold(
-                decoy,
-                arrival,
-                arrival.at.since(decoy.planned_at),
-                label,
-                config.late_cutoff,
-            );
+            sink.offer(arrival);
         }
-        agg
-    }
-
-    /// Fold an already-correlated batch (retained mode helper for tests).
-    pub fn from_correlated(correlated: &[CorrelatedRequest], late_cutoff: SimDuration) -> Self {
-        let mut agg = Self::default();
-        for req in correlated {
-            agg.arrivals_seen += 1;
-            agg.fold(
-                &req.decoy,
-                &req.arrival,
-                req.interval,
-                req.label,
-                late_cutoff,
-            );
-        }
-        agg
+        sink.take_aggregates()
     }
 
     /// Total unsolicited arrivals across all rules.
@@ -396,25 +403,6 @@ impl CorrelationAggregates {
             .filter(|(label, _)| label.is_unsolicited())
             .map(|(_, n)| n)
             .sum()
-    }
-
-    /// The problematic-path view, shaped exactly like
-    /// `Correlator::problematic_paths`.
-    pub fn problematic_paths(&self) -> BTreeMap<PathKey, ProblematicPath> {
-        self.paths
-            .iter()
-            .map(|(key, fold)| {
-                (
-                    *key,
-                    ProblematicPath {
-                        key: *key,
-                        unsolicited: fold.unsolicited as usize,
-                        first_unsolicited_at: fold.first_unsolicited_at,
-                        decoys_triggering: fold.triggering.len(),
-                    },
-                )
-            })
-            .collect()
     }
 
     /// Smallest decoy TTL that triggered unsolicited traffic on `key`.
@@ -441,9 +429,9 @@ impl CorrelationAggregates {
 
 /// Serialization twin of [`CorrelationAggregates`].
 ///
-/// The in-memory aggregates key three maps by tuples
-/// (`(DecoyProtocol, Ipv4Addr)`, `(PathKey, ArrivalProtocol)`) and one by a
-/// struct (`PathKey`) — shapes a JSON object key cannot carry losslessly.
+/// The in-memory aggregates key maps by tuples (`(DecoyProtocol,
+/// Ipv4Addr)`, `(PathKey, ArrivalProtocol)`, [`OriginKey`]) and by a struct
+/// (`PathKey`) — shapes a JSON object key cannot carry losslessly.
 /// The portable form flattens every map to an entry vector (already in
 /// `BTreeMap` iteration order, so rendering is deterministic) and the
 /// fixed-size histogram arrays to plain `Vec<u64>`. This is the wire form
@@ -456,10 +444,11 @@ pub struct PortableAggregates {
     pub by_label: Vec<(UnsolicitedLabel, u64)>,
     pub retention_intervals_ms: HistogramSnapshot,
     pub interval_hists: Vec<(DecoyProtocol, Ipv4Addr, Vec<u64>)>,
-    pub combos: Vec<(Combo, u64)>,
     pub path_combos: Vec<(PathKey, ArrivalProtocol, u64)>,
     pub paths: Vec<(PathKey, PathFold)>,
     pub decoys: Vec<(DnsName, DecoyFold)>,
+    pub origins: Vec<(OriginKey, u64)>,
+    pub http_paths: Vec<(DecoyProtocol, String, u64)>,
 }
 
 impl CorrelationAggregates {
@@ -475,7 +464,6 @@ impl CorrelationAggregates {
                 .iter()
                 .map(|((proto, dst), hist)| (*proto, *dst, hist.counts().to_vec()))
                 .collect(),
-            combos: self.combos.iter().map(|(k, v)| (*k, *v)).collect(),
             path_combos: self
                 .path_combos
                 .iter()
@@ -491,6 +479,14 @@ impl CorrelationAggregates {
                 .iter()
                 .map(|(name, fold)| (name.clone(), *fold))
                 .collect(),
+            origins: self.origins.iter().map(|(k, n)| (*k, *n)).collect(),
+            http_paths: self
+                .http_paths
+                .iter()
+                .flat_map(|(protocol, paths)| {
+                    paths.iter().map(|(path, n)| (*protocol, path.clone(), *n))
+                })
+                .collect(),
         }
     }
 
@@ -502,13 +498,19 @@ impl CorrelationAggregates {
         for (proto, dst, counts) in &portable.interval_hists {
             interval_hists.insert((*proto, *dst), IntervalHistogram::from_counts(counts)?);
         }
+        let mut http_paths: BTreeMap<DecoyProtocol, BTreeMap<String, u64>> = BTreeMap::new();
+        for (protocol, path, n) in &portable.http_paths {
+            http_paths
+                .entry(*protocol)
+                .or_default()
+                .insert(path.clone(), *n);
+        }
         Some(Self {
             arrivals_seen: portable.arrivals_seen,
             classified: portable.classified,
             by_label: portable.by_label.iter().copied().collect(),
             retention_intervals_ms: portable.retention_intervals_ms.clone(),
             interval_hists,
-            combos: portable.combos.iter().copied().collect(),
             path_combos: portable
                 .path_combos
                 .iter()
@@ -516,6 +518,8 @@ impl CorrelationAggregates {
                 .collect(),
             paths: portable.paths.iter().cloned().collect(),
             decoys: portable.decoys.iter().cloned().collect(),
+            origins: portable.origins.iter().copied().collect(),
+            http_paths,
         })
     }
 }
@@ -576,9 +580,8 @@ impl CorrelationSink {
 impl ArrivalSink for CorrelationSink {
     fn offer(&mut self, arrival: &Arrival) -> SinkDecision {
         self.aggregates.arrivals_seen += 1;
-        let retain = self.config.retain_arrivals;
         let Some(decoy) = self.registry.lookup(&arrival.domain) else {
-            return SinkDecision::unclassified(retain);
+            return SinkDecision::unclassified();
         };
         let label = self.classifier.classify(decoy, arrival);
         self.aggregates.fold(
@@ -589,7 +592,6 @@ impl ArrivalSink for CorrelationSink {
             self.config.late_cutoff,
         );
         SinkDecision {
-            retain,
             classified: true,
             unsolicited: label.is_unsolicited(),
             rule: label.is_unsolicited().then(|| label.as_str()),
@@ -604,7 +606,6 @@ impl ArrivalSink for CorrelationSink {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::correlate::Correlator;
     use shadow_vantage::platform::VpId;
 
     fn zone() -> DnsName {
@@ -651,7 +652,10 @@ mod tests {
             arrival(&dns.domain, 2_000, ArrivalProtocol::Dns), // solicited
             arrival(&dns.domain, 2_500, ArrivalProtocol::Dns), // replication
             arrival(&dns.domain, 90_000, ArrivalProtocol::Dns), // repeated
-            arrival(&dns.domain, 4_000_000, ArrivalProtocol::Http), // late HTTP probe
+            Arrival {
+                http_path: Some("/admin/".into()),
+                ..arrival(&dns.domain, 4_000_000, ArrivalProtocol::Http) // late HTTP probe
+            },
             arrival(&http.domain, 9_000, ArrivalProtocol::Dns), // cross-protocol
             arrival(&zone().prepend("noise").unwrap(), 10, ArrivalProtocol::Dns), // unknown
         ];
@@ -659,15 +663,16 @@ mod tests {
     }
 
     #[test]
-    fn streamed_offer_matches_batch_fold() {
+    fn shared_handle_drains_the_same_fold() {
         let (reg, arrivals) = stream();
-        let batch = CorrelationAggregates::from_arrivals(&reg, &arrivals, &SinkConfig::streaming());
+        let direct =
+            CorrelationAggregates::from_arrivals(&reg, &arrivals, &SinkConfig::streaming());
         let shared = CorrelationSink::shared(Arc::new(reg), SinkConfig::streaming());
         for a in &arrivals {
             shared.lock().offer(a);
         }
         let (streamed, state) = CorrelationSink::drain_shared(&shared);
-        assert_eq!(streamed, batch);
+        assert_eq!(streamed, direct);
         assert!(state > 0);
         assert_eq!(streamed.arrivals_seen, 6);
         assert_eq!(streamed.classified, 5);
@@ -675,20 +680,24 @@ mod tests {
     }
 
     #[test]
-    fn aggregates_match_batch_correlator_reports() {
+    fn origin_and_path_folds_count_unsolicited_only() {
         let (reg, arrivals) = stream();
         let agg = CorrelationAggregates::from_arrivals(&reg, &arrivals, &SinkConfig::streaming());
-        let correlator = Correlator::new(&reg);
-        let correlated = correlator.correlate(&arrivals);
+        let src = Ipv4Addr::new(8, 8, 8, 8);
+        let yandex = Ipv4Addr::new(77, 88, 8, 8);
+        let site = Ipv4Addr::new(93, 184, 216, 34);
+        let origins: Vec<(OriginKey, u64)> = agg.origins.iter().map(|(k, n)| (*k, *n)).collect();
         assert_eq!(
-            agg.problematic_paths(),
-            correlator.problematic_paths(&correlated)
+            origins,
+            vec![
+                ((DecoyProtocol::Dns, yandex, ArrivalProtocol::Dns, src), 1),
+                ((DecoyProtocol::Dns, yandex, ArrivalProtocol::Http, src), 1),
+                ((DecoyProtocol::Http, site, ArrivalProtocol::Dns, src), 1),
+            ],
+            "solicited and replication arrivals stay out of the origin fold"
         );
-        let unsolicited = correlated
-            .iter()
-            .filter(|r| r.label.is_unsolicited())
-            .count();
-        assert_eq!(agg.unsolicited_total() as usize, unsolicited);
+        assert_eq!(agg.http_paths[&DecoyProtocol::Dns]["/admin/"], 1);
+        assert_eq!(agg.http_paths.len(), 1);
     }
 
     #[test]
@@ -711,16 +720,16 @@ mod tests {
     }
 
     #[test]
-    fn retain_decision_follows_config() {
+    fn offer_names_the_unsolicited_rule() {
         let (reg, arrivals) = stream();
-        let reg = Arc::new(reg);
-        let mut streaming = CorrelationSink::new(reg.clone(), SinkConfig::streaming());
-        let mut retained = CorrelationSink::new(reg, SinkConfig::retained());
-        assert!(!streaming.offer(&arrivals[0]).retain);
-        assert!(retained.offer(&arrivals[0]).retain);
-        let verdict = retained.offer(&arrivals[3]);
+        let mut sink = CorrelationSink::new(Arc::new(reg), SinkConfig::streaming());
+        let solicited = sink.offer(&arrivals[0]);
+        assert!(solicited.classified && !solicited.unsolicited);
+        assert_eq!(solicited.rule, None);
+        let verdict = sink.offer(&arrivals[3]);
         assert!(verdict.unsolicited);
         assert_eq!(verdict.rule, Some("HttpTlsArrival"));
+        assert!(!sink.offer(&arrivals[5]).classified, "unknown domain");
     }
 
     #[test]
@@ -760,5 +769,15 @@ mod tests {
         assert_eq!(hist.cumulative_at(60_000), Some(4));
         assert_eq!(hist.cumulative_at(86_400_000), Some(6));
         assert_eq!(hist.cumulative_at(1_234), None, "not a bucket edge");
+        // Rank 3 (0-based) is 60_000 ms, in the (10 s, 1 min] bucket.
+        assert_eq!(hist.median_upper_edge_ms(), Some(60_000));
+        assert_eq!(
+            hist.fraction_between(SimDuration::from_mins(55), SimDuration::from_mins(65)),
+            Some(1.0 / 6.0)
+        );
+        assert_eq!(IntervalHistogram::default().median_upper_edge_ms(), None);
+        let mut overflow = IntervalHistogram::default();
+        overflow.record(u64::MAX);
+        assert_eq!(overflow.median_upper_edge_ms(), None, "past the last edge");
     }
 }

@@ -1,18 +1,24 @@
 //! End-to-end smoke test of the whole measurement pipeline on a tiny world:
-//! world build → pre-flight noise filtering → Phase I → correlation →
-//! Phase II localization. Each stage's invariants are checked against the
-//! world's ground truth.
+//! world build → pre-flight noise filtering → Phase I with capture-time
+//! correlation → Phase II localization. Each stage's invariants are
+//! checked against the world's ground truth.
 
-use shadow_core::campaign::{CampaignRunner, Phase1Config};
-use shadow_core::correlate::Correlator;
+use shadow_core::campaign::{CampaignData, CampaignRunner, Phase1Config};
+use shadow_core::correlate::UnsolicitedLabel;
 use shadow_core::decoy::DecoyProtocol;
 use shadow_core::noise::NoiseFilter;
-use shadow_core::phase2::{paths_to_trace, Phase2Config, Phase2Runner};
+use shadow_core::phase2::{paths_to_trace_streamed, Phase2Config, Phase2Runner};
+use shadow_core::sink::{IntervalHistogram, SinkConfig};
 use shadow_core::world::{World, WorldConfig};
 use shadow_netsim::time::SimDuration;
 
 fn tiny_world(seed: u64) -> World {
     World::build(WorldConfig::tiny(seed))
+}
+
+fn phase1(world: &mut World, config: &Phase1Config) -> CampaignData {
+    let plan = CampaignRunner::plan_phase1(world, config);
+    CampaignRunner::execute_phase1(world, &plan, config, SinkConfig::streaming(), |_| true)
 }
 
 #[test]
@@ -94,27 +100,20 @@ fn full_pipeline_recovers_shadowing_landscape() {
         grace: SimDuration::from_days(35),
         ..Phase1Config::default()
     };
-    let data = CampaignRunner::run_phase1(&mut world, &config);
+    let data = phase1(&mut world, &config);
     assert!(!data.registry.is_empty());
     let counts = data.registry.counts();
     let vps = world.platform.vps.len();
     assert_eq!(counts[&DecoyProtocol::Dns], vps * 36);
     assert_eq!(counts[&DecoyProtocol::Http], vps * world.tranco.len());
     assert_eq!(counts[&DecoyProtocol::Tls], vps * world.tranco.len());
-    assert!(!data.arrivals.is_empty(), "honeypots captured traffic");
-
-    let correlator = Correlator::new(&data.registry);
-    let correlated = correlator.correlate(&data.arrivals);
-    assert!(!correlated.is_empty());
-
-    let unsolicited: Vec<_> = correlated
-        .iter()
-        .filter(|r| r.label.is_unsolicited())
-        .collect();
-    assert!(!unsolicited.is_empty(), "shadowing exhibitors fired");
+    let agg = &data.aggregates;
+    assert!(agg.arrivals_seen > 0, "honeypots captured traffic");
+    assert!(agg.by_label[&UnsolicitedLabel::SolicitedResolution] > 0);
+    assert!(agg.unsolicited_total() > 0, "shadowing exhibitors fired");
 
     // The heavy resolvers must dominate DNS-decoy shadowing.
-    let paths = correlator.problematic_paths(&correlated);
+    let paths = &agg.paths;
     let yandex_addr = world.dns_destination("Yandex").unwrap().addr;
     let yandex_paths = paths
         .keys()
@@ -133,17 +132,24 @@ fn full_pipeline_recovers_shadowing_landscape() {
     }
 
     // Some unsolicited requests bear decoy data days after emission.
-    let has_long_retention = unsolicited
-        .iter()
-        .any(|r| r.interval >= SimDuration::from_days(5));
-    assert!(has_long_retention, "long retention tail missing");
+    let mut intervals = IntervalHistogram::default();
+    for hist in agg.interval_hists.values() {
+        intervals.merge(hist);
+    }
+    let within_10d = intervals
+        .cumulative_at(SimDuration::from_days(10).millis())
+        .unwrap();
+    assert!(
+        within_10d < intervals.total(),
+        "long retention tail missing"
+    );
 }
 
 #[test]
 fn phase2_localizes_dns_observers_at_destination() {
     let mut world = tiny_world(4);
     NoiseFilter::run_and_apply(&mut world);
-    let phase1 = CampaignRunner::run_phase1(
+    let phase1 = phase1(
         &mut world,
         &Phase1Config {
             send_http: false,
@@ -152,21 +158,20 @@ fn phase2_localizes_dns_observers_at_destination() {
             ..Phase1Config::default()
         },
     );
-    let correlator = Correlator::new(&phase1.registry);
-    let correlated = correlator.correlate(&phase1.arrivals);
     // Trace a handful of DNS paths.
-    let traced = paths_to_trace(&correlated, &phase1.registry, 4);
+    let traced = paths_to_trace_streamed(&phase1.aggregates, 4);
     assert!(!traced.is_empty(), "phase 1 found problematic paths");
 
-    let (results, _phase2_data) = Phase2Runner::run(
-        &mut world,
-        &traced,
-        &Phase2Config {
-            max_ttl: 24,
-            grace: SimDuration::from_days(25),
-            ..Phase2Config::default()
-        },
-    );
+    let config = Phase2Config {
+        max_ttl: 24,
+        grace: SimDuration::from_days(25),
+        ..Phase2Config::default()
+    };
+    let plan = Phase2Runner::plan(&world, &traced, &config);
+    let data = Phase2Runner::execute(&mut world, &plan, &config, SinkConfig::streaming(), |_| {
+        true
+    });
+    let results = Phase2Runner::localize(&data, &plan.traced, config.max_ttl);
     let localized: Vec<_> = results
         .iter()
         .filter(|r| r.normalized_hop.is_some())

@@ -93,22 +93,6 @@ pub struct Arrival {
     pub honeypot: Label,
 }
 
-impl Arrival {
-    /// Total-order sort key. Merging must not depend on which log an
-    /// arrival came from (or which shard produced it), so the key covers
-    /// every field — two *distinct* arrivals never compare equal.
-    pub fn sort_key(&self) -> impl Ord + '_ {
-        (
-            self.at,
-            &self.domain,
-            self.src,
-            self.protocol,
-            &self.http_path,
-            &self.honeypot,
-        )
-    }
-}
-
 /// An append-only capture log.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct CaptureLog {
@@ -135,24 +119,11 @@ impl CaptureLog {
     pub fn iter(&self) -> impl Iterator<Item = &Arrival> {
         self.entries.iter()
     }
-
-    /// Merge several logs into one stream in the total [`Arrival::sort_key`]
-    /// order (the cross-honeypot view the analysis runs on). The order is
-    /// independent of how arrivals were distributed across input logs.
-    pub fn merged(logs: impl IntoIterator<Item = CaptureLog>) -> Vec<Arrival> {
-        let mut all: Vec<Arrival> = logs.into_iter().flat_map(|l| l.entries).collect();
-        all.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-        all
-    }
 }
 
 /// The capture-time verdict a streaming sink returns for one arrival.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SinkDecision {
-    /// Should the host also buffer the arrival in its local
-    /// [`CaptureLog`]? `false` is the streaming default — the sink's
-    /// aggregates are the only record kept, and peak memory stays flat.
-    pub retain: bool,
     /// Did the arrival's domain resolve to a registered decoy?
     pub classified: bool,
     /// Was it classified unsolicited?
@@ -166,9 +137,8 @@ pub struct SinkDecision {
 
 impl SinkDecision {
     /// The verdict for an arrival no sink wants to interpret.
-    pub fn unclassified(retain: bool) -> Self {
+    pub fn unclassified() -> Self {
         Self {
-            retain,
             classified: false,
             unsolicited: false,
             rule: None,
@@ -178,8 +148,8 @@ impl SinkDecision {
 
 /// A streaming consumer of honeypot arrivals, installed by the campaign
 /// layer. Hosts call [`ArrivalSink::offer`] from the capture funnel for
-/// every arrival, at capture time and in capture order; the sink decides
-/// whether the host should still buffer the arrival locally.
+/// every arrival, at capture time and in capture order. A host with a sink
+/// installed keeps no local copy: the sink's aggregates are the only record.
 pub trait ArrivalSink: Send {
     fn offer(&mut self, arrival: &Arrival) -> SinkDecision;
 
@@ -196,9 +166,9 @@ pub type SharedArrivalSink = Arc<parking_lot::Mutex<Box<dyn ArrivalSink>>>;
 
 /// Record `arrival` into the engine's telemetry (the per-protocol
 /// `arrivals_captured` counter plus an [`EventKind::ArrivalCaptured`]
-/// journal event), offer it to the streaming `sink` if one is installed,
-/// and append it to `log` only when the sink's verdict says to retain it
-/// (always, when no sink is installed). Every honeypot capture path
+/// journal event), then offer it to the streaming `sink` if one is
+/// installed, or append it to `log` if none is (the pre-flight's
+/// sink-less captures). Every honeypot capture path
 /// funnels through here, so the counters, the journal, the sink
 /// aggregates, and the capture log can never disagree.
 pub fn capture_with_telemetry(
@@ -223,10 +193,11 @@ pub fn capture_with_telemetry(
             }
         });
     }
-    let decision = match sink {
-        Some(sink) => sink.lock().offer(&arrival),
-        None => SinkDecision::unclassified(true),
+    let Some(sink) = sink else {
+        log.push(arrival);
+        return;
     };
+    let decision = sink.lock().offer(&arrival);
     if decision.classified && telemetry.is_enabled() {
         if let Some(m) = telemetry.metrics() {
             m.arrivals_classified.inc();
@@ -241,9 +212,6 @@ pub fn capture_with_telemetry(
                 rule: decision.rule.map(str::to_string),
             }
         });
-    }
-    if decision.retain {
-        log.push(arrival);
     }
 }
 
@@ -269,18 +237,6 @@ mod tests {
         log.push(arrival(5, ArrivalProtocol::Dns, "US"));
         log.push(arrival(1, ArrivalProtocol::Http, "US"));
         assert_eq!(log.len(), 2);
-    }
-
-    #[test]
-    fn merged_sorts_by_time() {
-        let mut us = CaptureLog::new();
-        us.push(arrival(50, ArrivalProtocol::Dns, "US"));
-        let mut de = CaptureLog::new();
-        de.push(arrival(10, ArrivalProtocol::Https, "DE"));
-        de.push(arrival(90, ArrivalProtocol::Http, "DE"));
-        let merged = CaptureLog::merged([us, de]);
-        let times: Vec<u64> = merged.iter().map(|a| a.at.millis()).collect();
-        assert_eq!(times, vec![10, 50, 90]);
     }
 
     #[test]

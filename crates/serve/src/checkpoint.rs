@@ -1,6 +1,6 @@
 //! The durable campaign state: a versioned JSON file.
 //!
-//! Format (version 1): a single pretty-printed JSON object —
+//! Format (version 2): a single pretty-printed JSON object —
 //!
 //! * `header` — `version`, a `world_hash` binding the file to the exact
 //!   campaign configuration (world/phase/fault config + wave count), the
@@ -10,7 +10,9 @@
 //! * `rng_streams` — the per-shard SplitMix64 stream states (also an
 //!   integrity check: they must re-derive from `(seed, waves_done)`);
 //! * `aggregates` — the cumulative sink aggregates in their portable
-//!   entry-vector form ([`PortableAggregates`]);
+//!   entry-vector form ([`PortableAggregates`]); version 2 added the
+//!   origin and HTTP-path folds, dropped the derived combination counts,
+//!   and added the 55/65-minute interval-histogram edges;
 //! * `metrics` — the merged [`MetricsSnapshot`] (wall-clock timings
 //!   zeroed, so the file is deterministic);
 //! * `journal` — the cumulative event journal on the campaign time axis.
@@ -28,7 +30,7 @@ use shadow_telemetry::{JournalRecord, MetricsSnapshot};
 use std::path::Path;
 
 /// Bump on any incompatible change to [`CampaignCheckpoint`]'s layout.
-pub const CHECKPOINT_VERSION: u32 = 1;
+pub const CHECKPOINT_VERSION: u32 = 2;
 
 /// Identity and position metadata, validated before any payload is used.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]

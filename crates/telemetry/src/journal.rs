@@ -54,13 +54,6 @@ pub enum EventKind {
     },
     /// A shadowing pipeline scheduled a future probe for a retained name.
     ShadowProbeScheduled { domain: String },
-    /// Post-correlation: an arrival was classified unsolicited.
-    UnsolicitedArrival {
-        rule: String,
-        domain: String,
-        src: Ipv4Addr,
-        protocol: String,
-    },
     /// The streaming correlation sink classified an arrival at capture
     /// time. `rule` is only present for unsolicited arrivals: attributing
     /// solicited-vs-replication is a same-millisecond tie-break whose
@@ -125,7 +118,8 @@ impl EventKind {
             EventKind::IcmpTimeExceeded { .. } => 2,
             EventKind::ArrivalCaptured { .. } => 3,
             EventKind::ShadowProbeScheduled { .. } => 4,
-            EventKind::UnsolicitedArrival { .. } => 5,
+            // Rank 5 stays unused: ranks never move, so journals written
+            // earlier keep their total order.
             EventKind::ShardMerged { .. } => 6,
             EventKind::PhaseEnded { .. } => 7,
             EventKind::ArrivalClassified { .. } => 8,

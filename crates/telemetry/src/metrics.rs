@@ -213,7 +213,7 @@ pub struct MetricsRegistry {
     pub dns_retries: Counter,
     /// Arrivals the streaming correlation sink resolved to a decoy at
     /// capture time (solicited or not). Unknown-domain noise is excluded,
-    /// so this equals the batch correlator's output length.
+    /// so this equals the sink aggregates' `classified` count.
     pub arrivals_classified: Counter,
     /// Encrypted flows a DPI tap saw (DoT/DoH/DoQ frames, ECH hellos) —
     /// `Visibility::Hidden`, name out of reach. Exactly one count per

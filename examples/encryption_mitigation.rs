@@ -19,6 +19,7 @@ use traffic_shadowing::shadow_core::campaign::Phase1Config;
 use traffic_shadowing::shadow_core::decoy::DecoyProtocol;
 use traffic_shadowing::shadow_core::phase2::Phase2Config;
 use traffic_shadowing::shadow_core::world::WorldConfig;
+use traffic_shadowing::shadow_netsim::time::SimDuration;
 use traffic_shadowing::shadow_packet::EncryptionDeployment;
 use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
 
@@ -38,7 +39,6 @@ fn run(seed: u64, encrypted: bool) -> StudyOutcome {
         run_phase2: false,
         telemetry: traffic_shadowing::shadow_core::executor::TelemetryOptions::disabled(),
         faults: None,
-        retain_arrivals: true,
     })
 }
 
@@ -87,30 +87,31 @@ fn main() {
     // paths arriving well past the retry window can only come from on-path
     // DPI (benign resolvers retry within a minute). Encryption must zero
     // these out.
-    let wire_evidence = |outcome: &StudyOutcome| {
+    let wire_evidence = |outcome: &StudyOutcome| -> u64 {
+        let benign = [
+            "Google",
+            "Cloudflare",
+            "Quad9",
+            "OpenDNS",
+            "Level3",
+            "Hurricane",
+            "SafeDNS",
+        ];
+        let late = SimDuration::from_mins(10).millis();
         outcome
-            .correlated
+            .phase1
+            .aggregates
+            .interval_hists
             .iter()
-            .filter(|r| {
-                r.label.is_unsolicited()
-                    && r.decoy.protocol == DecoyProtocol::Dns
-                    && r.interval
-                        > traffic_shadowing::shadow_netsim::time::SimDuration::from_mins(10)
-                    && {
-                        let name = outcome.dest_names.get(&r.decoy.dst());
-                        matches!(
-                            name.map(String::as_str),
-                            Some("Google")
-                                | Some("Cloudflare")
-                                | Some("Quad9")
-                                | Some("OpenDNS")
-                                | Some("Level3")
-                                | Some("Hurricane")
-                                | Some("SafeDNS")
-                        )
-                    }
+            .filter(|((protocol, dst), _)| {
+                *protocol == DecoyProtocol::Dns
+                    && outcome
+                        .dest_names
+                        .get(dst)
+                        .is_some_and(|name| benign.contains(&name.as_str()))
             })
-            .count()
+            .map(|(_, hist)| hist.total() - hist.cumulative_at(late).unwrap_or(0))
+            .sum()
     };
     println!(
         "\nwire-observer evidence on benign-resolver paths: {} → {}",

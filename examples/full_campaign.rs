@@ -47,6 +47,7 @@
 //! metrics) and prints the evaluation report for the final wave.
 
 use shadow_analysis::report::{pct, render_series, render_table};
+use shadow_analysis::temporal::paper_grid;
 use shadow_serve::{CampaignCheckpoint, CampaignDriver, ServeConfig, ServeError};
 use std::path::{Path, PathBuf};
 use traffic_shadowing::shadow_analysis;
@@ -316,9 +317,6 @@ fn main() {
     let mut config = StudyConfig {
         telemetry,
         faults,
-        // The full reproduction prints the sample-level artifacts (Figure
-        // 6 origins, probing payloads, case studies).
-        retain_arrivals: true,
         ..if tiny {
             StudyConfig::tiny(seed)
         } else {
@@ -383,13 +381,12 @@ fn print_encryption_report(
 }
 
 /// The `--paper-scale` / `--scale-factor N` path: the §3 deployment scale
-/// (4,364 VPs × 2,325 sites, ~20M Phase I decoys per round at factor 1),
-/// streamed end-to-end — arrivals fold into capture-time sinks and are
-/// never retained, so the sample-level tables (Figure 6 origins, probing
-/// payloads, case studies) are skipped; the aggregate report and telemetry
-/// artifacts still print. The work-stealing scheduler compiles one shared
-/// scout plan either way; without `--shards` it runs one worker per
-/// available core, with `--shards K` at K chunks on K workers.
+/// (4,364 VPs × 2,325 sites, ~20M Phase I decoys per round at factor 1).
+/// Arrivals fold into the capture-time sinks like every other run, so the
+/// full report prints from the same function as the standard world. The
+/// work-stealing scheduler compiles one shared scout plan either way;
+/// without `--shards` it runs one worker per available core, with
+/// `--shards K` at K chunks on K workers.
 fn run_paper_scale(
     seed: u64,
     factor: u32,
@@ -434,100 +431,8 @@ fn run_paper_scale(
         ),
     }
     println!("{}\n", outcome.summary());
-    print_streamed_report(&outcome);
+    print_report(&outcome);
     print_artifacts(&outcome, seed, &metrics_out, &None, None);
-}
-
-/// The subset of the reproduction report computable from the capture-time
-/// aggregates alone — what the paper-scale path prints. The sample-exact
-/// sections (Figure 6 origins, §5 probing payloads, case studies) need
-/// retained arrivals and are skipped; their streamed histogram twins
-/// (Figure 4/7 grids) print instead.
-fn print_streamed_report(outcome: &StudyOutcome) {
-    use traffic_shadowing::shadow_analysis::temporal::histogram_paper_grid;
-
-    println!("--- Figure 3: problematic-path ratios (streamed) ---");
-    let landscape = outcome.landscape();
-    println!(
-        "protocol totals: DNS {} | HTTP {} | TLS {}\n",
-        pct(landscape.protocol_ratio(DecoyProtocol::Dns)),
-        pct(landscape.protocol_ratio(DecoyProtocol::Http)),
-        pct(landscape.protocol_ratio(DecoyProtocol::Tls)),
-    );
-
-    println!("--- Table 2: normalized location of traffic observers ---");
-    let hop_table = outcome.hop_table();
-    let mut rows = Vec::new();
-    for protocol in [DecoyProtocol::Dns, DecoyProtocol::Http, DecoyProtocol::Tls] {
-        let mut row = vec![protocol.as_str().to_string()];
-        for hop in 1..=10u8 {
-            row.push(format!("{:.1}", hop_table.percent(protocol, hop)));
-        }
-        rows.push(row);
-    }
-    println!(
-        "{}",
-        render_table(
-            &["proto", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10=dst"],
-            &rows
-        )
-    );
-
-    let ips = outcome.observer_ips();
-    println!(
-        "observer IPs revealed: {} ({} in CN)\n",
-        ips.total_ips,
-        pct(ips.country_fraction("CN"))
-    );
-
-    println!("--- Figure 4: Resolver_h retention (streamed histogram) ---");
-    let fig4 = outcome.fig4_hist();
-    for (label, fraction) in histogram_paper_grid(&fig4) {
-        println!("  ≤{label:<5} {}", pct(fraction));
-    }
-
-    println!("\n--- Figure 5: DNS decoy outcome breakdown (selected) ---");
-    let breakdown = outcome.fig5_breakdown();
-    let mut rows = Vec::new();
-    for dest in ["Yandex", "114DNS", "One DNS", "Google", "self-built"] {
-        if let Some(row) = breakdown.iter().find(|b| b.destination == dest) {
-            rows.push(vec![
-                dest.to_string(),
-                pct(row.shadowed_fraction()),
-                pct(row.late_http_fraction()),
-            ]);
-        }
-    }
-    println!(
-        "{}",
-        render_table(&["Destination", "shadowed", "HTTP(S) after 1h"], &rows)
-    );
-
-    let reuse = outcome.reuse();
-    println!("--- §5.1: reuse of retained data (cutoff 1h) ---");
-    println!(
-        "late-active decoys: {} | >3 requests: {} (paper 51%) | >10: {} (paper 2.4%)\n",
-        reuse.late_active_decoys(),
-        pct(reuse.fraction_exceeding(3)),
-        pct(reuse.fraction_exceeding(10)),
-    );
-
-    println!("--- §5.2: Decoy-Request combinations ---");
-    println!("overall combos: {:?}\n", outcome.combo_counts());
-
-    let scan = outcome.observer_port_scan();
-    println!("--- §5.2: open ports of on-wire observers ---");
-    println!(
-        "{} observers scanned | no open ports: {} (paper 92%) | top open port: {:?} (paper 179)\n",
-        scan.targets,
-        pct(scan.closed_fraction()),
-        scan.top_port()
-    );
-
-    println!(
-        "(sample-level sections — Figure 6 origins, §5 probing payloads, case studies — \
-         need retained arrivals; the paper-scale path streams and skips them)"
-    );
 }
 
 /// A fault-free, telemetry-free copy of the study configuration for the
@@ -709,16 +614,18 @@ fn print_report(outcome: &StudyOutcome) {
 
     // ------------------------------------------------- Figure 4
     println!("--- Figure 4: interval CDF, DNS decoys to Resolver_h ---");
-    let fig4 = outcome.fig4_cdf();
-    println!("{}", render_series("Resolver_h", &fig4.paper_grid()));
-    let others = outcome.fig4_other_resolvers_cdf();
+    let fig4 = outcome.fig4();
+    println!("{}", render_series("Resolver_h", &paper_grid(&fig4)));
+    let others = outcome.fig4_other_resolvers();
     println!(
         "other 15 resolvers: {} within 1 minute (paper: 95%)\n",
-        pct(others.fraction_at(SimDuration::from_mins(1)))
+        pct(others.fraction_at(SimDuration::from_mins(1)).unwrap_or(0.0))
     );
     println!(
         "mass near the 1h mark (cache-refresh check): {} (no spike expected)\n",
-        pct(fig4.mass_near(SimDuration::from_hours(1), SimDuration::from_mins(5)))
+        pct(fig4
+            .fraction_between(SimDuration::from_mins(55), SimDuration::from_mins(65))
+            .unwrap_or(0.0))
     );
 
     // ------------------------------------------------- Figure 5
@@ -771,9 +678,9 @@ fn print_report(outcome: &StudyOutcome) {
 
     // ------------------------------------------------- Figure 7
     println!("--- Figure 7: interval CDFs, HTTP and TLS decoys ---");
-    let (http_cdf, tls_cdf) = outcome.fig7_cdfs();
-    println!("{}", render_series("HTTP decoys", &http_cdf.paper_grid()));
-    println!("{}", render_series("TLS decoys", &tls_cdf.paper_grid()));
+    let (http, tls) = outcome.fig7();
+    println!("{}", render_series("HTTP decoys", &paper_grid(&http)));
+    println!("{}", render_series("TLS decoys", &paper_grid(&tls)));
 
     // ------------------------------------------------- §5.1 reuse
     let reuse = outcome.reuse();
@@ -832,7 +739,7 @@ fn print_report(outcome: &StudyOutcome) {
     println!("--- Case studies ---");
     if let Some(case) = outcome.resolver_case("Yandex") {
         println!(
-            "I  Yandex: {} of decoys shadowed (paper >99%), {} trigger HTTP(S) (paper 51%), ≥10d tail {} (paper ~40%)",
+            "I  Yandex: {} of decoys shadowed (paper >99%), {} trigger HTTP(S) (paper 51%), >10d tail {} (paper ~40%)",
             pct(case.shadowed_fraction()),
             pct(case.http_probed_fraction()),
             pct(case.ten_day_tail),
@@ -960,7 +867,6 @@ fn run_campaign(
     let mut study = StudyConfig {
         telemetry: TelemetryOptions::enabled(true),
         faults,
-        retain_arrivals: true,
         ..if tiny {
             StudyConfig::tiny(seed)
         } else {

@@ -4,10 +4,10 @@
 //! Run with `cargo run --release --example locate_observers [seed]`.
 
 use traffic_shadowing::shadow_core::campaign::{CampaignRunner, Phase1Config};
-use traffic_shadowing::shadow_core::correlate::Correlator;
 use traffic_shadowing::shadow_core::decoy::DecoyProtocol;
 use traffic_shadowing::shadow_core::noise::NoiseFilter;
-use traffic_shadowing::shadow_core::phase2::{paths_to_trace, Phase2Config, Phase2Runner};
+use traffic_shadowing::shadow_core::phase2::{paths_to_trace_streamed, Phase2Config, Phase2Runner};
+use traffic_shadowing::shadow_core::sink::SinkConfig;
 use traffic_shadowing::shadow_core::world::{World, WorldConfig};
 use traffic_shadowing::shadow_geo::db::as_info_of;
 use traffic_shadowing::shadow_netsim::time::SimDuration;
@@ -20,20 +20,23 @@ fn main() {
     let mut world = World::build(WorldConfig::tiny(seed));
     NoiseFilter::run_and_apply(&mut world);
 
-    // Phase I, HTTP decoys only: find paths with on-wire observers.
-    let phase1 = CampaignRunner::run_phase1(
+    // Phase I, DNS and HTTP decoys: find paths with observers.
+    let phase1_config = Phase1Config {
+        send_dns: true,
+        send_http: true,
+        send_tls: false,
+        grace: SimDuration::from_days(20),
+        ..Phase1Config::default()
+    };
+    let plan = CampaignRunner::plan_phase1(&world, &phase1_config);
+    let phase1 = CampaignRunner::execute_phase1(
         &mut world,
-        &Phase1Config {
-            send_dns: true,
-            send_http: true,
-            send_tls: false,
-            grace: SimDuration::from_days(20),
-            ..Phase1Config::default()
-        },
+        &plan,
+        &phase1_config,
+        SinkConfig::streaming(),
+        |_| true,
     );
-    let correlator = Correlator::new(&phase1.registry);
-    let correlated = correlator.correlate(&phase1.arrivals);
-    let traced = paths_to_trace(&correlated, &phase1.registry, 6);
+    let traced = paths_to_trace_streamed(&phase1.aggregates, 6);
     if traced.is_empty() {
         println!("no problematic paths with this seed; try another");
         return;
@@ -43,15 +46,20 @@ fn main() {
         traced.len()
     );
 
-    let (results, phase2_data) = Phase2Runner::run(
+    let phase2_config = Phase2Config {
+        max_ttl: 24,
+        grace: SimDuration::from_days(10),
+        ..Phase2Config::default()
+    };
+    let plan = Phase2Runner::plan(&world, &traced, &phase2_config);
+    let phase2_data = Phase2Runner::execute(
         &mut world,
-        &traced,
-        &Phase2Config {
-            max_ttl: 24,
-            grace: SimDuration::from_days(10),
-            ..Phase2Config::default()
-        },
+        &plan,
+        &phase2_config,
+        SinkConfig::streaming(),
+        |_| true,
     );
+    let results = Phase2Runner::localize(&phase2_data, &plan.traced, phase2_config.max_ttl);
 
     for result in &results {
         let dest_label = world

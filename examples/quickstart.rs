@@ -9,9 +9,8 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(42);
     let started = std::time::Instant::now();
-    // The default configuration streams: arrivals are classified at capture
-    // time into compact per-shard aggregates, and no raw arrival vector is
-    // retained anywhere.
+    // Arrivals are classified at capture time into compact aggregates; no
+    // raw arrival vector is kept anywhere.
     let outcome = Study::run(StudyConfig::tiny(seed));
     println!("=== traffic-shadowing quickstart (seed {seed}) ===\n");
     println!("{}", outcome.summary());
@@ -19,12 +18,10 @@ fn main() {
     for (combo, n) in outcome.combo_counts() {
         println!("  {combo:<12} {n}");
     }
-    let fig4 = outcome.fig4_hist();
+    let fig4 = outcome.fig4();
     if !fig4.is_empty() {
-        println!("\nResolver_h retention (Figure 4 grid, streamed histogram):");
-        for (label, fraction) in
-            traffic_shadowing::shadow_analysis::temporal::histogram_paper_grid(&fig4)
-        {
+        println!("\nResolver_h retention (Figure 4 grid):");
+        for (label, fraction) in traffic_shadowing::shadow_analysis::temporal::paper_grid(&fig4) {
             println!("  ≤{label:<5} {:.1}%", fraction * 100.0);
         }
     }

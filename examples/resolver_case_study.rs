@@ -35,8 +35,6 @@ fn main() {
         run_phase2: false,
         telemetry: traffic_shadowing::shadow_core::executor::TelemetryOptions::disabled(),
         faults: None,
-        // The case studies are sample-level analyses.
-        retain_arrivals: true,
     };
     let outcome = Study::run(config);
 
@@ -44,13 +42,13 @@ fn main() {
     for name in ["Yandex", "One DNS", "DNS PAI", "VERCARA"] {
         if let Some(case) = outcome.resolver_case(name) {
             println!(
-                "{:<10} decoys {:>5} | shadowed {:>6} | HTTP(S)-probed {:>6} | median interval {:>10} | ≥10d tail {:>6}",
+                "{:<10} decoys {:>5} | shadowed {:>6} | HTTP(S)-probed {:>6} | median interval {:>10} | >10d tail {:>6}",
                 case.destination,
                 case.decoys,
                 pct(case.shadowed_fraction()),
                 pct(case.http_probed_fraction()),
                 case.median_interval_ms
-                    .map(|ms| SimDuration::from_millis(ms).to_string())
+                    .map(|ms| format!("≤{}", SimDuration::from_millis(ms)))
                     .unwrap_or_else(|| "-".into()),
                 pct(case.ten_day_tail),
             );

@@ -130,7 +130,6 @@ fn main() {
     let config = ServeConfig {
         study: StudyConfig {
             telemetry: TelemetryOptions::enabled(true),
-            retain_arrivals: true,
             ..if tiny {
                 StudyConfig::tiny(seed)
             } else {

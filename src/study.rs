@@ -10,10 +10,10 @@ use shadow_analysis::location::{ObserverHopTable, ObserverIpSummary};
 use shadow_analysis::origins::OriginAsReport;
 use shadow_analysis::probing::ProbingReport;
 use shadow_analysis::reuse::ReuseReport;
-use shadow_analysis::temporal::{interval_cdf, interval_histogram, Cdf};
+use shadow_analysis::temporal::interval_histogram;
 use shadow_chaos::FaultProfile;
 use shadow_core::campaign::{CampaignData, CampaignRunner, Phase1Config};
-use shadow_core::correlate::{Combo, CorrelatedRequest, Correlator, PathKey};
+use shadow_core::correlate::{Combo, CorrelatedRequest, PathKey};
 use shadow_core::decoy::DecoyProtocol;
 use shadow_core::executor::{
     run_phase1_work_stealing_bounded, run_phase2_work_stealing, StealConfig, TelemetryOptions,
@@ -48,13 +48,6 @@ pub struct StudyConfig {
     /// (see `shadow_chaos`). `None` (the default) leaves the engine's
     /// conditioner slot empty — byte-identical to pre-chaos builds.
     pub faults: Option<FaultProfile>,
-    /// Keep the raw honeypot arrival vectors alongside the streamed
-    /// correlation aggregates. The default (`false`) streams: every
-    /// arrival is classified at capture time, the honeypots buffer
-    /// nothing, and memory stays flat in traffic volume. Opt in for the
-    /// sample-level analyses (Figure 6 origins, probing payloads, the
-    /// case studies) that need individual requests.
-    pub retain_arrivals: bool,
 }
 
 impl StudyConfig {
@@ -71,7 +64,6 @@ impl StudyConfig {
             run_phase2: true,
             telemetry: TelemetryOptions::disabled(),
             faults: None,
-            retain_arrivals: false,
         }
     }
 
@@ -85,14 +77,11 @@ impl StudyConfig {
             run_phase2: true,
             telemetry: TelemetryOptions::disabled(),
             faults: None,
-            retain_arrivals: false,
         }
     }
 
     /// The paper's §3 deployment: 4,364 VPs against the full destination
-    /// set. Streams (no retained arrivals) — at this scale the raw
-    /// arrival vector is the difference between flat and unbounded
-    /// memory — and is meant to run under
+    /// set, meant to run under
     /// [`Study::run_work_stealing`] with [`StealConfig::auto`]
     /// (`shadow_core::executor::StealConfig`).
     pub fn paper_scale(seed: u64) -> Self {
@@ -104,7 +93,6 @@ impl StudyConfig {
             run_phase2: true,
             telemetry: TelemetryOptions::disabled(),
             faults: None,
-            retain_arrivals: false,
         }
     }
 
@@ -129,22 +117,6 @@ impl StudyConfig {
     pub fn with_faults(mut self, profile: FaultProfile) -> Self {
         self.faults = Some(profile);
         self
-    }
-
-    /// Opt into buffering raw arrivals (builder style) for the
-    /// sample-level analyses.
-    pub fn with_retained_arrivals(mut self) -> Self {
-        self.retain_arrivals = true;
-        self
-    }
-
-    /// The sink configuration both phases stream through.
-    fn sink(&self) -> SinkConfig {
-        if self.retain_arrivals {
-            SinkConfig::retained()
-        } else {
-            SinkConfig::streaming()
-        }
     }
 
     /// The Phase I configuration with the fault profile's DNS retry
@@ -190,11 +162,12 @@ pub struct StudyOutcome {
     pub phase1: CampaignData,
     /// Phase II data (the TTL sweeps), if Phase II ran.
     pub phase2: Option<CampaignData>,
-    /// Correlation of Phase I arrivals — populated only when the study ran
-    /// with retained arrivals; the streaming default leaves it empty and
-    /// `phase1.aggregates` carries the classification state.
+    /// Always empty: every analysis reads `phase1.aggregates`. The
+    /// repository benchmark (`perfbench/`) builds this struct literally
+    /// with this field, so it stays until a benchmark change drops it.
     pub correlated: Vec<CorrelatedRequest>,
-    /// Whether raw arrivals (and hence `correlated`) were retained.
+    /// Always `false`; pinned by the repository benchmark like
+    /// `correlated`.
     pub retained: bool,
     pub traced_paths: Vec<PathKey>,
     pub traceroutes: Vec<TracerouteResult>,
@@ -238,16 +211,28 @@ impl Study {
         world.engine.set_telemetry(config.telemetry.handle(0));
         world.engine.set_conditioner(conditioner);
 
-        let phase1 =
-            CampaignRunner::run_phase1_with(&mut world, &config.phase1_effective(), config.sink());
+        let phase1_config = config.phase1_effective();
+        let plan = CampaignRunner::plan_phase1(&world, &phase1_config);
+        let phase1 = CampaignRunner::execute_phase1(
+            &mut world,
+            &plan,
+            &phase1_config,
+            SinkConfig::streaming(),
+            |_| true,
+        );
+        drop(plan);
         let phase2 = config.run_phase2.then(|| {
             let traced = paths_to_trace_streamed(&phase1.aggregates, config.trace_cap_per_protocol);
-            let (results, data) = Phase2Runner::run_with(
+            let phase2_config = config.phase2_effective();
+            let plan = Phase2Runner::plan(&world, &traced, &phase2_config);
+            let data = Phase2Runner::execute(
                 &mut world,
-                &traced,
-                &config.phase2_effective(),
-                config.sink(),
+                &plan,
+                &phase2_config,
+                SinkConfig::streaming(),
+                |_| true,
             );
+            let results = Phase2Runner::localize(&data, &plan.traced, phase2_config.max_ttl);
             (traced, results, data)
         });
         Self::assemble(config, world, preflight, phase1, phase2)
@@ -281,7 +266,7 @@ impl Study {
             steal,
             config.telemetry,
             config.conditioner(&spec),
-            config.sink(),
+            SinkConfig::streaming(),
             None,
         );
         let phase2 = config.run_phase2.then(|| {
@@ -293,7 +278,7 @@ impl Study {
                 &traced,
                 &config.phase2_effective(),
                 steal.workers,
-                config.sink(),
+                SinkConfig::streaming(),
             );
             (traced, results, data)
         });
@@ -304,9 +289,9 @@ impl Study {
         Self::assemble(config, world, sharded.preflight, sharded.data, phase2)
     }
 
-    /// The post-Phase-II tail every execution path shares: correlation (in
-    /// retained mode), telemetry finalization, and the analysis inputs —
-    /// destination names, blocklist, port scanner and router graph.
+    /// The post-Phase-II tail every execution path shares: telemetry
+    /// finalization and the analysis inputs — destination names,
+    /// blocklist, port scanner and router graph.
     /// `phase2` is the traced paths, their localization results, and the
     /// sweep's data, when Phase II ran.
     fn assemble(
@@ -316,17 +301,11 @@ impl Study {
         mut phase1: CampaignData,
         phase2: Option<(Vec<PathKey>, Vec<TracerouteResult>, CampaignData)>,
     ) -> StudyOutcome {
-        let correlated = if config.retain_arrivals {
-            Correlator::new(&phase1.registry).correlate(&phase1.arrivals)
-        } else {
-            Vec::new()
-        };
         let (traced_paths, traceroutes, mut phase2_data) = match phase2 {
             Some((traced, results, data)) => (traced, results, Some(data)),
             None => (Vec::new(), Vec::new(), None),
         };
-        let (metrics, journal) =
-            finalize_telemetry(&config, &mut phase1, phase2_data.as_mut(), &correlated);
+        let (metrics, journal) = finalize_telemetry(&config, &mut phase1, phase2_data.as_mut());
 
         let mut dest_names: BTreeMap<Ipv4Addr, String> = BTreeMap::new();
         for dest in &world.dns_destinations {
@@ -348,8 +327,8 @@ impl Study {
             preflight,
             phase1,
             phase2: phase2_data,
-            correlated,
-            retained: config.retain_arrivals,
+            correlated: Vec::new(),
+            retained: false,
             traced_paths,
             traceroutes,
             router_graph,
@@ -378,17 +357,13 @@ fn finalize_router_graph(phase2: Option<&CampaignData>, world: &World) -> shadow
 /// Merge the per-phase telemetry into the study-level artifacts and fold
 /// the capture-time classification in: the Phase I sink aggregates supply
 /// the `unsolicited_by_rule` map and retention-interval histogram (the sink
-/// folds every classified arrival, so this matches the old post-hoc
-/// correlation pass byte for byte, for any shard count). When journaling in
-/// retained mode, every unsolicited correlated arrival additionally gets an
-/// [`UnsolicitedArrival`](shadow_telemetry::EventKind::UnsolicitedArrival)
-/// record; the streaming path already journaled per-arrival
-/// `ArrivalClassified` events at capture time.
+/// folds every classified arrival, so this is the same for any shard
+/// count). Per-arrival records are the `ArrivalCaptured` and
+/// `ArrivalClassified` events journaled at capture time.
 fn finalize_telemetry(
     config: &StudyConfig,
     phase1: &mut CampaignData,
     phase2: Option<&mut CampaignData>,
-    correlated: &[CorrelatedRequest],
 ) -> (
     Option<shadow_telemetry::MetricsSnapshot>,
     Option<Vec<shadow_telemetry::JournalRecord>>,
@@ -419,35 +394,15 @@ fn finalize_telemetry(
         .world
         .retention_intervals_ms
         .merge(&phase1.aggregates.retention_intervals_ms);
-    if config.telemetry.journal {
-        for (i, req) in correlated.iter().enumerate() {
-            if !req.label.is_unsolicited() {
-                continue;
-            }
-            journal.push(shadow_telemetry::JournalRecord {
-                at_ms: req.arrival.at.millis(),
-                shard: 0,
-                node: None,
-                seq: i as u64,
-                event: shadow_telemetry::EventKind::UnsolicitedArrival {
-                    rule: format!("{:?}", req.label),
-                    domain: req.arrival.domain.as_str().to_string(),
-                    src: req.arrival.src,
-                    protocol: req.arrival.protocol.as_str().to_string(),
-                },
-            });
-        }
-    }
     shadow_telemetry::sort_records(&mut journal);
     let journal = config.telemetry.journal.then_some(journal);
     (Some(metrics), journal)
 }
 
 impl StudyOutcome {
-    /// Figure 3 — read from the streamed aggregates, available in both
-    /// retained and streaming modes.
+    /// Figure 3.
     pub fn landscape(&self) -> LandscapeReport {
-        LandscapeReport::compute_streamed(
+        LandscapeReport::compute(
             &self.phase1.registry,
             &self.phase1.aggregates,
             &self.world.platform,
@@ -465,45 +420,18 @@ impl StudyOutcome {
         ObserverIpSummary::compute(&self.traceroutes, &self.world.geo, &self.world.catalog)
     }
 
-    /// Figure 4: interval CDF for DNS decoys to Resolver_h.
-    ///
-    /// Sample-exact, so it needs [`StudyConfig::retain_arrivals`]; the
-    /// streaming default gets the same curve at the paper's grid points
-    /// from [`StudyOutcome::fig4_hist`].
-    pub fn fig4_cdf(&self) -> Cdf {
-        let dsts: Vec<Ipv4Addr> = resolver_h().iter().map(|d| d.addr).collect();
-        interval_cdf(&self.correlated, DecoyProtocol::Dns, Some(&dsts))
-    }
-
-    /// Figure 4 from the streamed fixed-bucket histograms — available in
-    /// both modes, and exact at every paper-grid edge.
-    pub fn fig4_hist(&self) -> IntervalHistogram {
+    /// Figure 4: intervals of DNS decoys to Resolver_h, exact at every
+    /// paper-grid edge.
+    pub fn fig4(&self) -> IntervalHistogram {
         let dsts: Vec<Ipv4Addr> = resolver_h().iter().map(|d| d.addr).collect();
         interval_histogram(&self.phase1.aggregates, DecoyProtocol::Dns, Some(&dsts))
     }
 
-    /// Figure 4's control: the other 15 public resolvers (sample-exact;
-    /// needs retained arrivals).
-    pub fn fig4_other_resolvers_cdf(&self) -> Cdf {
-        interval_cdf(
-            &self.correlated,
-            DecoyProtocol::Dns,
-            Some(&self.other_resolver_addrs()),
-        )
-    }
-
-    /// The streamed control curve for Figure 4.
-    pub fn fig4_other_resolvers_hist(&self) -> IntervalHistogram {
-        interval_histogram(
-            &self.phase1.aggregates,
-            DecoyProtocol::Dns,
-            Some(&self.other_resolver_addrs()),
-        )
-    }
-
-    fn other_resolver_addrs(&self) -> Vec<Ipv4Addr> {
+    /// Figure 4's control: the other 15 public resolvers.
+    pub fn fig4_other_resolvers(&self) -> IntervalHistogram {
         let heavy: Vec<Ipv4Addr> = resolver_h().iter().map(|d| d.addr).collect();
-        self.world
+        let others: Vec<Ipv4Addr> = self
+            .world
             .dns_destinations
             .iter()
             .filter(|d| {
@@ -513,39 +441,36 @@ impl StudyOutcome {
                 ) && !heavy.contains(&d.addr)
             })
             .map(|d| d.addr)
-            .collect()
+            .collect();
+        interval_histogram(&self.phase1.aggregates, DecoyProtocol::Dns, Some(&others))
     }
 
     /// Figure 5 — decoded from the per-decoy outcome bits the sink folded
     /// at capture time.
     pub fn fig5_breakdown(&self) -> Vec<DestinationBreakdown> {
-        breakdown::compute_streamed(
+        breakdown::compute(
             &self.phase1.registry,
             &self.phase1.aggregates,
             &self.dest_names,
         )
     }
 
-    /// Figure 6 (sample-level origin attribution; needs retained arrivals).
+    /// Figure 6: origin ASes of unsolicited requests for Resolver_h decoys.
     pub fn fig6_origins(&self) -> OriginAsReport {
         let dests: BTreeMap<Ipv4Addr, String> = resolver_h()
             .iter()
             .map(|d| (d.addr, d.name.to_string()))
             .collect();
-        OriginAsReport::compute(&self.correlated, &dests, &self.world.geo, &self.blocklist)
-    }
-
-    /// Figure 7: interval CDFs for HTTP and TLS decoys (sample-exact;
-    /// needs retained arrivals).
-    pub fn fig7_cdfs(&self) -> (Cdf, Cdf) {
-        (
-            interval_cdf(&self.correlated, DecoyProtocol::Http, None),
-            interval_cdf(&self.correlated, DecoyProtocol::Tls, None),
+        OriginAsReport::compute(
+            &self.phase1.aggregates,
+            &dests,
+            &self.world.geo,
+            &self.blocklist,
         )
     }
 
-    /// Figure 7 from the streamed histograms — available in both modes.
-    pub fn fig7_hists(&self) -> (IntervalHistogram, IntervalHistogram) {
+    /// Figure 7: intervals of HTTP and TLS decoys.
+    pub fn fig7(&self) -> (IntervalHistogram, IntervalHistogram) {
         (
             interval_histogram(&self.phase1.aggregates, DecoyProtocol::Http, None),
             interval_histogram(&self.phase1.aggregates, DecoyProtocol::Tls, None),
@@ -555,13 +480,12 @@ impl StudyOutcome {
     /// §5.1 reuse counts — read from the per-decoy capture-time folds (the
     /// late cutoff is the sink's, 1 h in the shipped configurations).
     pub fn reuse(&self) -> ReuseReport {
-        ReuseReport::from_aggregates(&self.phase1.aggregates, DecoyProtocol::Dns)
+        ReuseReport::compute(&self.phase1.aggregates, DecoyProtocol::Dns)
     }
 
-    /// §5 probing incentives for decoys of one protocol (payload-level;
-    /// needs retained arrivals).
+    /// §5 probing incentives for decoys of one protocol.
     pub fn probing(&self, protocol: DecoyProtocol) -> ProbingReport {
-        ProbingReport::compute(&self.correlated, protocol, &self.blocklist)
+        ProbingReport::compute(&self.phase1.aggregates, protocol, &self.blocklist)
     }
 
     /// Case I (any resolver by catalog name).
@@ -569,7 +493,7 @@ impl StudyOutcome {
         let dest = self.world.dns_destination(name)?;
         Some(ResolverCase::compute(
             &self.phase1.registry,
-            &self.correlated,
+            &self.phase1.aggregates,
             dest.addr,
             name,
         ))
@@ -580,7 +504,7 @@ impl StudyOutcome {
         let dest = self.world.dns_destination("114DNS")?;
         Some(AnycastCase::compute(
             &self.phase1.registry,
-            &self.correlated,
+            &self.phase1.aggregates,
             &self.world.platform,
             dest.addr,
             "114DNS",
@@ -590,13 +514,13 @@ impl StudyOutcome {
 
     /// Case III (CN observer concentration).
     pub fn cn_observer_case(&self) -> CnObserverCase {
-        CnObserverCase::compute(&self.traceroutes, &self.correlated, &self.world.geo)
+        CnObserverCase::compute(&self.traceroutes, &self.phase1.aggregates, &self.world.geo)
     }
 
     /// §5.2 protocol combinations per observer network — from the sink's
     /// per-path counters.
     pub fn observer_combos(&self) -> shadow_analysis::combos::ObserverCombos {
-        shadow_analysis::combos::ObserverCombos::compute_streamed(
+        shadow_analysis::combos::ObserverCombos::compute(
             &self.phase1.aggregates,
             &self.traceroutes,
             &self.world.geo,
@@ -606,7 +530,7 @@ impl StudyOutcome {
     /// Overall Decoy-Request combination counts, keyed by the typed
     /// [`Combo`] (its `Display` is the paper's `DNS-HTTP` style label).
     pub fn combo_counts(&self) -> std::collections::BTreeMap<Combo, usize> {
-        shadow_analysis::combos::combo_counts_streamed(&self.phase1.aggregates)
+        shadow_analysis::combos::combo_counts(&self.phase1.aggregates)
     }
 
     /// §5.2 open-port scan of ICMP-revealed observers.
@@ -626,25 +550,22 @@ impl StudyOutcome {
     }
 
     /// Bundle every analysis artifact for JSON export (diffing runs).
-    ///
-    /// The temporal grids come from the streamed histograms in both modes
-    /// (bit-identical to the retained CDFs at those points — enforced by
-    /// `tests/streaming_equivalence.rs`); the sample-level artifacts
-    /// (origins, probing payloads) are present only in retained mode.
+    /// `tests/streaming_equivalence.rs` pins the tiny world's bundle
+    /// against a committed golden file.
     pub fn export_bundle(&self) -> shadow_analysis::export::AnalysisBundle {
-        use shadow_analysis::export::{grid_points_streamed, AnalysisBundle, SerializableHopTable};
-        let (http_hist, tls_hist) = self.fig7_hists();
+        use shadow_analysis::export::{grid_points, AnalysisBundle, SerializableHopTable};
+        let (http_hist, tls_hist) = self.fig7();
         AnalysisBundle {
             landscape: Some(self.landscape()),
             hop_table: Some(SerializableHopTable::from_table(&self.hop_table())),
             observer_ips: Some(self.observer_ips()),
-            fig4_grid: Some(grid_points_streamed(&self.fig4_hist())),
+            fig4_grid: Some(grid_points(&self.fig4())),
             fig5: Some(self.fig5_breakdown()),
-            origins: self.retained.then(|| self.fig6_origins()),
-            fig7_http_grid: Some(grid_points_streamed(&http_hist)),
-            fig7_tls_grid: Some(grid_points_streamed(&tls_hist)),
+            origins: Some(self.fig6_origins()),
+            fig7_http_grid: Some(grid_points(&http_hist)),
+            fig7_tls_grid: Some(grid_points(&tls_hist)),
             reuse: Some(self.reuse()),
-            probing_dns: self.retained.then(|| self.probing(DecoyProtocol::Dns)),
+            probing_dns: Some(self.probing(DecoyProtocol::Dns)),
             // Filled by the encryption sweep driver (`crate::encryption`):
             // a single campaign has one deployment level, the report needs
             // the whole ladder.

@@ -2,15 +2,16 @@
 //! workers finish in whatever order the OS schedules them. The merge must
 //! therefore be commutative: absorbing the same per-shard data sets in any
 //! order has to produce identical campaign data and identical downstream
-//! correlation. This test builds three real shard data sets and merges
+//! correlation. This test builds three real shard data sets, journal on
+//! (every capture and its classification is a journal record), and merges
 //! them in every permutation.
 
 use traffic_shadowing::shadow_core::campaign::{CampaignData, CampaignRunner, Phase1Config};
-use traffic_shadowing::shadow_core::correlate::Correlator;
-use traffic_shadowing::shadow_core::executor::shard_vps;
+use traffic_shadowing::shadow_core::executor::{shard_vps, TelemetryOptions};
 use traffic_shadowing::shadow_core::noise::NoiseFilter;
 use traffic_shadowing::shadow_core::sink::SinkConfig;
 use traffic_shadowing::shadow_core::world::{generate_spec, WorldConfig};
+use traffic_shadowing::shadow_telemetry::{diff, EventKind};
 use traffic_shadowing::shadow_vantage::platform::VpId;
 
 fn shard_datas(seed: u64, shards: usize) -> Vec<CampaignData> {
@@ -19,15 +20,19 @@ fn shard_datas(seed: u64, shards: usize) -> Vec<CampaignData> {
     let vp_ids: Vec<VpId> = spec.platform.vps.iter().map(|vp| vp.id).collect();
     shard_vps(&vp_ids, shards)
         .into_iter()
-        .map(|owned| {
+        .enumerate()
+        .map(|(shard, owned)| {
             let mut world = spec.instantiate();
             NoiseFilter::run_and_apply(&mut world);
+            world
+                .engine
+                .set_telemetry(TelemetryOptions::enabled(true).handle(shard as u32));
             let plan = CampaignRunner::plan_phase1(&world, &config);
             CampaignRunner::execute_phase1(
                 &mut world,
                 &plan,
                 &config,
-                SinkConfig::retained(),
+                SinkConfig::streaming(),
                 |vp| owned.contains(&vp),
             )
         })
@@ -55,32 +60,26 @@ fn absorb_is_commutative_across_all_shard_orders() {
     ];
     let reference = merge_in_order(&datas, &orders[0]);
     assert!(
-        !reference.arrivals.is_empty(),
+        reference
+            .journal
+            .iter()
+            .any(|r| matches!(r.event, EventKind::ArrivalCaptured { .. })),
         "the merged campaign must actually carry traffic"
     );
-    let ref_correlated = Correlator::new(&reference.registry).correlate(&reference.arrivals);
+    assert!(reference.aggregates.arrivals_seen > 0);
     for order in &orders[1..] {
         let merged = merge_in_order(&datas, order);
-        assert_eq!(
-            reference.arrivals, merged.arrivals,
-            "absorb order {order:?} changed the merged arrival stream"
+        let report = diff(&reference.journal, &merged.journal);
+        assert!(
+            report.identical(),
+            "absorb order {order:?} changed the merged arrival stream or its classification\n{}",
+            report.render()
         );
         assert_eq!(reference.last_send, merged.last_send);
         assert_eq!(
             reference.aggregates, merged.aggregates,
             "absorb order {order:?} changed the streamed aggregates"
         );
-        let correlated = Correlator::new(&merged.registry).correlate(&merged.arrivals);
-        assert_eq!(
-            ref_correlated.len(),
-            correlated.len(),
-            "absorb order {order:?} changed correlation"
-        );
-        for (a, b) in ref_correlated.iter().zip(correlated.iter()) {
-            assert_eq!(a.decoy.domain, b.decoy.domain, "order {order:?}");
-            assert_eq!(a.label, b.label, "order {order:?}");
-            assert_eq!(a.interval, b.interval, "order {order:?}");
-        }
     }
 }
 
@@ -92,6 +91,7 @@ fn absorb_into_empty_is_identity() {
         lhs.absorb(data.clone());
     }
     let rhs = merge_in_order(&datas, &[0, 1]);
-    assert_eq!(lhs.arrivals, rhs.arrivals);
+    assert!(diff(&lhs.journal, &rhs.journal).identical());
+    assert_eq!(lhs.aggregates, rhs.aggregates);
     assert_eq!(lhs.registry.len(), rhs.registry.len());
 }

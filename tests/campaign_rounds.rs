@@ -2,32 +2,40 @@
 //! stop" for two months. More rounds mean more decoys per path and a higher
 //! chance that probabilistic exhibitors fire at least once per path.
 
+use std::collections::BTreeSet;
 use traffic_shadowing::shadow_core::campaign::{CampaignRunner, Phase1Config};
-use traffic_shadowing::shadow_core::correlate::Correlator;
 use traffic_shadowing::shadow_core::decoy::DecoyProtocol;
 use traffic_shadowing::shadow_core::noise::NoiseFilter;
+use traffic_shadowing::shadow_core::sink::SinkConfig;
 use traffic_shadowing::shadow_core::world::{World, WorldConfig};
 use traffic_shadowing::shadow_netsim::time::SimDuration;
 
 fn run_rounds(seed: u64, rounds: usize) -> (usize, usize, f64) {
     let mut world = World::build(WorldConfig::tiny(seed));
     NoiseFilter::run_and_apply(&mut world);
-    let data = CampaignRunner::run_phase1(
-        &mut world,
-        &Phase1Config {
-            send_http: false,
-            send_tls: false,
-            rounds,
-            round_gap: SimDuration::from_hours(6),
-            grace: SimDuration::from_days(35),
-            ..Phase1Config::default()
-        },
-    );
+    let config = Phase1Config {
+        send_http: false,
+        send_tls: false,
+        rounds,
+        round_gap: SimDuration::from_hours(6),
+        grace: SimDuration::from_days(35),
+        ..Phase1Config::default()
+    };
+    let plan = CampaignRunner::plan_phase1(&world, &config);
+    let data =
+        CampaignRunner::execute_phase1(&mut world, &plan, &config, SinkConfig::streaming(), |_| {
+            true
+        });
     let vps = world.platform.vps.len();
-    let correlator = Correlator::new(&data.registry);
-    let correlated = correlator.correlate(&data.arrivals);
-    let problematic = correlator.problematic_paths(&correlated).len();
-    let total = correlator.total_paths(DecoyProtocol::Dns);
+    let problematic = data.aggregates.paths.len();
+    // Every (VP, destination) a DNS decoy went out on.
+    let total = data
+        .registry
+        .iter()
+        .filter(|d| d.protocol == DecoyProtocol::Dns)
+        .map(|d| (d.vp, d.dst()))
+        .collect::<BTreeSet<_>>()
+        .len();
     (
         data.registry.len(),
         vps,

@@ -11,7 +11,8 @@
 
 use proptest::prelude::*;
 use traffic_shadowing::shadow_chaos::{ChurnSpec, FaultProfile, OutageSpec, RetrySpec, Window};
-use traffic_shadowing::shadow_core::executor::StealConfig;
+use traffic_shadowing::shadow_core::executor::{StealConfig, TelemetryOptions};
+use traffic_shadowing::shadow_telemetry::{diff, EventKind, JournalRecord};
 use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
 
 const SEED: u64 = 99;
@@ -56,20 +57,53 @@ fn rich_profile() -> FaultProfile {
     }
 }
 
-// Retained mode: these tests compare raw arrival streams packet-for-packet
-// (the streaming default buffers nothing — `tests/streaming_equivalence.rs`
-// covers that path under the same rich profile).
+/// The tiny world with the journal on: these tests compare arrival
+/// streams packet-for-packet, and every capture is an `ArrivalCaptured`
+/// record in the study journal.
+fn journaled() -> StudyConfig {
+    StudyConfig {
+        telemetry: TelemetryOptions::enabled(true),
+        ..StudyConfig::tiny(SEED)
+    }
+}
+
 fn config_with(profile: FaultProfile) -> StudyConfig {
-    StudyConfig::tiny(SEED)
-        .with_faults(profile)
-        .with_retained_arrivals()
+    journaled().with_faults(profile)
+}
+
+fn journal(outcome: &StudyOutcome) -> &[JournalRecord] {
+    outcome.journal.as_deref().expect("journal enabled")
+}
+
+/// The capture records alone — the arrival stream.
+fn captures(outcome: &StudyOutcome) -> Vec<JournalRecord> {
+    journal(outcome)
+        .iter()
+        .filter(|r| matches!(r.event, EventKind::ArrivalCaptured { .. }))
+        .cloned()
+        .collect()
+}
+
+/// Same world events (captures and classifications included) and same
+/// streamed aggregates.
+fn assert_same_run(a: &StudyOutcome, b: &StudyOutcome, context: &str) {
+    let report = diff(journal(a), journal(b));
+    assert!(
+        report.identical(),
+        "{context}: journals diverge\n{}",
+        report.render()
+    );
+    assert_eq!(
+        a.phase1.aggregates, b.phase1.aggregates,
+        "{context}: streamed aggregates diverge"
+    );
 }
 
 #[test]
 fn same_profile_same_seed_is_byte_identical() {
     let a = Study::run(config_with(rich_profile()));
     let b = Study::run(config_with(rich_profile()));
-    assert_eq!(a.phase1.arrivals, b.phase1.arrivals);
+    assert_same_run(&a, &b, "same seed");
     assert_eq!(a.traceroutes, b.traceroutes);
     assert_eq!(bundle_json(&a), bundle_json(&b));
 }
@@ -80,10 +114,7 @@ fn sharded_equivalence_survives_faults() {
     let expected = bundle_json(&sequential);
     for k in [1usize, 3, 7, num_cpus()] {
         let sharded = Study::run_sharded(config_with(rich_profile()), k);
-        assert_eq!(
-            sequential.phase1.arrivals, sharded.phase1.arrivals,
-            "K={k}: Phase I arrival streams diverge under faults"
-        );
+        assert_same_run(&sequential, &sharded, &format!("K={k} under faults"));
         assert_eq!(
             sequential.traceroutes, sharded.traceroutes,
             "K={k}: Phase II traceroutes diverge under faults"
@@ -110,10 +141,7 @@ fn work_stealing_equivalence_survives_faults() {
     ];
     for shape in shapes {
         let stolen = Study::run_work_stealing(config_with(rich_profile()), shape);
-        assert_eq!(
-            sequential.phase1.arrivals, stolen.phase1.arrivals,
-            "{shape:?}: Phase I arrival streams diverge under faults"
-        );
+        assert_same_run(&sequential, &stolen, &format!("{shape:?} under faults"));
         assert_eq!(
             sequential.traceroutes, stolen.traceroutes,
             "{shape:?}: Phase II traceroutes diverge under faults"
@@ -130,8 +158,8 @@ fn work_stealing_equivalence_survives_faults() {
 fn fault_seed_changes_which_packets_suffer() {
     let a = Study::run(config_with(FaultProfile::with_loss("l", 0.05, 1)));
     let b = Study::run(config_with(FaultProfile::with_loss("l", 0.05, 2)));
-    assert_ne!(
-        a.phase1.arrivals, b.phase1.arrivals,
+    assert!(
+        !diff(&captures(&a), &captures(&b)).identical(),
         "different fault seeds must impair different packets"
     );
 }
@@ -145,8 +173,9 @@ proptest! {
     fn total_loss_delivers_nothing(seed in 1u64..1_000) {
         let profile = FaultProfile::with_loss("blackout", 1.0, seed);
         let outcome = Study::run(config_with(profile));
-        prop_assert!(outcome.phase1.arrivals.is_empty());
-        prop_assert!(outcome.correlated.is_empty());
+        prop_assert!(captures(&outcome).is_empty());
+        prop_assert_eq!(outcome.phase1.aggregates.arrivals_seen, 0);
+        prop_assert_eq!(outcome.phase1.aggregates.classified, 0);
         prop_assert!(outcome.traceroutes.iter().all(|r| r.normalized_hop.is_none()));
     }
 
@@ -157,8 +186,9 @@ proptest! {
         let mut clean = FaultProfile::baseline("clean");
         clean.fault_seed = seed;
         let with_profile = Study::run(config_with(clean));
-        let without = Study::run(StudyConfig::tiny(SEED).with_retained_arrivals());
-        prop_assert_eq!(&with_profile.phase1.arrivals, &without.phase1.arrivals);
+        let without = Study::run(journaled());
+        prop_assert!(diff(journal(&with_profile), journal(&without)).identical());
+        prop_assert_eq!(&with_profile.phase1.aggregates, &without.phase1.aggregates);
         prop_assert_eq!(bundle_json(&with_profile), bundle_json(&without));
     }
 }

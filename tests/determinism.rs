@@ -2,6 +2,8 @@
 //! campaign results; different seeds must actually differ.
 
 use traffic_shadowing::shadow_core::decoy::DecoyProtocol;
+use traffic_shadowing::shadow_core::executor::TelemetryOptions;
+use traffic_shadowing::shadow_telemetry::diff;
 use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
 
 fn fingerprint(outcome: &StudyOutcome) -> String {
@@ -29,12 +31,18 @@ fn fingerprint(outcome: &StudyOutcome) -> String {
 
 #[test]
 fn same_seed_same_outcome() {
-    // Retained mode so the exact arrival stream is comparable.
-    let a = Study::run(StudyConfig::tiny(99).with_retained_arrivals());
-    let b = Study::run(StudyConfig::tiny(99).with_retained_arrivals());
+    // Journal on, so the exact arrival stream is comparable: every capture
+    // is an `ArrivalCaptured` record.
+    let config = || StudyConfig {
+        telemetry: TelemetryOptions::enabled(true),
+        ..StudyConfig::tiny(99)
+    };
+    let a = Study::run(config());
+    let b = Study::run(config());
     assert_eq!(fingerprint(&a), fingerprint(&b));
     // Down to the exact arrival stream and streamed aggregates.
-    assert_eq!(a.phase1.arrivals, b.phase1.arrivals);
+    let report = diff(a.journal.as_ref().unwrap(), b.journal.as_ref().unwrap());
+    assert!(report.identical(), "{}", report.render());
     assert_eq!(a.phase1.aggregates, b.phase1.aggregates);
     assert_eq!(a.traceroutes, b.traceroutes);
 }

@@ -24,8 +24,6 @@ fn run(seed: u64, encrypted: bool) -> StudyOutcome {
         run_phase2: false,
         telemetry: traffic_shadowing::shadow_core::executor::TelemetryOptions::disabled(),
         faults: None,
-        // `encrypted_queries_still_resolve` inspects raw arrivals.
-        retain_arrivals: true,
     })
 }
 
@@ -115,12 +113,14 @@ fn encrypted_queries_still_resolve() {
         answered > 0,
         "DoQ decoys must resolve end-to-end through the resolver"
     );
-    // And the honeypot authoritative saw the (decrypted, recursed) queries.
-    let dns_arrivals = encrypted
+    // And the honeypot authoritative saw the (decrypted, recursed) queries:
+    // every DNS decoy's first resolution is a solicited DNS arrival.
+    let solicited = encrypted
         .phase1
-        .arrivals
-        .iter()
-        .filter(|a| a.protocol == traffic_shadowing::shadow_honeypot::capture::ArrivalProtocol::Dns)
-        .count();
-    assert!(dns_arrivals > 0);
+        .aggregates
+        .by_label
+        .get(&traffic_shadowing::shadow_core::correlate::UnsolicitedLabel::SolicitedResolution)
+        .copied()
+        .unwrap_or(0);
+    assert!(solicited > 0);
 }

@@ -5,9 +5,10 @@
 //! 2. Journals from different shard counts align under `journal diff`'s
 //!    total event key order: the same world events occur at the same
 //!    sim-times regardless of how the VPs were partitioned.
+//! 3. The per-chunk `ShardMerged` audit records account for every arrival.
 
 use traffic_shadowing::shadow_core::executor::TelemetryOptions;
-use traffic_shadowing::shadow_telemetry::{diff, from_jsonl, to_jsonl, JournalRecord};
+use traffic_shadowing::shadow_telemetry::{diff, from_jsonl, to_jsonl, EventKind, JournalRecord};
 use traffic_shadowing::study::{Study, StudyConfig};
 
 const SEED: u64 = 99;
@@ -56,6 +57,26 @@ fn journals_align_across_shard_counts() {
         );
         assert!(report.left_events > 0, "diff compared no events");
     }
+}
+
+#[test]
+fn shard_merged_records_count_every_arrival() {
+    let outcome = Study::run_sharded(config(), 2);
+    let journal = outcome.journal.as_ref().expect("journal enabled");
+    let merged: Vec<u64> = journal
+        .iter()
+        .filter_map(|r| match r.event {
+            EventKind::ShardMerged { arrivals, .. } => Some(arrivals),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(merged.len(), 2, "one audit record per Phase I chunk");
+    assert!(outcome.phase1.aggregates.arrivals_seen > 0);
+    assert_eq!(
+        merged.iter().sum::<u64>(),
+        outcome.phase1.aggregates.arrivals_seen,
+        "ShardMerged arrivals must sum to the merged sink's arrival count"
+    );
 }
 
 #[test]

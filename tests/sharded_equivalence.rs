@@ -4,19 +4,22 @@
 //! analysis output to the sequential `Study::run`.
 //!
 //! "Byte-identical" is enforced on the exported JSON analysis bundle (the
-//! full Figure/Table artifact set), the raw Phase I arrival stream, and
-//! the unsolicited-request classifications. Two distinct seeds are tested
-//! so a bug that collapses output to a constant cannot pass.
+//! full Figure/Table artifact set), the streamed aggregates, and the study
+//! journal — where every capture is an `ArrivalCaptured` record and every
+//! classification an `ArrivalClassified` one, so the raw arrival stream and
+//! the unsolicited-request classifications are compared per arrival. Two
+//! distinct seeds are tested so a bug that collapses output to a constant
+//! cannot pass.
 
 use std::collections::BTreeSet;
 use traffic_shadowing::shadow_core::campaign::{CampaignRunner, Phase1Config};
-use traffic_shadowing::shadow_core::correlate::CorrelatedRequest;
 use traffic_shadowing::shadow_core::executor::{
     run_phase1_work_stealing_bounded, StealConfig, TelemetryOptions,
 };
 use traffic_shadowing::shadow_core::noise::NoiseFilter;
 use traffic_shadowing::shadow_core::sink::SinkConfig;
 use traffic_shadowing::shadow_core::world::{generate_spec, WorldConfig};
+use traffic_shadowing::shadow_telemetry::{diff, JournalRecord};
 use traffic_shadowing::shadow_vantage::platform::VpId;
 use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
 
@@ -63,45 +66,44 @@ fn bundle_json(outcome: &StudyOutcome) -> String {
         .expect("bundle serializes")
 }
 
-/// The classification facts of one correlated request, independent of any
-/// in-memory ordering concerns: (decoy id, label, observed protocol).
-fn classifications(correlated: &[CorrelatedRequest]) -> Vec<String> {
-    let mut out: Vec<String> = correlated
-        .iter()
-        .map(|r| {
-            format!(
-                "{} {:?} {:?} {:?}",
-                r.decoy.domain, r.decoy.protocol, r.label, r.arrival.src
-            )
-        })
-        .collect();
-    out.sort();
-    out
+/// The tiny world with the journal on.
+fn journaled(seed: u64) -> StudyConfig {
+    StudyConfig {
+        telemetry: TelemetryOptions::enabled(true),
+        ..StudyConfig::tiny(seed)
+    }
+}
+
+/// Same world events — every capture and its classification — in two
+/// journals.
+fn assert_same_journal(a: &[JournalRecord], b: &[JournalRecord], context: &str) {
+    let report = diff(a, b);
+    assert!(
+        report.identical(),
+        "{context}: arrival streams or classifications diverge\n{}",
+        report.render()
+    );
+}
+
+fn journal(outcome: &StudyOutcome) -> &[JournalRecord] {
+    outcome.journal.as_deref().expect("journal enabled")
 }
 
 #[test]
 fn sharded_matches_sequential_for_every_shard_count() {
-    // Retained mode: the raw arrival stream and per-request classifications
-    // are part of the comparison (the streaming default is covered shard-
-    // for-shard by `tests/streaming_equivalence.rs`).
     for seed in SEEDS {
-        let sequential = Study::run(StudyConfig::tiny(seed).with_retained_arrivals());
+        let sequential = Study::run(journaled(seed));
         let expected_json = bundle_json(&sequential);
-        let expected_classes = classifications(&sequential.correlated);
         for k in shard_counts() {
-            let sharded = Study::run_sharded(StudyConfig::tiny(seed).with_retained_arrivals(), k);
-            assert_eq!(
-                sequential.phase1.arrivals, sharded.phase1.arrivals,
-                "seed {seed}, K={k}: Phase I arrival streams diverge"
+            let sharded = Study::run_sharded(journaled(seed), k);
+            assert_same_journal(
+                journal(&sequential),
+                journal(&sharded),
+                &format!("seed {seed}, K={k}"),
             );
             assert_eq!(
                 sequential.phase1.aggregates, sharded.phase1.aggregates,
                 "seed {seed}, K={k}: streamed aggregates diverge"
-            );
-            assert_eq!(
-                expected_classes,
-                classifications(&sharded.correlated),
-                "seed {seed}, K={k}: unsolicited classifications diverge"
             );
             assert_eq!(
                 expected_json,
@@ -127,24 +129,18 @@ fn work_stealing_matches_sequential_for_every_shape() {
     // scheduler: chunk→thread placement is nondeterministic, the merged
     // output must not be.
     for seed in SEEDS {
-        let sequential = Study::run(StudyConfig::tiny(seed).with_retained_arrivals());
+        let sequential = Study::run(journaled(seed));
         let expected_json = bundle_json(&sequential);
-        let expected_classes = classifications(&sequential.correlated);
         for shape in steal_shapes() {
-            let stolen =
-                Study::run_work_stealing(StudyConfig::tiny(seed).with_retained_arrivals(), shape);
-            assert_eq!(
-                sequential.phase1.arrivals, stolen.phase1.arrivals,
-                "seed {seed}, {shape:?}: Phase I arrival streams diverge"
+            let stolen = Study::run_work_stealing(journaled(seed), shape);
+            assert_same_journal(
+                journal(&sequential),
+                journal(&stolen),
+                &format!("seed {seed}, {shape:?}"),
             );
             assert_eq!(
                 sequential.phase1.aggregates, stolen.phase1.aggregates,
                 "seed {seed}, {shape:?}: streamed aggregates diverge"
-            );
-            assert_eq!(
-                expected_classes,
-                classifications(&stolen.correlated),
-                "seed {seed}, {shape:?}: unsolicited classifications diverge"
             );
             assert_eq!(
                 expected_json,
@@ -197,12 +193,15 @@ fn vp_limit_matches_filtered_sequential_composition() {
             limit.map(|n| platform_order.iter().take(n).copied().collect());
         let mut world = spec.instantiate();
         NoiseFilter::run_and_apply(&mut world);
+        world
+            .engine
+            .set_telemetry(TelemetryOptions::enabled(true).handle(0));
         let plan = CampaignRunner::plan_phase1(&world, &config);
         let expected = CampaignRunner::execute_phase1(
             &mut world,
             &plan,
             &config,
-            SinkConfig::retained(),
+            SinkConfig::streaming(),
             |vp| allowed.as_ref().is_none_or(|a| a.contains(&vp)),
         );
         for shape in shapes {
@@ -210,9 +209,9 @@ fn vp_limit_matches_filtered_sequential_composition() {
                 &spec,
                 &config,
                 shape,
-                TelemetryOptions::disabled(),
+                TelemetryOptions::enabled(true),
                 None,
-                SinkConfig::retained(),
+                SinkConfig::streaming(),
                 limit,
             );
             assert_eq!(
@@ -220,9 +219,10 @@ fn vp_limit_matches_filtered_sequential_composition() {
                 bounded.data.registry.len(),
                 "vp_limit {limit:?}, {shape:?}: decoy registries differ in size"
             );
-            assert_eq!(
-                expected.arrivals, bounded.data.arrivals,
-                "vp_limit {limit:?}, {shape:?}: Phase I arrival streams diverge"
+            assert_same_journal(
+                &expected.journal,
+                &bounded.data.journal,
+                &format!("vp_limit {limit:?}, {shape:?}"),
             );
             assert_eq!(
                 expected.aggregates, bounded.data.aggregates,

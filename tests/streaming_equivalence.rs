@@ -1,12 +1,18 @@
 //! The streaming pipeline's headline guarantee: classifying every arrival
-//! at capture time and folding into per-shard aggregates produces
-//! **byte-identical** analysis output to the retained batch path — for any
-//! shard count, with or without fault injection — while the default path
-//! retains no raw arrival vector at all.
+//! at capture time and folding into per-shard aggregates reproduces the
+//! analysis bundle the retained-arrivals pipeline produced (a committed
+//! golden file) — for any shard count, with or without fault injection —
+//! while no honeypot keeps a raw arrival log.
 
+use traffic_shadowing::shadow_analysis::export::grid_points;
 use traffic_shadowing::shadow_chaos::{FaultProfile, OutageSpec, RetrySpec, Window};
-use traffic_shadowing::shadow_core::executor::StealConfig;
-use traffic_shadowing::shadow_core::sink::{CorrelationAggregates, SinkConfig};
+use traffic_shadowing::shadow_core::decoy::DecoyProtocol;
+use traffic_shadowing::shadow_core::executor::{StealConfig, TelemetryOptions};
+use traffic_shadowing::shadow_dns::catalog::resolver_h;
+use traffic_shadowing::shadow_honeypot::authority::ExperimentAuthorityHost;
+use traffic_shadowing::shadow_honeypot::web::WebHost;
+use traffic_shadowing::shadow_packet::dns::DnsName;
+use traffic_shadowing::shadow_telemetry::EventKind;
 use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
 
 const SEED: u64 = 4_021;
@@ -24,14 +30,10 @@ fn bundle_json(outcome: &StudyOutcome) -> String {
         .expect("bundle serializes")
 }
 
-/// The retained bundle with its sample-only artifacts removed — what the
-/// streaming bundle must match byte for byte.
-fn bundle_json_without_samples(outcome: &StudyOutcome) -> String {
-    let mut bundle = outcome.export_bundle();
-    bundle.origins = None;
-    bundle.probing_dns = None;
-    bundle.to_json().expect("bundle serializes")
-}
+/// `Study::run(StudyConfig::tiny(SEED))`'s bundle as the retained-arrivals
+/// pipeline exported it, sample-level origins and probing payloads
+/// included.
+const GOLDEN_BUNDLE: &str = include_str!("golden/bundle_tiny_4021.json");
 
 /// A profile exercising every fault class at once (mirrors
 /// `tests/chaos_determinism.rs`).
@@ -58,10 +60,6 @@ fn rich_profile() -> FaultProfile {
 #[test]
 fn default_path_retains_no_arrivals() {
     let outcome = Study::run(StudyConfig::tiny(SEED));
-    assert!(
-        outcome.phase1.arrivals.is_empty(),
-        "streaming mode must not buffer raw arrivals"
-    );
     assert!(outcome.correlated.is_empty());
     assert!(!outcome.retained);
     assert!(
@@ -69,37 +67,30 @@ fn default_path_retains_no_arrivals() {
         "the sink must still have seen the traffic"
     );
     assert!(outcome.phase1.aggregates.unsolicited_total() > 0);
-    if let Some(p2) = &outcome.phase2 {
-        assert!(p2.arrivals.is_empty(), "Phase II streams too");
+    let phase2 = outcome.phase2.as_ref().expect("Phase II ran");
+    assert!(phase2.aggregates.arrivals_seen > 0, "Phase II streams too");
+    // With a sink installed, the honeypots keep no capture log at all.
+    let world = &outcome.world;
+    let auth = world
+        .engine
+        .host_as::<ExperimentAuthorityHost>(world.auth_node)
+        .expect("authoritative honeypot");
+    assert!(auth.captures.is_empty(), "authoritative buffered arrivals");
+    for &(node, _, _) in &world.honey_web {
+        let web = world.engine.host_as::<WebHost>(node).expect("web honeypot");
+        assert!(web.captures().is_empty(), "web honeypot buffered arrivals");
     }
-}
-
-#[test]
-fn streamed_aggregates_match_batch_fold_on_retained_run() {
-    let outcome = Study::run(StudyConfig::tiny(SEED).with_retained_arrivals());
-    let batch = CorrelationAggregates::from_arrivals(
-        &outcome.phase1.registry,
-        &outcome.phase1.arrivals,
-        &SinkConfig::retained(),
-    );
-    assert_eq!(
-        outcome.phase1.aggregates, batch,
-        "capture-time folding diverged from the batch twin"
-    );
 }
 
 #[test]
 fn streaming_bundle_matches_retained_bundle() {
     let streamed = Study::run(StudyConfig::tiny(SEED));
-    let retained = Study::run(StudyConfig::tiny(SEED).with_retained_arrivals());
-    assert_eq!(
-        bundle_json(&streamed),
-        bundle_json_without_samples(&retained),
-        "streamed and retained analysis bundles diverge"
+    assert!(
+        bundle_json(&streamed) == GOLDEN_BUNDLE,
+        "streamed analysis bundle diverges from the retained pipeline's golden bundle"
     );
-    // Sample-only artifacts exist exactly in retained mode.
-    assert!(retained.export_bundle().origins.is_some());
-    assert!(streamed.export_bundle().origins.is_none());
+    let bundle = streamed.export_bundle();
+    assert!(bundle.origins.is_some() && bundle.probing_dns.is_some());
 }
 
 #[test]
@@ -117,7 +108,6 @@ fn streaming_is_shard_invariant() {
             bundle_json(&sharded),
             "K={k}: streamed analysis bundles diverge"
         );
-        assert!(sharded.phase1.arrivals.is_empty());
     }
     // The streaming default is exactly what paper-scale work-stealing
     // campaigns run; cover the same shapes here.
@@ -136,7 +126,6 @@ fn streaming_is_shard_invariant() {
             bundle_json(&stolen),
             "{shape:?}: streamed analysis bundles diverge"
         );
-        assert!(stolen.phase1.arrivals.is_empty());
     }
 }
 
@@ -145,12 +134,6 @@ fn streaming_is_shard_invariant_under_faults() {
     let config = || StudyConfig::tiny(SEED).with_faults(rich_profile());
     let sequential = Study::run(config());
     let expected = bundle_json(&sequential);
-    let retained = Study::run(config().with_retained_arrivals());
-    assert_eq!(
-        expected,
-        bundle_json_without_samples(&retained),
-        "faults: streamed vs retained bundles diverge"
-    );
     for k in [1usize, 3, 7, num_cpus()] {
         let sharded = Study::run_sharded(config(), k);
         assert_eq!(
@@ -180,60 +163,84 @@ fn streaming_is_shard_invariant_under_faults() {
     }
 }
 
+/// The streamed Figure 4/7 grids against the sample CDF of the same run's
+/// unsolicited intervals, rebuilt per arrival from the journal's
+/// `ArrivalClassified` records.
 #[test]
 fn histogram_grid_matches_cdf_bit_for_bit() {
-    use traffic_shadowing::shadow_analysis::export::{grid_points, grid_points_streamed};
-    let outcome = Study::run(StudyConfig::tiny(SEED).with_retained_arrivals());
-    let pairs = [
-        (grid_points(&outcome.fig4_cdf()), outcome.fig4_hist()),
-        (
-            grid_points(&outcome.fig7_cdfs().0),
-            outcome.fig7_hists().0.clone(),
-        ),
-        (
-            grid_points(&outcome.fig7_cdfs().1),
-            outcome.fig7_hists().1.clone(),
-        ),
+    let outcome = Study::run(StudyConfig {
+        telemetry: TelemetryOptions::enabled(true),
+        ..StudyConfig::tiny(SEED)
+    });
+    let registry = &outcome.phase1.registry;
+    let mut samples: Vec<(DecoyProtocol, std::net::Ipv4Addr, u64)> = Vec::new();
+    for record in outcome.journal.as_ref().expect("journal enabled") {
+        if let EventKind::ArrivalClassified {
+            domain,
+            unsolicited: true,
+            ..
+        } = &record.event
+        {
+            // Phase II decoys are not in the Phase I registry.
+            if let Some(decoy) = registry.lookup(&DnsName::parse(domain).unwrap()) {
+                let interval = record.at_ms - decoy.planned_at.millis();
+                samples.push((decoy.protocol, decoy.dst(), interval));
+            }
+        }
+    }
+    assert!(!samples.is_empty());
+    let heavy: Vec<_> = resolver_h().iter().map(|d| d.addr).collect();
+    let (http, tls) = outcome.fig7();
+    let series = [
+        (outcome.fig4(), DecoyProtocol::Dns, Some(&heavy)),
+        (http, DecoyProtocol::Http, None),
+        (tls, DecoyProtocol::Tls, None),
     ];
-    for (cdf_grid, hist) in pairs {
-        let hist_grid = grid_points_streamed(&hist);
-        assert_eq!(cdf_grid.len(), hist_grid.len());
-        for ((label_c, frac_c), (label_h, frac_h)) in cdf_grid.iter().zip(hist_grid.iter()) {
-            assert_eq!(label_c, label_h);
+    for (hist, protocol, dsts) in series {
+        let mut sample: Vec<u64> = samples
+            .iter()
+            .filter(|(p, d, _)| *p == protocol && dsts.is_none_or(|dsts| dsts.contains(d)))
+            .map(|&(_, _, interval)| interval)
+            .collect();
+        sample.sort();
+        assert_eq!(hist.total(), sample.len() as u64, "{protocol:?}");
+        let grid = grid_points(&hist);
+        let edges_ms = [
+            1_000,
+            60_000,
+            3_600_000,
+            86_400_000,
+            864_000_000,
+            2_592_000_000,
+        ];
+        for ((label, fraction), edge) in grid.iter().zip(edges_ms) {
+            let cdf = if sample.is_empty() {
+                0.0
+            } else {
+                sample.partition_point(|&s| s <= edge) as f64 / sample.len() as f64
+            };
             assert_eq!(
-                frac_c.to_bits(),
-                frac_h.to_bits(),
-                "{label_c}: histogram fraction differs from CDF"
+                cdf.to_bits(),
+                fraction.to_bits(),
+                "{protocol:?} {label}: histogram fraction differs from the sample CDF"
             );
         }
     }
 }
 
-/// The standard-world equivalence run the CI streaming job executes in
-/// release mode (`--include-ignored`): too slow for the default debug
-/// suite.
+/// The standard-world shard-invariance run the CI streaming-equivalence
+/// job executes in release mode (`--include-ignored`): too slow for the
+/// default debug suite.
 #[test]
 #[ignore = "standard world: run in release via the CI streaming-equivalence job"]
-fn streaming_matches_retained_on_standard_world() {
-    let streamed = Study::run(StudyConfig::standard(SEED));
-    let retained = Study::run(StudyConfig::standard(SEED).with_retained_arrivals());
-    assert!(streamed.phase1.arrivals.is_empty());
-    assert_eq!(
-        bundle_json(&streamed),
-        bundle_json_without_samples(&retained)
-    );
-    let batch = CorrelationAggregates::from_arrivals(
-        &retained.phase1.registry,
-        &retained.phase1.arrivals,
-        &SinkConfig::retained(),
-    );
-    assert_eq!(streamed.phase1.aggregates, batch);
+fn streaming_is_shard_invariant_on_standard_world() {
+    let sequential = Study::run(StudyConfig::standard(SEED));
     for k in [1usize, 4] {
         let sharded = Study::run_sharded(StudyConfig::standard(SEED), k);
-        assert_eq!(streamed.phase1.aggregates, sharded.phase1.aggregates);
-        assert_eq!(bundle_json(&streamed), bundle_json(&sharded));
+        assert_eq!(sequential.phase1.aggregates, sharded.phase1.aggregates);
+        assert_eq!(bundle_json(&sequential), bundle_json(&sharded));
     }
     let stolen = Study::run_work_stealing(StudyConfig::standard(SEED), StealConfig::auto());
-    assert_eq!(streamed.phase1.aggregates, stolen.phase1.aggregates);
-    assert_eq!(bundle_json(&streamed), bundle_json(&stolen));
+    assert_eq!(sequential.phase1.aggregates, stolen.phase1.aggregates);
+    assert_eq!(bundle_json(&sequential), bundle_json(&stolen));
 }

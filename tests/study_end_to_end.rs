@@ -8,9 +8,7 @@ use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
 fn outcome() -> &'static StudyOutcome {
     use std::sync::OnceLock;
     static OUTCOME: OnceLock<StudyOutcome> = OnceLock::new();
-    // Retained: several of these tests are sample-level (Figure 6 origins,
-    // probing payloads, the case studies).
-    OUTCOME.get_or_init(|| Study::run(StudyConfig::tiny(1234).with_retained_arrivals()))
+    OUTCOME.get_or_init(|| Study::run(StudyConfig::tiny(1234)))
 }
 
 #[test]
@@ -54,27 +52,29 @@ fn dns_observers_sit_at_the_destination() {
 #[test]
 fn retention_reaches_past_ten_days() {
     let outcome = outcome();
-    let cdf = outcome.fig4_cdf();
-    assert!(!cdf.is_empty());
-    let at_10d = cdf.fraction_at(SimDuration::from_days(10));
+    let fig4 = outcome.fig4();
+    assert!(!fig4.is_empty());
+    let at_10d = fig4.fraction_at(SimDuration::from_days(10)).unwrap();
     assert!(
         at_10d < 1.0,
-        "some unsolicited requests arrive ≥10 days later (paper: 40% for Yandex)"
+        "some unsolicited requests arrive >10 days later (paper: 40% for Yandex)"
     );
     // No cache-refresh spike at the wildcard TTL mark.
-    let spike = cdf.mass_near(SimDuration::from_hours(1), SimDuration::from_mins(5));
+    let spike = fig4
+        .fraction_between(SimDuration::from_mins(55), SimDuration::from_mins(65))
+        .unwrap();
     assert!(spike < 0.2, "no 1h spike expected, got {spike}");
 }
 
 #[test]
 fn benign_resolvers_retry_within_a_minute() {
     let outcome = outcome();
-    let others = outcome.fig4_other_resolvers_cdf();
-    if others.is_empty() {
+    let others = outcome.fig4_other_resolvers();
+    let Some(within_minute) = others.fraction_at(SimDuration::from_mins(1)) else {
         return; // tiny worlds may have no benign retries with some seeds
-    }
+    };
     assert!(
-        others.fraction_at(SimDuration::from_mins(1)) > 0.8,
+        within_minute > 0.8,
         "non-Resolver_h unsolicited requests are prompt retries (paper: 95%)"
     );
 }
