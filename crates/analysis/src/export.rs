@@ -12,7 +12,6 @@ use crate::origins::OriginAsReport;
 use crate::probing::ProbingReport;
 use crate::reuse::ReuseReport;
 use serde::Serialize;
-use shadow_core::decoy::DecoyProtocol;
 use shadow_core::sink::IntervalHistogram;
 
 /// Everything one campaign's analysis produced, as one serializable bundle.
@@ -79,15 +78,11 @@ impl AnalysisBundle {
     }
 }
 
-/// Protocol label helper shared with consumers building bundles.
-pub fn protocol_label(protocol: DecoyProtocol) -> &'static str {
-    protocol.as_str()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use shadow_core::correlate::PathKey;
+    use shadow_core::decoy::DecoyProtocol;
     use shadow_core::phase2::TracerouteResult;
     use shadow_vantage::platform::VpId;
     use std::net::Ipv4Addr;

@@ -5,7 +5,6 @@ use serde::{Deserialize, Serialize};
 use shadow_core::decoy::DecoyProtocol;
 use shadow_core::sink::CorrelationAggregates;
 use shadow_geo::{AsCatalog, Asn, GeoDb};
-use shadow_honeypot::capture::ArrivalProtocol;
 use shadow_intel::Blocklist;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -125,11 +124,6 @@ impl OriginAsReport {
     }
 }
 
-/// Convenience alias matching the paper's prose.
-pub fn arrival_protocol_label(p: ArrivalProtocol) -> &'static str {
-    p.as_str()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -137,7 +131,7 @@ mod tests {
     use shadow_core::sink::SinkConfig;
     use shadow_geo::country::cc;
     use shadow_geo::{GeoRecord, HostingLabel, Ipv4Prefix};
-    use shadow_honeypot::capture::Arrival;
+    use shadow_honeypot::capture::{Arrival, ArrivalProtocol};
     use shadow_netsim::time::SimTime;
     use shadow_packet::dns::DnsName;
     use shadow_vantage::platform::VpId;

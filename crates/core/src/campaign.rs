@@ -279,30 +279,16 @@ impl CampaignRunner {
         sink: SinkConfig,
         owns: impl Fn(VpId) -> bool,
     ) -> CampaignData {
-        let registry = plan.registry.filter_vps(&owns);
-        let shared = install_sink(world, &registry, sink);
-        for send in &plan.sends {
-            if owns(send.vp) {
-                record_decoy_send(world, send);
-                world
-                    .engine
-                    .post(send.at, send.node, Box::new(send.command.clone()));
-            }
-        }
-        world.engine.run_until(plan.last_send + config.grace);
-        let vp_reports = Self::harvest(world, &owns);
-        let aggregates = drain_sink(world, &shared);
-        emit_phase_end(world, "phase1");
-        let (metrics, journal) = drain_telemetry(world);
-        CampaignData {
-            registry,
-            vp_reports,
-            last_send: plan.last_send,
-            metrics,
-            journal,
-            aggregates,
-            router_graph: RouterGraphBuilder::new(),
-        }
+        let data = run_slice(
+            world,
+            &plan.registry,
+            &plan.sends,
+            plan.last_send,
+            config.grace,
+            sink,
+            owns,
+        );
+        finish_phase(world, "phase1", data)
     }
 
     /// Snapshot the reports of the VPs satisfying `owns` (a chunk reports
@@ -321,38 +307,71 @@ impl CampaignRunner {
     }
 }
 
-/// Build a [`CorrelationSink`] over this phase's registry slice and hand a
-/// shared handle to every capture point. The sink sees arrivals in the
-/// exact order the honeypots capture them.
-pub(crate) fn install_sink(
+/// Run one phase's owned slice: filter the plan's registry to the VPs
+/// satisfying `owns`, stream arrivals into a fresh [`CorrelationSink`]
+/// over that slice, post the owned sends, run the clock through the
+/// *global* `last_send + grace`, and harvest the VP reports and the sink's
+/// aggregates (recording the sink state size — classifier entries plus
+/// per-decoy folds — into the run metrics). Shared by Phase I and Phase II;
+/// the sink sees arrivals in the exact order the honeypots capture them.
+pub(crate) fn run_slice(
     world: &mut World,
     registry: &DecoyRegistry,
-    config: SinkConfig,
-) -> shadow_honeypot::capture::SharedArrivalSink {
-    let shared = CorrelationSink::shared(std::sync::Arc::new(registry.clone()), config);
+    sends: &[PlannedSend],
+    last_send: SimTime,
+    grace: SimDuration,
+    sink: SinkConfig,
+    owns: impl Fn(VpId) -> bool,
+) -> CampaignData {
+    let registry = registry.filter_vps(&owns);
+    let shared = CorrelationSink::shared(std::sync::Arc::new(registry.clone()), sink);
     world.install_arrival_sink(Some(shared.clone()));
-    shared
-}
-
-/// Uninstall the phase's sink and take its aggregates, recording the sink
-/// state size (classifier entries + per-decoy folds) into the run metrics.
-pub(crate) fn drain_sink(
-    world: &mut World,
-    shared: &shadow_honeypot::capture::SharedArrivalSink,
-) -> CorrelationAggregates {
+    for send in sends.iter().filter(|send| owns(send.vp)) {
+        record_decoy_send(world, send);
+        world
+            .engine
+            .post(send.at, send.node, Box::new(send.command.clone()));
+    }
+    world.engine.run_until(last_send + grace);
+    let vp_reports = CampaignRunner::harvest(world, &owns);
     world.install_arrival_sink(None);
-    let (aggregates, state_size) = CorrelationSink::drain_shared(shared);
+    let (aggregates, state_size) = CorrelationSink::drain_shared(&shared);
     if let Some(m) = world.engine.telemetry().metrics() {
         m.sink_tracked_decoys.add(state_size as u64);
     }
-    aggregates
+    CampaignData {
+        registry,
+        vp_reports,
+        last_send,
+        aggregates,
+        ..CampaignData::default()
+    }
+}
+
+/// Close a phase: journal its [`EventKind::PhaseEnded`] marker (meta —
+/// skipped by diffs), then snapshot-and-reset the engine's telemetry into
+/// `data`, with the journal sorted into the canonical total order. Each
+/// phase calls this once at harvest time, so consecutive phases never
+/// double-count.
+pub(crate) fn finish_phase(world: &World, phase: &str, mut data: CampaignData) -> CampaignData {
+    let telemetry = world.engine.telemetry();
+    let shard = telemetry.shard();
+    let phase = phase.to_string();
+    telemetry.event(world.engine.now().0, None, || EventKind::PhaseEnded {
+        phase,
+        shard,
+    });
+    data.metrics = telemetry.take_snapshot();
+    data.journal = telemetry.drain_journal();
+    sort_records(&mut data.journal);
+    data
 }
 
 /// Count a planned decoy send and (when journaling) record the
 /// [`EventKind::DecoySent`] event, stamped with its scheduled sim-time and
 /// the VP's node. Pre-flight `RawUdp` checks carry no decoy identifier and
 /// are not counted.
-pub(crate) fn record_decoy_send(world: &World, send: &PlannedSend) {
+fn record_decoy_send(world: &World, send: &PlannedSend) {
     let telemetry = world.engine.telemetry();
     if !telemetry.is_enabled() {
         return;
@@ -385,26 +404,4 @@ pub(crate) fn record_decoy_send(world: &World, send: &PlannedSend) {
         dst,
         ttl,
     });
-}
-
-/// Journal a [`EventKind::PhaseEnded`] marker (meta — skipped by diffs).
-pub(crate) fn emit_phase_end(world: &World, phase: &str) {
-    let telemetry = world.engine.telemetry();
-    let shard = telemetry.shard();
-    let phase = phase.to_string();
-    telemetry.event(world.engine.now().0, None, || EventKind::PhaseEnded {
-        phase,
-        shard,
-    });
-}
-
-/// Snapshot-and-reset the engine's telemetry into `(metrics, journal)`,
-/// with the journal sorted into the canonical total order. Each phase calls
-/// this once at harvest time, so consecutive phases never double-count.
-pub(crate) fn drain_telemetry(world: &World) -> (MetricsSnapshot, Vec<JournalRecord>) {
-    let telemetry = world.engine.telemetry();
-    let metrics = telemetry.take_snapshot();
-    let mut journal = telemetry.drain_journal();
-    sort_records(&mut journal);
-    (metrics, journal)
 }

@@ -1,4 +1,4 @@
-//! Deterministic parallel campaign execution: one work-stealing scheduler.
+//! Deterministic parallel campaign execution: one chunk scheduler.
 //!
 //! The campaign is embarrassingly parallel across vantage points: every
 //! decoy is sent by exactly one VP, and the global send schedule is a pure
@@ -9,8 +9,8 @@
 //!    Appendix-E pre-flight on it, and compiles the global Phase I plan
 //!    there once, shared read-only with every chunk;
 //! 3. partitions the VP set round-robin into [`StealConfig::chunks`]
-//!    chunks, drained by [`StealConfig::workers`] threads that steal from
-//!    each other once their own deque runs dry;
+//!    chunks, which [`StealConfig::workers`] threads claim one at a time
+//!    from one shared queue until it drains;
 //! 4. runs every chunk in a private world instantiated from the shared
 //!    spec — identical topology, exhibitor seeds and honeypots, and (after
 //!    its own pre-flight replay) identical platform vetting — posting only
@@ -38,13 +38,12 @@ use crate::noise::{NoiseFilter, PreflightOutcome};
 use crate::phase2::{Phase2Config, Phase2Runner, TracerouteResult};
 use crate::sink::SinkConfig;
 use crate::world::{World, WorldSpec};
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use shadow_netsim::engine::EngineStats;
 use shadow_netsim::fault::LinkConditioner;
 use shadow_telemetry::{EventKind, JournalRecord, Telemetry};
 use shadow_vantage::platform::VpId;
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// What a (parallel or sequential) run records about itself.
 ///
@@ -123,14 +122,15 @@ pub struct ShardedPhase1 {
     pub stats: EngineStats,
 }
 
-/// Execution shape for the work-stealing scheduler: how many path chunks
-/// the VP set splits into and how many OS workers drain them.
+/// Execution shape for the chunk scheduler: how many path chunks the VP
+/// set splits into and how many OS workers drain them.
 ///
-/// Chunks are the unit of stealing — more chunks means better balancing on
-/// skewed worlds (a VP whose paths trigger heavy probe replay no longer
-/// pins a whole worker's share to one thread) at the cost of one world
-/// instantiation + pre-flight replay per chunk. The defaults oversubscribe
-/// 2× so an unlucky worker always has something to steal, except at
+/// Chunks are the unit of work: workers claim them one at a time from one
+/// shared queue, so more chunks means better balancing on skewed worlds (a
+/// VP whose paths trigger heavy probe replay no longer pins a whole
+/// worker's share to one thread) at the cost of one world instantiation +
+/// pre-flight replay per chunk. The defaults oversubscribe 2× so a worker
+/// that finishes early always finds another chunk, except at
 /// `workers == 1` where splitting only adds instantiation overhead.
 /// `with_workers(k).with_chunks(k)` is the "K shards" shape: the same
 /// round-robin partition, one chunk per worker.
@@ -168,46 +168,65 @@ impl StealConfig {
     }
 }
 
-/// Pop the next chunk index: own deque first, then steal from peers.
-/// Returns `None` only once every deque is empty — no new work units are
-/// ever produced mid-run, so an `Empty` sweep (with `Retry` re-polled) is
-/// a safe termination condition.
-fn next_chunk(local: &Worker<usize>, me: usize, stealers: &[Stealer<usize>]) -> Option<usize> {
-    if let Some(chunk) = local.pop() {
-        return Some(chunk);
+/// Run `work(index, item)` once per item on up to `workers` scoped threads
+/// and return the results in item order. Every thread claims the next
+/// unclaimed item from one shared queue, so a slow chunk never holds up
+/// the rest; which thread runs which item is schedule-dependent, the
+/// result order is not. A panic in `work` propagates through the join.
+fn run_chunks<T, R, F>(items: Vec<T>, workers: usize, work: F) -> Vec<R>
+where
+    T: Send,
+    R: Send,
+    F: Fn(usize, T) -> R + Sync,
+{
+    let mut results: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    let workers = workers.clamp(1, items.len().max(1));
+    let queue = Mutex::new(items.into_iter().enumerate());
+    let done: Vec<(usize, R)> = crossbeam::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        // Claim in a statement of its own: the guard drops
+                        // here, so chunks run concurrently, not under the lock.
+                        let claimed = queue.lock().expect("chunk queue poisoned").next();
+                        let Some((index, item)) = claimed else {
+                            break;
+                        };
+                        done.push((index, work(index, item)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("chunk worker panicked"))
+            .collect()
+    });
+    for (index, result) in done {
+        results[index] = Some(result);
     }
-    loop {
-        let mut contended = false;
-        for (peer, stealer) in stealers.iter().enumerate() {
-            if peer == me {
-                continue;
-            }
-            match stealer.steal() {
-                Steal::Success(chunk) => return Some(chunk),
-                Steal::Retry => contended = true,
-                Steal::Empty => {}
-            }
-        }
-        if !contended {
-            return None;
-        }
-    }
+    results
+        .into_iter()
+        .map(|result| result.expect("every item ran"))
+        .collect()
 }
 
-/// Phase I under the work-stealing scheduler — the one Phase I execution
-/// path. The VP set splits into [`StealConfig::chunks`] round-robin path
-/// chunks, seeded across per-worker deques; idle workers steal chunks from
-/// their peers, so a skewed world (one chunk's VPs triggering heavy
-/// exhibitor replay) keeps every core busy instead of serializing on the
-/// slowest chunk.
+/// Phase I under the chunk scheduler — the one Phase I execution path.
+/// The VP set splits into [`StealConfig::chunks`] round-robin path chunks
+/// that [`StealConfig::workers`] threads claim from one shared queue, so a
+/// skewed world (one chunk's VPs triggering heavy exhibitor replay) keeps
+/// every core busy instead of serializing on the slowest chunk.
 ///
 /// * The global plan is compiled **once**, on a scout world built on the
-///   calling thread, and shared read-only (`Arc`) with every chunk — the
-///   plan is a pure function of the post-pre-flight world.
-/// * Chunk→thread placement is nondeterministic (stealing), but each chunk
-///   runs in its own private world keyed by chunk index and the merge
-///   folds in chunk-index order, so output is byte-identical to the
-///   sequential run for any `(chunks, workers)`, enforced by
+///   calling thread, and borrowed read-only by every chunk — the plan is a
+///   pure function of the post-pre-flight world.
+/// * Chunk→thread placement is nondeterministic, but each chunk runs in
+///   its own private world keyed by chunk index and the merge folds in
+///   chunk-index order, so output is byte-identical to the sequential run
+///   for any `(chunks, workers)`, enforced by
 ///   `tests/sharded_equivalence.rs`.
 /// * Telemetry and the fault conditioner go in per chunk, **after** the
 ///   pre-flight replay, which therefore vets the platform on a healthy
@@ -222,9 +241,9 @@ fn next_chunk(local: &Worker<usize>, me: usize, stealers: &[Stealer<usize>]) -> 
 ///   replay and plan compilation still run at full scale: the bound trims
 ///   the executed slice, not the set-up.
 ///
-/// The scout world is not wasted: worker 0 uses it (post-pre-flight,
-/// pre-telemetry) for the first chunk it claims, so `chunks == 1` costs
-/// exactly one instantiation, like the sequential pipeline.
+/// The scout world is not wasted: chunk 0 runs in it (post-pre-flight,
+/// pre-telemetry), so `chunks == 1` costs exactly one instantiation, like
+/// the sequential pipeline.
 #[allow(clippy::too_many_arguments)]
 pub fn run_phase1_work_stealing_bounded(
     spec: &WorldSpec,
@@ -237,9 +256,7 @@ pub fn run_phase1_work_stealing_bounded(
 ) -> ShardedPhase1 {
     let vp_ids: Vec<VpId> = spec.platform.vps.iter().map(|vp| vp.id).collect();
     let allowed = executing_vps(&vp_ids, vp_limit);
-    let allowed = &allowed;
     let chunks = steal.chunks.clamp(1, vp_ids.len().max(1));
-    let workers = steal.workers.clamp(1, chunks);
     let assignment = shard_vps(&vp_ids, chunks);
 
     // Scout: pay one instantiation + pre-flight up front to compute the
@@ -248,71 +265,30 @@ pub fn run_phase1_work_stealing_bounded(
     // raises peak RSS.
     let mut scout = spec.instantiate();
     let scout_preflight = NoiseFilter::run_and_apply(&mut scout);
-    let plan = Arc::new(CampaignRunner::plan_phase1(&scout, config));
-    let mut scout_slot = Some((scout, scout_preflight));
+    let plan = CampaignRunner::plan_phase1(&scout, config);
 
-    let locals: Vec<Worker<usize>> = (0..workers).map(|_| Worker::new_fifo()).collect();
-    let stealers: Vec<Stealer<usize>> = locals.iter().map(|w| w.stealer()).collect();
-    for chunk in 0..chunks {
-        locals[chunk % workers].push(chunk);
-    }
-
-    let mut chunk_outputs: Vec<(usize, (World, PreflightOutcome, CampaignData))> =
-        crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = locals
-                .into_iter()
-                .enumerate()
-                .map(|(me, local)| {
-                    let stealers = &stealers;
-                    let assignment = &assignment;
-                    let plan = Arc::clone(&plan);
-                    let conditioner = conditioner.clone();
-                    // Worker 0 recycles the scout world for its first chunk.
-                    let mut spare = if me == 0 { scout_slot.take() } else { None };
-                    s.spawn(move || {
-                        let mut done = Vec::new();
-                        while let Some(chunk) = next_chunk(&local, me, stealers) {
-                            let started = std::time::Instant::now();
-                            let (mut world, preflight) = match spare.take() {
-                                Some(ready) => ready,
-                                None => {
-                                    let mut world = spec.instantiate();
-                                    let preflight = NoiseFilter::run_and_apply(&mut world);
-                                    (world, preflight)
-                                }
-                            };
-                            world.engine.set_telemetry(telemetry.handle(chunk as u32));
-                            world.engine.set_conditioner(conditioner.clone());
-                            let owned = &assignment[chunk];
-                            let mut data = CampaignRunner::execute_phase1(
-                                &mut world,
-                                &plan,
-                                config,
-                                sink,
-                                |vp| {
-                                    owned.contains(&vp)
-                                        && allowed.as_ref().is_none_or(|a| a.contains(&vp))
-                                },
-                            );
-                            record_phase_wall(&mut data, "phase1", started);
-                            done.push((chunk, (world, preflight, data)));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("steal worker panicked"))
-                .collect()
+    // Chunk 0 recycles the scout world; every other chunk builds its own.
+    let ready: Vec<Option<(World, PreflightOutcome)>> =
+        std::iter::once(Some((scout, scout_preflight)))
+            .chain((1..chunks).map(|_| None))
+            .collect();
+    let chunk_outputs = run_chunks(ready, steal.workers, |chunk, ready| {
+        let started = std::time::Instant::now();
+        let (mut world, preflight) = ready.unwrap_or_else(|| {
+            let mut world = spec.instantiate();
+            let preflight = NoiseFilter::run_and_apply(&mut world);
+            (world, preflight)
         });
-
-    // Completion order is schedule-dependent; the merge order is not.
-    chunk_outputs.sort_by_key(|(chunk, _)| *chunk);
-    merge_shards(
-        chunk_outputs.into_iter().map(|(_, out)| out).collect(),
-        assignment,
-    )
+        world.engine.set_telemetry(telemetry.handle(chunk as u32));
+        world.engine.set_conditioner(conditioner.clone());
+        let owned = &assignment[chunk];
+        let mut data = CampaignRunner::execute_phase1(&mut world, &plan, config, sink, |vp| {
+            owned.contains(&vp) && allowed.as_ref().is_none_or(|a| a.contains(&vp))
+        });
+        record_phase_wall(&mut data, "phase1", started);
+        (world, preflight, data)
+    });
+    merge_shards(chunk_outputs, assignment)
 }
 
 /// "K shards": [`run_phase1_work_stealing_bounded`] at `shards` chunks on
@@ -330,14 +306,13 @@ pub fn run_phase1_sharded_sink(
     run_phase1_work_stealing_bounded(spec, config, steal, telemetry, conditioner, sink, None)
 }
 
-/// Phase II under the work-stealing scheduler — the one Phase II execution
-/// path — over the chunk worlds kept from
-/// [`run_phase1_work_stealing_bounded`]: each chunk sweeps the traced paths
-/// whose triggering VP it owns. The sweep plan is computed once on chunk
-/// 0's world and shared; workers steal `(chunk, world)` pairs from a global
-/// injector until the queue drains. Observer localization reads the merged
-/// aggregates' smallest-triggering-TTL fold, so sweeps never buffer
-/// arrivals.
+/// Phase II under the chunk scheduler — the one Phase II execution path —
+/// over the chunk worlds kept from [`run_phase1_work_stealing_bounded`]:
+/// each chunk sweeps the traced paths whose triggering VP it owns. The
+/// sweep plan is computed once on chunk 0's world and borrowed by every
+/// chunk; `workers` threads claim chunk worlds from one shared queue until
+/// it drains. Observer localization reads the merged aggregates'
+/// smallest-triggering-TTL fold, so sweeps never buffer arrivals.
 pub fn run_phase2_work_stealing(
     worlds: &mut [World],
     assignment: &[BTreeSet<VpId>],
@@ -351,56 +326,21 @@ pub fn run_phase2_work_stealing(
         assignment.len(),
         "one world per chunk, in chunk order"
     );
-    let plan = Arc::new(Phase2Runner::plan(&worlds[0], paths, config));
-    let workers = workers.clamp(1, worlds.len().max(1));
-
-    let queue: Injector<(usize, &mut World)> = Injector::new();
-    for (chunk, world) in worlds.iter_mut().enumerate() {
-        queue.push((chunk, world));
-    }
-
-    let mut chunk_outputs: Vec<(usize, CampaignData)> = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let queue = &queue;
-                let plan = Arc::clone(&plan);
-                s.spawn(move || {
-                    let mut done = Vec::new();
-                    loop {
-                        match queue.steal() {
-                            Steal::Success((chunk, world)) => {
-                                let started = std::time::Instant::now();
-                                let owned = &assignment[chunk];
-                                let mut data =
-                                    Phase2Runner::execute(world, &plan, config, sink, |vp| {
-                                        owned.contains(&vp)
-                                    });
-                                record_phase_wall(&mut data, "phase2", started);
-                                done.push((chunk, data));
-                            }
-                            Steal::Retry => continue,
-                            Steal::Empty => break,
-                        }
-                    }
-                    done
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("steal worker panicked"))
-            .collect()
+    let plan = Phase2Runner::plan(&worlds[0], paths, config);
+    let chunk_outputs = run_chunks(worlds.iter_mut().collect(), workers, |chunk, world| {
+        let started = std::time::Instant::now();
+        let owned = &assignment[chunk];
+        let mut data = Phase2Runner::execute(world, &plan, config, sink, |vp| owned.contains(&vp));
+        record_phase_wall(&mut data, "phase2", started);
+        data
     });
-
-    chunk_outputs.sort_by_key(|(chunk, _)| *chunk);
-    let mut merged: Option<CampaignData> = None;
-    for (_, data) in chunk_outputs {
-        match &mut merged {
-            None => merged = Some(data),
-            Some(acc) => acc.absorb(data),
-        }
-    }
-    let mut merged = merged.expect("at least one chunk");
+    let mut merged = chunk_outputs
+        .into_iter()
+        .reduce(|mut acc, data| {
+            acc.absorb(data);
+            acc
+        })
+        .expect("at least one chunk");
     shadow_telemetry::sort_records(&mut merged.journal);
     let results = Phase2Runner::localize(&merged, &plan.traced, config.max_ttl);
     (results, merged)
@@ -472,6 +412,8 @@ fn merge_shards(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::time::{Duration, Instant};
 
     fn ids(raw: &[u32]) -> Vec<VpId> {
         raw.iter().map(|&i| VpId(i)).collect()
@@ -500,5 +442,55 @@ mod tests {
         assert_eq!(shard_vps(&vps, 0).len(), 1);
         assert_eq!(shard_vps(&vps, 100).len(), 2);
         assert_eq!(shard_vps(&[], 5).len(), 1);
+    }
+
+    #[test]
+    fn run_chunks_returns_results_in_item_order() {
+        // Item i sleeps (n - i) ms, so items finish in reverse order.
+        let n = 6u64;
+        let out = run_chunks((0..n).collect(), n as usize, |index, item| {
+            std::thread::sleep(Duration::from_millis(n - item));
+            (index, item)
+        });
+        let expected: Vec<(usize, u64)> = (0..n).map(|i| (i as usize, i)).collect();
+        assert_eq!(out, expected);
+    }
+
+    #[test]
+    fn run_chunks_runs_each_item_exactly_once() {
+        let runs: Vec<AtomicUsize> = (0..1_000).map(|_| AtomicUsize::new(0)).collect();
+        let out = run_chunks((0..1_000u64).collect(), 4, |index, item| {
+            runs[index].fetch_add(1, Ordering::SeqCst);
+            item
+        });
+        assert_eq!(out, (0..1_000u64).collect::<Vec<_>>());
+        assert!(runs.iter().all(|r| r.load(Ordering::SeqCst) == 1));
+    }
+
+    #[test]
+    fn run_chunks_runs_items_concurrently() {
+        // Each item waits (up to 5 s) for the other to be in flight too. A
+        // claim that held the queue lock through `work` would serialize
+        // them and peak at 1.
+        let in_flight = AtomicUsize::new(0);
+        let peak = AtomicUsize::new(0);
+        run_chunks(vec![(), ()], 2, |_, ()| {
+            let now = in_flight.fetch_add(1, Ordering::SeqCst) + 1;
+            peak.fetch_max(now, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while peak.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            in_flight.fetch_sub(1, Ordering::SeqCst);
+        });
+        assert_eq!(peak.into_inner(), 2);
+    }
+
+    #[test]
+    fn run_chunks_handles_spare_workers_and_empty_input() {
+        let spare = run_chunks(vec![1, 2, 3], 8, |_, x| x * 10);
+        assert_eq!(spare, [10, 20, 30]);
+        let empty: Vec<u32> = run_chunks(Vec::<u32>::new(), 4, |_, _| unreachable!());
+        assert!(empty.is_empty());
     }
 }

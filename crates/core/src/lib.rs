@@ -43,6 +43,6 @@ pub use executor::{
 };
 pub use ident::{DecoyIdent, IdentError};
 pub use noise::{NoiseFilter, PreflightOutcome};
-pub use phase2::{ObserverLocation, Phase2Config, Phase2Runner, TracerouteResult};
+pub use phase2::{Phase2Config, Phase2Runner, TracerouteResult};
 pub use sink::{CorrelationAggregates, CorrelationSink, IntervalHistogram, SinkConfig};
 pub use world::{World, WorldConfig};

@@ -7,7 +7,7 @@
 //! Time Exceeded stream exposes router addresses along the way; the
 //! deepest ICMP hop bounds the destination distance.
 
-use crate::campaign::{CampaignData, CampaignRunner, PlannedSend};
+use crate::campaign::{finish_phase, run_slice, CampaignData, PlannedSend};
 use crate::correlate::PathKey;
 use crate::decoy::{DecoyProtocol, DecoyRegistry};
 use crate::sink::{CorrelationAggregates, SinkConfig};
@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 use shadow_netsim::time::{SimDuration, SimTime};
 use shadow_packet::transport::{DnsTransport, EncryptionDeployment};
 use shadow_telemetry::EventKind;
-use shadow_topo::{ProbePath, RouterGraphBuilder};
+use shadow_topo::ProbePath;
 use shadow_vantage::platform::VpId;
 use shadow_vantage::schedule::RateLimitedScheduler;
 use shadow_vantage::vp::VpCommand;
@@ -68,13 +68,6 @@ pub struct TracerouteResult {
     pub observer_addr: Option<Ipv4Addr>,
     /// Every (hop, router) the sweep revealed.
     pub revealed_routers: Vec<(u8, Ipv4Addr)>,
-}
-
-/// Aggregated observer-location table (Table 2 input).
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ObserverLocation {
-    /// normalized hop (1–10) → path count, per decoy protocol.
-    pub by_protocol: BTreeMap<(DecoyProtocol, u8), usize>,
 }
 
 /// The complete Phase II sweep schedule (see [`crate::campaign::Phase1Plan`]
@@ -196,60 +189,46 @@ impl Phase2Runner {
                 dpi.close_recall_window();
             }
         });
-        let registry = plan.registry.filter_vps(&owns);
-        let shared = crate::campaign::install_sink(world, &registry, sink);
-        for send in &plan.sends {
-            if owns(send.vp) {
-                crate::campaign::record_decoy_send(world, send);
-                world
-                    .engine
-                    .post(send.at, send.node, Box::new(send.command.clone()));
-            }
-        }
-        world.engine.run_until(plan.last_send + config.grace);
-        let vp_reports = CampaignRunner::harvest(world, &owns);
-        let aggregates = crate::campaign::drain_sink(world, &shared);
+        let mut data = run_slice(
+            world,
+            &plan.registry,
+            &plan.sends,
+            plan.last_send,
+            config.grace,
+            sink,
+            owns,
+        );
 
         // Fold this shard's Time-Exceeded evidence into the router graph.
         // Each probe path belongs to exactly one sweeping VP, and a VP to
         // exactly one shard, so per-shard folds are disjoint and absorb
         // into the sequential run's graph exactly.
-        let mut router_graph = RouterGraphBuilder::new();
-        for (vp, report) in &vp_reports {
+        for (vp, report) in &data.vp_reports {
             for obs in &report.icmp {
                 // The identification field maps the expired probe back to
                 // its decoy (and initial TTL), mirroring localize's filter.
                 if let Some(&(ref domain, ttl, dst)) = report.ident_map.get(&obs.orig_ident) {
-                    if dst == obs.orig_dst && registry.lookup(domain).is_some() {
-                        router_graph.observe(ProbePath { vp: vp.0, dst }, ttl, obs.router);
+                    if dst == obs.orig_dst && data.registry.lookup(domain).is_some() {
+                        let path = ProbePath { vp: vp.0, dst };
+                        data.router_graph.observe(path, ttl, obs.router);
                     }
                 }
             }
         }
         let telemetry = world.engine.telemetry();
         if let Some(m) = telemetry.metrics() {
-            m.router_graph_edges.add(router_graph.observations());
+            m.router_graph_edges.add(data.router_graph.observations());
         }
         let shard = telemetry.shard();
-        let paths = router_graph.path_count() as u64;
-        let observations = router_graph.observations();
+        let paths = data.router_graph.path_count() as u64;
+        let observations = data.router_graph.observations();
         telemetry.event(world.engine.now().0, None, || EventKind::RouterGraphBuilt {
             shard,
             paths,
             observations,
         });
 
-        crate::campaign::emit_phase_end(world, "phase2");
-        let (metrics, journal) = crate::campaign::drain_telemetry(world);
-        CampaignData {
-            registry,
-            vp_reports,
-            last_send: plan.last_send,
-            metrics,
-            journal,
-            aggregates,
-            router_graph,
-        }
+        finish_phase(world, "phase2", data)
     }
 
     /// Pure localization from Phase II data (separated for testing).
@@ -321,17 +300,6 @@ impl Phase2Runner {
             });
         }
         results
-    }
-
-    /// Build the Table-2 aggregation from per-path results.
-    pub fn observer_locations(results: &[TracerouteResult]) -> ObserverLocation {
-        let mut by_protocol = BTreeMap::new();
-        for result in results {
-            if let Some(hop) = result.normalized_hop {
-                *by_protocol.entry((result.path.protocol, hop)).or_insert(0) += 1;
-            }
-        }
-        ObserverLocation { by_protocol }
     }
 }
 

@@ -186,11 +186,6 @@ impl World {
         build_world(config)
     }
 
-    /// Addresses of the honey web servers (wildcard targets).
-    pub fn honey_web_addrs(&self) -> Vec<Ipv4Addr> {
-        self.honey_web.iter().map(|&(_, addr, _)| addr).collect()
-    }
-
     /// The deployed destination for a catalog name, if present.
     pub fn dns_destination(&self, name: &str) -> Option<&DeployedDnsDestination> {
         self.dns_destinations.iter().find(|d| d.dest.name == name)

@@ -399,11 +399,6 @@ impl AsCatalog {
         self.entries.iter().filter(move |e| e.country == country)
     }
 
-    /// All ASes of a given kind.
-    pub fn of_kind(&self, kind: AsKind) -> impl Iterator<Item = &AsInfo> {
-        self.entries.iter().filter(move |e| e.kind == kind)
-    }
-
     /// The region an AS sits in (via its country).
     pub fn region_of(&self, asn: Asn) -> Option<Region> {
         let info = self.get(asn)?;

@@ -29,7 +29,6 @@ pub mod slab;
 pub mod tcp;
 pub mod time;
 pub mod topology;
-pub mod trace;
 pub mod transport;
 pub mod wheel;
 
@@ -39,6 +38,5 @@ pub use slab::{Slab, SlabKey};
 pub use tcp::{ConnKey, TcpEvent, TcpStack};
 pub use time::{SimDuration, SimTime};
 pub use topology::{LinkClass, NodeId, NodeKind, Topology, TopologyBuilder, TopologyError};
-pub use trace::{PacketTrace, TraceEntry};
 pub use transport::Transport;
 pub use wheel::TimeWheel;

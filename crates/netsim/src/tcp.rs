@@ -92,10 +92,6 @@ impl TcpStack {
         }
     }
 
-    pub fn is_listening(&self, port: u16) -> bool {
-        self.listen_ports.contains(&port)
-    }
-
     /// Number of live (non-closed) connections.
     pub fn active_connections(&self) -> usize {
         self.conns

@@ -62,16 +62,8 @@ impl SimDuration {
         self.0
     }
 
-    pub fn secs_f64(self) -> f64 {
-        self.0 as f64 / 1_000.0
-    }
-
     pub fn hours_f64(self) -> f64 {
         self.0 as f64 / 3_600_000.0
-    }
-
-    pub fn days_f64(self) -> f64 {
-        self.0 as f64 / 86_400_000.0
     }
 
     /// Saturating multiply, for backoff schedules.

@@ -316,10 +316,6 @@ impl Topology {
         self.nodes.iter()
     }
 
-    pub fn as_count(&self) -> usize {
-        self.ases.len()
-    }
-
     /// All nodes registered under `addr` (several for anycast).
     pub fn nodes_at(&self, addr: Ipv4Addr) -> &[NodeId] {
         self.addr_map

@@ -138,10 +138,6 @@ impl ProbeOriginHost {
         self.addr
     }
 
-    pub fn set_http_paths_per_order(&mut self, n: usize) {
-        self.http_paths_per_order = n.max(1);
-    }
-
     fn udp(&self, dst: Ipv4Addr, dst_port: u16, payload: Vec<u8>) -> Ipv4Packet {
         Ipv4Packet::new(
             self.addr,

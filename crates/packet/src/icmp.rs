@@ -189,17 +189,6 @@ fn checksum_nonzero(buf: &[u8]) -> bool {
     internet_checksum(buf) != 0
 }
 
-/// Sanity guard: a Time Exceeded quote never includes the full transport
-/// payload, so honeypot-side code must match probes by the quoted ports and
-/// the IP identification field, not by payload content.
-pub fn quoted_transport_bytes(msg: &IcmpMessage) -> Option<&[u8]> {
-    match msg {
-        IcmpMessage::TimeExceeded { quoted_payload, .. }
-        | IcmpMessage::DestinationUnreachable { quoted_payload, .. } => Some(quoted_payload),
-        _ => None,
-    }
-}
-
 /// Length of the fixed ICMP error preamble before the quoted IP header.
 pub const ICMP_ERROR_PREFIX_LEN: usize = 8;
 

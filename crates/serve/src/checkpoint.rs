@@ -1,10 +1,11 @@
 //! The durable campaign state: a versioned JSON file.
 //!
-//! Format (version 2): a single pretty-printed JSON object —
+//! Format (version 3): a single pretty-printed JSON object —
 //!
 //! * `header` — `version`, a `world_hash` binding the file to the exact
-//!   campaign configuration (world/phase/fault config + wave count), the
-//!   shard count, and the total wave count;
+//!   campaign configuration (the whole study configuration + wave count;
+//!   version 3 widened it from the world/phase/fault configs), the shard
+//!   count, and the total wave count;
 //! * `waves_done` / `sim_cursor_ms` — resume position on the wave and
 //!   simulated-time axes;
 //! * `rng_streams` — the per-shard SplitMix64 stream states (also an
@@ -30,7 +31,7 @@ use shadow_telemetry::{JournalRecord, MetricsSnapshot};
 use std::path::Path;
 
 /// Bump on any incompatible change to [`CampaignCheckpoint`]'s layout.
-pub const CHECKPOINT_VERSION: u32 = 2;
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// Identity and position metadata, validated before any payload is used.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]

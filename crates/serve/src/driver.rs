@@ -95,15 +95,13 @@ impl ServeConfig {
         }
     }
 
-    /// Hash of everything that shapes campaign *output* (world, phase,
-    /// fault configuration, wave count) — the checkpoint header's identity
-    /// field. Shard count is deliberately excluded: output is K-invariant,
-    /// and K gets its own dedicated mismatch check.
+    /// Hash of everything that shapes campaign *output* — the whole
+    /// study configuration (world, both phases, trace cap, whether Phase II
+    /// runs, telemetry, faults) plus the wave count — the checkpoint
+    /// header's identity field. Shard count is deliberately excluded:
+    /// output is K-invariant, and K gets its own dedicated mismatch check.
     pub fn world_hash(&self) -> u64 {
-        let rendering = format!(
-            "{:?}|{:?}|{:?}|{:?}|waves={}",
-            self.study.world, self.study.phase1, self.study.phase2, self.study.faults, self.waves
-        );
+        let rendering = format!("{:?}|waves={}", self.study, self.waves);
         fnv1a(rendering.as_bytes())
     }
 

@@ -11,7 +11,7 @@
 use crate::study::{Study, StudyConfig, StudyOutcome};
 use shadow_chaos::{FaultTargets, ScenarioMatrix};
 use shadow_core::decoy::DecoyProtocol;
-use shadow_core::world::{generate_spec, HostSpec, WorldSpec};
+use shadow_core::world::{HostSpec, WorldSpec};
 
 // The comparison types live in `shadow-analysis`; this facade re-exports
 // them so sweep drivers import everything robustness-related from one
@@ -102,10 +102,4 @@ pub fn run_matrix(
         .collect();
 
     RobustnessReport::compare(baseline, cells)
-}
-
-/// [`fault_targets`] for a configuration (regenerates the spec — handy
-/// when only a [`crate::study::StudyConfig`] is in hand).
-pub fn fault_targets_for(config: &StudyConfig) -> FaultTargets {
-    fault_targets(&generate_spec(config.world.clone()))
 }

@@ -544,11 +544,6 @@ impl StudyOutcome {
         self.port_scanner.scan_all(observer_addrs.iter())
     }
 
-    /// Total decoys sent across both phases.
-    pub fn total_decoys(&self) -> usize {
-        self.phase1.registry.len() + self.phase2.as_ref().map(|p| p.registry.len()).unwrap_or(0)
-    }
-
     /// Bundle every analysis artifact for JSON export (diffing runs).
     /// `tests/streaming_equivalence.rs` pins the tiny world's bundle
     /// against a committed golden file.

@@ -107,6 +107,15 @@ fn resume_rejects_mismatched_world() {
         other => panic!("expected WorldMismatch, got {:?}", other.err()),
     }
 
+    // Skipping Phase II changes what every wave folds in, so it is a
+    // different campaign too.
+    let mut landscape_only = tiny.clone();
+    landscape_only.study.run_phase2 = false;
+    match CampaignDriver::resume(landscape_only, checkpoint.clone()) {
+        Err(ServeError::WorldMismatch { .. }) => {}
+        other => panic!("expected WorldMismatch, got {:?}", other.err()),
+    }
+
     let resharded = ServeConfig {
         shards: 2,
         ..tiny.clone()

@@ -43,10 +43,10 @@ fn shard_counts() -> Vec<usize> {
     counts
 }
 
-/// Work-stealing shapes: the same chunk counts as the fixed grid, with
-/// worker counts both below and equal to the chunk count (stealing only
-/// happens when a worker's own deque drains first), plus the
-/// machine-shaped [`StealConfig::auto`].
+/// Scheduler shapes: the same chunk counts as the fixed grid, with worker
+/// counts both below and equal to the chunk count (below it, a worker
+/// claims a second chunk from the shared queue once its first is done),
+/// plus the machine-shaped [`StealConfig::auto`].
 fn steal_shapes() -> Vec<StealConfig> {
     let mut shapes = vec![
         StealConfig::with_workers(1),
