@@ -12,9 +12,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// One grid cell: a label, the fault profile to run under, and the
-/// encryption-deployment level decoys adopt. The two axes compose — a
-/// cell can impair the network *and* encrypt the flows — and both default
-/// to "off" (baseline faults, plaintext transports).
+/// encryption-deployment level decoys adopt. Both default to "off"
+/// (baseline faults, plaintext transports), and each sweep reads one
+/// axis: the robustness matrix and the ICMP sweep run `profile` and ignore
+/// `encryption`; the encryption sweep runs `encryption` under the base
+/// config's faults and ignores `profile`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioCell {
     pub name: String,
@@ -29,12 +31,6 @@ impl ScenarioCell {
             profile,
             encryption: EncryptionDeployment::plaintext(),
         }
-    }
-
-    /// Set the cell's encryption-deployment level (builder style).
-    pub fn with_encryption(mut self, encryption: EncryptionDeployment) -> Self {
-        self.encryption = encryption;
-        self
     }
 }
 

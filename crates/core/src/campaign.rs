@@ -2,18 +2,20 @@
 //! run the simulated clock forward, and harvest the streamed correlation
 //! aggregates and VP reports.
 
-use crate::decoy::{DecoyProtocol, DecoyRegistry};
+use crate::decoy::{DecoyProtocol, DecoyRecord, DecoyRegistry};
 use crate::sink::{CorrelationAggregates, CorrelationSink, SinkConfig};
 use crate::world::World;
 use serde::{Deserialize, Serialize};
 use shadow_netsim::time::{SimDuration, SimTime};
 use shadow_netsim::topology::NodeId;
-use shadow_packet::transport::{DnsTransport, EncryptionDeployment, TlsMode};
+use shadow_packet::transport::{EncryptionDeployment, TransportProfile};
 use shadow_telemetry::{sort_records, EventKind, JournalRecord, MetricsSnapshot};
 use shadow_topo::RouterGraphBuilder;
 use shadow_vantage::platform::VpId;
 use shadow_vantage::schedule::RateLimitedScheduler;
-use shadow_vantage::vp::{DnsRetry, VantagePointHost, VpCommand, VpReport};
+use shadow_vantage::vp::{
+    DecoyPayload, DecoySend, DnsRetry, VantagePointHost, VpCommand, VpReport,
+};
 use std::collections::HashMap;
 
 /// Phase I configuration.
@@ -111,6 +113,45 @@ pub struct PlannedSend {
     pub command: VpCommand,
 }
 
+impl PlannedSend {
+    /// Post `record`'s decoy from the VP's `node` at its planned time,
+    /// carried as `profile` says; `handshake` and `retry` as in
+    /// [`DecoySend`].
+    pub(crate) fn decoy(
+        record: DecoyRecord,
+        node: NodeId,
+        profile: TransportProfile,
+        handshake: bool,
+        retry: Option<DnsRetry>,
+    ) -> Self {
+        Self {
+            at: record.planned_at,
+            vp: record.vp,
+            node,
+            command: VpCommand::Decoy(DecoySend {
+                dst: record.dst(),
+                ttl: record.ttl(),
+                payload: decoy_payload(record.protocol, profile),
+                domain: record.domain,
+                handshake,
+                retry,
+            }),
+        }
+    }
+}
+
+/// The wire payload of a `protocol` decoy on a flow using `profile`: DNS
+/// rides the profile's DNS transport, TLS presents its name per the
+/// profile's TLS mode, HTTP is always clear text. How each is framed is
+/// the VP host's business.
+fn decoy_payload(protocol: DecoyProtocol, profile: TransportProfile) -> DecoyPayload {
+    match protocol {
+        DecoyProtocol::Dns => DecoyPayload::Dns(profile.dns),
+        DecoyProtocol::Http => DecoyPayload::Http,
+        DecoyProtocol::Tls => DecoyPayload::Tls(profile.tls),
+    }
+}
+
 /// The complete Phase I send schedule, computed without touching the
 /// engine. Planning is a pure function of the world's ground truth
 /// (VP roster, destination lists, clock), so every shard of a sharded run
@@ -136,8 +177,25 @@ impl CampaignRunner {
         let mut last_send = world.engine.now();
         let start0 = world.engine.now() + SimDuration::from_secs(5);
 
-        let dns_targets: Vec<_> = world.dns_destinations.iter().map(|d| d.addr).collect();
-        let web_targets: Vec<_> = world.tranco.iter().map(|s| s.addr).collect();
+        // Every VP sends the same decoys each round: one per DNS
+        // destination, then HTTP and TLS per site.
+        let mut targets = Vec::new();
+        if config.send_dns {
+            targets.extend(
+                world
+                    .dns_destinations
+                    .iter()
+                    .map(|d| (d.addr, DecoyProtocol::Dns)),
+            );
+        }
+        for site in &world.tranco {
+            if config.send_http {
+                targets.push((site.addr, DecoyProtocol::Http));
+            }
+            if config.send_tls {
+                targets.push((site.addr, DecoyProtocol::Tls));
+            }
+        }
         let vps: Vec<_> = world
             .platform
             .vps
@@ -148,114 +206,25 @@ impl CampaignRunner {
         // The send count is exact up front; pre-sizing matters at paper
         // scale, where the plan holds ~20M registry entries and growing
         // the map by doubling would re-insert every one of them.
-        let per_vp = if config.send_dns {
-            dns_targets.len()
-        } else {
-            0
-        } + web_targets.len()
-            * (usize::from(config.send_http) + usize::from(config.send_tls));
-        let expected = vps.len() * per_vp * config.rounds;
+        let expected = vps.len() * targets.len() * config.rounds;
         registry.reserve(expected);
         let mut sends = Vec::with_capacity(expected);
 
         for round in 0..config.rounds {
             let round_start = start0 + config.round_gap.saturating_mul(round as u64);
             for &(vp_id, vp_node, vp_addr) in &vps {
-                if config.send_dns {
-                    for &dst in &dns_targets {
-                        let at = scheduler.reserve(round_start, vp_id, dst);
-                        let record = registry.register(
-                            vp_id,
-                            vp_addr,
-                            dst,
-                            DecoyProtocol::Dns,
-                            64,
-                            at,
-                            None,
-                        );
-                        let command = match config.encryption.profile_for(vp_id.0, dst).dns {
-                            DnsTransport::Udp53 => VpCommand::DnsDecoy {
-                                domain: record.domain.clone(),
-                                dst,
-                                ttl: 64,
-                                retry: config.dns_retry,
-                            },
-                            transport => VpCommand::EncryptedDnsDecoy {
-                                domain: record.domain.clone(),
-                                dst,
-                                ttl: 64,
-                                transport,
-                            },
-                        };
-                        sends.push(PlannedSend {
-                            at,
-                            vp: vp_id,
-                            node: vp_node,
-                            command,
-                        });
-                        last_send = last_send.max(at);
-                    }
-                }
-                for &dst in &web_targets {
-                    if config.send_http {
-                        let at = scheduler.reserve(round_start, vp_id, dst);
-                        let record = registry.register(
-                            vp_id,
-                            vp_addr,
-                            dst,
-                            DecoyProtocol::Http,
-                            64,
-                            at,
-                            None,
-                        );
-                        sends.push(PlannedSend {
-                            at,
-                            vp: vp_id,
-                            node: vp_node,
-                            command: VpCommand::HttpDecoy {
-                                domain: record.domain.clone(),
-                                dst,
-                                ttl: 64,
-                            },
-                        });
-                        last_send = last_send.max(at);
-                    }
-                    if config.send_tls {
-                        let at = scheduler.reserve(round_start, vp_id, dst);
-                        let record = registry.register(
-                            vp_id,
-                            vp_addr,
-                            dst,
-                            DecoyProtocol::Tls,
-                            64,
-                            at,
-                            None,
-                        );
-                        let command = match config.encryption.profile_for(vp_id.0, dst).tls {
-                            TlsMode::ClearSni => VpCommand::TlsDecoy {
-                                domain: record.domain.clone(),
-                                dst,
-                                ttl: 64,
-                            },
-                            TlsMode::Ech => VpCommand::EchTlsDecoy {
-                                domain: record.domain.clone(),
-                                dst,
-                                ttl: 64,
-                            },
-                            TlsMode::FrontedCdn => VpCommand::FrontedTlsDecoy {
-                                domain: record.domain.clone(),
-                                dst,
-                                ttl: 64,
-                            },
-                        };
-                        sends.push(PlannedSend {
-                            at,
-                            vp: vp_id,
-                            node: vp_node,
-                            command,
-                        });
-                        last_send = last_send.max(at);
-                    }
+                for &(dst, protocol) in &targets {
+                    let at = scheduler.reserve(round_start, vp_id, dst);
+                    let record = registry.register(vp_id, vp_addr, dst, protocol, 64, at, None);
+                    let profile = config.encryption.profile_for(vp_id.0, dst);
+                    sends.push(PlannedSend::decoy(
+                        record,
+                        vp_node,
+                        profile,
+                        true,
+                        config.dns_retry,
+                    ));
+                    last_send = last_send.max(at);
                 }
             }
         }
@@ -376,32 +345,35 @@ fn record_decoy_send(world: &World, send: &PlannedSend) {
     if !telemetry.is_enabled() {
         return;
     }
-    let (protocol, domain, dst, ttl) = match &send.command {
-        VpCommand::DnsDecoy {
-            domain, dst, ttl, ..
-        }
-        | VpCommand::EncryptedDnsDecoy {
-            domain, dst, ttl, ..
-        } => ("DNS", domain, *dst, *ttl),
-        VpCommand::HttpDecoy { domain, dst, ttl }
-        | VpCommand::RawHttpProbe { domain, dst, ttl } => ("HTTP", domain, *dst, *ttl),
-        VpCommand::TlsDecoy { domain, dst, ttl }
-        | VpCommand::EchTlsDecoy { domain, dst, ttl }
-        | VpCommand::FrontedTlsDecoy { domain, dst, ttl }
-        | VpCommand::RawTlsProbe {
-            domain, dst, ttl, ..
-        } => ("TLS", domain, *dst, *ttl),
-        _ => return,
+    let VpCommand::Decoy(decoy) = &send.command else {
+        return;
     };
+    let protocol = match decoy.payload {
+        DecoyPayload::Dns(_) => DecoyProtocol::Dns,
+        DecoyPayload::Http => DecoyProtocol::Http,
+        DecoyPayload::Tls(_) => DecoyProtocol::Tls,
+    }
+    .as_str();
     if let Some(m) = telemetry.metrics() {
         m.decoys_sent.inc(protocol);
     }
     let vp = send.vp.0;
     telemetry.event(send.at.0, Some(send.node.0), || EventKind::DecoySent {
         protocol: protocol.to_string(),
-        domain: domain.as_str().to_string(),
+        domain: decoy.domain.as_str().to_string(),
         vp,
-        dst,
-        ttl,
+        dst: decoy.dst,
+        ttl: decoy.ttl,
     });
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn planned_send_stays_64_bytes() {
+        // The paper-scale plan holds millions of these.
+        assert!(std::mem::size_of::<PlannedSend>() <= 64);
+    }
 }

@@ -14,8 +14,9 @@ use shadow_netsim::time::SimDuration;
 use shadow_netsim::transport::Transport;
 use shadow_packet::dns::DnsName;
 use shadow_packet::ipv4::Ipv4Packet;
+use shadow_packet::transport::DnsTransport;
 use shadow_vantage::platform::VpId;
-use shadow_vantage::vp::{VantagePointHost, VpCommand};
+use shadow_vantage::vp::{DecoyPayload, DecoySend, VantagePointHost, VpCommand};
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -153,12 +154,14 @@ impl NoiseFilter {
                 world.engine.post(
                     sent_at,
                     vp.node,
-                    Box::new(VpCommand::DnsDecoy {
+                    Box::new(VpCommand::Decoy(DecoySend {
                         domain,
                         dst: pair,
                         ttl: 64,
+                        payload: DecoyPayload::Dns(DnsTransport::Udp53),
+                        handshake: false,
                         retry: None,
-                    }),
+                    })),
                 );
             }
         }

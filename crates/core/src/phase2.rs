@@ -14,12 +14,11 @@ use crate::sink::{CorrelationAggregates, SinkConfig};
 use crate::world::World;
 use serde::{Deserialize, Serialize};
 use shadow_netsim::time::{SimDuration, SimTime};
-use shadow_packet::transport::{DnsTransport, EncryptionDeployment};
+use shadow_packet::transport::EncryptionDeployment;
 use shadow_telemetry::EventKind;
 use shadow_topo::ProbePath;
 use shadow_vantage::platform::VpId;
 use shadow_vantage::schedule::RateLimitedScheduler;
-use shadow_vantage::vp::VpCommand;
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 
@@ -107,6 +106,12 @@ impl Phase2Runner {
             let Some(&(vp_node, vp_addr)) = vp_index.get(&key.vp) else {
                 continue;
             };
+            // HTTP/TLS probes skip the handshake in Phase II (the paper
+            // avoids holding destination connections open). The probe
+            // replays the Phase I flow, so it carries the same transport
+            // profile — `profile_for` is the same pure hash Phase I
+            // planning used for this (vp, dst) pair.
+            let profile = config.encryption.profile_for(key.vp.0, key.dst);
             for ttl in 1..=config.max_ttl {
                 let at = scheduler.reserve(start, key.vp, key.dst);
                 let record = registry.register(
@@ -118,45 +123,7 @@ impl Phase2Runner {
                     at,
                     Some(sweep as u32),
                 );
-                // HTTP/TLS probes skip the handshake in Phase II (the paper
-                // avoids holding destination connections open). The probe
-                // replays the Phase I flow, so it carries the same
-                // transport profile — `profile_for` is the same pure hash
-                // Phase I planning used for this (vp, dst) pair.
-                let profile = config.encryption.profile_for(key.vp.0, key.dst);
-                let command = match key.protocol {
-                    DecoyProtocol::Dns => match profile.dns {
-                        DnsTransport::Udp53 => VpCommand::DnsDecoy {
-                            domain: record.domain.clone(),
-                            dst: key.dst,
-                            ttl,
-                            retry: None,
-                        },
-                        transport => VpCommand::EncryptedDnsDecoy {
-                            domain: record.domain.clone(),
-                            dst: key.dst,
-                            ttl,
-                            transport,
-                        },
-                    },
-                    DecoyProtocol::Http => VpCommand::RawHttpProbe {
-                        domain: record.domain.clone(),
-                        dst: key.dst,
-                        ttl,
-                    },
-                    DecoyProtocol::Tls => VpCommand::RawTlsProbe {
-                        domain: record.domain.clone(),
-                        dst: key.dst,
-                        ttl,
-                        mode: profile.tls,
-                    },
-                };
-                sends.push(PlannedSend {
-                    at,
-                    vp: key.vp,
-                    node: vp_node,
-                    command,
-                });
+                sends.push(PlannedSend::decoy(record, vp_node, profile, false, None));
                 last_send = last_send.max(at);
             }
         }

@@ -402,8 +402,9 @@ pub struct WorldMetrics {
     pub fronted_inner_observed: u64,
     /// Clear names wire taps read, per protocol (front SNIs excluded).
     pub wire_names_observed: BTreeMap<String, u64>,
-    /// Unsolicited arrivals per classification rule (filled after
-    /// correlation via [`MetricsSnapshot::record_classification`]).
+    /// Unsolicited arrivals per classification rule (filled after the
+    /// campaign from the Phase I sink aggregates, by the study runner's
+    /// `finalize_telemetry`).
     pub unsolicited_by_rule: BTreeMap<String, u64>,
     /// Decoy-emission → arrival intervals (retention proxy), fixed buckets.
     pub retention_intervals_ms: HistogramSnapshot,
@@ -497,18 +498,6 @@ impl MetricsSnapshot {
     /// True when nothing was recorded (telemetry was disabled).
     pub fn is_empty(&self) -> bool {
         self == &MetricsSnapshot::default()
-    }
-
-    /// Fold one post-correlation classification into the world section.
-    pub fn record_classification(&mut self, rule: &str, unsolicited: bool, interval_ms: u64) {
-        if unsolicited {
-            *self
-                .world
-                .unsolicited_by_rule
-                .entry(rule.to_string())
-                .or_insert(0) += 1;
-        }
-        self.world.retention_intervals_ms.record(interval_ms);
     }
 
     pub fn to_json(&self) -> Result<String, serde_json::Error> {
@@ -712,14 +701,5 @@ mod tests {
         let second = reg.take_snapshot(0);
         assert_eq!(second.world.tap_observations, 0);
         assert!(second.run.phase_wall_ns.is_empty());
-    }
-
-    #[test]
-    fn classification_records_rule_and_interval() {
-        let mut snap = MetricsSnapshot::default();
-        snap.record_classification("RepeatedDnsQuery", true, 90_000);
-        snap.record_classification("SolicitedResolution", false, 500);
-        assert_eq!(snap.world.unsolicited_by_rule.len(), 1);
-        assert_eq!(snap.world.retention_intervals_ms.total(), 2);
     }
 }

@@ -1,11 +1,15 @@
 //! The vantage-point host: a measurement client behind one VPN egress.
 //!
-//! VPs execute commands posted by the campaign controller: send a DNS,
-//! HTTP, or TLS decoy (Phase I — HTTP/TLS after a real TCP handshake), or
-//! send raw handshake-less probes with a chosen initial TTL (Phase II
-//! tracerouting; the paper skips handshakes there to avoid holding
-//! connections open). Everything a VP observes — DNS answers, ICMP Time
-//! Exceeded — is recorded for the campaign to harvest.
+//! VPs execute commands posted by the campaign controller. A decoy is one
+//! command, [`VpCommand::Decoy`]: a unique name sent once over DNS, HTTP or
+//! TLS with a chosen initial TTL. Phase I sends HTTP/TLS decoys after a
+//! real TCP handshake; Phase II re-sends them as raw handshake-less probes
+//! (the paper skips handshakes there to avoid holding connections open).
+//! This module is the one place a decoy's framing is chosen: the DNS
+//! transport (clear UDP/53 or sealed DoT/DoH/DoQ), the TLS mode (clear
+//! SNI, ECH or fronted), ports and retries all follow from the
+//! [`DecoySend`] the planner posts. Everything a VP observes — DNS answers,
+//! ICMP Time Exceeded — is recorded for the campaign to harvest.
 
 use serde::{Deserialize, Serialize};
 use shadow_netsim::engine::{Ctx, Host};
@@ -49,75 +53,47 @@ impl DnsRetry {
     };
 }
 
+/// What a decoy carries, and how that is framed on the wire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DecoyPayload {
+    /// An A query for the decoy name: clear on UDP/53, or sealed per the
+    /// §6 encrypted transport (DoT/DoH/DoQ) so only the terminating
+    /// resolver sees the name.
+    Dns(DnsTransport),
+    /// `GET / HTTP/1.1` with Host = the decoy name, to port 80.
+    Http,
+    /// A ClientHello to port 443: the decoy name in the clear SNI, behind
+    /// ECH (cover name only), or sealed behind a fronting CDN's SNI.
+    Tls(TlsMode),
+}
+
+/// One decoy: send `payload` for `domain` to `dst` with initial TTL `ttl`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DecoySend {
+    pub domain: DnsName,
+    pub dst: Ipv4Addr,
+    pub ttl: u8,
+    pub payload: DecoyPayload,
+    /// HTTP/TLS only: open a TCP connection and send the payload once it is
+    /// established (Phase I), or send it at once as a raw PSH/ACK (Phase II
+    /// tracerouting).
+    pub handshake: bool,
+    /// Retransmit until answered. Only clear-text UDP/53 DNS decoys arm the
+    /// retry timer; every other payload ignores this.
+    pub retry: Option<DnsRetry>,
+}
+
 /// A command posted to a VP by the campaign controller.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VpCommand {
-    /// UDP/53 A query for `domain` to `dst` with initial TTL `ttl`;
-    /// optionally retry-protected.
-    DnsDecoy {
-        domain: DnsName,
-        dst: Ipv4Addr,
-        ttl: u8,
-        retry: Option<DnsRetry>,
-    },
-    /// TCP handshake to `dst:80`, then `GET / HTTP/1.1` with Host `domain`.
-    HttpDecoy {
-        domain: DnsName,
-        dst: Ipv4Addr,
-        ttl: u8,
-    },
-    /// TCP handshake to `dst:443`, then a ClientHello with SNI `domain`.
-    TlsDecoy {
-        domain: DnsName,
-        dst: Ipv4Addr,
-        ttl: u8,
-    },
-    /// Handshake-less HTTP payload probe (Phase II traceroute).
-    RawHttpProbe {
-        domain: DnsName,
-        dst: Ipv4Addr,
-        ttl: u8,
-    },
-    /// Handshake-less TLS ClientHello probe (Phase II traceroute). The
-    /// hello is framed per `mode` so the sweep replays the Phase I flow's
-    /// transport instead of leaking sealed names in the clear.
-    RawTlsProbe {
-        domain: DnsName,
-        dst: Ipv4Addr,
-        ttl: u8,
-        mode: TlsMode,
-    },
+    /// Send one decoy.
+    Decoy(DecoySend),
     /// Raw UDP datagram (platform pre-flight checks).
     RawUdp {
         dst: Ipv4Addr,
         dst_port: u16,
         ttl: u8,
         payload: Vec<u8>,
-    },
-    /// Encrypted DNS decoy (the §6 encryption axis): the query is opaque
-    /// on the wire — framed per `transport` (DoT/DoH/DoQ) — and only the
-    /// terminating resolver sees the name.
-    EncryptedDnsDecoy {
-        domain: DnsName,
-        dst: Ipv4Addr,
-        ttl: u8,
-        transport: DnsTransport,
-    },
-    /// TLS decoy with Encrypted Client Hello (§6 encryption axis):
-    /// handshake, then a ClientHello with no clear-text experiment SNI at
-    /// all — only the cover name.
-    EchTlsDecoy {
-        domain: DnsName,
-        dst: Ipv4Addr,
-        ttl: u8,
-    },
-    /// TLS decoy through a fronting CDN: the clear SNI names the front,
-    /// the real name rides sealed to the terminating edge. Name-keyed
-    /// on-path taps attribute this flow to the wrong site.
-    FrontedTlsDecoy {
-        domain: DnsName,
-        dst: Ipv4Addr,
-        ttl: u8,
     },
 }
 
@@ -147,19 +123,19 @@ pub struct IcmpObservation {
 pub struct VpReport {
     pub dns_answers: Vec<DnsAnswerRecord>,
     pub icmp: Vec<IcmpObservation>,
-    /// Completed decoy emissions: (time payload left, domain, ident used).
-    pub decoys_sent: Vec<(SimTime, DnsName, u16)>,
     /// Probe ident → (domain, requested initial TTL, destination).
     pub ident_map: HashMap<u16, (DnsName, u8, Ipv4Addr)>,
     pub handshake_failures: u64,
 }
 
+/// An HTTP/TLS decoy on an open connection: its payload goes out once the
+/// handshake completes, and every segment carries its ident and TTL.
 #[derive(Debug)]
-enum PendingConn {
-    Http { domain: DnsName, ident: u16 },
-    Tls { domain: DnsName, ident: u16 },
-    EchTls { domain: DnsName, ident: u16 },
-    FrontedTls { domain: DnsName, ident: u16 },
+struct PendingConn {
+    domain: DnsName,
+    ident: u16,
+    ttl: u8,
+    payload: DecoyPayload,
 }
 
 /// An unanswered retry-protected DNS decoy awaiting its timeout.
@@ -186,8 +162,6 @@ pub struct VantagePointHost {
     tcp: TcpStack,
     next_ident: u16,
     pending_conns: HashMap<ConnKey, PendingConn>,
-    /// TTL to use for packets of each pending connection.
-    conn_ttl: HashMap<ConnKey, u8>,
     /// Unanswered retry-protected DNS decoys, by ident.
     pending_dns: HashMap<u16, PendingDns>,
     pub report: VpReport,
@@ -201,7 +175,6 @@ impl VantagePointHost {
             tcp: TcpStack::new(seed),
             next_ident: 1,
             pending_conns: HashMap::new(),
-            conn_ttl: HashMap::new(),
             pending_dns: HashMap::new(),
             report: VpReport::default(),
         }
@@ -242,8 +215,13 @@ impl VantagePointHost {
         )
     }
 
-    fn emit_tcp(&self, key: ConnKey, segs: Vec<TcpSegment>, ident: u16, ctx: &mut Ctx<'_>) {
-        let ttl = self.conn_ttl.get(&key).copied().unwrap_or(DEFAULT_TTL);
+    /// Send `segs` on connection `key`. Segments with no pending decoy
+    /// (raw probes answered by RSTs) go out with ident 0 and the default TTL.
+    fn emit_tcp(&self, key: ConnKey, segs: Vec<TcpSegment>, ctx: &mut Ctx<'_>) {
+        let (ident, ttl) = self
+            .pending_conns
+            .get(&key)
+            .map_or((0, DEFAULT_TTL), |p| (p.ident, p.ttl));
         for seg in segs {
             ctx.send(self.packet(key.peer, IpProtocol::Tcp, ttl, ident, seg.encode()));
         }
@@ -251,95 +229,7 @@ impl VantagePointHost {
 
     fn run_command(&mut self, cmd: VpCommand, ctx: &mut Ctx<'_>) {
         match cmd {
-            VpCommand::DnsDecoy {
-                domain,
-                dst,
-                ttl,
-                retry,
-            } => {
-                let ident = self.alloc_ident(&domain, ttl, dst);
-                let query = DnsMessage::query(ident, domain.clone());
-                let datagram = UdpDatagram::new(10_000 + ident, 53, query.encode()).encode();
-                let pkt = self.packet(dst, IpProtocol::Udp, ttl, ident, datagram.clone());
-                self.report.decoys_sent.push((ctx.now(), domain, ident));
-                ctx.send(pkt);
-                // Retry-free decoys arm no timer at all, so runs planned
-                // without retry stay byte-identical to pre-chaos runs.
-                if let Some(retry) = retry.filter(|r| r.attempts > 0) {
-                    self.pending_dns.insert(
-                        ident,
-                        PendingDns {
-                            dst,
-                            ttl,
-                            payload: datagram,
-                            remaining: retry.attempts,
-                            timeout_ms: retry.timeout_ms,
-                        },
-                    );
-                    ctx.timer(
-                        shadow_netsim::time::SimDuration::from_millis(retry.timeout_ms),
-                        DNS_RETRY_TOKEN | u64::from(ident),
-                    );
-                }
-            }
-            VpCommand::HttpDecoy { domain, dst, ttl } => {
-                let ident = self.alloc_ident(&domain, ttl, dst);
-                let mut segs = Vec::new();
-                let key = self.tcp.connect(dst, 80, &mut segs);
-                self.conn_ttl.insert(key, ttl);
-                self.pending_conns
-                    .insert(key, PendingConn::Http { domain, ident });
-                self.emit_tcp(key, segs, ident, ctx);
-            }
-            VpCommand::TlsDecoy { domain, dst, ttl } => {
-                let ident = self.alloc_ident(&domain, ttl, dst);
-                let mut segs = Vec::new();
-                let key = self.tcp.connect(dst, 443, &mut segs);
-                self.conn_ttl.insert(key, ttl);
-                self.pending_conns
-                    .insert(key, PendingConn::Tls { domain, ident });
-                self.emit_tcp(key, segs, ident, ctx);
-            }
-            VpCommand::RawHttpProbe { domain, dst, ttl } => {
-                let ident = self.alloc_ident(&domain, ttl, dst);
-                let req = HttpRequest::get(domain.as_str(), "/");
-                let seg =
-                    TcpSegment::new(20_000 + ident, 80, 1, 1, TcpFlags::PSH_ACK, req.encode());
-                self.report.decoys_sent.push((ctx.now(), domain, ident));
-                ctx.send(self.packet(dst, IpProtocol::Tcp, ttl, ident, seg.encode()));
-            }
-            VpCommand::RawTlsProbe {
-                domain,
-                dst,
-                ttl,
-                mode,
-            } => {
-                let ident = self.alloc_ident(&domain, ttl, dst);
-                let hello = match mode {
-                    TlsMode::ClearSni => {
-                        ClientHello::with_sni(domain.as_str(), derive_random(ident))
-                    }
-                    TlsMode::Ech => ClientHello::with_ech(
-                        derive_random(ident),
-                        encrypted::seal_name(domain.as_str(), u32::from(ident)),
-                    ),
-                    TlsMode::FrontedCdn => ClientHello::with_fronted(
-                        FRONT_SNI,
-                        derive_random(ident),
-                        encrypted::seal_name(domain.as_str(), u32::from(ident)),
-                    ),
-                };
-                let seg = TcpSegment::new(
-                    21_000 + ident,
-                    443,
-                    1,
-                    1,
-                    TcpFlags::PSH_ACK,
-                    hello.encode_record(),
-                );
-                self.report.decoys_sent.push((ctx.now(), domain, ident));
-                ctx.send(self.packet(dst, IpProtocol::Tcp, ttl, ident, seg.encode()));
-            }
+            VpCommand::Decoy(decoy) => self.send_decoy(decoy, ctx),
             VpCommand::RawUdp {
                 dst,
                 dst_port,
@@ -356,43 +246,62 @@ impl VantagePointHost {
                     UdpDatagram::new(9_999, dst_port, payload).encode(),
                 ));
             }
-            VpCommand::EncryptedDnsDecoy {
-                domain,
-                dst,
-                ttl,
-                transport,
-            } => {
-                let ident = self.alloc_ident(&domain, ttl, dst);
-                let query = DnsMessage::query(ident, domain.clone());
-                let frame = encrypted::seal_dns(transport, &query, u32::from(ident));
-                let pkt = self.packet(
-                    dst,
-                    IpProtocol::Udp,
-                    ttl,
+        }
+    }
+
+    fn send_decoy(&mut self, decoy: DecoySend, ctx: &mut Ctx<'_>) {
+        let (dst, ttl, payload) = (decoy.dst, decoy.ttl, decoy.payload);
+        let ident = self.alloc_ident(&decoy.domain, ttl, dst);
+        // Datagrams and raw probes take a source port that wraps with the
+        // ident counter; a handshake takes its port from the TCP stack.
+        let (src_base, dst_port): (u16, u16) = match payload {
+            DecoyPayload::Dns(transport) => (10_000, encrypted::port_for(transport)),
+            DecoyPayload::Http => (20_000, 80),
+            DecoyPayload::Tls(_) => (21_000, 443),
+        };
+        let src_port = src_base.wrapping_add(ident);
+        match payload {
+            DecoyPayload::Dns(transport) => {
+                let bytes = decoy_bytes(&decoy.domain, payload, ident);
+                let datagram = UdpDatagram::new(src_port, dst_port, bytes).encode();
+                ctx.send(self.packet(dst, IpProtocol::Udp, ttl, ident, datagram.clone()));
+                // Only clear-text queries retry. Retry-free decoys arm no
+                // timer at all, so runs planned without retry stay
+                // byte-identical to pre-chaos runs.
+                let clear = transport == DnsTransport::Udp53;
+                if let Some(retry) = decoy.retry.filter(|r| clear && r.attempts > 0) {
+                    self.pending_dns.insert(
+                        ident,
+                        PendingDns {
+                            dst,
+                            ttl,
+                            payload: datagram,
+                            remaining: retry.attempts,
+                            timeout_ms: retry.timeout_ms,
+                        },
+                    );
+                    ctx.timer(
+                        shadow_netsim::time::SimDuration::from_millis(retry.timeout_ms),
+                        DNS_RETRY_TOKEN | u64::from(ident),
+                    );
+                }
+            }
+            _ if decoy.handshake => {
+                let mut segs = Vec::new();
+                let key = self.tcp.connect(dst, dst_port, &mut segs);
+                let pending = PendingConn {
+                    domain: decoy.domain,
                     ident,
-                    UdpDatagram::new(10_000 + ident, encrypted::port_for(transport), frame)
-                        .encode(),
-                );
-                self.report.decoys_sent.push((ctx.now(), domain, ident));
-                ctx.send(pkt);
+                    ttl,
+                    payload,
+                };
+                self.pending_conns.insert(key, pending);
+                self.emit_tcp(key, segs, ctx);
             }
-            VpCommand::EchTlsDecoy { domain, dst, ttl } => {
-                let ident = self.alloc_ident(&domain, ttl, dst);
-                let mut segs = Vec::new();
-                let key = self.tcp.connect(dst, 443, &mut segs);
-                self.conn_ttl.insert(key, ttl);
-                self.pending_conns
-                    .insert(key, PendingConn::EchTls { domain, ident });
-                self.emit_tcp(key, segs, ident, ctx);
-            }
-            VpCommand::FrontedTlsDecoy { domain, dst, ttl } => {
-                let ident = self.alloc_ident(&domain, ttl, dst);
-                let mut segs = Vec::new();
-                let key = self.tcp.connect(dst, 443, &mut segs);
-                self.conn_ttl.insert(key, ttl);
-                self.pending_conns
-                    .insert(key, PendingConn::FrontedTls { domain, ident });
-                self.emit_tcp(key, segs, ident, ctx);
+            _ => {
+                let bytes = decoy_bytes(&decoy.domain, payload, ident);
+                let seg = TcpSegment::new(src_port, dst_port, 1, 1, TcpFlags::PSH_ACK, bytes);
+                ctx.send(self.packet(dst, IpProtocol::Tcp, ttl, ident, seg.encode()));
             }
         }
     }
@@ -400,21 +309,12 @@ impl VantagePointHost {
     fn on_tcp(&mut self, src: Ipv4Addr, seg: TcpSegment, ctx: &mut Ctx<'_>) {
         let mut out = Vec::new();
         let events = self.tcp.on_segment(src, seg, &mut out);
-        // Out-of-band segments (raw probes answered by RSTs) have no conn
-        // state; emit with default ident.
         if let Some(key) = out.first().map(|s| ConnKey {
             peer: src,
             peer_port: s.dst_port,
             local_port: s.src_port,
         }) {
-            let ident = match self.pending_conns.get(&key) {
-                Some(PendingConn::Http { ident, .. })
-                | Some(PendingConn::Tls { ident, .. })
-                | Some(PendingConn::EchTls { ident, .. })
-                | Some(PendingConn::FrontedTls { ident, .. }) => *ident,
-                None => 0,
-            };
-            self.emit_tcp(key, out, ident, ctx);
+            self.emit_tcp(key, out, ctx);
         }
         for event in events {
             match event {
@@ -422,59 +322,50 @@ impl VantagePointHost {
                     let Some(pending) = self.pending_conns.get(&key) else {
                         continue;
                     };
-                    let (payload, ident, domain) = match pending {
-                        PendingConn::Http { domain, ident } => (
-                            HttpRequest::get(domain.as_str(), "/").encode(),
-                            *ident,
-                            domain.clone(),
-                        ),
-                        PendingConn::Tls { domain, ident } => (
-                            ClientHello::with_sni(domain.as_str(), derive_random(*ident))
-                                .encode_record(),
-                            *ident,
-                            domain.clone(),
-                        ),
-                        PendingConn::EchTls { domain, ident } => {
-                            // The real name travels only in the encrypted
-                            // inner hello (modeled as a sealed name).
-                            let inner = encrypted::seal_name(domain.as_str(), u32::from(*ident));
-                            (
-                                ClientHello::with_ech(derive_random(*ident), inner).encode_record(),
-                                *ident,
-                                domain.clone(),
-                            )
-                        }
-                        PendingConn::FrontedTls { domain, ident } => {
-                            // Clear SNI = the front; real name sealed for
-                            // the terminating edge only.
-                            let inner = encrypted::seal_name(domain.as_str(), u32::from(*ident));
-                            (
-                                ClientHello::with_fronted(FRONT_SNI, derive_random(*ident), inner)
-                                    .encode_record(),
-                                *ident,
-                                domain.clone(),
-                            )
-                        }
-                    };
-                    self.report.decoys_sent.push((ctx.now(), domain, ident));
+                    let payload = decoy_bytes(&pending.domain, pending.payload, pending.ident);
                     let mut out = Vec::new();
                     self.tcp.send(key, payload, &mut out);
                     self.tcp.close(key, &mut out);
-                    self.emit_tcp(key, out, ident, ctx);
+                    self.emit_tcp(key, out, ctx);
                 }
                 TcpEvent::Reset(key) => {
                     if self.pending_conns.remove(&key).is_some() {
                         self.report.handshake_failures += 1;
                     }
-                    self.conn_ttl.remove(&key);
                 }
                 TcpEvent::Closed(key) => {
                     self.pending_conns.remove(&key);
-                    self.conn_ttl.remove(&key);
                 }
                 TcpEvent::Data(..) => {}
             }
         }
+    }
+}
+
+/// The application bytes of a decoy — the DNS query, the HTTP request or
+/// the ClientHello — built the same way whether they follow a handshake or
+/// ride a raw probe.
+fn decoy_bytes(domain: &DnsName, payload: DecoyPayload, ident: u16) -> Vec<u8> {
+    // ECH and fronted hellos carry the real name only sealed, for the
+    // terminating edge; sealed names and frames take the ident as nonce.
+    let sealed_name = || encrypted::seal_name(domain.as_str(), u32::from(ident));
+    match payload {
+        DecoyPayload::Dns(transport) => {
+            let query = DnsMessage::query(ident, domain.clone());
+            match transport {
+                DnsTransport::Udp53 => query.encode(),
+                sealed => encrypted::seal_dns(sealed, &query, u32::from(ident)),
+            }
+        }
+        DecoyPayload::Http => HttpRequest::get(domain.as_str(), "/").encode(),
+        DecoyPayload::Tls(mode) => match mode {
+            TlsMode::ClearSni => ClientHello::with_sni(domain.as_str(), derive_random(ident)),
+            TlsMode::Ech => ClientHello::with_ech(derive_random(ident), sealed_name()),
+            TlsMode::FrontedCdn => {
+                ClientHello::with_fronted(FRONT_SNI, derive_random(ident), sealed_name())
+            }
+        }
+        .encode_record(),
     }
 }
 
@@ -494,49 +385,39 @@ fn derive_random(ident: u16) -> [u8; 32] {
 impl Host for VantagePointHost {
     fn on_packet(&mut self, pkt: Ipv4Packet, ctx: &mut Ctx<'_>) {
         match Transport::parse(&pkt) {
-            Ok(Transport::Udp(dg))
-                if (dg.src_port == encrypted::DOQ_PORT || dg.src_port == encrypted::DOH_PORT)
-                    && encrypted::looks_encrypted(&dg.payload) =>
-            {
-                if let Ok(msg) = encrypted::open(&dg.payload) {
-                    if msg.flags.response {
-                        if let Some(qname) = msg.qname().cloned() {
-                            let answer = msg.answers.iter().find_map(|rr| match rr.data {
-                                RecordData::A(a) => Some(a),
-                                _ => None,
-                            });
-                            self.report.dns_answers.push(DnsAnswerRecord {
-                                at: ctx.now(),
-                                domain: qname,
-                                rcode: msg.flags.rcode,
-                                answer,
-                                from: pkt.header.src,
-                            });
-                        }
-                    }
+            Ok(Transport::Udp(dg)) => {
+                // Answers come back clear from port 53, or sealed from the
+                // encrypted-DNS ports.
+                let sealed = (dg.src_port == encrypted::DOQ_PORT
+                    || dg.src_port == encrypted::DOH_PORT)
+                    && encrypted::looks_encrypted(&dg.payload);
+                let msg = match dg.src_port {
+                    _ if sealed => encrypted::open(&dg.payload),
+                    53 => DnsMessage::decode(&dg.payload),
+                    _ => return,
+                };
+                let Some(msg) = msg.ok().filter(|m| m.flags.response) else {
+                    return;
+                };
+                if !sealed {
+                    // An answer (any rcode) settles the decoy: cancel any
+                    // outstanding retry.
+                    self.pending_dns.remove(&msg.id);
                 }
-            }
-            Ok(Transport::Udp(dg)) if dg.src_port == 53 => {
-                if let Ok(msg) = DnsMessage::decode(&dg.payload) {
-                    if msg.flags.response {
-                        // An answer (any rcode) settles the decoy: cancel
-                        // any outstanding retry.
-                        self.pending_dns.remove(&msg.id);
-                        if let Some(qname) = msg.qname().cloned() {
-                            let answer = msg.answers.iter().find_map(|rr| match rr.data {
-                                RecordData::A(a) => Some(a),
-                                _ => None,
-                            });
-                            self.report.dns_answers.push(DnsAnswerRecord {
-                                at: ctx.now(),
-                                domain: qname,
-                                rcode: msg.flags.rcode,
-                                answer,
-                                from: pkt.header.src,
-                            });
-                        }
-                    }
-                }
+                let Some(domain) = msg.qname().cloned() else {
+                    return;
+                };
+                let answer = msg.answers.iter().find_map(|rr| match rr.data {
+                    RecordData::A(a) => Some(a),
+                    _ => None,
+                });
+                self.report.dns_answers.push(DnsAnswerRecord {
+                    at: ctx.now(),
+                    domain,
+                    rcode: msg.flags.rcode,
+                    answer,
+                    from: pkt.header.src,
+                });
             }
             Ok(Transport::Tcp(seg)) => self.on_tcp(pkt.header.src, seg, ctx),
             Ok(Transport::Icmp(IcmpMessage::TimeExceeded {
@@ -571,8 +452,8 @@ impl Host for VantagePointHost {
         if let Some(m) = ctx.telemetry().metrics() {
             m.dns_retries.inc();
         }
-        // Byte-identical retransmission; not re-recorded in decoys_sent —
-        // it is the same logical decoy.
+        // Byte-identical retransmission of the same logical decoy (same
+        // transaction id, same ident).
         let pkt = self.packet(dst, IpProtocol::Udp, ttl, ident, payload);
         ctx.send(pkt);
         if rearm {

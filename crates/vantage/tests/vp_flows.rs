@@ -1,18 +1,23 @@
 //! Vantage-point host flows through a real engine: decoy emission over all
 //! protocols, handshake behaviour, raw Phase-II probes, TTL control, and
-//! ICMP bookkeeping.
+//! ICMP bookkeeping. A recording tap on the VP's first-hop router keeps
+//! every packet the VP emits, so tests can witness (and pin) the wire.
 
 use shadow_geo::{Asn, Region};
 use shadow_honeypot::web::WebHost;
-use shadow_netsim::engine::{Ctx, Engine, Host};
+use shadow_netsim::engine::{Ctx, Engine, Host, TapVerdict, WireTap};
+use shadow_netsim::fault::fnv1a64;
 use shadow_netsim::time::SimTime;
 use shadow_netsim::topology::{NodeId, TopologyBuilder};
 use shadow_netsim::transport::Transport;
 use shadow_packet::dns::{DnsMessage, DnsName, Rcode};
 use shadow_packet::ipv4::Ipv4Packet;
-use shadow_packet::transport::TlsMode;
+use shadow_packet::transport::DnsTransport::{DoH, DoQ, DoT, Udp53};
+use shadow_packet::transport::TlsMode::{ClearSni, Ech, FrontedCdn};
 use shadow_packet::udp::UdpDatagram;
-use shadow_vantage::vp::{VantagePointHost, VpCommand};
+use shadow_packet::DecodedView;
+use shadow_vantage::vp::DecoyPayload::{self, Dns, Http, Tls};
+use shadow_vantage::vp::{DecoySend, DnsRetry, VantagePointHost, VpCommand};
 use std::any::Any;
 use std::net::Ipv4Addr;
 
@@ -66,6 +71,35 @@ impl Host for MiniResolver {
     }
 }
 
+/// Keeps every packet `src` emits, as it arrives at the first-hop router.
+struct WireRecorder {
+    src: Ipv4Addr,
+    sent: Vec<Ipv4Packet>,
+}
+
+impl WireTap for WireRecorder {
+    fn on_packet(
+        &mut self,
+        pkt: &Ipv4Packet,
+        _view: &DecodedView,
+        _at: NodeId,
+        _ctx: &mut Ctx<'_>,
+    ) -> TapVerdict {
+        if pkt.header.src == self.src {
+            self.sent.push(pkt.clone());
+        }
+        TapVerdict::Continue
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
 struct World {
     engine: Engine,
     vp: NodeId,
@@ -73,6 +107,7 @@ struct World {
     web: NodeId,
     web_addr: Ipv4Addr,
     resolver_addr: Ipv4Addr,
+    first_hop: NodeId,
 }
 
 fn world(ttl_rewrite: Option<u8>) -> World {
@@ -92,7 +127,17 @@ fn world(ttl_rewrite: Option<u8>) -> World {
     let vp = tb.add_host(Asn(1), vp_addr).unwrap();
     let resolver = tb.add_host(Asn(2), resolver_addr).unwrap();
     let web = tb.add_host(Asn(2), web_addr).unwrap();
-    let mut engine = Engine::new(tb.build().unwrap());
+    let topology = tb.build().unwrap();
+    let first_hop = topology.route(vp, web).unwrap()[1];
+    assert_eq!(topology.route(vp, resolver).unwrap()[1], first_hop);
+    let mut engine = Engine::new(topology);
+    engine.add_tap(
+        first_hop,
+        Box::new(WireRecorder {
+            src: vp_addr,
+            sent: Vec::new(),
+        }),
+    );
     engine.add_host(vp, Box::new(VantagePointHost::new(vp_addr, 3, ttl_rewrite)));
     engine.add_host(
         resolver,
@@ -110,11 +155,51 @@ fn world(ttl_rewrite: Option<u8>) -> World {
         web,
         web_addr,
         resolver_addr,
+        first_hop,
     }
 }
 
 fn domain(label: &str) -> DnsName {
     DnsName::parse(&format!("{label}.www.experiment.example")).unwrap()
+}
+
+/// A one-shot decoy.
+fn decoy(
+    domain: DnsName,
+    dst: Ipv4Addr,
+    ttl: u8,
+    payload: DecoyPayload,
+    handshake: bool,
+) -> VpCommand {
+    VpCommand::Decoy(DecoySend {
+        domain,
+        dst,
+        ttl,
+        payload,
+        handshake,
+        retry: None,
+    })
+}
+
+/// Every packet the VP emitted, in emission order.
+fn sent(w: &World) -> &[Ipv4Packet] {
+    &w.engine
+        .tap_as::<WireRecorder>(w.first_hop, 0)
+        .unwrap()
+        .sent
+}
+
+/// How many emitted packets carry an application payload — one per decoy
+/// (handshake, ACK and FIN segments carry none).
+fn payloads_sent(w: &World) -> usize {
+    sent(w)
+        .iter()
+        .filter(|pkt| match Transport::parse(pkt) {
+            Ok(Transport::Udp(dg)) => !dg.payload.is_empty(),
+            Ok(Transport::Tcp(seg)) => !seg.payload.is_empty(),
+            _ => false,
+        })
+        .count()
 }
 
 #[test]
@@ -123,12 +208,7 @@ fn dns_decoy_resolves_and_records_answer() {
     w.engine.post(
         SimTime::ZERO,
         w.vp,
-        Box::new(VpCommand::DnsDecoy {
-            domain: domain("d1"),
-            dst: w.resolver_addr,
-            ttl: 64,
-            retry: None,
-        }),
+        Box::new(decoy(domain("d1"), w.resolver_addr, 64, Dns(Udp53), true)),
     );
     w.engine.run_to_completion();
     let resolver = w.engine.host_as::<MiniResolver>(w.resolver).unwrap();
@@ -138,7 +218,7 @@ fn dns_decoy_resolves_and_records_answer() {
     let ans = &vp.report.dns_answers[0];
     assert_eq!(ans.answer, Some(Ipv4Addr::new(198, 51, 100, 1)));
     assert_eq!(ans.from, w.resolver_addr);
-    assert_eq!(vp.report.decoys_sent.len(), 1);
+    assert_eq!(payloads_sent(&w), 1);
 }
 
 #[test]
@@ -147,11 +227,7 @@ fn http_decoy_completes_handshake_and_delivers_host_header() {
     w.engine.post(
         SimTime::ZERO,
         w.vp,
-        Box::new(VpCommand::HttpDecoy {
-            domain: domain("h1"),
-            dst: w.web_addr,
-            ttl: 64,
-        }),
+        Box::new(decoy(domain("h1"), w.web_addr, 64, Http, true)),
     );
     w.engine.run_to_completion();
     let web = w.engine.host_as::<WebHost>(w.web).unwrap();
@@ -159,8 +235,8 @@ fn http_decoy_completes_handshake_and_delivers_host_header() {
     let arrival = web.captures().iter().next().unwrap();
     assert_eq!(arrival.domain, domain("h1"));
     let vp = w.engine.host_as::<VantagePointHost>(w.vp).unwrap();
-    assert_eq!(vp.report.decoys_sent.len(), 1, "decoy sent after handshake");
     assert_eq!(vp.report.handshake_failures, 0);
+    assert_eq!(payloads_sent(&w), 1, "decoy sent after handshake");
 }
 
 #[test]
@@ -169,11 +245,7 @@ fn tls_decoy_delivers_sni() {
     w.engine.post(
         SimTime::ZERO,
         w.vp,
-        Box::new(VpCommand::TlsDecoy {
-            domain: domain("t1"),
-            dst: w.web_addr,
-            ttl: 64,
-        }),
+        Box::new(decoy(domain("t1"), w.web_addr, 64, Tls(ClearSni), true)),
     );
     w.engine.run_to_completion();
     let web = w.engine.host_as::<WebHost>(w.web).unwrap();
@@ -192,15 +264,11 @@ fn handshake_to_dead_host_counts_failure() {
     w.engine.post(
         SimTime::ZERO,
         w.vp,
-        Box::new(VpCommand::HttpDecoy {
-            domain: domain("x1"),
-            dst: w.resolver_addr,
-            ttl: 64,
-        }),
+        Box::new(decoy(domain("x1"), w.resolver_addr, 64, Http, true)),
     );
     w.engine.run_to_completion();
-    let vp = w.engine.host_as::<VantagePointHost>(w.vp).unwrap();
-    assert!(vp.report.decoys_sent.is_empty(), "no handshake, no decoy");
+    assert!(!sent(&w).is_empty(), "the SYN went out");
+    assert_eq!(payloads_sent(&w), 0, "no handshake, no decoy");
 }
 
 #[test]
@@ -212,12 +280,13 @@ fn ttl_sweep_records_icmp_per_probe() {
         w.engine.post(
             SimTime(u64::from(ttl) * 10_000),
             w.vp,
-            Box::new(VpCommand::DnsDecoy {
-                domain: domain(&format!("s{ttl}")),
-                dst: w.resolver_addr,
+            Box::new(decoy(
+                domain(&format!("s{ttl}")),
+                w.resolver_addr,
                 ttl,
-                retry: None,
-            }),
+                Dns(Udp53),
+                true,
+            )),
         );
     }
     w.engine.run_to_completion();
@@ -239,15 +308,11 @@ fn ttl_sweep_records_icmp_per_probe() {
 #[test]
 fn ttl_rewrite_defect_breaks_the_sweep() {
     let mut w = world(Some(64));
+    // Requested TTL 1, but the egress rewrites it to 64.
     w.engine.post(
         SimTime::ZERO,
         w.vp,
-        Box::new(VpCommand::DnsDecoy {
-            domain: domain("r1"),
-            dst: w.resolver_addr,
-            ttl: 1, // requested TTL 1, but the egress rewrites to 64
-            retry: None,
-        }),
+        Box::new(decoy(domain("r1"), w.resolver_addr, 1, Dns(Udp53), true)),
     );
     w.engine.run_to_completion();
     let vp = w.engine.host_as::<VantagePointHost>(w.vp).unwrap();
@@ -265,21 +330,12 @@ fn raw_probes_skip_the_handshake() {
     w.engine.post(
         SimTime::ZERO,
         w.vp,
-        Box::new(VpCommand::RawHttpProbe {
-            domain: domain("p1"),
-            dst: w.web_addr,
-            ttl: 64,
-        }),
+        Box::new(decoy(domain("p1"), w.web_addr, 64, Http, false)),
     );
     w.engine.post(
         SimTime(1_000),
         w.vp,
-        Box::new(VpCommand::RawTlsProbe {
-            domain: domain("p2"),
-            dst: w.web_addr,
-            ttl: 64,
-            mode: TlsMode::ClearSni,
-        }),
+        Box::new(decoy(domain("p2"), w.web_addr, 64, Tls(ClearSni), false)),
     );
     w.engine.run_to_completion();
     // The server's TCP stack refuses payloads on unknown connections, so
@@ -288,6 +344,118 @@ fn raw_probes_skip_the_handshake() {
     let web = w.engine.host_as::<WebHost>(w.web).unwrap();
     assert_eq!(web.http_requests_served, 0);
     assert_eq!(web.tls_hellos_seen, 0);
-    let vp = w.engine.host_as::<VantagePointHost>(w.vp).unwrap();
-    assert_eq!(vp.report.decoys_sent.len(), 2);
+    assert_eq!(payloads_sent(&w), 2);
+}
+
+/// The `w1` decoy as Phase I sends it: TTL 64, HTTP/TLS after a
+/// handshake; DNS to the resolver, HTTP/TLS to the web host.
+fn phase1(w: &World, payload: DecoyPayload) -> VpCommand {
+    let dst = match payload {
+        Dns(_) => w.resolver_addr,
+        _ => w.web_addr,
+    };
+    decoy(domain("w1"), dst, 64, payload, true)
+}
+
+/// The `w1` decoy as a Phase II probe: TTL 3, no handshake, to the web host.
+fn phase2(w: &World, payload: DecoyPayload) -> VpCommand {
+    decoy(domain("w1"), w.web_addr, 3, payload, false)
+}
+
+/// One decoy shape: its command, then the pinned packet count and FNV-1a
+/// digest of the VP's emitted wire bytes.
+type Shape = (fn(&World) -> VpCommand, usize, u64);
+
+#[test]
+fn every_decoy_shape_emits_pinned_wire_bytes() {
+    let shapes: [Shape; 13] = [
+        (|w| phase1(w, Dns(Udp53)), 1, 0x98fd9e2918f2f732),
+        // The web host never answers on UDP/53: both retransmissions go out.
+        (
+            |w| {
+                VpCommand::Decoy(DecoySend {
+                    domain: domain("w1"),
+                    dst: w.web_addr,
+                    ttl: 64,
+                    payload: Dns(Udp53),
+                    handshake: true,
+                    retry: Some(DnsRetry::STANDARD),
+                })
+            },
+            3,
+            0x4aa9edc36f49dc08,
+        ),
+        (|w| phase1(w, Dns(DoT)), 1, 0x88473e477ee25981),
+        (|w| phase1(w, Dns(DoH)), 1, 0xe56e716f0edc486d),
+        (|w| phase1(w, Dns(DoQ)), 1, 0x4d916e24e34d4467),
+        (|w| phase1(w, Http), 7, 0xe3b83bf55eedc6de),
+        (|w| phase1(w, Tls(ClearSni)), 7, 0x73002c2ea855ef6d),
+        (|w| phase1(w, Tls(Ech)), 7, 0x8803e14712725ec8),
+        (|w| phase1(w, Tls(FrontedCdn)), 7, 0x36c88f7a0c3af68e),
+        (|w| phase2(w, Http), 1, 0x0c4f7879644fa045),
+        (|w| phase2(w, Tls(ClearSni)), 1, 0x864ab7b02e7fdb6b),
+        (|w| phase2(w, Tls(Ech)), 1, 0xcba4d3c957d6f02c),
+        (|w| phase2(w, Tls(FrontedCdn)), 1, 0x66d604d749185662),
+    ];
+    for (command, packets, digest) in shapes {
+        let mut w = world(None);
+        let command = command(&w);
+        let shape = format!("{command:?}");
+        w.engine.post(SimTime::ZERO, w.vp, Box::new(command));
+        w.engine.run_to_completion();
+        let bytes: Vec<u8> = sent(&w).iter().flat_map(Ipv4Packet::encode).collect();
+        assert_eq!(sent(&w).len(), packets, "{shape}: packet count");
+        assert_eq!(fnv1a64(&bytes), digest, "{shape}: wire bytes");
+    }
+}
+
+#[test]
+fn only_clear_dns_decoys_retry() {
+    // Nothing here answers DoH, so a retried query would go out again.
+    let mut w = world(None);
+    let command = VpCommand::Decoy(DecoySend {
+        domain: domain("w1"),
+        dst: w.resolver_addr,
+        ttl: 64,
+        payload: Dns(DoH),
+        handshake: true,
+        retry: Some(DnsRetry::STANDARD),
+    });
+    w.engine.post(SimTime::ZERO, w.vp, Box::new(command));
+    w.engine.run_to_completion();
+    assert_eq!(sent(&w).len(), 1, "a sealed DNS decoy goes out once");
+}
+
+#[test]
+fn source_ports_wrap_with_the_ident_counter() {
+    let mut w = world(None);
+    // 55,535 pre-flight datagrams spend idents 1..=55,535, so the DNS
+    // decoy takes ident 55,536 and its source port 10,000 + ident wraps.
+    for _ in 0..55_535 {
+        w.engine.post(
+            SimTime::ZERO,
+            w.vp,
+            Box::new(VpCommand::RawUdp {
+                dst: w.resolver_addr,
+                dst_port: 9,
+                ttl: 1,
+                payload: Vec::new(),
+            }),
+        );
+    }
+    w.engine.post(
+        SimTime(1_000),
+        w.vp,
+        Box::new(decoy(domain("o1"), w.resolver_addr, 64, Dns(Udp53), true)),
+    );
+    w.engine.run_to_completion();
+    let decoy = sent(&w)
+        .iter()
+        .find(|pkt| pkt.header.identification == 55_536)
+        .expect("the DNS decoy went out");
+    let Ok(Transport::Udp(dg)) = Transport::parse(decoy) else {
+        panic!("the DNS decoy is a UDP datagram");
+    };
+    assert_eq!(dg.src_port, 10_000u16.wrapping_add(55_536));
+    assert_eq!(dg.dst_port, 53);
 }
