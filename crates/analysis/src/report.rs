@@ -1,5 +1,6 @@
-//! Fixed-width text rendering for tables and series — what the bench
-//! harnesses print so that regenerated tables read like the paper's.
+//! Fixed-width text rendering for tables and series — the primitives
+//! `traffic_shadowing::tables` renders every paper artifact with, so that
+//! regenerated tables read like the paper's.
 
 /// Render a table: header row + data rows, columns padded to fit.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {

@@ -6,13 +6,12 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use shadow_bench::encryption::{encryption_json_path, record_encryption_json, run_encryption};
-use shadow_bench::pct;
 use traffic_shadowing::shadow_core::campaign::Phase1Config;
-use traffic_shadowing::shadow_core::decoy::DecoyProtocol;
 use traffic_shadowing::shadow_core::phase2::Phase2Config;
 use traffic_shadowing::shadow_core::world::WorldConfig;
 use traffic_shadowing::shadow_packet::EncryptionDeployment;
 use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
+use traffic_shadowing::tables;
 
 fn run(seed: u64, encrypted: bool) -> StudyOutcome {
     Study::run(StudyConfig {
@@ -65,30 +64,7 @@ fn trajectory(_c: &mut Criterion) {
 fn bench(c: &mut Criterion) {
     let clear = run(41, false);
     let encrypted = run(41, true);
-    let clear_ls = clear.landscape();
-    let enc_ls = encrypted.landscape();
-
-    println!("\n=== Ablation: encryption (§6) ===");
-    println!("{:<26} {:>11} {:>11}", "metric", "clear", "encrypted");
-    println!(
-        "{:<26} {:>11} {:>11}",
-        "Yandex DNS ratio",
-        pct(clear_ls.destination_ratio("Yandex", DecoyProtocol::Dns)),
-        pct(enc_ls.destination_ratio("Yandex", DecoyProtocol::Dns)),
-    );
-    println!(
-        "{:<26} {:>11} {:>11}",
-        "TLS path ratio",
-        pct(clear_ls.protocol_ratio(DecoyProtocol::Tls)),
-        pct(enc_ls.protocol_ratio(DecoyProtocol::Tls)),
-    );
-    println!(
-        "{:<26} {:>11} {:>11}",
-        "HTTP path ratio",
-        pct(clear_ls.protocol_ratio(DecoyProtocol::Http)),
-        pct(enc_ls.protocol_ratio(DecoyProtocol::Http)),
-    );
-    println!("expected: DNS unchanged (resolver decrypts), TLS → 0 (ECH), HTTP unchanged\n");
+    println!("{}", tables::encryption_ablation(&clear, &encrypted));
 
     let mut group = c.benchmark_group("ablation_encryption");
     group.sample_size(10);

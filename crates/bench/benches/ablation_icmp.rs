@@ -6,7 +6,7 @@
 //! Phase II's observer localization degrades — quantifying the limitation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use shadow_bench::pct;
+use traffic_shadowing::shadow_analysis::report::pct;
 use traffic_shadowing::shadow_core::world::WorldConfig;
 use traffic_shadowing::study::{Study, StudyConfig};
 

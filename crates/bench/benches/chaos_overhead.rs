@@ -21,9 +21,7 @@ use std::sync::Arc;
 use traffic_shadowing::robustness::fault_targets;
 use traffic_shadowing::shadow_chaos::{FaultProfile, OutageSpec, Window};
 use traffic_shadowing::shadow_core::campaign::Phase1Config;
-use traffic_shadowing::shadow_core::executor::{
-    run_phase1_work_stealing_bounded, StealConfig, TelemetryOptions,
-};
+use traffic_shadowing::shadow_core::executor::{run_phase1_chunks, ChunkConfig, TelemetryOptions};
 use traffic_shadowing::shadow_core::sink::SinkConfig;
 use traffic_shadowing::shadow_core::world::{generate_spec, WorldConfig};
 use traffic_shadowing::shadow_netsim::fault::LinkConditioner;
@@ -58,10 +56,10 @@ fn bench(c: &mut Criterion) {
     for (label, conditioner) in &cases {
         group.bench_function(&format!("phase1_{label}"), |b| {
             b.iter(|| {
-                run_phase1_work_stealing_bounded(
+                run_phase1_chunks(
                     &spec,
                     &config,
-                    StealConfig::with_workers(1),
+                    ChunkConfig::with_workers(1),
                     TelemetryOptions::disabled(),
                     conditioner.clone(),
                     SinkConfig::streaming(),

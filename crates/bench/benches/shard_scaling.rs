@@ -1,5 +1,5 @@
 //! Shard-scaling benchmark: Phase I cost as the campaign is split into
-//! 1/2/4/8 shards — the work-stealing scheduler at K chunks on K workers
+//! 1/2/4/8 shards — the chunk scheduler at K chunks on K workers
 //! (one private world per chunk, merged with the order-stable absorb). The
 //! output is byte-identical for every shard count — see
 //! `tests/sharded_equivalence.rs` — so this axis measures pure speedup.
@@ -21,9 +21,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use traffic_shadowing::shadow_core::campaign::Phase1Config;
-use traffic_shadowing::shadow_core::executor::{
-    run_phase1_work_stealing_bounded, StealConfig, TelemetryOptions,
-};
+use traffic_shadowing::shadow_core::executor::{run_phase1_chunks, ChunkConfig, TelemetryOptions};
 use traffic_shadowing::shadow_core::sink::SinkConfig;
 use traffic_shadowing::shadow_core::world::{generate_spec, WorldConfig};
 
@@ -37,10 +35,10 @@ fn bench(c: &mut Criterion) {
         spec.platform.vps.len()
     );
     let run = |k: usize, telemetry: TelemetryOptions| {
-        run_phase1_work_stealing_bounded(
+        run_phase1_chunks(
             &spec,
             &config,
-            StealConfig::with_workers(k).with_chunks(k),
+            ChunkConfig::with_workers(k).with_chunks(k),
             telemetry,
             None,
             SinkConfig::streaming(),

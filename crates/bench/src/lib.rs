@@ -1,10 +1,10 @@
 //! Shared fixtures for the benchmark harnesses.
 //!
-//! Every table/figure bench needs a completed campaign; running one per
-//! criterion iteration would be absurd, so the study is executed once per
-//! process (a couple of seconds) and cached. Each bench then (a) prints the
-//! regenerated table or series — the actual reproduction artifact — and
-//! (b) times the analysis computation itself.
+//! `paper_tables` needs a completed campaign; running one per criterion
+//! iteration would be absurd, so the standard study is executed once per
+//! process (a couple of seconds) and cached. The harness prints every
+//! regenerated table and figure through `traffic_shadowing::tables` — the
+//! actual reproduction artifact — and then times the analysis behind each.
 //!
 //! The [`hotpath`] module holds the engine hot-path fixture behind the
 //! `BENCH_pipeline.json` perf-trajectory record: a tapped router chain that
@@ -19,7 +19,7 @@ pub mod hotpath;
 pub mod serving;
 pub mod topo;
 
-/// The seed every bench harness uses, so printed tables match
+/// The seed of the cached campaign, so printed tables match
 /// EXPERIMENTS.md.
 pub const BENCH_SEED: u64 = 7;
 
@@ -33,11 +33,6 @@ pub fn study() -> &'static StudyOutcome {
         eprintln!("[bench fixture] campaign done in {:?}", started.elapsed());
         outcome
     })
-}
-
-/// Percentage formatting shared by harness printers.
-pub fn pct(fraction: f64) -> String {
-    format!("{:.1}%", fraction * 100.0)
 }
 
 /// Print this harness process's peak RSS (VmHWM) as a grep-friendly

@@ -83,6 +83,11 @@ pub struct CampaignData {
 }
 
 impl CampaignData {
+    /// How many decoys this phase (or shard) registered.
+    pub fn decoy_count(&self) -> usize {
+        self.registry.len()
+    }
+
     /// Absorb another phase's (or shard's) data. Commutative up to the
     /// canonical orders the consumers see (the journal is re-sorted after
     /// every merge), so the result is independent of absorb order (e.g.
@@ -163,6 +168,13 @@ pub struct Phase1Plan {
     pub sends: Vec<PlannedSend>,
     /// When the last decoy leaves a VP — global across all shards.
     pub last_send: SimTime,
+}
+
+impl Phase1Plan {
+    /// How many Phase I sends the plan schedules.
+    pub fn send_count(&self) -> usize {
+        self.sends.len()
+    }
 }
 
 /// The campaign runner.

@@ -8,8 +8,8 @@
 //! 2. instantiates a scout [`World`] on the calling thread, replays the
 //!    Appendix-E pre-flight on it, and compiles the global Phase I plan
 //!    there once, shared read-only with every chunk;
-//! 3. partitions the VP set round-robin into [`StealConfig::chunks`]
-//!    chunks, which [`StealConfig::workers`] threads claim one at a time
+//! 3. partitions the VP set round-robin into [`ChunkConfig::chunks`]
+//!    chunks, which [`ChunkConfig::workers`] threads claim one at a time
 //!    from one shared queue until it drains;
 //! 4. runs every chunk in a private world instantiated from the shared
 //!    spec — identical topology, exhibitor seeds and honeypots, and (after
@@ -135,14 +135,14 @@ pub struct ShardedPhase1 {
 /// `with_workers(k).with_chunks(k)` is the "K shards" shape: the same
 /// round-robin partition, one chunk per worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StealConfig {
+pub struct ChunkConfig {
     /// Number of path-chunk work units (clamped to `[1, #VPs]`).
     pub chunks: usize,
     /// Number of worker threads (clamped to `[1, chunks]`).
     pub workers: usize,
 }
 
-impl StealConfig {
+impl ChunkConfig {
     /// Scale to the machine: one worker per available core, 2× chunk
     /// oversubscription (collapsing to a single chunk on one core).
     pub fn auto() -> Self {
@@ -215,8 +215,8 @@ where
 }
 
 /// Phase I under the chunk scheduler — the one Phase I execution path.
-/// The VP set splits into [`StealConfig::chunks`] round-robin path chunks
-/// that [`StealConfig::workers`] threads claim from one shared queue, so a
+/// The VP set splits into [`ChunkConfig::chunks`] round-robin path chunks
+/// that [`ChunkConfig::workers`] threads claim from one shared queue, so a
 /// skewed world (one chunk's VPs triggering heavy exhibitor replay) keeps
 /// every core busy instead of serializing on the slowest chunk.
 ///
@@ -245,10 +245,10 @@ where
 /// pre-telemetry), so `chunks == 1` costs exactly one instantiation, like
 /// the sequential pipeline.
 #[allow(clippy::too_many_arguments)]
-pub fn run_phase1_work_stealing_bounded(
+pub fn run_phase1_chunks(
     spec: &WorldSpec,
     config: &Phase1Config,
-    steal: StealConfig,
+    shape: ChunkConfig,
     telemetry: TelemetryOptions,
     conditioner: Option<Arc<LinkConditioner>>,
     sink: SinkConfig,
@@ -256,7 +256,7 @@ pub fn run_phase1_work_stealing_bounded(
 ) -> ShardedPhase1 {
     let vp_ids: Vec<VpId> = spec.platform.vps.iter().map(|vp| vp.id).collect();
     let allowed = executing_vps(&vp_ids, vp_limit);
-    let chunks = steal.chunks.clamp(1, vp_ids.len().max(1));
+    let chunks = shape.chunks.clamp(1, vp_ids.len().max(1));
     let assignment = shard_vps(&vp_ids, chunks);
 
     // Scout: pay one instantiation + pre-flight up front to compute the
@@ -272,7 +272,7 @@ pub fn run_phase1_work_stealing_bounded(
         std::iter::once(Some((scout, scout_preflight)))
             .chain((1..chunks).map(|_| None))
             .collect();
-    let chunk_outputs = run_chunks(ready, steal.workers, |chunk, ready| {
+    let chunk_outputs = run_chunks(ready, shape.workers, |chunk, ready| {
         let started = std::time::Instant::now();
         let (mut world, preflight) = ready.unwrap_or_else(|| {
             let mut world = spec.instantiate();
@@ -291,9 +291,19 @@ pub fn run_phase1_work_stealing_bounded(
     merge_shards(chunk_outputs, assignment)
 }
 
-/// "K shards": [`run_phase1_work_stealing_bounded`] at `shards` chunks on
-/// `shards` workers, unbounded. Kept for the repository benchmark's traced
-/// run (`perfbench/`), which times the daemon's Phase I shape through it.
+/// The former name of [`ChunkConfig`]: perfbench only; delete with
+/// [`run_phase1_sharded_sink`] after the benchmark change that moves
+/// perfbench onto the chunk names.
+pub type StealConfig = ChunkConfig;
+
+/// The former name of [`run_phase1_chunks`]: perfbench only; delete with
+/// [`run_phase1_sharded_sink`] after the benchmark change that moves
+/// perfbench onto the chunk names.
+pub use self::run_phase1_chunks as run_phase1_work_stealing_bounded;
+
+/// "K shards": [`run_phase1_chunks`] at `shards` chunks on `shards`
+/// workers, unbounded. Kept for the repository benchmark's traced run
+/// (`perfbench/`), which times the daemon's Phase I shape through it.
 pub fn run_phase1_sharded_sink(
     spec: &WorldSpec,
     config: &Phase1Config,
@@ -302,18 +312,18 @@ pub fn run_phase1_sharded_sink(
     conditioner: Option<Arc<LinkConditioner>>,
     sink: SinkConfig,
 ) -> ShardedPhase1 {
-    let steal = StealConfig::with_workers(shards).with_chunks(shards);
-    run_phase1_work_stealing_bounded(spec, config, steal, telemetry, conditioner, sink, None)
+    let shape = ChunkConfig::with_workers(shards).with_chunks(shards);
+    run_phase1_chunks(spec, config, shape, telemetry, conditioner, sink, None)
 }
 
 /// Phase II under the chunk scheduler — the one Phase II execution path —
-/// over the chunk worlds kept from [`run_phase1_work_stealing_bounded`]:
-/// each chunk sweeps the traced paths whose triggering VP it owns. The
+/// over the chunk worlds kept from [`run_phase1_chunks`]: each chunk
+/// sweeps the traced paths whose triggering VP it owns. The
 /// sweep plan is computed once on chunk 0's world and borrowed by every
 /// chunk; `workers` threads claim chunk worlds from one shared queue until
 /// it drains. Observer localization reads the merged aggregates'
 /// smallest-triggering-TTL fold, so sweeps never buffer arrivals.
-pub fn run_phase2_work_stealing(
+pub fn run_phase2_chunks(
     worlds: &mut [World],
     assignment: &[BTreeSet<VpId>],
     paths: &[PathKey],
@@ -388,7 +398,7 @@ fn merge_shards(
                 event: EventKind::ShardMerged {
                     shard: shard_idx as u32,
                     arrivals: shard_data.aggregates.arrivals_seen,
-                    decoys: shard_data.registry.len() as u64,
+                    decoys: shard_data.decoy_count() as u64,
                 },
             });
         }

@@ -38,8 +38,8 @@ pub use campaign::{CampaignData, CampaignRunner, Phase1Config};
 pub use correlate::{Combo, CorrelatedRequest, PathKey, StreamingClassifier, UnsolicitedLabel};
 pub use decoy::{DecoyProtocol, DecoyRecord, DecoyRegistry};
 pub use executor::{
-    run_phase1_sharded_sink, run_phase1_work_stealing_bounded, run_phase2_work_stealing, shard_vps,
-    ShardedPhase1, StealConfig,
+    run_phase1_chunks, run_phase1_sharded_sink, run_phase2_chunks, shard_vps, ChunkConfig,
+    ShardedPhase1,
 };
 pub use ident::{DecoyIdent, IdentError};
 pub use noise::{NoiseFilter, PreflightOutcome};

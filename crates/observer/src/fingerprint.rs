@@ -8,7 +8,7 @@
 //!
 //! The classifier is deliberately **stateless per packet** — a pure
 //! function of `(destination, payload length)` and the immutable table —
-//! so its counts are identical for any shard count and under work-stealing
+//! so its counts are identical for any shard count and chunk shape
 //! (no cross-flow state to diverge when traffic is partitioned).
 //!
 //! Classified names feed telemetry and the journal only. They never enter

@@ -54,9 +54,7 @@ pub fn serve(driver: CampaignDriver, bind: &str) -> Result<ServeHandle, ServeErr
                 let cell = cell_metrics(&format!("wave-{}", report.wave), &report.outcome);
                 let robustness_json = serde_json::to_string_pretty(&cell).ok();
                 state.publish(Snapshot::from_driver(&driver, robustness_json));
-                state
-                    .tail
-                    .publish_records(&driver.journal()[report.journal_from..]);
+                state.tail.publish_records(driver.wave_records(&report));
                 if let Some(path) = driver.config().checkpoint_path.clone() {
                     if let Err(e) = driver.save_checkpoint(&path) {
                         state.record_checkpoint_error(e.to_string());

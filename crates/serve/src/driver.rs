@@ -2,7 +2,7 @@
 //!
 //! A daemon run is `waves` bounded sub-campaigns ("waves") laid end to end
 //! on a simulated-time axis. Each wave is a complete
-//! [`Study::run_sharded`] over a derived per-wave seed — the work-stealing
+//! [`Study::run_sharded`] over a derived per-wave seed — the chunk
 //! scheduler at K chunks on K workers: fresh worlds, one shared Phase I
 //! plan, a fresh Phase I/II, its own streamed classification. The driver
 //! then folds the wave into cumulative state using only commutative operations
@@ -156,7 +156,8 @@ pub struct WaveReport {
     /// 0-based index of the wave that just completed.
     pub wave: usize,
     pub wave_seed: u64,
-    /// Start of this wave's records in [`CampaignDriver::journal`].
+    /// Start of this wave's records in [`CampaignDriver::journal`]; read
+    /// them with [`CampaignDriver::wave_records`].
     pub journal_from: usize,
     pub outcome: StudyOutcome,
 }
@@ -279,6 +280,16 @@ impl CampaignDriver {
     /// records offset by the cursor at its start), so the vector is sorted.
     pub fn journal(&self) -> &[JournalRecord] {
         &self.journal
+    }
+
+    /// How many records the cumulative journal holds.
+    pub fn journal_len(&self) -> usize {
+        self.journal.len()
+    }
+
+    /// The journal records `report`'s wave appended, on the campaign axis.
+    pub fn wave_records(&self, report: &WaveReport) -> &[JournalRecord] {
+        &self.journal[report.journal_from..]
     }
 
     /// Run one wave and fold it in. `None` once the campaign is complete.

@@ -9,19 +9,17 @@
 //!  * ECH is needed because plain TLS still leaks the SNI.
 //!
 //! This example runs two identical campaigns — clear-text vs. encrypted
-//! (DoQ-style DNS + ECH TLS) — on identically-seeded worlds and compares.
+//! (DoQ-style DNS + ECH TLS) — on identically-seeded worlds and compares
+//! them in `traffic_shadowing::tables::encryption_ablation`.
 //!
 //! Run with `cargo run --release --example encryption_mitigation [seed]`.
 
-use shadow_analysis::report::pct;
-use traffic_shadowing::shadow_analysis;
 use traffic_shadowing::shadow_core::campaign::Phase1Config;
-use traffic_shadowing::shadow_core::decoy::DecoyProtocol;
 use traffic_shadowing::shadow_core::phase2::Phase2Config;
 use traffic_shadowing::shadow_core::world::WorldConfig;
-use traffic_shadowing::shadow_netsim::time::SimDuration;
 use traffic_shadowing::shadow_packet::EncryptionDeployment;
 use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
+use traffic_shadowing::tables;
 
 fn run(seed: u64, encrypted: bool) -> StudyOutcome {
     Study::run(StudyConfig {
@@ -52,75 +50,5 @@ fn main() {
     println!("running encrypted campaign (same world, DoQ + ECH)...\n");
     let encrypted = run(seed, true);
 
-    let clear_ls = clear.landscape();
-    let enc_ls = encrypted.landscape();
-
-    println!("=== §6 ablation: clear-text vs encrypted decoys ===\n");
-    println!("{:<28} {:>12} {:>12}", "", "clear-text", "encrypted");
-    for (label, dest) in [
-        ("Yandex (resolver-side)", "Yandex"),
-        ("One DNS (resolver-side)", "One DNS"),
-        ("DNS PAI (resolver-side)", "DNS PAI"),
-        ("Google (benign)", "Google"),
-    ] {
-        println!(
-            "{:<28} {:>12} {:>12}",
-            label,
-            pct(clear_ls.destination_ratio(dest, DecoyProtocol::Dns)),
-            pct(enc_ls.destination_ratio(dest, DecoyProtocol::Dns)),
-        );
-    }
-    println!(
-        "{:<28} {:>12} {:>12}",
-        "TLS paths (SNI / ECH)",
-        pct(clear_ls.protocol_ratio(DecoyProtocol::Tls)),
-        pct(enc_ls.protocol_ratio(DecoyProtocol::Tls)),
-    );
-    println!(
-        "{:<28} {:>12} {:>12}",
-        "HTTP paths (unencrypted)",
-        pct(clear_ls.protocol_ratio(DecoyProtocol::Http)),
-        pct(enc_ls.protocol_ratio(DecoyProtocol::Http)),
-    );
-
-    // On-wire DNS observers: unsolicited requests on *benign*-resolver
-    // paths arriving well past the retry window can only come from on-path
-    // DPI (benign resolvers retry within a minute). Encryption must zero
-    // these out.
-    let wire_evidence = |outcome: &StudyOutcome| -> u64 {
-        let benign = [
-            "Google",
-            "Cloudflare",
-            "Quad9",
-            "OpenDNS",
-            "Level3",
-            "Hurricane",
-            "SafeDNS",
-        ];
-        let late = SimDuration::from_mins(10).millis();
-        outcome
-            .phase1
-            .aggregates
-            .interval_hists
-            .iter()
-            .filter(|((protocol, dst), _)| {
-                *protocol == DecoyProtocol::Dns
-                    && outcome
-                        .dest_names
-                        .get(dst)
-                        .is_some_and(|name| benign.contains(&name.as_str()))
-            })
-            .map(|(_, hist)| hist.total() - hist.cumulative_at(late).unwrap_or(0))
-            .sum()
-    };
-    println!(
-        "\nwire-observer evidence on benign-resolver paths: {} → {}",
-        wire_evidence(&clear),
-        wire_evidence(&encrypted)
-    );
-
-    println!("\nconclusions (cf. paper §6):");
-    println!("  * encrypted DNS blinds on-path observers, but resolver-side shadowing persists");
-    println!("  * ECH removes the clear-text SNI, killing TLS shadowing entirely");
-    println!("  * unencrypted HTTP remains exposed either way");
+    print!("{}", tables::encryption_ablation(&clear, &encrypted));
 }

@@ -1,15 +1,18 @@
 //! The paper-scale (simulated) campaign: builds the standard world, runs
 //! pre-flight vetting, Phase I, Phase II, and prints every table and figure
 //! of the evaluation section side by side with the paper's reported
-//! numbers. This is the binary behind EXPERIMENTS.md.
+//! numbers (`traffic_shadowing::tables::report`). This is the binary
+//! behind EXPERIMENTS.md.
 //!
 //! Run with `cargo run --release --example full_campaign [seed] [--shards N]
 //! [--tiny] [--metrics-out PATH] [--journal PATH]`.
 //!
-//! `--shards N` executes the campaign across N worker threads (the
-//! work-stealing scheduler at N chunks on N workers: one world per chunk,
-//! one shared plan, merged deterministically); the output is byte-identical
-//! to the sequential run for any N. `--metrics-out` writes the merged
+//! `--shards N` executes the campaign across N worker threads (the chunk
+//! scheduler at N chunks on N workers: one world per chunk, one shared
+//! plan, merged deterministically); the output is byte-identical to the
+//! sequential run for any N. `--paper-scale` (or `--scale-factor N`, N
+//! times the paper's decoy volume) runs the paper's own deployment and,
+//! without `--shards`, one worker per core. `--metrics-out` writes the merged
 //! telemetry snapshot as JSON (and prints a summary table); `--journal`
 //! writes the canonically sorted event journal as JSONL (compare runs with
 //! the `journal_diff` example). `--tiny` runs the small test world instead
@@ -46,17 +49,15 @@
 //! always records telemetry (the checkpoint carries the journal and
 //! metrics) and prints the evaluation report for the final wave.
 
-use shadow_analysis::report::{pct, render_series, render_table};
-use shadow_analysis::temporal::paper_grid;
 use shadow_serve::{CampaignCheckpoint, CampaignDriver, ServeConfig, ServeError};
 use std::path::{Path, PathBuf};
-use traffic_shadowing::shadow_analysis;
+use traffic_shadowing::shadow_analysis::report::render_table;
 use traffic_shadowing::shadow_chaos::{FaultProfile, RetrySpec};
-use traffic_shadowing::shadow_core::decoy::DecoyProtocol;
-use traffic_shadowing::shadow_core::executor::{StealConfig, TelemetryOptions};
-use traffic_shadowing::shadow_netsim::time::SimDuration;
+use traffic_shadowing::shadow_core::executor::{ChunkConfig, TelemetryOptions};
 use traffic_shadowing::shadow_packet::EncryptionDeployment;
+use traffic_shadowing::shadow_telemetry::{to_jsonl, JournalRecord, MetricsSnapshot};
 use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
+use traffic_shadowing::tables;
 
 const USAGE: &str = "usage: full_campaign [seed] [--shards N] [--tiny] [--paper-scale] \
      [--scale-factor N] [--metrics-out PATH] [--journal PATH] [--loss PERCENT] \
@@ -262,7 +263,7 @@ fn main() {
             std::process::exit(2);
         }
     }
-    if let Some(factor) = scale_factor {
+    if scale_factor.is_some() {
         if tiny {
             eprintln!(
                 "--tiny and --paper-scale/--scale-factor are mutually exclusive — pick one \
@@ -291,73 +292,126 @@ fn main() {
             );
             std::process::exit(2);
         }
-        run_paper_scale(seed, factor, shards, faults, encryption, metrics_out);
-        return;
     }
+    let artifacts = Artifacts {
+        metrics_out,
+        journal_out,
+    };
     if waves.is_some() || checkpoint_out.is_some() || resume_from.is_some() {
+        let study = study_config(
+            base_config(seed, tiny),
+            TelemetryOptions::enabled(true),
+            faults,
+            encryption,
+        );
         run_campaign(
             seed,
-            tiny,
+            study,
             shards,
             waves,
             checkpoint_out,
             resume_from,
-            faults,
-            encryption,
-            metrics_out,
-            journal_out,
+            artifacts,
         );
         return;
     }
-    let telemetry = if metrics_out.is_some() || journal_out.is_some() {
-        TelemetryOptions::enabled(journal_out.is_some())
+    let telemetry = if artifacts.metrics_out.is_some() || artifacts.journal_out.is_some() {
+        TelemetryOptions::enabled(artifacts.journal_out.is_some())
     } else {
         TelemetryOptions::disabled()
     };
-    let mut config = StudyConfig {
-        telemetry,
-        faults,
-        ..if tiny {
-            StudyConfig::tiny(seed)
-        } else {
-            StudyConfig::standard(seed)
-        }
+    let preset = match scale_factor {
+        Some(factor) => StudyConfig::paper_scale_factor(seed, factor),
+        None => base_config(seed, tiny),
     };
-    if let Some(level) = &encryption {
-        config.phase1.encryption = level.clone();
+    let config = study_config(preset, telemetry, faults, encryption.clone());
+    if let Some(factor) = scale_factor {
+        eprintln!(
+            "[paper-scale] factor {factor}: {} VPs x {} sites (building world + plan; \
+             this is minutes of setup before sends start)",
+            config.world.vps_global + config.world.vps_cn,
+            config.world.tranco_sites,
+        );
     }
     let started = std::time::Instant::now();
-    let outcome = match shards {
-        Some(k) => Study::run_sharded(config, k),
-        None => Study::run(config),
+    let outcome = match (shards, scale_factor) {
+        (Some(k), _) => Study::run_sharded(config, k),
+        (None, Some(_)) => Study::run_chunked(config, ChunkConfig::auto()),
+        (None, None) => Study::run(config),
     };
-    match shards {
-        Some(k) => println!(
-            "=== full campaign (seed {seed}, {k} shards, {:?}) ===\n",
-            started.elapsed()
-        ),
-        None => println!(
-            "=== full campaign (seed {seed}, {:?}) ===\n",
-            started.elapsed()
-        ),
-    }
+    let (kind, factor) = match scale_factor {
+        Some(f) => ("paper-scale campaign", format!("factor {f}, ")),
+        None => ("full campaign", String::new()),
+    };
+    let shape = match (shards, scale_factor) {
+        (Some(k), _) => format!("{k} shards, "),
+        (None, Some(_)) => "work-stealing, ".to_string(),
+        (None, None) => String::new(),
+    };
+    println!(
+        "=== {kind} (seed {seed}, {factor}{shape}{:?}) ===\n",
+        started.elapsed()
+    );
     println!("{}\n", outcome.summary());
     if let Some(level) = &encryption {
         println!("(encryption deployment: {})\n", level.level);
     }
-    print_report(&outcome);
+    print!("{}", tables::report(&outcome));
     let encryption_sweep = encryption_report
-        .then(|| print_encryption_report(&config_for_sweep(seed, tiny), shards.unwrap_or(1)));
-    print_artifacts(
-        &outcome,
-        seed,
-        &metrics_out,
-        &journal_out,
-        encryption_sweep.as_ref(),
-    );
-    if topology_report {
-        print_topology_report(&outcome, &config_for_sweep(seed, tiny), shards.unwrap_or(1));
+        .then(|| print_encryption_report(&base_config(seed, tiny), shards.unwrap_or(1)));
+    if let (Some(metrics), Some(_)) = (&outcome.metrics, &artifacts.metrics_out) {
+        println!("\n--- telemetry: run metrics ---");
+        let rows: Vec<Vec<String>> = metrics
+            .summary_rows()
+            .into_iter()
+            .map(|(metric, value)| vec![metric, value])
+            .collect();
+        println!("{}", render_table(&["metric", "value"], &rows));
     }
+    artifacts.write(
+        outcome.metrics.as_ref(),
+        outcome.journal.as_deref(),
+        ["metrics snapshot", "event journal"],
+    );
+    let mut bundle = outcome.export_bundle();
+    bundle.encryption = encryption_sweep;
+    if let Ok(json) = bundle.to_json() {
+        let path = std::env::temp_dir().join(format!("traffic-shadowing-seed{seed}.json"));
+        if std::fs::write(&path, json).is_ok() {
+            println!("\nanalysis bundle written to {}", path.display());
+        }
+    }
+    if topology_report {
+        print_topology_report(&outcome, &base_config(seed, tiny), shards.unwrap_or(1));
+    }
+}
+
+/// The tiny or standard preset, fault- and telemetry-free; the sweep
+/// cells and campaign mode start from it.
+fn base_config(seed: u64, tiny: bool) -> StudyConfig {
+    if tiny {
+        StudyConfig::tiny(seed)
+    } else {
+        StudyConfig::standard(seed)
+    }
+}
+
+/// `preset` with the run's telemetry, faults and encryption deployment.
+fn study_config(
+    preset: StudyConfig,
+    telemetry: TelemetryOptions,
+    faults: Option<FaultProfile>,
+    encryption: Option<EncryptionDeployment>,
+) -> StudyConfig {
+    let mut config = StudyConfig {
+        telemetry,
+        faults,
+        ..preset
+    };
+    if let Some(level) = encryption {
+        config.phase1.encryption = level;
+    }
+    config
 }
 
 /// The `--encryption-report` section: one extra campaign per ladder level
@@ -378,71 +432,6 @@ fn print_encryption_report(
          observers but not the resolver operator; destination-IP fingerprints remain\n"
     );
     report
-}
-
-/// The `--paper-scale` / `--scale-factor N` path: the §3 deployment scale
-/// (4,364 VPs × 2,325 sites, ~20M Phase I decoys per round at factor 1).
-/// Arrivals fold into the capture-time sinks like every other run, so the
-/// full report prints from the same function as the standard world. The
-/// work-stealing scheduler compiles one shared scout plan either way;
-/// without `--shards` it runs one worker per available core, with
-/// `--shards K` at K chunks on K workers.
-fn run_paper_scale(
-    seed: u64,
-    factor: u32,
-    shards: Option<usize>,
-    faults: Option<FaultProfile>,
-    encryption: Option<EncryptionDeployment>,
-    metrics_out: Option<String>,
-) {
-    let telemetry = if metrics_out.is_some() {
-        TelemetryOptions::enabled(false)
-    } else {
-        TelemetryOptions::disabled()
-    };
-    let mut config = StudyConfig {
-        telemetry,
-        faults,
-        ..StudyConfig::paper_scale_factor(seed, factor)
-    };
-    if let Some(level) = encryption {
-        config.phase1.encryption = level;
-    }
-    let world = &config.world;
-    eprintln!(
-        "[paper-scale] factor {factor}: {} VPs x {} sites (building world + plan; \
-         this is minutes of setup before sends start)",
-        world.vps_global + world.vps_cn,
-        world.tranco_sites,
-    );
-    let started = std::time::Instant::now();
-    let outcome = match shards {
-        Some(k) => Study::run_sharded(config, k),
-        None => Study::run_work_stealing(config, StealConfig::auto()),
-    };
-    match shards {
-        Some(k) => println!(
-            "=== paper-scale campaign (seed {seed}, factor {factor}, {k} shards, {:?}) ===\n",
-            started.elapsed()
-        ),
-        None => println!(
-            "=== paper-scale campaign (seed {seed}, factor {factor}, work-stealing, {:?}) ===\n",
-            started.elapsed()
-        ),
-    }
-    println!("{}\n", outcome.summary());
-    print_report(&outcome);
-    print_artifacts(&outcome, seed, &metrics_out, &None, None);
-}
-
-/// A fault-free, telemetry-free copy of the study configuration for the
-/// ICMP-coverage sweep cells (each cell injects its own ICMP profile).
-fn config_for_sweep(seed: u64, tiny: bool) -> StudyConfig {
-    if tiny {
-        StudyConfig::tiny(seed)
-    } else {
-        StudyConfig::standard(seed)
-    }
 }
 
 /// The `--topology-report` section: the router graph reconstructed from
@@ -491,335 +480,42 @@ fn print_topology_report(outcome: &StudyOutcome, base: &StudyConfig, shards: usi
     );
 }
 
-/// Every table, figure, and case study of the evaluation section, printed
-/// from one study outcome — shared by the one-shot path and campaign
-/// mode's final-wave report.
-fn print_report(outcome: &StudyOutcome) {
-    // ------------------------------------------------- Table 1
-    println!("--- Table 1: measurement platform (after vetting) ---");
-    let rows: Vec<Vec<String>> = outcome
-        .world
-        .platform
-        .table1(&outcome.world.geo)
-        .into_iter()
-        .map(|r| {
-            vec![
-                r.market.to_string(),
-                r.providers.to_string(),
-                r.vps.to_string(),
-                r.ases.to_string(),
-                r.countries.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(&["Market", "Providers", "VPs", "ASes", "Countries"], &rows)
-    );
-
-    // ------------------------------------------------- Figure 3
-    println!("--- Figure 3: problematic-path ratios per destination ---");
-    let landscape = outcome.landscape();
-    let mut rows = Vec::new();
-    for dest in [
-        "Yandex",
-        "114DNS",
-        "One DNS",
-        "DNS PAI",
-        "VERCARA",
-        "Google",
-        "Cloudflare",
-        "Quad9",
-        "self-built",
-        "a.root",
-        ".com",
-    ] {
-        rows.push(vec![
-            dest.to_string(),
-            pct(landscape.destination_ratio(dest, DecoyProtocol::Dns)),
-        ]);
-    }
-    println!(
-        "{}",
-        render_table(&["DNS destination", "paths shadowed"], &rows)
-    );
-    println!(
-        "protocol totals: DNS {} | HTTP {} | TLS {}\n",
-        pct(landscape.protocol_ratio(DecoyProtocol::Dns)),
-        pct(landscape.protocol_ratio(DecoyProtocol::Http)),
-        pct(landscape.protocol_ratio(DecoyProtocol::Tls)),
-    );
-
-    println!("HTTP/TLS destinations most observed (site groups by hosting country):");
-    for protocol in [DecoyProtocol::Http, DecoyProtocol::Tls] {
-        let top: Vec<String> = landscape
-            .destination_ratios(protocol)
-            .into_iter()
-            .filter(|(d, _, _)| d.starts_with("site:"))
-            .take(4)
-            .map(|(d, r, _)| format!("{d} {}", pct(r)))
-            .collect();
-        println!("  {}: {}", protocol.as_str(), top.join("  "));
-    }
-    println!("paper: destinations in CN, AD, US, CA most associated\n");
-
-    // ------------------------------------------------- Table 2
-    println!("--- Table 2: normalized location of traffic observers ---");
-    let hop_table = outcome.hop_table();
-    let mut rows = Vec::new();
-    for protocol in [DecoyProtocol::Dns, DecoyProtocol::Http, DecoyProtocol::Tls] {
-        let mut row = vec![protocol.as_str().to_string()];
-        for hop in 1..=10u8 {
-            row.push(format!("{:.1}", hop_table.percent(protocol, hop)));
-        }
-        rows.push(row);
-    }
-    println!(
-        "{}",
-        render_table(
-            &["proto", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10=dst"],
-            &rows
-        )
-    );
-
-    // ------------------------------------------------- Table 3
-    println!("--- Table 3: top networks of on-path traffic observers ---");
-    let ips = outcome.observer_ips();
-    println!(
-        "observer IPs revealed: {} ({} in CN)\n",
-        ips.total_ips,
-        pct(ips.country_fraction("CN"))
-    );
-    for protocol in [DecoyProtocol::Dns, DecoyProtocol::Http, DecoyProtocol::Tls] {
-        if let Some(rows) = ips.top_ases.get(protocol.as_str()) {
-            let table: Vec<Vec<String>> = rows
-                .iter()
-                .take(3)
-                .map(|r| {
-                    vec![
-                        format!("AS{}", r.asn),
-                        r.name.clone(),
-                        r.paths.to_string(),
-                        pct(r.share),
-                    ]
-                })
-                .collect();
-            println!("{protocol:?} decoys:");
-            println!(
-                "{}",
-                render_table(&["AS", "Name", "Paths", "Share"], &table)
-            );
-        }
-    }
-
-    // ------------------------------------------------- Figure 4
-    println!("--- Figure 4: interval CDF, DNS decoys to Resolver_h ---");
-    let fig4 = outcome.fig4();
-    println!("{}", render_series("Resolver_h", &paper_grid(&fig4)));
-    let others = outcome.fig4_other_resolvers();
-    println!(
-        "other 15 resolvers: {} within 1 minute (paper: 95%)\n",
-        pct(others.fraction_at(SimDuration::from_mins(1)).unwrap_or(0.0))
-    );
-    println!(
-        "mass near the 1h mark (cache-refresh check): {} (no spike expected)\n",
-        pct(fig4
-            .fraction_between(SimDuration::from_mins(55), SimDuration::from_mins(65))
-            .unwrap_or(0.0))
-    );
-
-    // ------------------------------------------------- Figure 5
-    println!("--- Figure 5: DNS decoy outcome breakdown (selected) ---");
-    let breakdown = outcome.fig5_breakdown();
-    let mut rows = Vec::new();
-    for dest in ["Yandex", "114DNS", "One DNS", "Google", "self-built"] {
-        if let Some(row) = breakdown.iter().find(|b| b.destination == dest) {
-            rows.push(vec![
-                dest.to_string(),
-                pct(row.shadowed_fraction()),
-                pct(row.late_http_fraction()),
-            ]);
-        }
-    }
-    println!(
-        "{}",
-        render_table(&["Destination", "shadowed", "HTTP(S) after 1h"], &rows)
-    );
-
-    // ------------------------------------------------- Figure 6
-    println!("--- Figure 6: origins of unsolicited requests (Resolver_h) ---");
-    let origins = outcome.fig6_origins();
-    println!(
-        "Google (AS15169) share of unsolicited DNS re-queries: {}",
-        pct(origins.as_share(15169))
-    );
-    println!(
-        "114DNS origin-AS fan-out: {} ASes",
-        origins.origin_as_count("114DNS")
-    );
-    for dest in ["Yandex", "114DNS"] {
-        let rows: Vec<Vec<String>> = origins
-            .named_rows(dest, &outcome.world.catalog)
-            .into_iter()
-            .take(4)
-            .map(|(name, count)| vec![name, count.to_string()])
-            .collect();
-        println!("\n{dest}:");
-        println!("{}", render_table(&["Origin AS", "requests"], &rows));
-    }
-    println!(
-        "origin-IP blocklist rates: {:?}\n",
-        origins
-            .blocklist_rates
-            .iter()
-            .map(|(k, v)| format!("{k}: {}", pct(*v)))
-            .collect::<Vec<_>>()
-    );
-
-    // ------------------------------------------------- Figure 7
-    println!("--- Figure 7: interval CDFs, HTTP and TLS decoys ---");
-    let (http, tls) = outcome.fig7();
-    println!("{}", render_series("HTTP decoys", &paper_grid(&http)));
-    println!("{}", render_series("TLS decoys", &paper_grid(&tls)));
-
-    // ------------------------------------------------- §5.1 reuse
-    let reuse = outcome.reuse();
-    println!("--- §5.1: reuse of retained data (cutoff 1h) ---");
-    println!(
-        "late-active decoys: {} | >3 requests: {} (paper 51%) | >10: {} (paper 2.4%)\n",
-        reuse.late_active_decoys(),
-        pct(reuse.fraction_exceeding(3)),
-        pct(reuse.fraction_exceeding(10)),
-    );
-
-    // ------------------------------------------------- §5 probing
-    println!("--- §5: HTTP(S) probing incentives ---");
-    for protocol in [DecoyProtocol::Dns, DecoyProtocol::Http, DecoyProtocol::Tls] {
-        let probing = outcome.probing(protocol);
-        println!(
-            "{} decoys → enumeration {} | exploits {} | blocklist HTTP {} HTTPS {} DNS {}",
-            protocol.as_str(),
-            pct(probing.enumeration_fraction()),
-            probing.exploits,
-            pct(probing.blocklist_rate("HTTP")),
-            pct(probing.blocklist_rate("HTTPS")),
-            pct(probing.blocklist_rate("DNS")),
-        );
-    }
-
-    // ------------------------------------------------- §5.2 combos
-    println!("--- §5.2: protocol combinations per observer network ---");
-    let combos = outcome.observer_combos();
-    for (asn, mix) in combos.per_as.iter().take(6) {
-        let name = outcome
-            .world
-            .catalog
-            .get(traffic_shadowing::shadow_geo::Asn(*asn))
-            .map(|i| i.name.clone())
-            .unwrap_or_default();
-        let parts: Vec<String> = mix.iter().map(|(p, c)| format!("{p}:{c}")).collect();
-        println!("AS{asn} {name}: {}", parts.join(" "));
-    }
-    println!(
-        "overall Decoy-Request combos: {:?}\n",
-        outcome.combo_counts()
-    );
-
-    // ------------------------------------------------- §5.2 ports
-    let scan = outcome.observer_port_scan();
-    println!("\n--- §5.2: open ports of on-wire observers ---");
-    println!(
-        "{} observers scanned | no open ports: {} (paper 92%) | top open port: {:?} (paper 179)\n",
-        scan.targets,
-        pct(scan.closed_fraction()),
-        scan.top_port()
-    );
-
-    // ------------------------------------------------- Cases
-    println!("--- Case studies ---");
-    if let Some(case) = outcome.resolver_case("Yandex") {
-        println!(
-            "I  Yandex: {} of decoys shadowed (paper >99%), {} trigger HTTP(S) (paper 51%), >10d tail {} (paper ~40%)",
-            pct(case.shadowed_fraction()),
-            pct(case.http_probed_fraction()),
-            pct(case.ten_day_tail),
-        );
-    }
-    if let Some(case) = outcome.anycast_case() {
-        println!(
-            "II 114DNS anycast: CN VPs {} vs elsewhere {} (paper: CN instances shadow, US do not)",
-            pct(case.in_country_ratio()),
-            pct(case.elsewhere_ratio()),
-        );
-    }
-    let cn = outcome.cn_observer_case();
-    println!(
-        "III CN observers: {} of on-wire HTTP/TLS observer IPs in CN (paper 79%); {} of probe traffic from CN origins (paper 85%)",
-        pct(cn.cn_observer_fraction()),
-        pct(cn.cn_origin_fraction),
-    );
+/// Where `--metrics-out` and `--journal` go, shared by the one-shot path
+/// and campaign mode.
+struct Artifacts {
+    metrics_out: Option<String>,
+    journal_out: Option<String>,
 }
 
-/// The `--metrics-out` / `--journal` artifacts plus the analysis bundle,
-/// for the one-shot path (campaign mode writes its cumulative state
-/// instead).
-fn print_artifacts(
-    outcome: &StudyOutcome,
-    seed: u64,
-    metrics_out: &Option<String>,
-    journal_out: &Option<String>,
-    encryption: Option<&traffic_shadowing::encryption::EncryptionReport>,
-) {
-    // ------------------------------------------------- Telemetry artifacts
-    if let (Some(metrics), Some(path)) = (&outcome.metrics, &metrics_out) {
-        println!("\n--- telemetry: run metrics ---");
-        let rows: Vec<Vec<String>> = metrics
-            .summary_rows()
-            .into_iter()
-            .map(|(metric, value)| vec![metric, value])
-            .collect();
-        println!("{}", render_table(&["metric", "value"], &rows));
-        match metrics.to_json() {
-            Ok(json) => {
-                if let Err(e) = std::fs::write(path, json) {
-                    eprintln!("failed to write metrics to {path}: {e}");
-                    std::process::exit(1);
-                }
-                println!("metrics snapshot written to {path}");
-            }
-            Err(e) => {
-                eprintln!("failed to serialize metrics: {e:?}");
-                std::process::exit(1);
-            }
+impl Artifacts {
+    /// Write the metrics JSON and the journal JSONL to the requested
+    /// paths, confirming each under `names` (metrics, journal); a failure
+    /// to serialize or write exits 1.
+    fn write(
+        &self,
+        metrics: Option<&MetricsSnapshot>,
+        journal: Option<&[JournalRecord]>,
+        names: [&str; 2],
+    ) {
+        if let (Some(metrics), Some(path)) = (metrics, &self.metrics_out) {
+            write_or_exit(path, "metrics", metrics.to_json());
+            println!("{} written to {path}", names[0]);
+        }
+        if let (Some(journal), Some(path)) = (journal, &self.journal_out) {
+            write_or_exit(path, "journal", to_jsonl(journal));
+            println!("{} ({} records) written to {path}", names[1], journal.len());
         }
     }
-    if let (Some(journal), Some(path)) = (&outcome.journal, &journal_out) {
-        match traffic_shadowing::shadow_telemetry::to_jsonl(journal) {
-            Ok(jsonl) => {
-                if let Err(e) = std::fs::write(path, jsonl) {
-                    eprintln!("failed to write journal to {path}: {e}");
-                    std::process::exit(1);
-                }
-                println!(
-                    "event journal ({} records) written to {path}",
-                    journal.len()
-                );
-            }
-            Err(e) => {
-                eprintln!("failed to serialize journal: {e:?}");
-                std::process::exit(1);
-            }
-        }
-    }
+}
 
-    // ------------------------------------------------- JSON artifact
-    let mut bundle = outcome.export_bundle();
-    bundle.encryption = encryption.cloned();
-    if let Ok(json) = bundle.to_json() {
-        let path = std::env::temp_dir().join(format!("traffic-shadowing-seed{seed}.json"));
-        if std::fs::write(&path, json).is_ok() {
-            println!("\nanalysis bundle written to {}", path.display());
-        }
+fn write_or_exit(path: &str, what: &str, serialized: Result<String, serde_json::Error>) {
+    let text = serialized.unwrap_or_else(|e| {
+        eprintln!("failed to serialize {what}: {e:?}");
+        std::process::exit(1);
+    });
+    if let Err(e) = std::fs::write(path, text) {
+        eprintln!("failed to write {what} to {path}: {e}");
+        std::process::exit(1);
     }
 }
 
@@ -837,18 +533,14 @@ fn fault_profile(loss_percent: f64, fault_seed: u64) -> Option<FaultProfile> {
 /// Campaign mode: drive the `shadow-serve` wave loop from the CLI,
 /// checkpointing after every wave when asked, and restoring from
 /// `--resume` before running the remaining waves.
-#[allow(clippy::too_many_arguments)]
 fn run_campaign(
     seed: u64,
-    tiny: bool,
+    study: StudyConfig,
     shards: Option<usize>,
     waves: Option<usize>,
     checkpoint_out: Option<String>,
     resume_from: Option<String>,
-    faults: Option<FaultProfile>,
-    encryption: Option<EncryptionDeployment>,
-    metrics_out: Option<String>,
-    journal_out: Option<String>,
+    artifacts: Artifacts,
 ) {
     let loaded =
         resume_from
@@ -864,18 +556,6 @@ fn run_campaign(
                     std::process::exit(2);
                 }
             });
-    let mut study = StudyConfig {
-        telemetry: TelemetryOptions::enabled(true),
-        faults,
-        ..if tiny {
-            StudyConfig::tiny(seed)
-        } else {
-            StudyConfig::standard(seed)
-        }
-    };
-    if let Some(level) = encryption {
-        study.phase1.encryption = level;
-    }
     let config = ServeConfig {
         study,
         // An unflagged resume inherits the checkpoint's wave count; a
@@ -944,49 +624,20 @@ fn run_campaign(
         "\ncampaign complete in {:?}: {} waves | {} journal records | simulated span {} ms",
         started.elapsed(),
         driver.waves_done(),
-        driver.journal().len(),
+        driver.journal_len(),
         driver.sim_cursor_ms(),
     );
-
-    if let Some(path) = &metrics_out {
-        match driver.metrics().to_json() {
-            Ok(json) => {
-                if let Err(e) = std::fs::write(path, json) {
-                    eprintln!("failed to write metrics to {path}: {e}");
-                    std::process::exit(1);
-                }
-                println!("cumulative metrics snapshot written to {path}");
-            }
-            Err(e) => {
-                eprintln!("failed to serialize metrics: {e:?}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(path) = &journal_out {
-        match traffic_shadowing::shadow_telemetry::to_jsonl(driver.journal()) {
-            Ok(jsonl) => {
-                if let Err(e) = std::fs::write(path, jsonl) {
-                    eprintln!("failed to write journal to {path}: {e}");
-                    std::process::exit(1);
-                }
-                println!(
-                    "campaign journal ({} records) written to {path}",
-                    driver.journal().len()
-                );
-            }
-            Err(e) => {
-                eprintln!("failed to serialize journal: {e:?}");
-                std::process::exit(1);
-            }
-        }
-    }
+    artifacts.write(
+        Some(driver.metrics()),
+        Some(driver.journal()),
+        ["cumulative metrics snapshot", "campaign journal"],
+    );
 
     match last_outcome {
         Some(outcome) => {
             println!("\n--- evaluation report, final wave ---\n");
             println!("{}\n", outcome.summary());
-            print_report(&outcome);
+            print!("{}", tables::report(&outcome));
         }
         None => println!("nothing to run: the checkpoint already covers every wave"),
     }

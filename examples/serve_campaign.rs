@@ -179,7 +179,7 @@ fn main() {
             driver.waves_done(),
             driver.aggregates().arrivals_seen,
             driver.aggregates().unsolicited_total(),
-            driver.journal().len(),
+            driver.journal_len(),
         );
         if let Some(path) = &driver.config().checkpoint_path {
             println!("final checkpoint at {}", path.display());

@@ -19,13 +19,15 @@
 //! * [`shadow_telemetry`] — run-wide metrics + the structured event journal;
 //! * [`shadow_analysis`] — the tables and figures.
 //!
-//! The [`study`] module wires them into one call:
+//! The [`study`] module wires them into one call, and [`tables`] renders
+//! every paper artifact of its outcome as text:
 //!
 //! ```no_run
 //! use traffic_shadowing::study::{Study, StudyConfig};
 //!
 //! let outcome = Study::run(StudyConfig::tiny(42));
 //! println!("{}", outcome.summary());
+//! print!("{}", traffic_shadowing::tables::report(&outcome));
 //! ```
 
 pub use shadow_analysis;
@@ -45,6 +47,7 @@ pub use shadow_vantage;
 pub mod encryption;
 pub mod robustness;
 pub mod study;
+pub mod tables;
 pub mod topology_report;
 
 pub use study::{Study, StudyConfig, StudyOutcome};

@@ -68,7 +68,7 @@ pub fn cell_metrics(name: &str, outcome: &StudyOutcome) -> CellMetrics {
         observer_ips: outcome.observer_ips().total_ips,
         observer_addrs: observer_addrs.into_iter().collect(),
         unsolicited: outcome.phase1.aggregates.unsolicited_total() as usize,
-        decoys_sent: outcome.phase1.registry.len(),
+        decoys_sent: outcome.phase1.decoy_count(),
     }
 }
 

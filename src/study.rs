@@ -15,9 +15,7 @@ use shadow_chaos::FaultProfile;
 use shadow_core::campaign::{CampaignData, CampaignRunner, Phase1Config};
 use shadow_core::correlate::{Combo, CorrelatedRequest, PathKey};
 use shadow_core::decoy::DecoyProtocol;
-use shadow_core::executor::{
-    run_phase1_work_stealing_bounded, run_phase2_work_stealing, StealConfig, TelemetryOptions,
-};
+use shadow_core::executor::{run_phase1_chunks, run_phase2_chunks, ChunkConfig, TelemetryOptions};
 use shadow_core::noise::{NoiseFilter, PreflightOutcome};
 use shadow_core::phase2::{paths_to_trace_streamed, Phase2Config, Phase2Runner, TracerouteResult};
 use shadow_core::sink::{IntervalHistogram, SinkConfig};
@@ -81,9 +79,8 @@ impl StudyConfig {
     }
 
     /// The paper's §3 deployment: 4,364 VPs against the full destination
-    /// set, meant to run under
-    /// [`Study::run_work_stealing`] with [`StealConfig::auto`]
-    /// (`shadow_core::executor::StealConfig`).
+    /// set, meant to run under [`Study::run_chunked`] with
+    /// [`ChunkConfig::auto`].
     pub fn paper_scale(seed: u64) -> Self {
         Self {
             world: WorldConfig::paper_scale(seed),
@@ -238,32 +235,32 @@ impl Study {
         Self::assemble(config, world, preflight, phase1, phase2)
     }
 
-    /// [`Study::run`] across `shards` worker threads: the work-stealing
+    /// [`Study::run`] across `shards` worker threads: the chunk
     /// scheduler at `shards` chunks on `shards` workers (VPs partitioned
     /// round-robin, one private world per chunk). Byte-identical to the
     /// sequential path for any shard count — `tests/sharded_equivalence.rs`
     /// enforces this on the exported analysis bundle.
     pub fn run_sharded(config: StudyConfig, shards: usize) -> StudyOutcome {
-        Self::run_work_stealing(
+        Self::run_chunked(
             config,
-            StealConfig::with_workers(shards).with_chunks(shards),
+            ChunkConfig::with_workers(shards).with_chunks(shards),
         )
     }
 
-    /// [`Study::run`] under the work-stealing scheduler: VPs split into
-    /// [`StealConfig::chunks`] work units drained by
-    /// [`StealConfig::workers`] threads, with the global plan computed
+    /// [`Study::run`] under the chunk scheduler: VPs split into
+    /// [`ChunkConfig::chunks`] work units drained by
+    /// [`ChunkConfig::workers`] threads, with the global plan computed
     /// once on the calling thread and shared. Byte-identical to
     /// [`Study::run`] for any execution shape (enforced by
     /// `tests/sharded_equivalence.rs`); this is the path that scales to
     /// core count on skewed worlds, and the one `--paper-scale` campaigns
     /// use.
-    pub fn run_work_stealing(config: StudyConfig, steal: StealConfig) -> StudyOutcome {
+    pub fn run_chunked(config: StudyConfig, shape: ChunkConfig) -> StudyOutcome {
         let spec = generate_spec(config.world.clone());
-        let mut sharded = run_phase1_work_stealing_bounded(
+        let mut sharded = run_phase1_chunks(
             &spec,
             &config.phase1_effective(),
-            steal,
+            shape,
             config.telemetry,
             config.conditioner(&spec),
             SinkConfig::streaming(),
@@ -272,12 +269,12 @@ impl Study {
         let phase2 = config.run_phase2.then(|| {
             let traced =
                 paths_to_trace_streamed(&sharded.data.aggregates, config.trace_cap_per_protocol);
-            let (results, data) = run_phase2_work_stealing(
+            let (results, data) = run_phase2_chunks(
                 &mut sharded.worlds,
                 &sharded.assignment,
                 &traced,
                 &config.phase2_effective(),
-                steal.workers,
+                shape.workers,
                 SinkConfig::streaming(),
             );
             (traced, results, data)
@@ -290,56 +287,32 @@ impl Study {
     }
 
     /// The post-Phase-II tail every execution path shares: telemetry
-    /// finalization and the analysis inputs — destination names,
-    /// blocklist, port scanner and router graph.
-    /// `phase2` is the traced paths, their localization results, and the
-    /// sweep's data, when Phase II ran.
+    /// finalization, the router graph, and [`StudyOutcome::new`].
     fn assemble(
         config: StudyConfig,
         world: World,
         preflight: PreflightOutcome,
         mut phase1: CampaignData,
-        phase2: Option<(Vec<PathKey>, Vec<TracerouteResult>, CampaignData)>,
+        mut phase2: Option<Phase2Outcome>,
     ) -> StudyOutcome {
-        let (traced_paths, traceroutes, mut phase2_data) = match phase2 {
-            Some((traced, results, data)) => (traced, results, Some(data)),
-            None => (Vec::new(), Vec::new(), None),
-        };
-        let (metrics, journal) = finalize_telemetry(&config, &mut phase1, phase2_data.as_mut());
-
-        let mut dest_names: BTreeMap<Ipv4Addr, String> = BTreeMap::new();
-        for dest in &world.dns_destinations {
-            dest_names.insert(dest.addr, dest.dest.name.to_string());
-        }
-        for site in &world.tranco {
-            dest_names.insert(site.addr, format!("site:{}", site.country));
-        }
-
-        let blocklist = Blocklist::from_addrs(world.ground_truth.blocklisted_addrs.iter().copied());
-        let mut port_scanner = PortScanner::new();
-        for addr in &world.ground_truth.bgp_speaking_observers {
-            port_scanner.set_open(*addr, 179);
-        }
-        let router_graph = finalize_router_graph(phase2_data.as_ref(), &world);
-
-        StudyOutcome {
+        let phase2_data = phase2.as_mut().map(|(_, _, data)| data);
+        let (metrics, journal) = finalize_telemetry(&config, &mut phase1, phase2_data);
+        let router_graph = finalize_router_graph(phase2.as_ref().map(|(_, _, data)| data), &world);
+        StudyOutcome::new(
             world,
             preflight,
             phase1,
-            phase2: phase2_data,
-            correlated: Vec::new(),
-            retained: false,
-            traced_paths,
-            traceroutes,
+            phase2,
             router_graph,
-            dest_names,
-            blocklist,
-            port_scanner,
             metrics,
             journal,
-        }
+        )
     }
 }
+
+/// What Phase II hands the study: the traced paths, their localization
+/// results, and the sweep's data.
+pub type Phase2Outcome = (Vec<PathKey>, Vec<TracerouteResult>, CampaignData);
 
 /// Finalize the Phase II router-graph builder against the world's geo
 /// database. The builder's per-chunk folds are commutative and each probe
@@ -400,6 +373,53 @@ fn finalize_telemetry(
 }
 
 impl StudyOutcome {
+    /// Assemble an outcome from finished phases. The destination names,
+    /// blocklist and port scanner derive from `world`; the router graph is
+    /// passed in already finalized (see `finalize_router_graph`), so a
+    /// caller can time that step on its own.
+    pub fn new(
+        world: World,
+        preflight: PreflightOutcome,
+        phase1: CampaignData,
+        phase2: Option<Phase2Outcome>,
+        router_graph: shadow_topo::RouterGraph,
+        metrics: Option<shadow_telemetry::MetricsSnapshot>,
+        journal: Option<Vec<shadow_telemetry::JournalRecord>>,
+    ) -> Self {
+        let mut dest_names: BTreeMap<Ipv4Addr, String> = BTreeMap::new();
+        for dest in &world.dns_destinations {
+            dest_names.insert(dest.addr, dest.dest.name.to_string());
+        }
+        for site in &world.tranco {
+            dest_names.insert(site.addr, format!("site:{}", site.country));
+        }
+        let blocklist = Blocklist::from_addrs(world.ground_truth.blocklisted_addrs.iter().copied());
+        let mut port_scanner = PortScanner::new();
+        for addr in &world.ground_truth.bgp_speaking_observers {
+            port_scanner.set_open(*addr, 179);
+        }
+        let (traced_paths, traceroutes, phase2) = match phase2 {
+            Some((traced, results, data)) => (traced, results, Some(data)),
+            None => (Vec::new(), Vec::new(), None),
+        };
+        StudyOutcome {
+            world,
+            preflight,
+            phase1,
+            phase2,
+            correlated: Vec::new(),
+            retained: false,
+            traced_paths,
+            traceroutes,
+            router_graph,
+            dest_names,
+            blocklist,
+            port_scanner,
+            metrics,
+            journal,
+        }
+    }
+
     /// Figure 3.
     pub fn landscape(&self) -> LandscapeReport {
         LandscapeReport::compute(

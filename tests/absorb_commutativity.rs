@@ -93,5 +93,5 @@ fn absorb_into_empty_is_identity() {
     let rhs = merge_in_order(&datas, &[0, 1]);
     assert!(diff(&lhs.journal, &rhs.journal).identical());
     assert_eq!(lhs.aggregates, rhs.aggregates);
-    assert_eq!(lhs.registry.len(), rhs.registry.len());
+    assert_eq!(lhs.decoy_count(), rhs.decoy_count());
 }

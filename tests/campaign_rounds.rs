@@ -37,7 +37,7 @@ fn run_rounds(seed: u64, rounds: usize) -> (usize, usize, f64) {
         .collect::<BTreeSet<_>>()
         .len();
     (
-        data.registry.len(),
+        data.decoy_count(),
         vps,
         problematic as f64 / total.max(1) as f64,
     )

@@ -11,7 +11,7 @@
 
 use proptest::prelude::*;
 use traffic_shadowing::shadow_chaos::{ChurnSpec, FaultProfile, OutageSpec, RetrySpec, Window};
-use traffic_shadowing::shadow_core::executor::{StealConfig, TelemetryOptions};
+use traffic_shadowing::shadow_core::executor::{ChunkConfig, TelemetryOptions};
 use traffic_shadowing::shadow_telemetry::{diff, EventKind, JournalRecord};
 use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
 
@@ -135,20 +135,20 @@ fn work_stealing_equivalence_survives_faults() {
     let sequential = Study::run(config_with(rich_profile()));
     let expected = bundle_json(&sequential);
     let shapes = [
-        StealConfig::with_workers(1),
-        StealConfig::with_workers(2).with_chunks(7),
-        StealConfig::auto(),
+        ChunkConfig::with_workers(1),
+        ChunkConfig::with_workers(2).with_chunks(7),
+        ChunkConfig::auto(),
     ];
     for shape in shapes {
-        let stolen = Study::run_work_stealing(config_with(rich_profile()), shape);
-        assert_same_run(&sequential, &stolen, &format!("{shape:?} under faults"));
+        let chunked = Study::run_chunked(config_with(rich_profile()), shape);
+        assert_same_run(&sequential, &chunked, &format!("{shape:?} under faults"));
         assert_eq!(
-            sequential.traceroutes, stolen.traceroutes,
+            sequential.traceroutes, chunked.traceroutes,
             "{shape:?}: Phase II traceroutes diverge under faults"
         );
         assert_eq!(
             expected,
-            bundle_json(&stolen),
+            bundle_json(&chunked),
             "{shape:?}: exported analysis bundles diverge under faults"
         );
     }

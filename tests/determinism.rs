@@ -13,7 +13,7 @@ fn fingerprint(outcome: &StudyOutcome) -> String {
         "vps={} decoys={} arrivals={} unsolicited={} dns={:.4} http={:.4} tls={:.4} \
          dns_at_dest={:.2} traced={} localized={}",
         outcome.world.platform.vps.len(),
-        outcome.phase1.registry.len(),
+        outcome.phase1.decoy_count(),
         outcome.phase1.aggregates.arrivals_seen,
         outcome.phase1.aggregates.unsolicited_total(),
         landscape.protocol_ratio(DecoyProtocol::Dns),

@@ -1,5 +1,5 @@
 //! The encryption axis must not disturb the executor's headline guarantee:
-//! for any execution shape — sequential, sharded at any K, work-stealing —
+//! for any execution shape — sequential, sharded at any K, uneven chunks —
 //! the same `(seed, deployment, faults)` triple produces **byte-identical**
 //! analysis output, at plaintext AND at full encryption, with and without
 //! fault injection.
@@ -11,7 +11,7 @@
 //! — introduces no shard-count- or scheduler-dependent state.
 
 use traffic_shadowing::shadow_chaos::FaultProfile;
-use traffic_shadowing::shadow_core::executor::{StealConfig, TelemetryOptions};
+use traffic_shadowing::shadow_core::executor::{ChunkConfig, TelemetryOptions};
 use traffic_shadowing::shadow_packet::EncryptionDeployment;
 use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
 
@@ -90,25 +90,25 @@ fn sharded_matches_sequential_at_both_extremes() {
 
 #[test]
 fn work_stealing_matches_sequential_at_both_extremes() {
-    let shape = StealConfig::with_workers(2).with_chunks(5);
+    let shape = ChunkConfig::with_workers(2).with_chunks(5);
     for deployment in levels() {
         for with_faults in [false, true] {
             let sequential = Study::run(config(&deployment, with_faults));
-            let stolen = Study::run_work_stealing(config(&deployment, with_faults), shape);
+            let chunked = Study::run_chunked(config(&deployment, with_faults), shape);
             assert_eq!(
-                sequential.phase1.aggregates, stolen.phase1.aggregates,
+                sequential.phase1.aggregates, chunked.phase1.aggregates,
                 "{} faults={with_faults} {shape:?}: aggregates diverge",
                 deployment.level
             );
             assert_eq!(
                 sequential.metrics.as_ref().map(|m| m.world.clone()),
-                stolen.metrics.as_ref().map(|m| m.world.clone()),
+                chunked.metrics.as_ref().map(|m| m.world.clone()),
                 "{} faults={with_faults} {shape:?}: world metrics diverge",
                 deployment.level
             );
             assert_eq!(
                 bundle_json(&sequential),
-                bundle_json(&stolen),
+                bundle_json(&chunked),
                 "{} faults={with_faults} {shape:?}: bundles diverge",
                 deployment.level
             );

@@ -4,8 +4,8 @@
 //! analysis output to the sequential `Study::run`.
 //!
 //! "Byte-identical" is enforced on the exported JSON analysis bundle (the
-//! full Figure/Table artifact set), the streamed aggregates, and the study
-//! journal — where every capture is an `ArrivalCaptured` record and every
+//! full Figure/Table artifact set), the rendered report of every paper
+//! table, the streamed aggregates, and the study journal — where every capture is an `ArrivalCaptured` record and every
 //! classification an `ArrivalClassified` one, so the raw arrival stream and
 //! the unsolicited-request classifications are compared per arrival. Two
 //! distinct seeds are tested so a bug that collapses output to a constant
@@ -13,15 +13,14 @@
 
 use std::collections::BTreeSet;
 use traffic_shadowing::shadow_core::campaign::{CampaignRunner, Phase1Config};
-use traffic_shadowing::shadow_core::executor::{
-    run_phase1_work_stealing_bounded, StealConfig, TelemetryOptions,
-};
+use traffic_shadowing::shadow_core::executor::{run_phase1_chunks, ChunkConfig, TelemetryOptions};
 use traffic_shadowing::shadow_core::noise::NoiseFilter;
 use traffic_shadowing::shadow_core::sink::SinkConfig;
 use traffic_shadowing::shadow_core::world::{generate_spec, WorldConfig};
 use traffic_shadowing::shadow_telemetry::{diff, JournalRecord};
 use traffic_shadowing::shadow_vantage::platform::VpId;
 use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
+use traffic_shadowing::tables;
 
 const SHARD_COUNTS: [usize; 4] = [1, 3, 7, 0 /* replaced by num_cpus */];
 const SEEDS: [u64; 2] = [99, 424_242];
@@ -46,14 +45,14 @@ fn shard_counts() -> Vec<usize> {
 /// Scheduler shapes: the same chunk counts as the fixed grid, with worker
 /// counts both below and equal to the chunk count (below it, a worker
 /// claims a second chunk from the shared queue once its first is done),
-/// plus the machine-shaped [`StealConfig::auto`].
-fn steal_shapes() -> Vec<StealConfig> {
+/// plus the machine-shaped [`ChunkConfig::auto`].
+fn chunk_shapes() -> Vec<ChunkConfig> {
     let mut shapes = vec![
-        StealConfig::with_workers(1),
-        StealConfig::with_workers(2).with_chunks(3),
-        StealConfig::with_workers(3).with_chunks(7),
-        StealConfig::with_workers(7).with_chunks(7),
-        StealConfig::auto(),
+        ChunkConfig::with_workers(1),
+        ChunkConfig::with_workers(2).with_chunks(3),
+        ChunkConfig::with_workers(3).with_chunks(7),
+        ChunkConfig::with_workers(7).with_chunks(7),
+        ChunkConfig::auto(),
     ];
     shapes.dedup();
     shapes
@@ -94,6 +93,7 @@ fn sharded_matches_sequential_for_every_shard_count() {
     for seed in SEEDS {
         let sequential = Study::run(journaled(seed));
         let expected_json = bundle_json(&sequential);
+        let expected_report = tables::report(&sequential);
         for k in shard_counts() {
             let sharded = Study::run_sharded(journaled(seed), k);
             assert_same_journal(
@@ -110,6 +110,11 @@ fn sharded_matches_sequential_for_every_shard_count() {
                 bundle_json(&sharded),
                 "seed {seed}, K={k}: exported analysis bundles diverge"
             );
+            assert_eq!(
+                expected_report,
+                tables::report(&sharded),
+                "seed {seed}, K={k}: rendered reports diverge"
+            );
         }
     }
 }
@@ -125,27 +130,33 @@ fn sharded_preserves_phase2_localization() {
 
 #[test]
 fn work_stealing_matches_sequential_for_every_shape() {
-    // Same matrix as the fixed-shard test, but under the work-stealing
-    // scheduler: chunk→thread placement is nondeterministic, the merged
+    // Same matrix as the fixed-shard test, at uneven (chunks, workers)
+    // shapes: chunk→thread placement is nondeterministic, the merged
     // output must not be.
     for seed in SEEDS {
         let sequential = Study::run(journaled(seed));
         let expected_json = bundle_json(&sequential);
-        for shape in steal_shapes() {
-            let stolen = Study::run_work_stealing(journaled(seed), shape);
+        let expected_report = tables::report(&sequential);
+        for shape in chunk_shapes() {
+            let chunked = Study::run_chunked(journaled(seed), shape);
             assert_same_journal(
                 journal(&sequential),
-                journal(&stolen),
+                journal(&chunked),
                 &format!("seed {seed}, {shape:?}"),
             );
             assert_eq!(
-                sequential.phase1.aggregates, stolen.phase1.aggregates,
+                sequential.phase1.aggregates, chunked.phase1.aggregates,
                 "seed {seed}, {shape:?}: streamed aggregates diverge"
             );
             assert_eq!(
                 expected_json,
-                bundle_json(&stolen),
+                bundle_json(&chunked),
                 "seed {seed}, {shape:?}: exported analysis bundles diverge"
+            );
+            assert_eq!(
+                expected_report,
+                tables::report(&chunked),
+                "seed {seed}, {shape:?}: rendered reports diverge"
             );
         }
     }
@@ -155,12 +166,12 @@ fn work_stealing_matches_sequential_for_every_shape() {
 fn work_stealing_preserves_phase2_localization() {
     let seed = 99;
     let sequential = Study::run(StudyConfig::tiny(seed));
-    let stolen = Study::run_work_stealing(
+    let chunked = Study::run_chunked(
         StudyConfig::tiny(seed),
-        StealConfig::with_workers(2).with_chunks(5),
+        ChunkConfig::with_workers(2).with_chunks(5),
     );
-    assert_eq!(sequential.traced_paths, stolen.traced_paths);
-    assert_eq!(sequential.traceroutes, stolen.traceroutes);
+    assert_eq!(sequential.traced_paths, chunked.traced_paths);
+    assert_eq!(sequential.traceroutes, chunked.traceroutes);
 }
 
 #[test]
@@ -183,9 +194,9 @@ fn vp_limit_matches_filtered_sequential_composition() {
     let config = Phase1Config::default();
     let platform_order: Vec<VpId> = spec.platform.vps.iter().map(|vp| vp.id).collect();
     let shapes = [
-        StealConfig::with_workers(1),
-        StealConfig::with_workers(2).with_chunks(2),
-        StealConfig::with_workers(3).with_chunks(7),
+        ChunkConfig::with_workers(1),
+        ChunkConfig::with_workers(2).with_chunks(2),
+        ChunkConfig::with_workers(3).with_chunks(7),
     ];
     let mut decoys = Vec::new();
     for limit in [Some(3), None] {
@@ -205,7 +216,7 @@ fn vp_limit_matches_filtered_sequential_composition() {
             |vp| allowed.as_ref().is_none_or(|a| a.contains(&vp)),
         );
         for shape in shapes {
-            let bounded = run_phase1_work_stealing_bounded(
+            let bounded = run_phase1_chunks(
                 &spec,
                 &config,
                 shape,
@@ -215,8 +226,8 @@ fn vp_limit_matches_filtered_sequential_composition() {
                 limit,
             );
             assert_eq!(
-                expected.registry.len(),
-                bounded.data.registry.len(),
+                expected.decoy_count(),
+                bounded.data.decoy_count(),
                 "vp_limit {limit:?}, {shape:?}: decoy registries differ in size"
             );
             assert_same_journal(
@@ -229,7 +240,7 @@ fn vp_limit_matches_filtered_sequential_composition() {
                 "vp_limit {limit:?}, {shape:?}: streamed aggregates diverge"
             );
         }
-        decoys.push(expected.registry.len());
+        decoys.push(expected.decoy_count());
     }
     assert!(
         0 < decoys[0] && decoys[0] < decoys[1],

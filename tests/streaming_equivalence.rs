@@ -7,13 +7,14 @@
 use traffic_shadowing::shadow_analysis::export::grid_points;
 use traffic_shadowing::shadow_chaos::{FaultProfile, OutageSpec, RetrySpec, Window};
 use traffic_shadowing::shadow_core::decoy::DecoyProtocol;
-use traffic_shadowing::shadow_core::executor::{StealConfig, TelemetryOptions};
+use traffic_shadowing::shadow_core::executor::{ChunkConfig, TelemetryOptions};
 use traffic_shadowing::shadow_dns::catalog::resolver_h;
 use traffic_shadowing::shadow_honeypot::authority::ExperimentAuthorityHost;
 use traffic_shadowing::shadow_honeypot::web::WebHost;
 use traffic_shadowing::shadow_packet::dns::DnsName;
 use traffic_shadowing::shadow_telemetry::EventKind;
 use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
+use traffic_shadowing::tables;
 
 const SEED: u64 = 4_021;
 
@@ -34,6 +35,11 @@ fn bundle_json(outcome: &StudyOutcome) -> String {
 /// pipeline exported it, sample-level origins and probing payloads
 /// included.
 const GOLDEN_BUNDLE: &str = include_str!("golden/bundle_tiny_4021.json");
+
+/// `traffic_shadowing::tables::report` of the same outcome. It pins what
+/// the bundle omits: Table 1, Figure 4's control, HTTP/TLS probing, both
+/// §5.2 results and the case studies.
+const GOLDEN_REPORT: &str = include_str!("golden/report_tiny_4021.txt");
 
 /// A profile exercising every fault class at once (mirrors
 /// `tests/chaos_determinism.rs`).
@@ -91,6 +97,11 @@ fn streaming_bundle_matches_retained_bundle() {
     );
     let bundle = streamed.export_bundle();
     assert!(bundle.origins.is_some() && bundle.probing_dns.is_some());
+    assert_eq!(
+        tables::report(&streamed),
+        GOLDEN_REPORT,
+        "rendered report diverges from tests/golden/report_tiny_4021.txt"
+    );
 }
 
 #[test]
@@ -109,21 +120,21 @@ fn streaming_is_shard_invariant() {
             "K={k}: streamed analysis bundles diverge"
         );
     }
-    // The streaming default is exactly what paper-scale work-stealing
+    // The streaming default is exactly what paper-scale chunked
     // campaigns run; cover the same shapes here.
     for shape in [
-        StealConfig::with_workers(1),
-        StealConfig::with_workers(3).with_chunks(7),
-        StealConfig::auto(),
+        ChunkConfig::with_workers(1),
+        ChunkConfig::with_workers(3).with_chunks(7),
+        ChunkConfig::auto(),
     ] {
-        let stolen = Study::run_work_stealing(StudyConfig::tiny(SEED), shape);
+        let chunked = Study::run_chunked(StudyConfig::tiny(SEED), shape);
         assert_eq!(
-            sequential.phase1.aggregates, stolen.phase1.aggregates,
+            sequential.phase1.aggregates, chunked.phase1.aggregates,
             "{shape:?}: streamed aggregates diverge"
         );
         assert_eq!(
             expected,
-            bundle_json(&stolen),
+            bundle_json(&chunked),
             "{shape:?}: streamed analysis bundles diverge"
         );
     }
@@ -147,17 +158,17 @@ fn streaming_is_shard_invariant_under_faults() {
         );
     }
     for shape in [
-        StealConfig::with_workers(2).with_chunks(5),
-        StealConfig::auto(),
+        ChunkConfig::with_workers(2).with_chunks(5),
+        ChunkConfig::auto(),
     ] {
-        let stolen = Study::run_work_stealing(config(), shape);
+        let chunked = Study::run_chunked(config(), shape);
         assert_eq!(
-            sequential.phase1.aggregates, stolen.phase1.aggregates,
+            sequential.phase1.aggregates, chunked.phase1.aggregates,
             "{shape:?}: streamed aggregates diverge under faults"
         );
         assert_eq!(
             expected,
-            bundle_json(&stolen),
+            bundle_json(&chunked),
             "{shape:?}: streamed bundles diverge under faults"
         );
     }
@@ -240,7 +251,7 @@ fn streaming_is_shard_invariant_on_standard_world() {
         assert_eq!(sequential.phase1.aggregates, sharded.phase1.aggregates);
         assert_eq!(bundle_json(&sequential), bundle_json(&sharded));
     }
-    let stolen = Study::run_work_stealing(StudyConfig::standard(SEED), StealConfig::auto());
-    assert_eq!(sequential.phase1.aggregates, stolen.phase1.aggregates);
-    assert_eq!(bundle_json(&sequential), bundle_json(&stolen));
+    let chunked = Study::run_chunked(StudyConfig::standard(SEED), ChunkConfig::auto());
+    assert_eq!(sequential.phase1.aggregates, chunked.phase1.aggregates);
+    assert_eq!(bundle_json(&sequential), bundle_json(&chunked));
 }
