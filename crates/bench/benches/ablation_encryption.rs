@@ -5,7 +5,8 @@
 //! ECH — and times the encrypted campaign end to end.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use shadow_bench::encryption::{encryption_json_path, record_encryption_json, run_encryption};
+use shadow_bench::encryption::run_encryption;
+use shadow_bench::record::{self, mib};
 use traffic_shadowing::shadow_core::campaign::Phase1Config;
 use traffic_shadowing::shadow_core::phase2::Phase2Config;
 use traffic_shadowing::shadow_core::world::WorldConfig;
@@ -32,7 +33,7 @@ fn run(seed: u64, encrypted: bool) -> StudyOutcome {
     })
 }
 
-/// One-shot trajectory measurement, recorded into `BENCH_encryption.json`
+/// One-shot measurement, written as the `BENCH_encryption.json` record
 /// (skipped in `cargo bench -- --test` smoke mode so a tiny debug run
 /// never overwrites the committed numbers — the smoke still executes the
 /// sweep once so the deployment-ladder path cannot rot).
@@ -49,16 +50,22 @@ fn trajectory(_c: &mut Criterion) {
         );
         return;
     }
-    let (metrics, report) = run_encryption(41, 2);
+    let (m, report) = run_encryption(41, 2);
     println!("{}", report.render());
-    println!(
-        "BENCH {{\"name\":\"encryption/sweep\",\"iters\":1,\"encrypted_over_plaintext\":{:.2},\"sweep_elapsed_ns\":{},\"resolver_recall_min\":{:.3}}}",
-        metrics.encrypted_over_plaintext, metrics.sweep_elapsed_ns, metrics.resolver_recall_min
-    );
-    let record = record_encryption_json(&encryption_json_path(), "encryption/sweep", metrics);
-    if let Some(speedup) = record.speedup_encrypted_campaign {
-        println!("encrypted campaign vs recorded baseline: {speedup:.2}x wall time");
-    }
+    let mut metrics = vec![
+        ("shards", m.shards as f64, "count"),
+        ("levels", m.levels as f64, "count"),
+        ("plaintext_s", m.plaintext_elapsed_ns as f64 / 1e9, "s"),
+        ("encrypted_s", m.encrypted_elapsed_ns as f64 / 1e9, "s"),
+        ("encrypted_over_plaintext", m.encrypted_over_plaintext, "x"),
+        ("sweep_s", m.sweep_elapsed_ns as f64 / 1e9, "s"),
+        ("resolver_recall_min", m.resolver_recall_min, "ratio"),
+        ("wire_dns_recall_final", m.wire_dns_recall_final, "ratio"),
+        ("wire_tls_recall_final", m.wire_tls_recall_final, "ratio"),
+        ("fallback_rate_full", m.fallback_rate_full, "ratio"),
+    ];
+    metrics.extend(m.rss_peak_bytes.map(|b| ("peak_rss_mb", mib(b), "MiB")));
+    record::write("encryption", &metrics);
 }
 
 fn bench(c: &mut Criterion) {

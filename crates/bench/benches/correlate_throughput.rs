@@ -1,19 +1,18 @@
 //! Correlation throughput: the capture-time `CorrelationSink` (classify
-//! and fold, retain nothing) over a synthetic stream. Records
-//! `BENCH_correlate.json` so the sink's arrivals/sec and its 10x-scale
-//! peak RSS are part of the repo's perf trajectory.
+//! and fold, retain nothing) over a synthetic stream. Writes the
+//! `BENCH_correlate.json` record: the sink's arrivals/sec and its
+//! 10x-scale peak RSS.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use shadow_bench::correlate::{
-    build_fixture, correlate_json_path, gen_stream, record_correlate_json, run_correlate,
-};
+use shadow_bench::correlate::{build_fixture, gen_stream, run_correlate};
+use shadow_bench::record::{self, mib};
 use traffic_shadowing::shadow_core::sink::{CorrelationSink, SinkConfig};
 use traffic_shadowing::shadow_honeypot::capture::ArrivalSink;
 
 const DECOYS: usize = 1_200;
 const ARRIVALS: u64 = 120_000;
 
-/// One-shot trajectory measurement, recorded into `BENCH_correlate.json`
+/// One-shot measurement, written as the `BENCH_correlate.json` record
 /// (skipped in `cargo test` smoke mode so a tiny debug run never
 /// overwrites the committed numbers).
 fn trajectory(_c: &mut Criterion) {
@@ -26,22 +25,18 @@ fn trajectory(_c: &mut Criterion) {
         return;
     }
     run_correlate(DECOYS, ARRIVALS / 10); // warm-up
-    let metrics = run_correlate(DECOYS, ARRIVALS);
-    println!(
-        "BENCH {{\"name\":\"correlate/throughput\",\"iters\":1,\"streamed_arrivals_per_sec\":{:.0}}}",
-        metrics.streamed_arrivals_per_sec
+    let m = run_correlate(DECOYS, ARRIVALS);
+    let mut metrics = vec![
+        ("decoys", m.decoys as f64, "count"),
+        ("arrivals", m.arrivals as f64, "count"),
+        ("elapsed_s", m.streamed_elapsed_ns as f64 / 1e9, "s"),
+        ("arrivals_per_s", m.streamed_arrivals_per_sec, "arrivals/s"),
+    ];
+    metrics.extend(
+        m.rss_streamed_10x_bytes
+            .map(|b| ("peak_rss_mb", mib(b), "MiB")),
     );
-    if let Some(streamed) = metrics.rss_streamed_10x_bytes {
-        println!(
-            "peak RSS at 10x scale ({} arrivals): {:.1} MiB",
-            metrics.arrivals * 10,
-            streamed as f64 / (1 << 20) as f64,
-        );
-    }
-    let record = record_correlate_json(&correlate_json_path(), "correlate/throughput", metrics);
-    if let Some(speedup) = record.speedup_streamed_per_sec {
-        println!("streamed throughput vs recorded baseline: {speedup:.2}x arrivals/sec");
-    }
+    record::write("correlate", &metrics);
 }
 
 /// Criterion timing of the sink over a shared pre-built stream.

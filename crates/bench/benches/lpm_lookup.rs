@@ -1,17 +1,17 @@
 //! LPM lookup throughput: the stride-4 treebitmap trie behind
 //! `GeoDb::lookup` against the old sorted-vec backward scan (kept as
 //! `GeoScanIndex`), over the standard world's prefix table and a shared
-//! deterministic probe stream. Records `BENCH_topo.json` so the trie/scan
-//! ratio and the end-to-end router-graph hops/sec are part of the repo's
-//! perf trajectory.
+//! deterministic probe stream. Writes the `BENCH_topo.json` record: the
+//! trie/scan ratio and the end-to-end router-graph hops/sec.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use shadow_bench::topo::{gen_probes, record_topo_json, run_topo, topo_json_path};
+use shadow_bench::record;
+use shadow_bench::topo::{gen_probes, run_topo};
 
 const PROBES: usize = 200_000;
 const FOLD_ROUNDS: usize = 50;
 
-/// One-shot trajectory measurement, recorded into `BENCH_topo.json`
+/// One-shot measurement, written as the `BENCH_topo.json` record
 /// (skipped in `cargo test` smoke mode so a tiny debug run never
 /// overwrites the committed numbers).
 fn trajectory(_c: &mut Criterion) {
@@ -24,18 +24,21 @@ fn trajectory(_c: &mut Criterion) {
         return;
     }
     run_topo(PROBES / 10, 5); // warm-up
-    let metrics = run_topo(PROBES, FOLD_ROUNDS);
-    println!(
-        "BENCH {{\"name\":\"topo/lpm_lookup\",\"iters\":1,\"scan_lookups_per_sec\":{:.0},\"trie_lookups_per_sec\":{:.0},\"trie_over_scan\":{:.2},\"hops_per_sec\":{:.0}}}",
-        metrics.scan_lookups_per_sec,
-        metrics.trie_lookups_per_sec,
-        metrics.trie_over_scan,
-        metrics.hops_per_sec
+    let m = run_topo(PROBES, FOLD_ROUNDS);
+    record::write(
+        "topo",
+        &[
+            ("prefixes", m.prefixes as f64, "count"),
+            ("probes", m.probes as f64, "count"),
+            ("scan_s", m.scan_elapsed_ns as f64 / 1e9, "s"),
+            ("trie_s", m.trie_elapsed_ns as f64 / 1e9, "s"),
+            ("scan_lookups_per_s", m.scan_lookups_per_sec, "lookups/s"),
+            ("trie_lookups_per_s", m.trie_lookups_per_sec, "lookups/s"),
+            ("trie_over_scan", m.trie_over_scan, "x"),
+            ("hop_observations", m.hop_observations as f64, "count"),
+            ("hops_per_s", m.hops_per_sec, "hops/s"),
+        ],
     );
-    let record = record_topo_json(&topo_json_path(), "topo/lpm_lookup", metrics);
-    if let Some(speedup) = record.speedup_trie_per_sec {
-        println!("trie throughput vs recorded baseline: {speedup:.2}x lookups/sec");
-    }
 }
 
 /// Criterion comparison over a shared probe stream: identical addresses,

@@ -4,7 +4,8 @@
 //! (`correlate_throughput`).
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use shadow_bench::hotpath::{pipeline_json_path, record_bench_json, run_hot_path};
+use shadow_bench::hotpath::run_hot_path;
+use shadow_bench::record::{self, mib};
 use traffic_shadowing::shadow_core::campaign::{CampaignRunner, Phase1Config};
 use traffic_shadowing::shadow_core::noise::NoiseFilter;
 use traffic_shadowing::shadow_core::sink::SinkConfig;
@@ -12,26 +13,28 @@ use traffic_shadowing::shadow_core::world::{World, WorldConfig};
 use traffic_shadowing::shadow_netsim::time::SimDuration;
 
 /// Engine hot path: per-hop forwarding + DPI inspection over a tapped
-/// router chain, recorded into `BENCH_pipeline.json` so the repo's perf
-/// trajectory is machine-readable (hops/sec, events/sec, peak RSS).
+/// router chain, written as the `BENCH_pipeline.json` record (hops/sec,
+/// events/sec, peak RSS).
 fn hot_path(_c: &mut Criterion) {
     if criterion::test_mode() {
         // Smoke mode: prove the fixture still runs, but never overwrite
-        // the committed trajectory with a one-shot tiny measurement.
+        // the committed record with a one-shot tiny measurement.
         let metrics = run_hot_path(500);
         println!("Testing pipeline/hot_path ... ok ({} hops)", metrics.hops);
         return;
     }
     run_hot_path(2_000); // warm-up: route cache, allocator, branch predictors
-    let metrics = run_hot_path(60_000);
-    println!(
-        "BENCH {{\"name\":\"pipeline/hot_path\",\"iters\":1,\"mean_ns\":{},\"hops_per_sec\":{:.0},\"events_per_sec\":{:.0}}}",
-        metrics.elapsed_ns, metrics.hops_per_sec, metrics.events_per_sec
-    );
-    let record = record_bench_json(&pipeline_json_path(), "pipeline/hot_path", metrics);
-    if let Some(speedup) = record.speedup_hops_per_sec {
-        println!("hot_path speedup vs recorded baseline: {speedup:.2}x hops/sec");
-    }
+    let m = run_hot_path(60_000);
+    let mut metrics = vec![
+        ("packets", m.packets as f64, "count"),
+        ("hops", m.hops as f64, "count"),
+        ("events", m.events as f64, "count"),
+        ("elapsed_s", m.elapsed_ns as f64 / 1e9, "s"),
+        ("hops_per_s", m.hops_per_sec, "hops/s"),
+        ("events_per_s", m.events_per_sec, "events/s"),
+    ];
+    metrics.extend(m.peak_rss_bytes.map(|b| ("peak_rss_mb", mib(b), "MiB")));
+    record::write("pipeline", &metrics);
 }
 
 fn bench(c: &mut Criterion) {

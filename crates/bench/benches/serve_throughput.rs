@@ -1,15 +1,14 @@
 //! Serving-surface benchmark: start the `shadow-serve` daemon, run its
 //! campaign to completion, then hammer the pre-rendered snapshot
-//! endpoint from many concurrent clients. Records snapshot reads/sec and
-//! p50/p99 request latency into `BENCH_serve.json`, plus the engine
+//! endpoint from many concurrent clients. Writes snapshot reads/sec and
+//! p50/p99 request latency as the `BENCH_serve.json` record, plus the engine
 //! hot-path rate measured while the idle server is still bound — the
 //! guard that snapshot serving costs the pipeline nothing.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use shadow_bench::hotpath::run_hot_path;
-use shadow_bench::serving::{
-    percentile_us, record_serve_bench_json, serve_json_path, ServeMetrics,
-};
+use shadow_bench::record;
+use shadow_bench::serving::{percentile_us, ServeMetrics};
 use shadow_serve::client::http_get;
 use shadow_serve::{serve, CampaignDriver, ServeConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -82,7 +81,7 @@ fn measure(clients: usize, window: Duration, hotpath_packets: u64) -> ServeMetri
 fn serve_surface(_c: &mut Criterion) {
     if criterion::test_mode() {
         // Smoke mode: prove the daemon + loadgen fixture runs, but never
-        // overwrite the committed trajectory with a tiny measurement.
+        // overwrite the committed record with a tiny measurement.
         let metrics = measure(4, Duration::from_millis(300), 500);
         println!(
             "Testing serve/snapshot_reads ... ok ({} reads, {} errors)",
@@ -92,15 +91,20 @@ fn serve_surface(_c: &mut Criterion) {
         shadow_bench::report_peak_rss("serve_throughput");
         return;
     }
-    let metrics = measure(32, Duration::from_secs(5), 60_000);
-    println!(
-        "BENCH {{\"name\":\"serve/snapshot_reads\",\"iters\":1,\"reads_per_sec\":{:.0},\"p50_us\":{},\"p99_us\":{},\"idle_hotpath_hops_per_sec\":{:.0}}}",
-        metrics.reads_per_sec, metrics.p50_us, metrics.p99_us, metrics.idle_hotpath_hops_per_sec
+    let m = measure(32, Duration::from_secs(5), 60_000);
+    record::write(
+        "serve",
+        &[
+            ("clients", m.clients as f64, "count"),
+            ("window_s", m.window_secs, "s"),
+            ("reads", m.reads as f64, "count"),
+            ("reads_per_s", m.reads_per_sec, "reads/s"),
+            ("read_p50_ms", m.p50_us as f64 / 1e3, "ms"),
+            ("read_p99_ms", m.p99_us as f64 / 1e3, "ms"),
+            ("read_errors", m.errors as f64, "count"),
+            ("idle_hops_per_s", m.idle_hotpath_hops_per_sec, "hops/s"),
+        ],
     );
-    let record = record_serve_bench_json(&serve_json_path(), "serve/snapshot_reads", metrics);
-    if let Some(speedup) = record.speedup_reads_per_sec {
-        println!("snapshot reads vs recorded baseline: {speedup:.2}x reads/sec");
-    }
 
     shadow_bench::report_peak_rss("serve_throughput");
 }

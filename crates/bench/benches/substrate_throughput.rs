@@ -1,13 +1,12 @@
 //! Substrate micro-benchmarks: the wire codecs and identifier machinery
-//! every packet of the campaign passes through. Measurements are also
-//! persisted to `BENCH_substrate.json` at the workspace root, the codec
-//! half of the perf trajectory next to `BENCH_pipeline.json`.
+//! every packet of the campaign passes through. The criterion means are
+//! also written as the `BENCH_substrate.json` record, the codec half of
+//! the measurements next to `BENCH_pipeline.json`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use serde::Serialize;
 use shadow_bench::hotpath::peak_rss_bytes;
+use shadow_bench::record::{self, mib};
 use std::net::Ipv4Addr;
-use std::path::Path;
 use traffic_shadowing::shadow_core::ident::DecoyIdent;
 use traffic_shadowing::shadow_packet::dns::{DnsMessage, DnsName};
 use traffic_shadowing::shadow_packet::http::HttpRequest;
@@ -70,48 +69,19 @@ fn bench(c: &mut Criterion) {
     group.finish();
 }
 
-/// The machine-readable codec trajectory committed as
-/// `BENCH_substrate.json`.
-#[derive(Serialize)]
-struct SubstrateRecord {
-    bench: String,
-    entries: Vec<SubstrateEntry>,
-    peak_rss_bytes: Option<u64>,
-}
-
-#[derive(Serialize)]
-struct SubstrateEntry {
-    name: String,
-    iters: u64,
-    mean_ns: u64,
-}
-
 /// Runs after the measurement groups: drain the criterion reports and
-/// persist them. Skipped in `--test` smoke mode so a one-iteration run
-/// never overwrites real numbers.
+/// write their means, keyed by routine name. Skipped in `--test` smoke
+/// mode so a one-iteration run never overwrites real numbers.
 fn save_json(_c: &mut Criterion) {
-    if criterion::test_mode() {
-        shadow_bench::report_peak_rss("substrate_throughput");
-        return;
+    if !criterion::test_mode() {
+        let reports = criterion::take_reports();
+        let mut metrics: Vec<(&str, f64, &str)> = reports
+            .iter()
+            .map(|r| (r.name.as_str(), r.mean_ns as f64, "ns"))
+            .collect();
+        metrics.extend(peak_rss_bytes().map(|b| ("peak_rss_mb", mib(b), "MiB")));
+        record::write("substrate", &metrics);
     }
-    let entries: Vec<SubstrateEntry> = criterion::take_reports()
-        .into_iter()
-        .map(|r| SubstrateEntry {
-            name: r.name,
-            iters: r.iters,
-            mean_ns: r.mean_ns,
-        })
-        .collect();
-    let record = SubstrateRecord {
-        bench: "substrate".to_string(),
-        entries,
-        peak_rss_bytes: peak_rss_bytes(),
-    };
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_substrate.json");
-    let text = serde_json::to_string_pretty(&record).expect("substrate record serializes");
-    std::fs::write(&path, text + "\n").expect("substrate record written");
-    println!("substrate trajectory written to {}", path.display());
-
     shadow_bench::report_peak_rss("substrate_throughput");
 }
 

@@ -3,13 +3,11 @@
 //! through the capture-time [`CorrelationSink`] (classify and fold, retain
 //! nothing).
 //!
-//! The trajectory record also carries a peak-RSS probe at 10x the timed
-//! scale: the pass generates-and-drops each arrival, so the high-water
-//! mark is the sink's bounded state, not the stream.
+//! The record also carries a peak-RSS probe at 10x the timed scale: the
+//! pass generates-and-drops each arrival, so the high-water mark is the
+//! sink's bounded state, not the stream.
 
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 use traffic_shadowing::shadow_core::decoy::{DecoyProtocol, DecoyRecord, DecoyRegistry};
@@ -105,7 +103,7 @@ pub fn gen_stream(records: &[DecoyRecord], arrivals: u64) -> Vec<Arrival> {
 }
 
 /// One measured correlate-throughput run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct CorrelateMetrics {
     pub decoys: u64,
     pub arrivals: u64,
@@ -114,18 +112,6 @@ pub struct CorrelateMetrics {
     /// VmHWM after a generate-and-fold pass at 10x the timed scale — no
     /// arrival vector ever exists (Linux; `None` elsewhere).
     pub rss_streamed_10x_bytes: Option<u64>,
-}
-
-/// The perf-trajectory record committed as `BENCH_correlate.json`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CorrelateRecord {
-    pub bench: String,
-    /// The reference measurement this machine compares against; preserved
-    /// across re-runs so the trajectory keeps its anchor.
-    pub baseline: Option<CorrelateMetrics>,
-    pub current: CorrelateMetrics,
-    /// `current.streamed_arrivals_per_sec / baseline.streamed_arrivals_per_sec`.
-    pub speedup_streamed_per_sec: Option<f64>,
 }
 
 /// Probe peak RSS over a generate-and-fold pass at 10x scale, then time the
@@ -160,53 +146,4 @@ pub fn run_correlate(decoys: usize, arrivals: u64) -> CorrelateMetrics {
         streamed_arrivals_per_sec: arrivals as f64 / streamed_elapsed.as_secs_f64().max(1e-9),
         rss_streamed_10x_bytes,
     }
-}
-
-/// Fold `current` into the JSON trajectory file at `path`, preserving an
-/// existing baseline (same contract as `hotpath::record_bench_json`,
-/// except a fresh file anchors the trajectory on its first measurement).
-///
-/// A wall-clock measurement never reproduces bit-for-bit, so a `current`
-/// identical to the file's recorded baseline means the caller recycled a
-/// stored record instead of re-running the bench — the writer refuses
-/// rather than re-committing a stale `current` section (the failure mode
-/// the first anchoring write of this file once shipped: `current ==
-/// baseline`, speedup pinned at 1.0, long after the code had moved).
-pub fn record_correlate_json(
-    path: &Path,
-    bench: &str,
-    current: CorrelateMetrics,
-) -> CorrelateRecord {
-    let previous = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| serde_json::from_str::<CorrelateRecord>(&text).ok())
-        .and_then(|old| old.baseline);
-    if let Some(prev) = &previous {
-        let same = serde_json::to_string(prev).expect("metrics serialize")
-            == serde_json::to_string(&current).expect("metrics serialize");
-        assert!(
-            !same,
-            "stale current: metrics are byte-identical to the recorded baseline in {} — \
-             re-run the bench instead of recycling the stored record",
-            path.display()
-        );
-    }
-    let baseline = previous.or_else(|| Some(current.clone()));
-    let speedup = baseline
-        .as_ref()
-        .map(|b| current.streamed_arrivals_per_sec / b.streamed_arrivals_per_sec.max(1e-9));
-    let record = CorrelateRecord {
-        bench: bench.to_string(),
-        baseline,
-        current,
-        speedup_streamed_per_sec: speedup,
-    };
-    let text = serde_json::to_string_pretty(&record).expect("bench record serializes");
-    std::fs::write(path, text + "\n").expect("bench record written");
-    record
-}
-
-/// Workspace-root location of the correlate trajectory file.
-pub fn correlate_json_path() -> std::path::PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_correlate.json")
 }

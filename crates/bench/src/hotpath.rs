@@ -4,13 +4,10 @@
 //! and tap-side protocol extraction — with no campaign logic, honeypots or
 //! probe traffic on top (the replay policy triggers 0% of observations).
 //!
-//! [`run_hot_path`] returns wall-clock metrics; [`record_bench_json`]
-//! folds them into a machine-readable JSON trajectory file so successive
-//! PRs can compare hops/sec against the recorded baseline.
+//! [`run_hot_path`] returns wall-clock metrics; the `pipeline_throughput`
+//! harness writes them as the `BENCH_pipeline.json` record.
 
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
-use std::path::Path;
 use std::time::Instant;
 use traffic_shadowing::shadow_geo::{Asn, Region};
 use traffic_shadowing::shadow_netsim::engine::Engine;
@@ -32,7 +29,7 @@ use traffic_shadowing::shadow_packet::udp::UdpDatagram;
 const CHAIN_ASES: u32 = 8;
 
 /// One measured hot-path run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct HotPathMetrics {
     /// Decoy packets injected.
     pub packets: u64,
@@ -45,18 +42,6 @@ pub struct HotPathMetrics {
     pub events_per_sec: f64,
     /// VmHWM at the end of the run (Linux); `None` elsewhere.
     pub peak_rss_bytes: Option<u64>,
-}
-
-/// The perf-trajectory record committed as `BENCH_pipeline.json`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct BenchRecord {
-    pub bench: String,
-    /// The reference measurement this machine compares against; preserved
-    /// across re-runs so the trajectory keeps its anchor.
-    pub baseline: Option<HotPathMetrics>,
-    pub current: HotPathMetrics,
-    /// `current.hops_per_sec / baseline.hops_per_sec` when both exist.
-    pub speedup_hops_per_sec: Option<f64>,
 }
 
 /// Build the tapped-chain world and drive `packets` decoys through it.
@@ -198,31 +183,4 @@ pub fn peak_rss_bytes() -> Option<u64> {
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;
     let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
     Some(kb * 1024)
-}
-
-/// Fold `current` into the JSON trajectory file at `path`. An existing
-/// baseline is preserved; a fresh file records the measurement as current
-/// with no baseline (promote it by hand or with the next PR's tooling).
-pub fn record_bench_json(path: &Path, bench: &str, current: HotPathMetrics) -> BenchRecord {
-    let baseline = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| serde_json::from_str::<BenchRecord>(&text).ok())
-        .and_then(|old| old.baseline);
-    let speedup = baseline
-        .as_ref()
-        .map(|b| current.hops_per_sec / b.hops_per_sec.max(1e-9));
-    let record = BenchRecord {
-        bench: bench.to_string(),
-        baseline,
-        current,
-        speedup_hops_per_sec: speedup,
-    };
-    let text = serde_json::to_string_pretty(&record).expect("bench record serializes");
-    std::fs::write(path, text + "\n").expect("bench record written");
-    record
-}
-
-/// Workspace-root location of the pipeline trajectory file.
-pub fn pipeline_json_path() -> std::path::PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_pipeline.json")
 }

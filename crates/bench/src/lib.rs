@@ -6,9 +6,12 @@
 //! regenerated table and figure through `traffic_shadowing::tables` — the
 //! actual reproduction artifact — and then times the analysis behind each.
 //!
-//! The [`hotpath`] module holds the engine hot-path fixture behind the
-//! `BENCH_pipeline.json` perf-trajectory record: a tapped router chain that
-//! isolates per-hop forwarding + DPI inspection cost from campaign logic.
+//! The other modules are the fixtures behind the committed `BENCH_*.json`
+//! records, and [`record`] is the one writer of those records: every file
+//! is a [`record::Record`] in the repository benchmark's `{meta, metrics}`
+//! shape. [`hotpath`] holds the engine hot-path fixture behind
+//! `BENCH_pipeline.json`: a tapped router chain that isolates per-hop
+//! forwarding + DPI inspection cost from campaign logic.
 
 use std::sync::OnceLock;
 use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
@@ -16,6 +19,7 @@ use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
 pub mod correlate;
 pub mod encryption;
 pub mod hotpath;
+pub mod record;
 pub mod serving;
 pub mod topo;
 

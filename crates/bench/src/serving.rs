@@ -3,11 +3,8 @@
 //! concurrent clients, plus the engine hot-path rate measured while an
 //! idle server is up (the "reads never block the pipeline" guard).
 
-use serde::{Deserialize, Serialize};
-use std::path::Path;
-
 /// One measured serving run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ServeMetrics {
     /// Concurrent loadgen clients.
     pub clients: u64,
@@ -25,18 +22,6 @@ pub struct ServeMetrics {
     pub idle_hotpath_hops_per_sec: f64,
 }
 
-/// The perf-trajectory record committed as `BENCH_serve.json`.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ServeBenchRecord {
-    pub bench: String,
-    /// The reference measurement this machine compares against; preserved
-    /// across re-runs so the trajectory keeps its anchor.
-    pub baseline: Option<ServeMetrics>,
-    pub current: ServeMetrics,
-    /// `current.reads_per_sec / baseline.reads_per_sec` when both exist.
-    pub speedup_reads_per_sec: Option<f64>,
-}
-
 /// Latency percentile over an already-sorted sample, nearest-rank.
 pub fn percentile_us(sorted_micros: &[u64], p: f64) -> u64 {
     if sorted_micros.is_empty() {
@@ -44,36 +29,6 @@ pub fn percentile_us(sorted_micros: &[u64], p: f64) -> u64 {
     }
     let rank = ((sorted_micros.len() - 1) as f64 * p).round() as usize;
     sorted_micros[rank.min(sorted_micros.len() - 1)]
-}
-
-/// Fold `current` into the JSON trajectory file at `path`, preserving an
-/// existing baseline (same contract as `hotpath::record_bench_json`).
-pub fn record_serve_bench_json(
-    path: &Path,
-    bench: &str,
-    current: ServeMetrics,
-) -> ServeBenchRecord {
-    let baseline = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| serde_json::from_str::<ServeBenchRecord>(&text).ok())
-        .and_then(|old| old.baseline);
-    let speedup = baseline
-        .as_ref()
-        .map(|b| current.reads_per_sec / b.reads_per_sec.max(1e-9));
-    let record = ServeBenchRecord {
-        bench: bench.to_string(),
-        baseline,
-        current,
-        speedup_reads_per_sec: speedup,
-    };
-    let text = serde_json::to_string_pretty(&record).expect("serve bench record serializes");
-    std::fs::write(path, text + "\n").expect("serve bench record written");
-    record
-}
-
-/// Workspace-root location of the serving trajectory file.
-pub fn serve_json_path() -> std::path::PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json")
 }
 
 #[cfg(test)]
@@ -87,36 +42,5 @@ mod tests {
         assert_eq!(percentile_us(&sorted, 0.5), 30);
         assert_eq!(percentile_us(&sorted, 1.0), 100);
         assert_eq!(percentile_us(&[], 0.5), 0);
-    }
-
-    #[test]
-    fn record_preserves_existing_baseline() {
-        let metrics = |rps: f64| ServeMetrics {
-            clients: 32,
-            window_secs: 5.0,
-            reads: 1000,
-            reads_per_sec: rps,
-            p50_us: 50,
-            p99_us: 200,
-            errors: 0,
-            idle_hotpath_hops_per_sec: 1e6,
-        };
-        let path = std::env::temp_dir().join("shadow-serve-bench-record-test.json");
-        std::fs::remove_file(&path).ok();
-        let first = record_serve_bench_json(&path, "serve/test", metrics(100.0));
-        assert!(first.baseline.is_none());
-
-        // Promote the first measurement to baseline by hand, as the
-        // trajectory workflow does, then re-record.
-        let promoted = ServeBenchRecord {
-            baseline: Some(first.current.clone()),
-            ..first
-        };
-        std::fs::write(&path, serde_json::to_string_pretty(&promoted).unwrap()).unwrap();
-        let second = record_serve_bench_json(&path, "serve/test", metrics(200.0));
-        std::fs::remove_file(&path).ok();
-        assert_eq!(second.baseline.as_ref().map(|b| b.reads as i64), Some(1000));
-        let speedup = second.speedup_reads_per_sec.expect("speedup computed");
-        assert!((speedup - 2.0).abs() < 1e-9, "{speedup}");
     }
 }

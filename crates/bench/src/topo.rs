@@ -4,14 +4,12 @@
 //! stride-4 treebitmap trie that now backs `GeoDb::lookup` — over the same
 //! deterministic probe stream, with every answer cross-checked.
 //!
-//! The trajectory record also carries an end-to-end rate: the Phase II
-//! router-graph pipeline (fold every Time-Exceeded observation, finalize
-//! with a trie ASN lookup per router) replayed from the campaign's real
-//! hop observations, in hops/sec.
+//! The record also carries an end-to-end rate: the Phase II router-graph
+//! pipeline (fold every Time-Exceeded observation, finalize with a trie
+//! ASN lookup per router) replayed from the campaign's real hop
+//! observations, in hops/sec.
 
-use serde::{Deserialize, Serialize};
 use std::net::Ipv4Addr;
-use std::path::Path;
 use std::time::Instant;
 use traffic_shadowing::shadow_topo::{ProbePath, RouterGraphBuilder};
 
@@ -56,8 +54,8 @@ pub fn gen_probes(db: &traffic_shadowing::shadow_geo::GeoDb, count: usize) -> Ve
         .collect()
 }
 
-/// One trajectory measurement.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// One LPM measurement.
+#[derive(Debug, Clone)]
 pub struct TopoMetrics {
     pub prefixes: usize,
     pub probes: usize,
@@ -70,16 +68,6 @@ pub struct TopoMetrics {
     /// finalized (with a trie ASN lookup per router) per second.
     pub hop_observations: u64,
     pub hops_per_sec: f64,
-}
-
-/// The committed perf-trajectory record (`BENCH_topo.json`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TopoRecord {
-    pub bench: String,
-    pub baseline: Option<TopoMetrics>,
-    pub current: TopoMetrics,
-    /// Current trie lookups/sec over the recorded baseline's.
-    pub speedup_trie_per_sec: Option<f64>,
 }
 
 /// Run both lookup paths over the shared standard-campaign geo db,
@@ -166,30 +154,4 @@ pub fn run_topo(probe_count: usize, fold_rounds: usize) -> TopoMetrics {
         hop_observations: folded,
         hops_per_sec: per_sec(folded as f64, fold_elapsed.as_secs_f64()),
     }
-}
-
-pub fn topo_json_path() -> std::path::PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_topo.json")
-}
-
-/// Fold `current` into the committed record: keep the recorded baseline
-/// (or seed it from `current` on first run) and derive the speedup.
-pub fn record_topo_json(path: &Path, bench: &str, current: TopoMetrics) -> TopoRecord {
-    let baseline = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| serde_json::from_str::<TopoRecord>(&text).ok())
-        .and_then(|old| old.baseline)
-        .or_else(|| Some(current.clone()));
-    let speedup = baseline
-        .as_ref()
-        .map(|b| current.trie_lookups_per_sec / b.trie_lookups_per_sec.max(1e-9));
-    let record = TopoRecord {
-        bench: bench.to_string(),
-        baseline,
-        current,
-        speedup_trie_per_sec: speedup,
-    };
-    let text = serde_json::to_string_pretty(&record).expect("bench record serializes");
-    std::fs::write(path, text + "\n").expect("bench record written");
-    record
 }

@@ -12,12 +12,13 @@
 //!   [`FaultTargets`] into the engine-side
 //!   [`LinkConditioner`](shadow_netsim::fault::LinkConditioner), whose
 //!   decisions are value-derived — byte-identical at any shard count.
-//! * [`matrix`] — [`ScenarioMatrix`]: a grid of named fault profiles
-//!   executed concurrently on worker threads; each cell runs a full study
-//!   and the caller folds the per-cell outcomes into a robustness report.
+//! * [`grid`] — [`loss_grid`] and [`icmp_grid`]: named fault profiles
+//!   along the sweep axes. A sweep driver runs one full campaign per
+//!   profile on the executor's worker pool and folds the outcomes into a
+//!   report.
 
-pub mod matrix;
+pub mod grid;
 pub mod profile;
 
-pub use matrix::{ScenarioCell, ScenarioMatrix};
+pub use grid::{icmp_grid, loss_grid};
 pub use profile::{ChurnSpec, FaultProfile, FaultTargets, OutageSpec, RetrySpec, Window};

@@ -168,12 +168,17 @@ impl ChunkConfig {
     }
 }
 
-/// Run `work(index, item)` once per item on up to `workers` scoped threads
-/// and return the results in item order. Every thread claims the next
-/// unclaimed item from one shared queue, so a slow chunk never holds up
-/// the rest; which thread runs which item is schedule-dependent, the
-/// result order is not. A panic in `work` propagates through the join.
-fn run_chunks<T, R, F>(items: Vec<T>, workers: usize, work: F) -> Vec<R>
+/// The program's one worker pool. Run `work(index, item)` once per item
+/// on up to `workers` scoped threads and return the results in item
+/// order. Every thread claims the next unclaimed item from one shared
+/// queue, so a slow item never holds up the rest; which thread runs which
+/// item is schedule-dependent, the result order is not. A panic in `work`
+/// propagates through the join.
+///
+/// Both campaign phases hand it their chunks, and the scenario sweeps
+/// (`robustness::run_matrix`, `topology_report::run_icmp_sweep`, the
+/// encryption ladder) hand it one whole campaign per item.
+pub fn run_chunks<T, R, F>(items: Vec<T>, workers: usize, work: F) -> Vec<R>
 where
     T: Send,
     R: Send,

@@ -17,7 +17,7 @@
 //! asymmetry checks are only meaningful at full scale.
 
 use traffic_shadowing::robustness::run_matrix;
-use traffic_shadowing::shadow_chaos::{FaultProfile, RetrySpec, ScenarioMatrix};
+use traffic_shadowing::shadow_chaos::{loss_grid, FaultProfile, RetrySpec};
 use traffic_shadowing::study::StudyConfig;
 
 const USAGE: &str = "usage: chaos_sweep [seed] [--shards N] [--parallel M] [--tiny] [--json PATH]";
@@ -85,7 +85,7 @@ fn main() {
         dns_retry: Some(RetrySpec::STANDARD),
         ..FaultProfile::baseline("template")
     };
-    let matrix = ScenarioMatrix::loss_grid(&LOSS_LEVELS, &ICMP_LIMIT, seed ^ 0xFA17, &template);
+    let grid = loss_grid(&LOSS_LEVELS, &ICMP_LIMIT, seed ^ 0xFA17, &template);
     let mut config = if tiny {
         StudyConfig::tiny(seed)
     } else {
@@ -100,10 +100,10 @@ fn main() {
 
     println!(
         "=== chaos sweep (seed {seed}, {} cells, {shards} shard(s), {parallel} workers) ===\n",
-        matrix.len()
+        grid.len()
     );
     let started = std::time::Instant::now();
-    let report = run_matrix(&config, &matrix, shards, parallel);
+    let report = run_matrix(&config, &grid, shards, parallel);
     println!(
         "baseline: DNS {:.1}% | HTTP {:.1}% | TLS {:.1}% problematic; \
          {} observer IPs; {}/{} paths localized  ({:?})\n",

@@ -24,8 +24,8 @@
 //! of the encryption ladder (`plaintext`, `early`, `mixed`, `full`,
 //! `fronted`) — decoys pick their transports (DoT/DoH/DoQ, ECH, fronted
 //! TLS) per-flow from the level's adoption percentages.
-//! `--encryption-report` instead sweeps the entire ladder (one extra
-//! campaign per level plus a plaintext baseline) and appends the
+//! `--encryption-report` instead sweeps the entire ladder (one campaign
+//! per level, the plaintext level serving as baseline) and appends the
 //! shadowing-under-encryption comparison: resolver-side recall vs on-wire
 //! name recall vs the IP-fingerprint fallback, per level. One-shot mode
 //! only, and mutually exclusive with `--encryption` (the report already
@@ -414,10 +414,11 @@ fn study_config(
     config
 }
 
-/// The `--encryption-report` section: one extra campaign per ladder level
-/// (plus a plaintext baseline), folded into the shadowing-under-encryption
-/// comparison — resolver-side recall stays flat while on-wire name recall
-/// decays and the IP-fingerprint fallback picks up the slack.
+/// The `--encryption-report` section: one campaign per ladder level (the
+/// plaintext level serving as baseline), folded into the
+/// shadowing-under-encryption comparison — resolver-side recall stays flat
+/// while on-wire name recall decays and the IP-fingerprint fallback picks
+/// up the slack.
 fn print_encryption_report(
     base: &StudyConfig,
     shards: usize,

@@ -2,16 +2,15 @@
 //! of the [`EncryptionDeployment`] ladder and fold the outcomes into the
 //! [`EncryptionReport`] — the §6 mitigation discussion, measured.
 //!
-//! Mirrors [`crate::robustness`]'s layering: `shadow-chaos` owns the sweep
-//! mechanics (its [`ScenarioMatrix`] carries the encryption axis),
-//! `shadow-analysis` owns the comparison, and this module — the only place
-//! that sees both a [`StudyConfig`] and a deployment level — bridges them.
+//! Mirrors [`crate::robustness`]'s layering: `shadow-packet` owns the
+//! ladder, `shadow-analysis` owns the comparison, and this module — the
+//! only place that sees both a [`StudyConfig`] and a deployment level —
+//! bridges them, running the cells on the executor's worker pool.
 
 use crate::study::{Study, StudyConfig, StudyOutcome};
-use shadow_chaos::ScenarioMatrix;
 use shadow_core::campaign::Phase1Config;
 use shadow_core::decoy::DecoyProtocol;
-use shadow_core::executor::TelemetryOptions;
+use shadow_core::executor::{run_chunks, TelemetryOptions};
 use shadow_packet::EncryptionDeployment;
 
 pub use shadow_analysis::encryption::{EncryptionCell, EncryptionCellReport, EncryptionReport};
@@ -56,48 +55,26 @@ pub fn with_encryption(base: &StudyConfig, deployment: &EncryptionDeployment) ->
     }
 }
 
-/// Run the ladder: one plaintext baseline campaign, then every level as a
-/// full sharded campaign, compared into an [`EncryptionReport`]. Faults
-/// (if `base` carries them) apply identically to every cell, so the
+/// Run the built-in ladder: every level as a full sharded campaign,
+/// compared into an [`EncryptionReport`]. The ladder starts at plaintext,
+/// and that cell doubles as the baseline every level is compared against.
+/// Faults (if `base` carries them) apply identically to every cell, so the
 /// encryption axis is measured under the same network conditions
 /// throughout. `parallelism` bounds concurrent cells; each cell fans out
 /// over `shards` worker threads.
-pub fn run_encryption_sweep(
-    base: &StudyConfig,
-    levels: &[EncryptionDeployment],
-    shards: usize,
-    parallelism: usize,
-) -> EncryptionReport {
-    let baseline_outcome = Study::run_sharded(
-        with_encryption(base, &EncryptionDeployment::plaintext()),
-        shards,
-    );
-    let baseline = encryption_cell("plaintext", &baseline_outcome);
-
-    let matrix = ScenarioMatrix::encryption_grid(
-        levels,
-        &shadow_chaos::FaultProfile::baseline("encryption-sweep"),
-        "",
-    );
-    let cells = matrix
-        .run_with(parallelism, |cell| {
-            // The grid cell carries the deployment; faults come from the
-            // base config, not the placeholder template above.
-            let outcome = Study::run_sharded(with_encryption(base, &cell.encryption), shards);
-            encryption_cell(&cell.encryption.level, &outcome)
-        })
-        .into_iter()
-        .map(|(_, cell)| cell)
-        .collect();
-
-    EncryptionReport::compare(baseline, cells)
-}
-
-/// The default sweep: the whole built-in ladder.
 pub fn run_default_sweep(
     base: &StudyConfig,
     shards: usize,
     parallelism: usize,
 ) -> EncryptionReport {
-    run_encryption_sweep(base, &EncryptionDeployment::ladder(), shards, parallelism)
+    let ladder = EncryptionDeployment::ladder();
+    assert!(
+        ladder[0].is_plaintext(),
+        "the ladder must start at plaintext, the sweep's baseline"
+    );
+    let cells = run_chunks(ladder, parallelism, |_, deployment| {
+        let outcome = Study::run_sharded(with_encryption(base, &deployment), shards);
+        encryption_cell(&deployment.level, &outcome)
+    });
+    EncryptionReport::compare(cells[0].clone(), cells)
 }

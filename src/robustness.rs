@@ -1,5 +1,5 @@
 //! Chaos-sweep glue: extract fault targets from a world spec, fold a
-//! study outcome into [`CellMetrics`], and drive a [`ScenarioMatrix`]
+//! study outcome into [`CellMetrics`], and drive a grid of fault profiles
 //! through full sharded campaigns.
 //!
 //! The layering intent: `shadow-chaos` owns fault *semantics* without
@@ -9,8 +9,9 @@
 //! bridges them.
 
 use crate::study::{Study, StudyConfig, StudyOutcome};
-use shadow_chaos::{FaultTargets, ScenarioMatrix};
+use shadow_chaos::{FaultProfile, FaultTargets};
 use shadow_core::decoy::DecoyProtocol;
+use shadow_core::executor::run_chunks;
 use shadow_core::world::{HostSpec, WorldSpec};
 
 // The comparison types live in `shadow-analysis`; this facade re-exports
@@ -72,13 +73,13 @@ pub fn cell_metrics(name: &str, outcome: &StudyOutcome) -> CellMetrics {
     }
 }
 
-/// Run the matrix: one fault-free baseline campaign, then every cell as a
-/// full sharded campaign under its profile, compared into a
-/// [`RobustnessReport`]. `parallelism` bounds concurrent *cells*; each
-/// cell additionally fans out over `shards` worker threads.
+/// Run the matrix: one fault-free baseline campaign, then one full sharded
+/// campaign per profile (e.g. a [`shadow_chaos::loss_grid`]), compared
+/// into a [`RobustnessReport`]. `parallelism` bounds concurrent *cells*;
+/// each cell additionally fans out over `shards` worker threads.
 pub fn run_matrix(
     base: &StudyConfig,
-    matrix: &ScenarioMatrix,
+    profiles: &[FaultProfile],
     shards: usize,
     parallelism: usize,
 ) -> RobustnessReport {
@@ -91,15 +92,10 @@ pub fn run_matrix(
     );
     let baseline = cell_metrics("baseline", &baseline_outcome);
 
-    let cells = matrix
-        .run_with(parallelism, |cell| {
-            let config = base.clone().with_faults(cell.profile.clone());
-            let outcome = Study::run_sharded(config, shards);
-            cell_metrics(&cell.name, &outcome)
-        })
-        .into_iter()
-        .map(|(_, metrics)| metrics)
-        .collect();
+    let cells = run_chunks(profiles.iter().collect(), parallelism, |_, profile| {
+        let outcome = Study::run_sharded(base.clone().with_faults(profile.clone()), shards);
+        cell_metrics(&profile.name, &outcome)
+    });
 
     RobustnessReport::compare(baseline, cells)
 }

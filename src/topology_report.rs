@@ -10,7 +10,8 @@
 
 use crate::study::{Study, StudyConfig, StudyOutcome};
 use shadow_analysis::crossval::{CrossValCell, CrossValReport, TopoGroundTruth};
-use shadow_chaos::{FaultProfile, ScenarioMatrix};
+use shadow_chaos::{icmp_grid, FaultProfile};
+use shadow_core::executor::run_chunks;
 use shadow_netsim::NodeId;
 use std::net::Ipv4Addr;
 
@@ -88,17 +89,11 @@ pub fn run_icmp_sweep(
     shards: usize,
     parallelism: usize,
 ) -> CrossValReport {
-    let template = FaultProfile::baseline("icmp");
-    let matrix = ScenarioMatrix::icmp_grid(levels, fault_seed, &template);
-    let cells = matrix
-        .run_with(parallelism, |cell| {
-            let config = base.clone().with_faults(cell.profile.clone());
-            let outcome = Study::run_sharded(config, shards);
-            score_outcome(&cell.name, cell.profile.icmp_rate_limit, &outcome)
-        })
-        .into_iter()
-        .map(|(_, scored)| scored)
-        .collect();
+    let grid = icmp_grid(levels, fault_seed, &FaultProfile::baseline("icmp"));
+    let cells = run_chunks(grid, parallelism, |_, profile| {
+        let outcome = Study::run_sharded(base.clone().with_faults(profile.clone()), shards);
+        score_outcome(&profile.name, profile.icmp_rate_limit, &outcome)
+    });
     CrossValReport::new(cells)
 }
 
