@@ -143,7 +143,6 @@ mod tests {
             cc("CN"),
             AsKind::IspBackbone,
         ));
-        geo.build();
         let traceroutes = vec![TracerouteResult {
             path: PathKey {
                 vp: VpId(1),

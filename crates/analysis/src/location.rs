@@ -218,7 +218,6 @@ mod tests {
             country: cc("CA"),
             hosting: HostingLabel::Residential,
         });
-        geo.build();
         let catalog = AsCatalog::generate(1, 0.01);
 
         let cn1 = Ipv4Addr::new(61, 1, 1, 1);

@@ -192,7 +192,6 @@ mod tests {
             country: cc("CN"),
             hosting: HostingLabel::Hosting,
         });
-        geo.build();
         let blocklist = Blocklist::from_addrs([dirty_origin]);
         let mut dests = BTreeMap::new();
         dests.insert(dst114, "114DNS".to_string());

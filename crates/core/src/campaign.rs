@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use shadow_netsim::time::{SimDuration, SimTime};
 use shadow_netsim::topology::NodeId;
 use shadow_packet::transport::{EncryptionDeployment, TransportProfile};
-use shadow_telemetry::{sort_records, EventKind, JournalRecord, MetricsSnapshot};
+use shadow_telemetry::{EventKind, JournalRecord, MetricsSnapshot};
 use shadow_topo::RouterGraphBuilder;
 use shadow_vantage::platform::VpId;
 use shadow_vantage::schedule::RateLimitedScheduler;
@@ -72,7 +72,9 @@ pub struct CampaignData {
     pub last_send: SimTime,
     /// Telemetry snapshot for this phase/shard (empty when disabled).
     pub metrics: MetricsSnapshot,
-    /// Journal records for this phase/shard (empty unless journaling).
+    /// Journal records for this phase/shard (empty unless journaling), in
+    /// emission order; absorbed chunks append in absorb order. The study
+    /// sorts them once, when it hands the journal out.
     pub journal: Vec<JournalRecord>,
     /// Streamed correlation aggregates folded at capture time.
     pub aggregates: CorrelationAggregates,
@@ -89,10 +91,10 @@ impl CampaignData {
     }
 
     /// Absorb another phase's (or shard's) data. Commutative up to the
-    /// canonical orders the consumers see (the journal is re-sorted after
-    /// every merge), so the result is independent of absorb order (e.g.
-    /// worker-thread completion order). Registries must be disjoint or
-    /// identical per domain.
+    /// canonical orders the consumers see: `other`'s journal is appended
+    /// unsorted, and every record keeps a unique (shard, seq), so the
+    /// study's one sort puts any absorb order into the same order.
+    /// Registries must be disjoint or identical per domain.
     pub fn absorb(&mut self, other: CampaignData) {
         self.registry.absorb(other.registry);
         for (vp, report) in other.vp_reports {
@@ -100,10 +102,7 @@ impl CampaignData {
         }
         self.last_send = self.last_send.max(other.last_send);
         self.metrics.merge(&other.metrics);
-        if !other.journal.is_empty() {
-            self.journal.extend(other.journal);
-            sort_records(&mut self.journal);
-        }
+        self.journal.extend(other.journal);
         self.aggregates.absorb(other.aggregates);
         self.router_graph.absorb(other.router_graph);
     }
@@ -331,9 +330,8 @@ pub(crate) fn run_slice(
 
 /// Close a phase: journal its [`EventKind::PhaseEnded`] marker (meta —
 /// skipped by diffs), then snapshot-and-reset the engine's telemetry into
-/// `data`, with the journal sorted into the canonical total order. Each
-/// phase calls this once at harvest time, so consecutive phases never
-/// double-count.
+/// `data`, with the journal in emission order. Each phase calls this once
+/// at harvest time, so consecutive phases never double-count.
 pub(crate) fn finish_phase(world: &World, phase: &str, mut data: CampaignData) -> CampaignData {
     let telemetry = world.engine.telemetry();
     let shard = telemetry.shard();
@@ -344,7 +342,6 @@ pub(crate) fn finish_phase(world: &World, phase: &str, mut data: CampaignData) -
     });
     data.metrics = telemetry.take_snapshot();
     data.journal = telemetry.drain_journal();
-    sort_records(&mut data.journal);
     data
 }
 

@@ -17,7 +17,9 @@
 //!    the sends its VPs own and running the clock through the global grace
 //!    window, so retention-store timing matches the sequential run;
 //! 5. merges chunk outputs in chunk-index order with the commutative,
-//!    order-stable [`CampaignData::absorb`].
+//!    order-stable [`CampaignData::absorb`]; chunk journals stay in
+//!    emission order, concatenated in chunk order, until the study sorts
+//!    the whole journal once.
 //!
 //! Sequential is the 1×1 shape and "K shards" is K chunks on K workers;
 //! every shape produces the same bytes.
@@ -349,14 +351,13 @@ pub fn run_phase2_chunks(
         record_phase_wall(&mut data, "phase2", started);
         data
     });
-    let mut merged = chunk_outputs
+    let merged = chunk_outputs
         .into_iter()
         .reduce(|mut acc, data| {
             acc.absorb(data);
             acc
         })
         .expect("at least one chunk");
-    shadow_telemetry::sort_records(&mut merged.journal);
     let results = Phase2Runner::localize(&merged, &plan.traced, config.max_ttl);
     (results, merged)
 }
@@ -393,7 +394,9 @@ fn merge_shards(
             preflight = Some(shard_preflight);
         }
         // Journaling runs get an audit marker per absorbed shard (meta —
-        // diffs skip it, so shard counts stay comparable).
+        // diffs skip it, so shard counts stay comparable). It is the
+        // shard's only `seq = u64::MAX` record, so (shard, seq) stays
+        // unique and the study's one sort stays total.
         if !shard_data.journal.is_empty() {
             shard_data.journal.push(JournalRecord {
                 at_ms: shard_data.last_send.0,
@@ -413,11 +416,9 @@ fn merge_shards(
         }
         worlds.push(world);
     }
-    let mut data = data.expect("at least one shard");
-    shadow_telemetry::sort_records(&mut data.journal);
     ShardedPhase1 {
         preflight: preflight.expect("at least one shard"),
-        data,
+        data: data.expect("at least one shard"),
         worlds,
         assignment,
         stats,

@@ -22,6 +22,7 @@ use shadow_geo::{
     AsCatalog, AsInfo, AsKind, Asn, CountryCode, GeoDb, GeoRecord, HostingLabel, Ipv4Prefix,
     PrefixAllocator, Region,
 };
+use shadow_netsim::fault::fnv1a64;
 use shadow_netsim::time::SimDuration;
 use shadow_netsim::topology::{NodeId, TopologyBuilder};
 use shadow_observer::dpi::DpiConfig;
@@ -225,7 +226,6 @@ pub fn generate_spec(config: WorldConfig) -> WorldSpec {
             hosting: HostingLabel::Hosting,
         });
     }
-    geo.build();
 
     // --- Topology: ASes and routers ---------------------------------------
     let mut tb = TopologyBuilder::new(config.seed ^ 0x7090);
@@ -520,7 +520,7 @@ fn place_origin_pools(b: &mut Builder, honeypots: &Honeypots) {
                     asn,
                     via,
                     dirty,
-                    seed ^ ((i as u64) << 32) ^ hash_label(label),
+                    seed ^ ((i as u64) << 32) ^ fnv1a64(label.as_bytes()),
                 );
                 WeightedChoice::new(node, weight)
             })
@@ -611,15 +611,6 @@ fn origin_pool(b: &Builder, label: &str) -> Vec<WeightedChoice<NodeId>> {
         .get(label)
         .unwrap_or_else(|| panic!("origin pool {label} missing"))
         .clone()
-}
-
-fn hash_label(label: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in label.bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
 }
 
 /// Replay policies per shadow class, tuned to the paper's temporal and

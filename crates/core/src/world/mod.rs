@@ -113,12 +113,6 @@ impl WorldConfig {
             ..base
         }
     }
-
-    /// Ten times the paper's decoy volume ([`Self::paper_scale_factor`]
-    /// with `factor = 10`).
-    pub fn paper_scale_10x(seed: u64) -> Self {
-        Self::paper_scale_factor(seed, 10)
-    }
 }
 
 /// A Tranco-stand-in destination site.

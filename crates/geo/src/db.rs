@@ -135,10 +135,7 @@ pub struct GeoRecord {
 /// simulated world. The stand-in for ip-api / IPinfo.
 ///
 /// A facade over [`shadow_topo::IpLookupTable`]: every `insert` updates
-/// the bitmap trie immediately, so the db is correct after each insert —
-/// there is no unsorted state for a missed `build()` call to leave behind
-/// (the old sorted-scan implementation only `debug_assert!`ed its sort
-/// flag, silently returning wrong answers in release builds).
+/// the bitmap trie immediately, so the db is correct after each insert.
 #[derive(Debug, Clone, Default)]
 pub struct GeoDb {
     /// All inserted records in insertion order (duplicates included, so
@@ -200,12 +197,7 @@ impl GeoDb {
         });
     }
 
-    /// Historical finalize hook, kept for API compatibility. The trie is
-    /// maintained on every `insert`, so there is nothing to do.
-    pub fn build(&mut self) {}
-
-    /// Longest-prefix-match lookup. Correct immediately after any insert —
-    /// no `build()` required.
+    /// Longest-prefix-match lookup.
     pub fn lookup(&self, addr: Ipv4Addr) -> Option<&GeoRecord> {
         self.table
             .longest_match_value(addr)
@@ -355,7 +347,6 @@ mod tests {
             cc("US"),
             AsKind::ResolverOperator,
         ));
-        db.build();
         assert_eq!(db.asn_of(Ipv4Addr::new(8, 8, 8, 8)), Some(Asn(15169)));
         assert_eq!(db.asn_of(Ipv4Addr::new(8, 9, 0, 1)), Some(Asn(1)));
     }
@@ -364,7 +355,6 @@ mod tests {
     fn miss_returns_none() {
         let mut db = GeoDb::new();
         db.insert(record(p("9.0.0.0", 8), Asn(2), cc("DE"), AsKind::Cloud));
-        db.build();
         assert_eq!(db.lookup(Ipv4Addr::new(11, 0, 0, 1)), None);
     }
 
@@ -378,7 +368,6 @@ mod tests {
             cc("NL"),
             AsKind::IspRegional,
         ));
-        db.build();
         assert_eq!(
             db.hosting_of(Ipv4Addr::new(5, 0, 3, 3)),
             Some(HostingLabel::Hosting)
@@ -399,10 +388,9 @@ mod tests {
     }
 
     #[test]
-    fn lookup_is_correct_without_build() {
-        // The release-mode footgun: the old implementation only
-        // debug_assert!ed its sort flag, so skipping build() silently
-        // returned wrong answers in release. Now inserts maintain the trie.
+    fn lookup_is_correct_right_after_unordered_inserts() {
+        // Inserts maintain the trie, so prefixes registered out of order
+        // resolve immediately.
         let mut db = GeoDb::new();
         db.insert(record(p("9.0.0.0", 8), Asn(2), cc("DE"), AsKind::Cloud));
         db.insert(record(p("8.0.0.0", 8), Asn(1), cc("US"), AsKind::Cloud));
@@ -412,7 +400,6 @@ mod tests {
             cc("US"),
             AsKind::ResolverOperator,
         ));
-        // No build() call on purpose.
         assert_eq!(db.asn_of(Ipv4Addr::new(8, 8, 1, 1)), Some(Asn(15169)));
         assert_eq!(db.asn_of(Ipv4Addr::new(9, 1, 1, 1)), Some(Asn(2)));
     }
@@ -488,7 +475,6 @@ mod tests {
                 AsKind::Enterprise,
             ));
         }
-        db.build();
         assert_eq!(db.asn_of(Ipv4Addr::new(42, 1, 2, 3)), Some(Asn(42)));
         assert_eq!(db.asn_of(Ipv4Addr::new(200, 0, 0, 1)), Some(Asn(200)));
     }

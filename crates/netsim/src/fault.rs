@@ -47,7 +47,9 @@ const LANE_JITTER: u64 = 0x6a69_7474_0000_0004;
 const LANE_ICMP: u64 = 0x6963_6d70_0000_0005;
 const LANE_LINK_OUTAGE: u64 = 0x6f75_7461_0000_0006;
 
-/// FNV-1a over bytes, 64-bit variant.
+/// FNV-1a over bytes, 64-bit variant: the workspace's one copy, used
+/// wherever a hash must be stable across runs, shards and processes.
+#[inline]
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {

@@ -16,15 +16,18 @@
 //!
 //! Lookups are O(1) via an open-addressed table of *absolute insertion
 //! numbers* (monotonic, never reused), probed by an FNV-1a hash of the
-//! domain. The table stores 8-byte numbers instead of cloned domain keys,
-//! and an entry whose number precedes `head` (how many items have ever
-//! left the queue front) is simply dead — eviction and TTL expiry never
+//! domain's presentation bytes (deterministic across runs and shards: it
+//! must not depend on process-random hasher keys). The table stores
+//! 8-byte numbers instead of cloned domain keys, and an entry whose
+//! number precedes `head` (how many items have ever left the queue
+//! front) is simply dead — eviction and TTL expiry never
 //! touch the table, and dead entries are purged wholesale whenever the
 //! table rebuilds for growth. A paper-scale campaign drives thousands of
 //! these stores (one per on-path observer), so the per-retained-domain
 //! footprint — one 32-byte item plus one table word — is what bounds
 //! campaign RSS.
 
+use shadow_netsim::fault::fnv1a64;
 use shadow_netsim::time::{SimDuration, SimTime};
 use shadow_packet::dns::DnsName;
 use std::collections::VecDeque;
@@ -63,18 +66,6 @@ pub struct ObservedItem {
 
 /// Marker for an unused table slot.
 const EMPTY: u64 = u64::MAX;
-
-/// FNV-1a over the domain's presentation bytes — deterministic across
-/// runs and shards (probe order never leaks into observable state, but
-/// the hash must not depend on process-random hasher keys either).
-fn domain_hash(domain: &DnsName) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in domain.as_str().bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
-    h
-}
 
 /// Bounded FIFO store with TTL expiry and O(1) domain lookup.
 #[derive(Debug)]
@@ -125,7 +116,7 @@ impl RetentionStore {
             return None;
         }
         let mask = self.table.len() - 1;
-        let mut i = (domain_hash(domain) as usize) & mask;
+        let mut i = (fnv1a64(domain.as_str().as_bytes()) as usize) & mask;
         loop {
             let abs = self.table[i];
             if abs == EMPTY {
@@ -154,7 +145,7 @@ impl RetentionStore {
         let mask = want - 1;
         for (offset, item) in self.items.iter().enumerate() {
             let abs = self.head + offset as u64;
-            let mut i = (domain_hash(&item.domain) as usize) & mask;
+            let mut i = (fnv1a64(item.domain.as_str().as_bytes()) as usize) & mask;
             while self.table[i] != EMPTY {
                 i = (i + 1) & mask;
             }
@@ -167,7 +158,7 @@ impl RetentionStore {
     /// the domain is not already live.
     fn place(&mut self, domain: &DnsName, abs: u64) {
         let mask = self.table.len() - 1;
-        let mut i = (domain_hash(domain) as usize) & mask;
+        let mut i = (fnv1a64(domain.as_str().as_bytes()) as usize) & mask;
         while self.table[i] != EMPTY {
             i = (i + 1) & mask;
         }

@@ -9,6 +9,7 @@ use crate::probe::ProbeOrder;
 use crate::retention::{ObservedProtocol, RetentionStore};
 use rand_chacha::rand_core::{RngCore, SeedableRng};
 use rand_chacha::ChaCha20Rng;
+use shadow_netsim::fault::fnv1a64;
 use shadow_netsim::time::{SimDuration, SimTime};
 use shadow_netsim::topology::NodeId;
 use shadow_packet::dns::DnsName;
@@ -21,11 +22,7 @@ use shadow_packet::dns::DnsName;
 /// `now` is part of the key so a domain re-observed after retention expiry
 /// gets a fresh stream.
 pub fn observation_rng(seed: u64, domain: &DnsName, now: SimTime) -> ChaCha20Rng {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in domain.as_str().bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0100_0000_01b3);
-    }
+    let mut h = fnv1a64(domain.as_str().as_bytes());
     h ^= seed;
     h = h.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     h ^= now.millis();

@@ -34,6 +34,7 @@ use shadow_core::sink::CorrelationAggregates;
 use shadow_telemetry::{JournalRecord, MetricsSnapshot};
 use std::path::{Path, PathBuf};
 use traffic_shadowing::shadow_core::executor::TelemetryOptions;
+use traffic_shadowing::shadow_netsim::fault::fnv1a64;
 use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
 
 /// `z ^= golden; mix(z)` — the SplitMix64 step (Steele et al.), the same
@@ -44,18 +45,6 @@ fn splitmix64(state: &mut u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
-}
-
-/// FNV-1a over the debug rendering of the campaign-shaping configuration.
-/// Good enough to catch "`--resume` pointed at a checkpoint from a
-/// different campaign" with a clear error, which is all it is for.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 /// How the daemon runs its campaign.
@@ -98,11 +87,14 @@ impl ServeConfig {
     /// Hash of everything that shapes campaign *output* — the whole
     /// study configuration (world, both phases, trace cap, whether Phase II
     /// runs, telemetry, faults) plus the wave count — the checkpoint
-    /// header's identity field. Shard count is deliberately excluded:
-    /// output is K-invariant, and K gets its own dedicated mismatch check.
+    /// header's identity field: FNV-1a over its debug rendering, good
+    /// enough to catch "`--resume` pointed at a checkpoint from a
+    /// different campaign" with a clear error. Shard count is deliberately
+    /// excluded: output is K-invariant, and K gets its own dedicated
+    /// mismatch check.
     pub fn world_hash(&self) -> u64 {
         let rendering = format!("{:?}|waves={}", self.study, self.waves);
-        fnv1a(rendering.as_bytes())
+        fnv1a64(rendering.as_bytes())
     }
 
     /// The study configuration wave `wave_seed` runs: the base config with
@@ -159,6 +151,9 @@ pub struct WaveReport {
     /// Start of this wave's records in [`CampaignDriver::journal`]; read
     /// them with [`CampaignDriver::wave_records`].
     pub journal_from: usize,
+    /// The wave's study outcome. Its `journal` is always `None`: the
+    /// driver moved the records onto the campaign axis, so read them with
+    /// [`CampaignDriver::wave_records`].
     pub outcome: StudyOutcome,
 }
 
@@ -191,7 +186,8 @@ impl CampaignDriver {
     /// Rebuild a driver from a checkpoint, validating that the checkpoint
     /// belongs to `config` (world hash), was taken at the same shard
     /// count, and is internally consistent (RNG stream positions re-derive
-    /// from `(seed, waves_done)`).
+    /// from `(seed, waves_done)`; journal timestamps never decrease and
+    /// stay below the sim-time cursor, as [`Self::journal`] documents).
     pub fn resume(config: ServeConfig, checkpoint: CampaignCheckpoint) -> Result<Self, ServeError> {
         if checkpoint.header.version != CHECKPOINT_VERSION {
             return Err(ServeError::Version {
@@ -225,6 +221,16 @@ impl CampaignDriver {
         if rng_streams != checkpoint.rng_streams {
             return Err(ServeError::Corrupt(
                 "RNG stream positions do not re-derive from (seed, waves_done)".to_string(),
+            ));
+        }
+        let journal = &checkpoint.journal;
+        if !journal.is_sorted_by_key(|r| r.at_ms)
+            || journal
+                .last()
+                .is_some_and(|r| r.at_ms >= checkpoint.sim_cursor_ms)
+        {
+            return Err(ServeError::Corrupt(
+                "journal timestamps are out of order or past the sim-time cursor".to_string(),
             ));
         }
         let aggregates =
@@ -277,7 +283,11 @@ impl CampaignDriver {
     }
 
     /// The cumulative journal; timestamps are campaign-axis (each wave's
-    /// records offset by the cursor at its start), so the vector is sorted.
+    /// records offset by the cursor at its start). Each wave's journal
+    /// arrives sorted from the study and lands wholly below the advanced
+    /// cursor, so the vector is sorted and every timestamp is below
+    /// [`Self::sim_cursor_ms`]. [`Self::resume`] checks that timestamps
+    /// never decrease and stay below the cursor.
     pub fn journal(&self) -> &[JournalRecord] {
         &self.journal
     }
@@ -300,9 +310,10 @@ impl CampaignDriver {
     ///   is the one nondeterministic metric, and a checkpoint must not
     ///   remember how fast the host happened to be) and the shard count
     ///   kept at its per-wave value instead of summed across waves;
-    /// * journal records shift onto the campaign time axis by the cursor,
-    ///   which then advances past both the wave's send window (+ grace)
-    ///   and its last journal record, so appended records stay sorted.
+    /// * journal records move out of the outcome and shift onto the
+    ///   campaign time axis by the cursor, which then advances past both
+    ///   the wave's send window (+ grace) and its last journal record, so
+    ///   appended records stay sorted.
     pub fn run_next_wave(&mut self) -> Option<WaveReport> {
         if self.is_done() {
             return None;
@@ -310,7 +321,7 @@ impl CampaignDriver {
         let wave = self.waves_done;
         let wave_seed = advance_streams(&mut self.rng_streams);
         let wave_config = self.config.wave_study_config(wave_seed);
-        let outcome = Study::run_sharded(wave_config, self.config.shards);
+        let mut outcome = Study::run_sharded(wave_config, self.config.shards);
 
         self.aggregates.absorb(outcome.phase1.aggregates.clone());
         if let Some(wave_metrics) = &outcome.metrics {
@@ -322,14 +333,12 @@ impl CampaignDriver {
         }
         let journal_from = self.journal.len();
         let mut wave_journal_max_ms = 0;
-        if let Some(records) = &outcome.journal {
-            self.journal.reserve(records.len());
-            for record in records {
+        if let Some(mut records) = outcome.journal.take() {
+            for record in &mut records {
                 wave_journal_max_ms = wave_journal_max_ms.max(record.at_ms);
-                let mut shifted = record.clone();
-                shifted.at_ms += self.sim_cursor_ms;
-                self.journal.push(shifted);
+                record.at_ms += self.sim_cursor_ms;
             }
+            self.journal.append(&mut records);
         }
         let send_window_ms =
             outcome.phase1.last_send.millis() + self.config.study.phase1.grace.millis();

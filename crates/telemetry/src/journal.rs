@@ -14,8 +14,11 @@
 //!   auditing but are skipped by [`crate::diff`].
 //!
 //! Records buffer in memory behind a mutex (one journal per shard — no
-//! cross-thread contention) and are drained, sorted into the total key
-//! order, and written as JSONL after the run.
+//! cross-thread contention) and are drained in emission order. A handle's
+//! `seq` counter keeps running across drains, so (shard, seq) is unique
+//! within a run, and [`sort_records`] on the concatenation of every
+//! drained journal yields the total key order in one pass. The study
+//! makes that one sort, then the journal is written as JSONL.
 
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use parking_lot::Mutex;
@@ -140,7 +143,8 @@ pub struct JournalRecord {
     pub shard: u32,
     /// Topology node the event happened at, if any.
     pub node: Option<u32>,
-    /// Per-shard emission sequence (tiebreaker for in-shard ordering).
+    /// Per-shard emission sequence (tiebreaker for in-shard ordering);
+    /// it keeps counting across phases and drains.
     pub seq: u64,
     pub event: EventKind,
 }
@@ -298,7 +302,8 @@ impl Telemetry {
         }
     }
 
-    /// Drain buffered journal records (unsorted emission order).
+    /// Drain buffered journal records (unsorted emission order). The
+    /// sequence counter is not reset.
     pub fn drain_journal(&self) -> Vec<JournalRecord> {
         match &self.0 {
             Some(inner) => match &inner.journal {
@@ -367,6 +372,25 @@ mod tests {
         assert_eq!(records[0].seq, 0);
         assert_eq!(records[1].seq, 1);
         assert!(t.drain_journal().is_empty(), "drain resets the buffer");
+    }
+
+    #[test]
+    fn sequence_keeps_counting_across_drains() {
+        // A handle's `seq` numbers every record it ever emits, so (shard,
+        // seq) stays unique across a study's phases and one sort of their
+        // concatenated journals is the canonical order.
+        let t = Telemetry::new(0, true);
+        let phase_end = || EventKind::PhaseEnded {
+            phase: "phase1".to_string(),
+            shard: 0,
+        };
+        t.event(10, None, phase_end);
+        t.event(10, None, phase_end);
+        assert_eq!(t.drain_journal().last().map(|r| r.seq), Some(1));
+        t.event(10, None, phase_end);
+        let records = t.drain_journal();
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].seq, 2, "drain must not reset the sequence");
     }
 
     #[test]

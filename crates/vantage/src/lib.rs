@@ -20,5 +20,5 @@ pub mod vp;
 
 pub use platform::{Platform, PlatformSummary, VantagePoint, VpId};
 pub use providers::{Market, VpnProvider, VPN_PROVIDERS};
-pub use schedule::{RateLimitedScheduler, ScheduledSend};
+pub use schedule::RateLimitedScheduler;
 pub use vp::{DnsAnswerRecord, IcmpObservation, VantagePointHost, VpCommand, VpReport};

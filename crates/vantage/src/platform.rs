@@ -212,7 +212,6 @@ mod tests {
                 shadow_geo::HostingLabel::Residential
             },
         });
-        db.build();
         db
     }
 
@@ -229,7 +228,6 @@ mod tests {
             country: cc("US"),
             hosting: shadow_geo::HostingLabel::Residential,
         });
-        geo.build();
         platform.vet_residential(&geo);
         assert_eq!(platform.vps.len(), 1);
         assert_eq!(platform.vps[0].id, VpId(1));

@@ -2,23 +2,16 @@
 //!
 //! The paper runs "switching between different VPs ... in a round-robin
 //! fashion without stop" under an ethical rate limit of "no more than 2
-//! decoy packets per second to a given target". The scheduler turns a
-//! (VP × destination × protocol) work list into deterministic send times
-//! honoring both the per-target cap and a per-VP pacing gap.
+//! decoy packets per second to a given target". The scheduler hands out
+//! deterministic send times one (VP, target) reservation at a time,
+//! honoring both the per-target cap and a per-VP pacing gap; the Phase I
+//! and Phase II planners walk their work lists round-robin and reserve
+//! each send.
 
 use crate::platform::VpId;
 use shadow_netsim::time::{SimDuration, SimTime};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
-
-/// One planned decoy emission.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ScheduledSend<T> {
-    pub at: SimTime,
-    pub vp: VpId,
-    pub target: Ipv4Addr,
-    pub work: T,
-}
 
 /// Deterministic rate-limited scheduler.
 #[derive(Debug)]
@@ -59,41 +52,6 @@ impl RateLimitedScheduler {
         self.next_target_slot.insert(target, at + self.target_gap);
         self.next_vp_slot.insert(vp, at + self.vp_gap);
         at
-    }
-
-    /// Schedule a whole work list round-robin over VPs: the `i`-th item of
-    /// each VP is interleaved before any VP's `i+1`-th item, subject to the
-    /// rate constraints.
-    pub fn schedule_round_robin<T: Clone>(
-        &mut self,
-        start: SimTime,
-        work: &[(VpId, Ipv4Addr, T)],
-    ) -> Vec<ScheduledSend<T>> {
-        // Group by VP preserving order, then interleave.
-        let mut per_vp: HashMap<VpId, Vec<(Ipv4Addr, T)>> = HashMap::new();
-        let mut vp_order: Vec<VpId> = Vec::new();
-        for (vp, target, item) in work {
-            if !per_vp.contains_key(vp) {
-                vp_order.push(*vp);
-            }
-            per_vp.entry(*vp).or_default().push((*target, item.clone()));
-        }
-        let mut out = Vec::with_capacity(work.len());
-        let max_len = per_vp.values().map(Vec::len).max().unwrap_or(0);
-        for round in 0..max_len {
-            for &vp in &vp_order {
-                if let Some((target, item)) = per_vp.get(&vp).and_then(|v| v.get(round)) {
-                    let at = self.reserve(start, vp, *target);
-                    out.push(ScheduledSend {
-                        at,
-                        vp,
-                        target: *target,
-                        work: item.clone(),
-                    });
-                }
-            }
-        }
-        out
     }
 }
 
@@ -137,33 +95,6 @@ mod tests {
         let t1 = sched.reserve(SimTime::ZERO, VpId(1), addr(1));
         let t2 = sched.reserve(SimTime::ZERO, VpId(2), addr(2));
         assert_eq!(t1, t2, "no shared constraint, no delay");
-    }
-
-    #[test]
-    fn round_robin_interleaves_vps() {
-        let mut sched =
-            RateLimitedScheduler::new(SimDuration::from_millis(0), SimDuration::from_millis(0));
-        let work = vec![
-            (VpId(1), addr(1), "a1"),
-            (VpId(1), addr(2), "a2"),
-            (VpId(2), addr(1), "b1"),
-            (VpId(2), addr(2), "b2"),
-        ];
-        let planned = sched.schedule_round_robin(SimTime::ZERO, &work);
-        let order: Vec<&str> = planned.iter().map(|s| s.work).collect();
-        assert_eq!(order, vec!["a1", "b1", "a2", "b2"]);
-    }
-
-    #[test]
-    fn schedule_is_deterministic() {
-        let build = || {
-            let mut sched = RateLimitedScheduler::paper_defaults();
-            let work: Vec<_> = (0..20)
-                .map(|i| (VpId(i % 4), addr((i % 3) as u8), i))
-                .collect();
-            sched.schedule_round_robin(SimTime(1_000), &work)
-        };
-        assert_eq!(build(), build());
     }
 
     #[test]

@@ -102,14 +102,6 @@ impl StudyConfig {
         }
     }
 
-    /// Ten times the paper's decoy volume (both scale axes grow ~√10).
-    pub fn paper_scale_10x(seed: u64) -> Self {
-        Self {
-            world: WorldConfig::paper_scale_10x(seed),
-            ..Self::paper_scale(seed)
-        }
-    }
-
     /// Install a fault profile (builder style, for sweeps).
     pub fn with_faults(mut self, profile: FaultProfile) -> Self {
         self.faults = Some(profile);
@@ -333,6 +325,11 @@ fn finalize_router_graph(phase2: Option<&CampaignData>, world: &World) -> shadow
 /// folds every classified arrival, so this is the same for any shard
 /// count). Per-arrival records are the `ArrivalCaptured` and
 /// `ArrivalClassified` events journaled at capture time.
+///
+/// This is the one place the program orders a journal: phase and chunk
+/// journals arrive in emission order, concatenated in chunk order, and
+/// one sort of that concatenation is the canonical order, because every
+/// record's (shard, seq) is unique within a study.
 fn finalize_telemetry(
     config: &StudyConfig,
     phase1: &mut CampaignData,

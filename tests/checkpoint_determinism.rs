@@ -140,3 +140,24 @@ fn resume_rejects_tampered_rng_streams() {
         other => panic!("expected Corrupt, got {:?}", other.err()),
     }
 }
+
+#[test]
+fn resume_rejects_a_journal_out_of_time_order() {
+    // A checkpoint journal must keep the invariant `run_next_wave` builds:
+    // timestamps never decrease and stay below the sim-time cursor, so the
+    // next wave's records append after every resumed one.
+    let config = config(1, false);
+    let mut driver = CampaignDriver::new(config.clone());
+    driver.run_next_wave();
+    let checkpoint = driver.checkpoint();
+    let mut past_cursor = checkpoint.clone();
+    past_cursor.journal.last_mut().expect("journal on").at_ms = checkpoint.sim_cursor_ms;
+    let mut reversed = checkpoint;
+    reversed.journal.reverse();
+    for (name, tampered) in [("past the cursor", past_cursor), ("reversed", reversed)] {
+        match CampaignDriver::resume(config.clone(), tampered) {
+            Err(ServeError::Corrupt(_)) => {}
+            other => panic!("{name}: expected Corrupt, got {:?}", other.err()),
+        }
+    }
+}

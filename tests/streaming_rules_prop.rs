@@ -192,7 +192,6 @@ fn geo() -> GeoDb {
             hosting: HostingLabel::Hosting,
         });
     }
-    geo.build();
     geo
 }
 
