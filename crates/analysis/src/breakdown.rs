@@ -84,9 +84,9 @@ pub fn compute(
             continue;
         }
         let dest = dest_names
-            .get(&decoy.dst())
+            .get(&decoy.dst)
             .cloned()
-            .unwrap_or_else(|| decoy.dst().to_string());
+            .unwrap_or_else(|| decoy.dst.to_string());
         let entry = per_dest
             .entry(dest.clone())
             .or_insert(DestinationBreakdown {
@@ -136,7 +136,6 @@ mod tests {
             DecoyProtocol::Dns,
             64,
             SimTime(1_000),
-            None,
         );
         let quiet = registry.register(
             VpId(1),
@@ -145,7 +144,6 @@ mod tests {
             DecoyProtocol::Dns,
             64,
             SimTime(2_000),
-            None,
         );
         let mk = |domain: &DnsName, at_ms: u64, proto: ArrivalProtocol| Arrival {
             at: SimTime(at_ms),

@@ -45,7 +45,7 @@ impl ResolverCase {
             ..Self::default()
         };
         for decoy in registry.iter() {
-            if decoy.protocol != DecoyProtocol::Dns || decoy.dst() != dst {
+            if decoy.protocol != DecoyProtocol::Dns || decoy.dst != dst {
                 continue;
             }
             case.decoys += 1;
@@ -115,7 +115,7 @@ impl AnycastCase {
         let mut in_country = (0, 0);
         let mut elsewhere = (0, 0);
         for decoy in registry.iter() {
-            if decoy.protocol != DecoyProtocol::Dns || decoy.dst() != dst {
+            if decoy.protocol != DecoyProtocol::Dns || decoy.dst != dst {
                 continue;
             }
             if !seen.insert(decoy.vp) {
@@ -270,7 +270,6 @@ mod tests {
             DecoyProtocol::Dns,
             64,
             SimTime(0),
-            None,
         );
         let de_rec = registry.register(
             VpId(2),
@@ -279,7 +278,6 @@ mod tests {
             DecoyProtocol::Dns,
             64,
             SimTime(100),
-            None,
         );
         let mk = |domain: &DnsName, at: u64| Arrival {
             at: SimTime(at),
@@ -319,7 +317,6 @@ mod tests {
                     DecoyProtocol::Dns,
                     64,
                     SimTime(i * 1_000),
-                    None,
                 )
             })
             .collect();

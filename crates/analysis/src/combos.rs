@@ -112,7 +112,6 @@ mod tests {
             DecoyProtocol::Http,
             64,
             SimTime(0),
-            None,
         );
         let mk = |at: u64, proto: ArrivalProtocol| Arrival {
             at: SimTime(at),

@@ -55,7 +55,7 @@ impl LandscapeReport {
         for decoy in registry.iter() {
             let key = PathKey {
                 vp: decoy.vp,
-                dst: decoy.dst(),
+                dst: decoy.dst,
                 protocol: decoy.protocol,
             };
             if !seen_paths.insert(key) {
@@ -65,9 +65,9 @@ impl LandscapeReport {
                 continue;
             };
             let dest = dest_names
-                .get(&decoy.dst())
+                .get(&decoy.dst)
                 .cloned()
-                .unwrap_or_else(|| decoy.dst().to_string());
+                .unwrap_or_else(|| decoy.dst.to_string());
             let entry = totals
                 .entry((country.to_string(), dest, decoy.protocol))
                 .or_insert((0, 0));
@@ -203,7 +203,6 @@ mod tests {
                     DecoyProtocol::Dns,
                     64,
                     SimTime(((i * 2 + j) as u64 + 1) * 1_000),
-                    None,
                 ));
             }
         }
@@ -219,7 +218,7 @@ mod tests {
                 http_path: None,
                 honeypot: "AUTH".into(),
             });
-            if rec.dst() == yandex {
+            if rec.dst == yandex {
                 arrivals.push(Arrival {
                     at: rec.planned_at + shadow_netsim::time::SimDuration::from_hours(5),
                     src: Ipv4Addr::new(9, 9, 9, 9),

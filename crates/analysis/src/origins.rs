@@ -148,7 +148,6 @@ mod tests {
             DecoyProtocol::Dns,
             64,
             SimTime(1_000),
-            None,
         );
         let google_egress = Ipv4Addr::new(8, 8, 8, 100);
         let dirty_origin = Ipv4Addr::new(61, 0, 0, 9);

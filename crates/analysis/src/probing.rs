@@ -106,7 +106,6 @@ mod tests {
             DecoyProtocol::Dns,
             64,
             SimTime(0),
-            None,
         );
         let dirty = Ipv4Addr::new(61, 0, 0, 1);
         let clean = Ipv4Addr::new(62, 0, 0, 1);

@@ -93,7 +93,6 @@ mod tests {
             DecoyProtocol::Dns,
             64,
             SimTime(0),
-            None,
         );
         let lazy = registry.register(
             VpId(1),
@@ -102,7 +101,6 @@ mod tests {
             DecoyProtocol::Dns,
             64,
             SimTime(100),
-            None,
         );
         let mk = |domain: &DnsName, at: u64| Arrival {
             at: SimTime(at),

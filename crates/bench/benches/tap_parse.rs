@@ -15,7 +15,7 @@ use traffic_shadowing::shadow_packet::ipv4::{IpProtocol, Ipv4Packet, DEFAULT_TTL
 use traffic_shadowing::shadow_packet::tcp::{TcpFlags, TcpSegment};
 use traffic_shadowing::shadow_packet::tls::ClientHello;
 use traffic_shadowing::shadow_packet::udp::UdpDatagram;
-use traffic_shadowing::shadow_packet::{extract_app_field, DecodedView};
+use traffic_shadowing::shadow_packet::{extract_visibility, DecodedView};
 
 /// Router hops a decoy typically crosses in the paper's 5–15-hop regime.
 const HOPS: u64 = 12;
@@ -77,7 +77,7 @@ fn bench(c: &mut Criterion) {
             b.iter(|| {
                 let mut extracted = 0u64;
                 for _ in 0..HOPS {
-                    if extract_app_field(black_box(&pkt)).is_some() {
+                    if extract_visibility(black_box(&pkt)).is_some() {
                         extracted += 1;
                     }
                 }
@@ -89,7 +89,7 @@ fn bench(c: &mut Criterion) {
                 let view = DecodedView::new();
                 let mut extracted = 0u64;
                 for _ in 0..HOPS {
-                    if view.app_field(black_box(&pkt)).is_some() {
+                    if view.visibility(black_box(&pkt)).is_some() {
                         extracted += 1;
                     }
                 }

@@ -56,7 +56,6 @@ pub fn build_fixture(decoys: usize) -> CorrelateFixture {
                 protocol,
                 64,
                 SimTime((i as u64) * 500),
-                None,
             )
         })
         .collect();

@@ -1,7 +1,8 @@
 //! Property test pinning the parse-once contract: for any payload bytes —
-//! well-formed DNS/HTTP/TLS, truncated encodings, or pure garbage — the
-//! memoized [`DecodedView`] extraction equals a direct re-parse, and stays
-//! equal across the header mutations a packet undergoes in flight.
+//! well-formed DNS/HTTP/TLS, sealed DNS frames and ECH hellos, truncated
+//! encodings, or pure garbage — the memoized [`DecodedView`] visibility
+//! (clear field or hidden-flow fingerprint) equals a direct re-parse, and
+//! stays equal across the header mutations a packet undergoes in flight.
 //!
 //! `DESIGN.md` and `shadow_packet::view` both promise this equivalence; the
 //! engine relies on it when later hops read the first hop's cached field.
@@ -11,12 +12,14 @@
 
 use std::net::Ipv4Addr;
 use traffic_shadowing::shadow_packet::dns::{DnsMessage, DnsName};
+use traffic_shadowing::shadow_packet::encrypted;
 use traffic_shadowing::shadow_packet::http::HttpRequest;
 use traffic_shadowing::shadow_packet::ipv4::{IpProtocol, Ipv4Packet};
 use traffic_shadowing::shadow_packet::tcp::{TcpFlags, TcpSegment};
 use traffic_shadowing::shadow_packet::tls::ClientHello;
+use traffic_shadowing::shadow_packet::transport::DnsTransport;
 use traffic_shadowing::shadow_packet::udp::UdpDatagram;
-use traffic_shadowing::shadow_packet::{extract_app_field, DecodedView};
+use traffic_shadowing::shadow_packet::{extract_visibility, DecodedView, Visibility};
 
 /// Deterministic PRNG (xorshift64*), same recipe as the engine's own
 /// randomized tests.
@@ -59,9 +62,10 @@ fn random_name(rng: &mut Rng) -> DnsName {
 }
 
 /// One random application payload: sometimes a faithful encoding, sometimes
-/// host-less/response-flagged variants that must extract to `None`.
+/// host-less/response-flagged variants that must extract to `None`, and
+/// sometimes an encrypted one whose flow is fingerprinted but hidden.
 fn random_app_payload(rng: &mut Rng) -> Vec<u8> {
-    match rng.below(6) {
+    match rng.below(8) {
         0 => {
             let mut q = DnsMessage::query(rng.next() as u16, random_name(rng));
             if rng.below(3) == 0 {
@@ -83,6 +87,15 @@ fn random_app_payload(rng: &mut Rng) -> Vec<u8> {
             let mut hello = ClientHello::with_sni("strip.example", [7u8; 32]);
             hello.extensions.clear();
             hello.encode_record()
+        }
+        5 => {
+            // Hidden as DoH on UDP/443; opaque bytes anywhere else.
+            let q = DnsMessage::query(rng.next() as u16, random_name(rng));
+            encrypted::seal_dns(DnsTransport::DoH, &q, rng.next() as u32)
+        }
+        6 => {
+            let inner = encrypted::seal_name(random_name(rng).as_str(), rng.next() as u32);
+            ClientHello::with_ech([5u8; 32], inner).encode_record()
         }
         _ => {
             let len = rng.below(64) as usize;
@@ -140,11 +153,12 @@ fn random_packet(rng: &mut Rng) -> Ipv4Packet {
 #[test]
 fn memoized_extraction_equals_direct_reparse() {
     let mut rng = Rng(0x5eed_cafe_f00d_0001);
+    let mut hidden = 0;
     for case in 0..4_000u32 {
         let pkt = random_packet(&mut rng);
         let view = DecodedView::new();
-        let memoized = view.app_field(&pkt).cloned();
-        let direct = extract_app_field(&pkt);
+        let memoized = view.visibility(&pkt).cloned();
+        let direct = extract_visibility(&pkt);
         assert_eq!(
             memoized,
             direct,
@@ -154,8 +168,10 @@ fn memoized_extraction_equals_direct_reparse() {
             pkt.payload.len()
         );
         // The cached answer must not drift on repeated reads.
-        assert_eq!(view.app_field(&pkt).cloned(), memoized, "case {case}");
+        assert_eq!(view.visibility(&pkt).cloned(), memoized, "case {case}");
+        hidden += usize::from(matches!(memoized, Some(Visibility::Hidden(_))));
     }
+    assert!(hidden > 0, "the sweep must reach hidden flows");
 }
 
 #[test]
@@ -167,15 +183,15 @@ fn cached_view_survives_per_hop_header_mutation() {
     for case in 0..1_000u32 {
         let mut pkt = random_packet(&mut rng);
         let view = DecodedView::new();
-        let at_first_hop = view.app_field(&pkt).cloned();
+        let at_first_hop = view.visibility(&pkt).cloned();
         for _ in 0..(1 + rng.below(14)) {
             pkt.header.ttl = pkt.header.ttl.saturating_sub(1);
             assert_eq!(
-                extract_app_field(&pkt),
+                extract_visibility(&pkt),
                 at_first_hop,
                 "case {case}: TTL mutation changed the extraction"
             );
-            assert_eq!(view.app_field(&pkt).cloned(), at_first_hop, "case {case}");
+            assert_eq!(view.visibility(&pkt).cloned(), at_first_hop, "case {case}");
         }
     }
 }
@@ -189,9 +205,9 @@ fn duplicated_packets_share_one_decode() {
     for _ in 0..500u32 {
         let pkt = random_packet(&mut rng);
         let view = Arc::new(DecodedView::new());
-        let original = view.app_field(&pkt).cloned();
+        let original = view.visibility(&pkt).cloned();
         let (dup_pkt, dup_view) = (pkt.clone(), Arc::clone(&view));
         assert!(dup_view.is_decoded(), "duplicate arrived pre-decoded");
-        assert_eq!(dup_view.app_field(&dup_pkt).cloned(), original);
+        assert_eq!(dup_view.visibility(&dup_pkt).cloned(), original);
     }
 }

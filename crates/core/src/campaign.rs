@@ -17,6 +17,7 @@ use shadow_vantage::vp::{
     DecoyPayload, DecoySend, DnsRetry, VantagePointHost, VpCommand, VpReport,
 };
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Phase I configuration.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -66,6 +67,8 @@ impl Default for Phase1Config {
 /// correlation aggregates, and the per-VP reports.
 #[derive(Debug, Clone, Default)]
 pub struct CampaignData {
+    /// The decoys this phase (or chunk) posted, in plan order; absorbed
+    /// chunks append in absorb order.
     pub registry: DecoyRegistry,
     pub vp_reports: HashMap<VpId, VpReport>,
     /// When the last decoy left a VP.
@@ -108,20 +111,22 @@ impl CampaignData {
     }
 }
 
-/// One scheduled decoy send: post `command` to `node` (VP `vp`) at `at`.
+/// One scheduled decoy send: post `decoy` to `node` (VP `vp`) at `at`.
+/// It is the plan's only record of the decoy: the chunk that posts it
+/// derives the [`DecoyRecord`] it registers from these fields.
 #[derive(Debug, Clone)]
 pub struct PlannedSend {
     pub at: SimTime,
     pub vp: VpId,
     pub node: NodeId,
-    pub command: VpCommand,
+    pub decoy: DecoySend,
 }
 
 impl PlannedSend {
     /// Post `record`'s decoy from the VP's `node` at its planned time,
     /// carried as `profile` says; `handshake` and `retry` as in
     /// [`DecoySend`].
-    pub(crate) fn decoy(
+    pub(crate) fn new(
         record: DecoyRecord,
         node: NodeId,
         profile: TransportProfile,
@@ -132,14 +137,30 @@ impl PlannedSend {
             at: record.planned_at,
             vp: record.vp,
             node,
-            command: VpCommand::Decoy(DecoySend {
-                dst: record.dst(),
-                ttl: record.ttl(),
+            decoy: DecoySend {
+                dst: record.dst,
+                ttl: record.ttl,
                 payload: decoy_payload(record.protocol, profile),
                 domain: record.domain,
                 handshake,
                 retry,
-            }),
+            },
+        }
+    }
+
+    /// The decoy this send posts, as the sink resolves it.
+    pub(crate) fn record(&self) -> DecoyRecord {
+        DecoyRecord {
+            domain: self.decoy.domain.clone(),
+            dst: self.decoy.dst,
+            ttl: self.decoy.ttl,
+            protocol: match self.decoy.payload {
+                DecoyPayload::Dns(_) => DecoyProtocol::Dns,
+                DecoyPayload::Http => DecoyProtocol::Http,
+                DecoyPayload::Tls(_) => DecoyProtocol::Tls,
+            },
+            vp: self.vp,
+            planned_at: self.at,
         }
     }
 }
@@ -158,12 +179,11 @@ fn decoy_payload(protocol: DecoyProtocol, profile: TransportProfile) -> DecoyPay
 
 /// The complete Phase I send schedule, computed without touching the
 /// engine. Planning is a pure function of the world's ground truth
-/// (VP roster, destination lists, clock), so every shard of a sharded run
-/// can reproduce the identical global plan and then execute only the
-/// slice it owns.
+/// (VP roster, destination lists, clock), so the plan is compiled once
+/// and every chunk executes only the slice it owns. The sends are the
+/// plan's only per-decoy state: each chunk registers the decoys it posts.
 #[derive(Debug)]
 pub struct Phase1Plan {
-    pub registry: DecoyRegistry,
     pub sends: Vec<PlannedSend>,
     /// When the last decoy leaves a VP — global across all shards.
     pub last_send: SimTime,
@@ -182,8 +202,6 @@ pub struct CampaignRunner;
 impl CampaignRunner {
     /// Compute the full Phase I schedule without posting anything.
     pub fn plan_phase1(world: &World, config: &Phase1Config) -> Phase1Plan {
-        let zone = world.zone.clone();
-        let mut registry = DecoyRegistry::new(zone);
         let mut scheduler = RateLimitedScheduler::paper_defaults();
         let mut last_send = world.engine.now();
         let start0 = world.engine.now() + SimDuration::from_secs(5);
@@ -214,21 +232,19 @@ impl CampaignRunner {
             .map(|vp| (vp.id, vp.node, vp.addr))
             .collect();
 
-        // The send count is exact up front; pre-sizing matters at paper
-        // scale, where the plan holds ~20M registry entries and growing
-        // the map by doubling would re-insert every one of them.
-        let expected = vps.len() * targets.len() * config.rounds;
-        registry.reserve(expected);
-        let mut sends = Vec::with_capacity(expected);
+        // The send count is exact up front; at paper scale the plan holds
+        // ~20M sends, and growing the vector by doubling would copy them.
+        let mut sends = Vec::with_capacity(vps.len() * targets.len() * config.rounds);
 
         for round in 0..config.rounds {
             let round_start = start0 + config.round_gap.saturating_mul(round as u64);
             for &(vp_id, vp_node, vp_addr) in &vps {
                 for &(dst, protocol) in &targets {
                     let at = scheduler.reserve(round_start, vp_id, dst);
-                    let record = registry.register(vp_id, vp_addr, dst, protocol, 64, at, None);
+                    let record =
+                        DecoyRecord::new(&world.zone, vp_id, vp_addr, dst, protocol, 64, at);
                     let profile = config.encryption.profile_for(vp_id.0, dst);
-                    sends.push(PlannedSend::decoy(
+                    sends.push(PlannedSend::new(
                         record,
                         vp_node,
                         profile,
@@ -240,11 +256,7 @@ impl CampaignRunner {
             }
         }
 
-        Phase1Plan {
-            registry,
-            sends,
-            last_send,
-        }
+        Phase1Plan { sends, last_send }
     }
 
     /// Execute the slice of `plan` whose VPs satisfy `owns`, run the clock
@@ -259,15 +271,7 @@ impl CampaignRunner {
         sink: SinkConfig,
         owns: impl Fn(VpId) -> bool,
     ) -> CampaignData {
-        let data = run_slice(
-            world,
-            &plan.registry,
-            &plan.sends,
-            plan.last_send,
-            config.grace,
-            sink,
-            owns,
-        );
+        let data = run_slice(world, &plan.sends, plan.last_send, config.grace, sink, owns);
         finish_phase(world, "phase1", data)
     }
 
@@ -287,40 +291,50 @@ impl CampaignRunner {
     }
 }
 
-/// Run one phase's owned slice: filter the plan's registry to the VPs
-/// satisfying `owns`, stream arrivals into a fresh [`CorrelationSink`]
-/// over that slice, post the owned sends, run the clock through the
-/// *global* `last_send + grace`, and harvest the VP reports and the sink's
-/// aggregates (recording the sink state size — classifier entries plus
-/// per-decoy folds — into the run metrics). Shared by Phase I and Phase II;
-/// the sink sees arrivals in the exact order the honeypots capture them.
+/// Run one phase's owned slice. One pass over `sends` registers, counts
+/// (and journals) and posts each send whose VP satisfies `owns`, in plan
+/// order. The chunk's registry then goes to a fresh [`CorrelationSink`] in
+/// an `Arc`; the clock runs through the *global* `last_send + grace`, and
+/// the VP reports and the sink's aggregates are harvested (recording the
+/// sink state size — classifier entries plus per-decoy folds — into the
+/// run metrics). Once the sink is uninstalled and drained, the registry
+/// comes back out of its `Arc` into the returned data. Shared by Phase I
+/// and Phase II; the sink sees arrivals in the exact order the honeypots
+/// capture them.
 pub(crate) fn run_slice(
     world: &mut World,
-    registry: &DecoyRegistry,
     sends: &[PlannedSend],
     last_send: SimTime,
     grace: SimDuration,
     sink: SinkConfig,
     owns: impl Fn(VpId) -> bool,
 ) -> CampaignData {
-    let registry = registry.filter_vps(&owns);
-    let shared = CorrelationSink::shared(std::sync::Arc::new(registry.clone()), sink);
-    world.install_arrival_sink(Some(shared.clone()));
+    let mut registry = DecoyRegistry::new(world.zone.clone());
     for send in sends.iter().filter(|send| owns(send.vp)) {
-        record_decoy_send(world, send);
-        world
-            .engine
-            .post(send.at, send.node, Box::new(send.command.clone()));
+        let record = send.record();
+        record_decoy_send(world, &record, send.node);
+        registry.insert(record);
+        world.engine.post(
+            send.at,
+            send.node,
+            Box::new(VpCommand::Decoy(send.decoy.clone())),
+        );
     }
+    let registry = Arc::new(registry);
+    let shared = CorrelationSink::shared(registry.clone(), sink);
+    world.install_arrival_sink(Some(shared.clone()));
     world.engine.run_until(last_send + grace);
     let vp_reports = CampaignRunner::harvest(world, &owns);
     world.install_arrival_sink(None);
     let (aggregates, state_size) = CorrelationSink::drain_shared(&shared);
+    // Uninstalled, then dropped here, the sink was the registry's only
+    // other holder.
+    drop(shared);
     if let Some(m) = world.engine.telemetry().metrics() {
         m.sink_tracked_decoys.add(state_size as u64);
     }
     CampaignData {
-        registry,
+        registry: Arc::into_inner(registry).expect("the sink released the registry"),
         vp_reports,
         last_send,
         aggregates,
@@ -345,34 +359,24 @@ pub(crate) fn finish_phase(world: &World, phase: &str, mut data: CampaignData) -
     data
 }
 
-/// Count a planned decoy send and (when journaling) record the
+/// Count a planned decoy and (when journaling) record its
 /// [`EventKind::DecoySent`] event, stamped with its scheduled sim-time and
-/// the VP's node. Pre-flight `RawUdp` checks carry no decoy identifier and
-/// are not counted.
-fn record_decoy_send(world: &World, send: &PlannedSend) {
+/// the VP's `node`.
+fn record_decoy_send(world: &World, record: &DecoyRecord, node: NodeId) {
     let telemetry = world.engine.telemetry();
     if !telemetry.is_enabled() {
         return;
     }
-    let VpCommand::Decoy(decoy) = &send.command else {
-        return;
-    };
-    let protocol = match decoy.payload {
-        DecoyPayload::Dns(_) => DecoyProtocol::Dns,
-        DecoyPayload::Http => DecoyProtocol::Http,
-        DecoyPayload::Tls(_) => DecoyProtocol::Tls,
-    }
-    .as_str();
+    let protocol = record.protocol.as_str();
     if let Some(m) = telemetry.metrics() {
         m.decoys_sent.inc(protocol);
     }
-    let vp = send.vp.0;
-    telemetry.event(send.at.0, Some(send.node.0), || EventKind::DecoySent {
+    telemetry.event(record.planned_at.0, Some(node.0), || EventKind::DecoySent {
         protocol: protocol.to_string(),
-        domain: decoy.domain.as_str().to_string(),
-        vp,
-        dst: decoy.dst,
-        ttl: decoy.ttl,
+        domain: record.domain.as_str().to_string(),
+        vp: record.vp.0,
+        dst: record.dst,
+        ttl: record.ttl,
     });
 }
 

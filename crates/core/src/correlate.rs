@@ -217,7 +217,6 @@ mod tests {
             protocol,
             64,
             SimTime(1_000),
-            None,
         )
     }
 
@@ -317,7 +316,6 @@ mod tests {
                 DecoyProtocol::Dns,
                 64,
                 SimTime(at),
-                None,
             )
         };
         let (a, b) = (register(1_000), register(2_000));

@@ -1,4 +1,11 @@
-//! Decoy specifications and the campaign-wide registry.
+//! Decoy records and the registry a correlation sink resolves arrivals
+//! against.
+//!
+//! A decoy describes itself: its domain is the §3 identifier of its send
+//! time, VP, destination and TTL. The campaign plans keep only their sends
+//! ([`crate::campaign::PlannedSend`]); each chunk indexes the decoys it
+//! posts in a [`DecoyRegistry`] of its own, and chunk registries merge by
+//! VP-disjoint union.
 
 use crate::ident::DecoyIdent;
 use serde::{Deserialize, Serialize};
@@ -31,33 +38,49 @@ impl DecoyProtocol {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct DecoyRecord {
     pub domain: DnsName,
-    pub ident: DecoyIdent,
+    pub dst: Ipv4Addr,
+    /// Initial IP TTL (64 in Phase I; the swept TTL in Phase II).
+    pub ttl: u8,
     pub protocol: DecoyProtocol,
     pub vp: VpId,
     /// Scheduled emission time.
     pub planned_at: SimTime,
-    /// Phase II sweeps group decoys of one traceroute run.
-    pub sweep: Option<u32>,
 }
 
 impl DecoyRecord {
-    pub fn dst(&self) -> Ipv4Addr {
-        self.ident.dst
-    }
-
-    pub fn ttl(&self) -> u8 {
-        self.ident.ttl
+    /// The decoy `vp` (at `vp_addr`) sends to `dst` over `protocol` with
+    /// initial TTL `ttl` at `planned_at`, named under `zone` by its
+    /// identifier.
+    pub(crate) fn new(
+        zone: &DnsName,
+        vp: VpId,
+        vp_addr: Ipv4Addr,
+        dst: Ipv4Addr,
+        protocol: DecoyProtocol,
+        ttl: u8,
+        planned_at: SimTime,
+    ) -> Self {
+        let ident = DecoyIdent::at(planned_at, vp_addr, dst, ttl);
+        let mut label_buf = [0u8; DecoyIdent::LABEL_LEN];
+        let label = ident.encode_to(&mut label_buf);
+        let domain = zone.prepend(label).expect("identifier labels are DNS-safe");
+        Self {
+            domain,
+            dst,
+            ttl,
+            protocol,
+            vp,
+            planned_at,
+        }
     }
 }
 
-/// The registry of every decoy the campaign generated, indexed by domain.
-/// Honeypot arrivals are resolved against this to recover the triggering
-/// decoy.
+/// Decoys indexed by domain: a correlation sink resolves each honeypot
+/// arrival against this to recover the triggering decoy.
 ///
-/// Records live in a registration-order vector with a domain → index map
-/// on the side: iteration (which the sharded executor's `filter_vps` runs
-/// over the full multi-million-entry plan registry once per chunk) walks
-/// the vector with no hashing, and the map entries stay small.
+/// Records live in an insertion-order vector with a domain → index map on
+/// the side, so iteration walks the vector with no hashing and the map
+/// entries stay small.
 #[derive(Debug, Clone, Default)]
 pub struct DecoyRegistry {
     zone: Option<DnsName>,
@@ -74,22 +97,13 @@ impl DecoyRegistry {
         }
     }
 
-    /// Pre-size for `additional` more decoys. The campaign planner knows
-    /// its exact send count up front; growing a multi-million-entry map
-    /// by doubling re-inserts every entry roughly once, which is real
-    /// time at paper scale.
-    pub fn reserve(&mut self, additional: usize) {
-        self.by_domain.reserve(additional);
-        self.records.reserve(additional);
-    }
-
     pub fn zone(&self) -> &DnsName {
         self.zone.as_ref().expect("registry built with a zone")
     }
 
-    /// Build and register a decoy for `(vp, dst, protocol, ttl)` planned at
-    /// `planned_at`. Returns the record (domain included).
-    #[allow(clippy::too_many_arguments)]
+    /// Build and insert the decoy for `(vp, dst, protocol, ttl)` planned at
+    /// `planned_at`, named under the registry's zone. Returns the record.
+    /// Panics if that domain is already registered.
     pub fn register(
         &mut self,
         vp: VpId,
@@ -98,31 +112,30 @@ impl DecoyRegistry {
         protocol: DecoyProtocol,
         ttl: u8,
         planned_at: SimTime,
-        sweep: Option<u32>,
     ) -> DecoyRecord {
-        let ident = DecoyIdent::at(planned_at, vp_addr, dst, ttl);
-        let mut label_buf = [0u8; DecoyIdent::LABEL_LEN];
-        let label = ident.encode_to(&mut label_buf);
-        let domain = self
-            .zone()
-            .prepend(label)
-            .expect("identifier labels are DNS-safe");
-        let record = DecoyRecord {
-            domain: domain.clone(),
-            ident,
-            protocol,
-            vp,
-            planned_at,
-            sweep,
-        };
-        let previous = self.by_domain.insert(domain, self.records.len() as u32);
-        debug_assert!(
+        let record = DecoyRecord::new(self.zone(), vp, vp_addr, dst, protocol, ttl, planned_at);
+        self.insert(record.clone());
+        record
+    }
+
+    /// Index `record` under its domain.
+    ///
+    /// # Panics
+    ///
+    /// If the domain is already registered. Identifiers are unique by
+    /// construction; a repeat would re-point [`lookup`](Self::lookup) at
+    /// the newer record while [`len`](Self::len) counted both, crediting
+    /// the older decoy's arrivals to the newer one.
+    pub(crate) fn insert(&mut self, record: DecoyRecord) {
+        let previous = self
+            .by_domain
+            .insert(record.domain.clone(), self.records.len() as u32);
+        assert!(
             previous.is_none(),
             "decoy domains must be unique: {} reused",
             record.domain
         );
-        self.records.push(record.clone());
-        record
+        self.records.push(record);
     }
 
     pub fn lookup(&self, domain: &DnsName) -> Option<&DecoyRecord> {
@@ -153,40 +166,12 @@ impl DecoyRegistry {
         counts
     }
 
-    /// A copy keeping only decoys whose sending VP satisfies `owns`,
-    /// preserving registration order. Sharded runs slice the global plan's
-    /// registry this way so shard registries are disjoint and their union
-    /// (via [`DecoyRegistry::absorb`]) recovers the global one.
-    pub fn filter_vps(&self, owns: impl Fn(VpId) -> bool) -> DecoyRegistry {
-        let mut out = DecoyRegistry {
-            zone: self.zone.clone(),
-            by_domain: HashMap::new(),
-            records: Vec::new(),
-        };
-        for record in self.iter() {
-            if owns(record.vp) {
-                out.by_domain
-                    .insert(record.domain.clone(), out.records.len() as u32);
-                out.records.push(record.clone());
-            }
-        }
-        out
-    }
-
-    /// Merge another registry (e.g. Phase II sweeps) into this one. A
-    /// domain already present is overwritten in place; new domains append
-    /// in the other registry's order.
+    /// Append another registry's records in its order. Merged registries
+    /// are disjoint (chunk registries by VP): like
+    /// [`register`](Self::register), this panics on a repeated domain.
     pub fn absorb(&mut self, other: DecoyRegistry) {
-        self.reserve(other.records.len());
         for record in other.records {
-            match self.by_domain.get(&record.domain) {
-                Some(&i) => self.records[i as usize] = record,
-                None => {
-                    self.by_domain
-                        .insert(record.domain.clone(), self.records.len() as u32);
-                    self.records.push(record);
-                }
-            }
+            self.insert(record);
         }
     }
 }
@@ -213,13 +198,12 @@ mod tests {
             DecoyProtocol::Dns,
             64,
             SimTime(5_000),
-            None,
         );
         assert!(rec.domain.is_subdomain_of(&zone()));
         let found = reg.lookup(&rec.domain).unwrap();
         assert_eq!(found, &rec);
-        assert_eq!(found.dst(), Ipv4Addr::new(8, 8, 8, 8));
-        assert_eq!(found.ttl(), 64);
+        assert_eq!(found.dst, Ipv4Addr::new(8, 8, 8, 8));
+        assert_eq!(found.ttl, 64);
     }
 
     #[test]
@@ -233,7 +217,6 @@ mod tests {
             DecoyProtocol::Dns,
             64,
             SimTime(1_000),
-            None,
         );
         let b = reg.register(
             VpId(1),
@@ -242,7 +225,6 @@ mod tests {
             DecoyProtocol::Http,
             64,
             SimTime(2_000),
-            None,
         );
         assert_ne!(a.domain, b.domain);
         assert_eq!(reg.len(), 2);
@@ -262,7 +244,6 @@ mod tests {
                 proto,
                 64,
                 SimTime(1_000 * (i as u64 + 1)),
-                None,
             );
         }
         let counts = reg.counts();
@@ -281,7 +262,6 @@ mod tests {
             DecoyProtocol::Dns,
             64,
             SimTime(1_000),
-            None,
         );
         let mut b = DecoyRegistry::new(zone());
         b.register(
@@ -291,12 +271,31 @@ mod tests {
             DecoyProtocol::Tls,
             7,
             SimTime(3_000),
-            Some(1),
         );
         let b_len = b.len();
         a.absorb(b);
         assert_eq!(a.len(), 1 + b_len);
         assert!(a.lookup(&rec.domain).is_some());
+    }
+
+    #[test]
+    #[should_panic(expected = "decoy domains must be unique")]
+    fn absorb_rejects_a_duplicate_domain() {
+        let send = |reg: &mut DecoyRegistry| {
+            reg.register(
+                VpId(1),
+                vp_addr(),
+                Ipv4Addr::new(1, 1, 1, 1),
+                DecoyProtocol::Dns,
+                64,
+                SimTime(1_000),
+            )
+        };
+        let mut a = DecoyRegistry::new(zone());
+        send(&mut a);
+        let mut b = DecoyRegistry::new(zone());
+        send(&mut b);
+        a.absorb(b);
     }
 
     #[test]
@@ -309,7 +308,6 @@ mod tests {
             DecoyProtocol::Dns,
             17,
             SimTime(90_000),
-            Some(4),
         );
         let decoded = crate::ident::DecoyIdent::from_domain(&rec.domain).unwrap();
         assert_eq!(decoded.sent_time(), SimTime(90_000));

@@ -14,7 +14,8 @@
 //! 4. runs every chunk in a private world instantiated from the shared
 //!    spec — identical topology, exhibitor seeds and honeypots, and (after
 //!    its own pre-flight replay) identical platform vetting — posting only
-//!    the sends its VPs own and running the clock through the global grace
+//!    the sends its VPs own, registering the decoys it posts for its own
+//!    correlation sink, and running the clock through the global grace
 //!    window, so retention-store timing matches the sequential run;
 //! 5. merges chunk outputs in chunk-index order with the commutative,
 //!    order-stable [`CampaignData::absorb`]; chunk journals stay in

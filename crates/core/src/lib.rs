@@ -7,7 +7,8 @@
 //! * [`ident`] — the decoy identifier codec: send time, VP address,
 //!   destination address, and initial TTL encoded (with a checksum) into
 //!   the DNS label `g6d8jjkut5obc4-9982`-style that honeypots decode back;
-//! * [`decoy`] — decoy specifications and the campaign-wide registry;
+//! * [`decoy`] — decoy records, and the registry each chunk builds from
+//!   the sends it posts for its correlation sink;
 //! * [`world`] — builds the simulated Internet (topology, resolvers,
 //!   observers, honeypots, VPs) from a seeded configuration;
 //! * [`campaign`] — Phase I: spread decoys from every VP to every

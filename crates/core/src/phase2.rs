@@ -9,7 +9,7 @@
 
 use crate::campaign::{finish_phase, run_slice, CampaignData, PlannedSend};
 use crate::correlate::PathKey;
-use crate::decoy::{DecoyProtocol, DecoyRegistry};
+use crate::decoy::{DecoyProtocol, DecoyRecord};
 use crate::sink::{CorrelationAggregates, SinkConfig};
 use crate::world::World;
 use serde::{Deserialize, Serialize};
@@ -70,11 +70,10 @@ pub struct TracerouteResult {
 }
 
 /// The complete Phase II sweep schedule (see [`crate::campaign::Phase1Plan`]
-/// for the plan/execute rationale — a sharded run executes one plan slice
-/// per shard, keyed by the traced path's VP).
+/// for the plan/execute rationale — each chunk executes the plan slice
+/// keyed by the traced path's VP, and registers the probes it posts).
 #[derive(Debug)]
 pub struct Phase2Plan {
-    pub registry: DecoyRegistry,
     pub sends: Vec<PlannedSend>,
     /// The paths actually swept (post-cap), in sweep order.
     pub traced: Vec<PathKey>,
@@ -87,8 +86,6 @@ pub struct Phase2Runner;
 impl Phase2Runner {
     /// Compute the full sweep schedule without posting anything.
     pub fn plan(world: &World, paths: &[PathKey], config: &Phase2Config) -> Phase2Plan {
-        let zone = world.zone.clone();
-        let mut registry = DecoyRegistry::new(zone);
         let mut scheduler = RateLimitedScheduler::paper_defaults();
         let mut sends = Vec::new();
         let start = world.engine.now() + SimDuration::from_secs(5);
@@ -102,7 +99,7 @@ impl Phase2Runner {
             .collect();
 
         let traced: Vec<PathKey> = paths.iter().copied().take(config.max_paths).collect();
-        for (sweep, key) in traced.iter().enumerate() {
+        for key in &traced {
             let Some(&(vp_node, vp_addr)) = vp_index.get(&key.vp) else {
                 continue;
             };
@@ -114,22 +111,14 @@ impl Phase2Runner {
             let profile = config.encryption.profile_for(key.vp.0, key.dst);
             for ttl in 1..=config.max_ttl {
                 let at = scheduler.reserve(start, key.vp, key.dst);
-                let record = registry.register(
-                    key.vp,
-                    vp_addr,
-                    key.dst,
-                    key.protocol,
-                    ttl,
-                    at,
-                    Some(sweep as u32),
-                );
-                sends.push(PlannedSend::decoy(record, vp_node, profile, false, None));
+                let record =
+                    DecoyRecord::new(&world.zone, key.vp, vp_addr, key.dst, key.protocol, ttl, at);
+                sends.push(PlannedSend::new(record, vp_node, profile, false, None));
                 last_send = last_send.max(at);
             }
         }
 
         Phase2Plan {
-            registry,
             sends,
             traced,
             last_send,
@@ -156,15 +145,7 @@ impl Phase2Runner {
                 dpi.close_recall_window();
             }
         });
-        let mut data = run_slice(
-            world,
-            &plan.registry,
-            &plan.sends,
-            plan.last_send,
-            config.grace,
-            sink,
-            owns,
-        );
+        let mut data = run_slice(world, &plan.sends, plan.last_send, config.grace, sink, owns);
 
         // Fold this shard's Time-Exceeded evidence into the router graph.
         // Each probe path belongs to exactly one sweeping VP, and a VP to
@@ -227,12 +208,11 @@ impl Phase2Runner {
                 for ans in &report.dns_answers {
                     if let Some(decoy) = data.registry.lookup(&ans.domain) {
                         if decoy.vp == key.vp
-                            && decoy.dst() == key.dst
+                            && decoy.dst == key.dst
                             && decoy.protocol == key.protocol
                         {
-                            min_answer_ttl = Some(
-                                min_answer_ttl.map_or(decoy.ttl(), |t: u8| t.min(decoy.ttl())),
-                            );
+                            min_answer_ttl =
+                                Some(min_answer_ttl.map_or(decoy.ttl, |t: u8| t.min(decoy.ttl)));
                         }
                     }
                 }

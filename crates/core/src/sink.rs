@@ -264,13 +264,13 @@ impl CorrelationAggregates {
         }
         let key = PathKey {
             vp: decoy.vp,
-            dst: decoy.dst(),
+            dst: decoy.dst,
             protocol: decoy.protocol,
         };
         *self.path_combos.entry((key, arrival.protocol)).or_insert(0) += 1;
         *self
             .origins
-            .entry((decoy.protocol, decoy.dst(), arrival.protocol, arrival.src))
+            .entry((decoy.protocol, decoy.dst, arrival.protocol, arrival.src))
             .or_insert(0) += 1;
         if let (ArrivalProtocol::Http, Some(path)) = (arrival.protocol, &arrival.http_path) {
             // Probed paths repeat, so the path is cloned only for a new key.
@@ -283,18 +283,18 @@ impl CorrelationAggregates {
             }
         }
         self.interval_hists
-            .entry((decoy.protocol, decoy.dst()))
+            .entry((decoy.protocol, decoy.dst))
             .or_default()
             .record(interval.millis());
         let path = self.paths.entry(key).or_insert_with(|| PathFold {
             unsolicited: 0,
             first_unsolicited_at: arrival.at,
             triggering: BTreeSet::new(),
-            min_trigger_ttl: decoy.ttl(),
+            min_trigger_ttl: decoy.ttl,
         });
         path.unsolicited += 1;
         path.first_unsolicited_at = path.first_unsolicited_at.min(arrival.at);
-        path.min_trigger_ttl = path.min_trigger_ttl.min(decoy.ttl());
+        path.min_trigger_ttl = path.min_trigger_ttl.min(decoy.ttl);
         // Check-before-insert: a decoy's repeat arrivals dominate, and
         // cloning the domain `String` on every hit is the fold's only
         // per-arrival allocation.
@@ -524,9 +524,11 @@ impl CorrelationAggregates {
     }
 }
 
-/// The capture-time [`ArrivalSink`]: one per shard engine, installed on
+/// The capture-time [`ArrivalSink`]: one per chunk engine, installed on
 /// the authoritative server and every honey web host before campaign
-/// traffic starts, drained into `CampaignData::aggregates` at harvest.
+/// traffic starts, drained into `CampaignData::aggregates` at harvest. It
+/// resolves arrivals against the registry of the decoys its chunk posted,
+/// which it shares with the chunk's campaign data through an `Arc`.
 pub struct CorrelationSink {
     registry: Arc<DecoyRegistry>,
     config: SinkConfig,
@@ -632,7 +634,6 @@ mod tests {
             DecoyProtocol::Dns,
             64,
             SimTime(1_000),
-            None,
         );
         let http = reg.register(
             VpId(2),
@@ -641,7 +642,6 @@ mod tests {
             DecoyProtocol::Http,
             64,
             SimTime(2_000),
-            None,
         );
         (reg, dns, http)
     }

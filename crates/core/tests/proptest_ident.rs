@@ -69,9 +69,9 @@ proptest! {
         // Distinct destinations in the same decisecond are fine; same
         // destination requires ≥100 ms spacing (the scheduler guarantees
         // more).
-        let a = registry.register(VpId(1), vp_addr, dst_a, DecoyProtocol::Dns, 64, SimTime(base_ms), None);
-        let b = registry.register(VpId(1), vp_addr, dst_b, DecoyProtocol::Http, 64, SimTime(base_ms), None);
-        let c = registry.register(VpId(1), vp_addr, dst_a, DecoyProtocol::Tls, 64, SimTime(base_ms + 100), None);
+        let a = registry.register(VpId(1), vp_addr, dst_a, DecoyProtocol::Dns, 64, SimTime(base_ms));
+        let b = registry.register(VpId(1), vp_addr, dst_b, DecoyProtocol::Http, 64, SimTime(base_ms));
+        let c = registry.register(VpId(1), vp_addr, dst_a, DecoyProtocol::Tls, 64, SimTime(base_ms + 100));
         prop_assert_ne!(&a.domain, &b.domain);
         prop_assert_ne!(&a.domain, &c.domain);
         prop_assert_ne!(&b.domain, &c.domain);

@@ -50,7 +50,7 @@ pub enum TapVerdict {
 /// every packet the router forwards.
 ///
 /// `view` is the packet's shared parse-once memo: the first tap on the
-/// route that calls [`DecodedView::app_field`] pays for the application
+/// route that calls [`DecodedView::visibility`] pays for the application
 /// decode, every later tap (and every later hop) reads the cached result.
 /// Taps must read watched fields through the view rather than re-parsing
 /// the payload — see the contract in [`shadow_packet::view`].

@@ -120,11 +120,6 @@ fn open_frame(expect: Option<[u8; 4]>, frame: &[u8]) -> Result<(u32, Vec<u8>), D
     Ok((nonce, plain))
 }
 
-/// Encrypt a DNS message into a DoQ frame (compat name; DoQ transport).
-pub fn seal(msg: &DnsMessage, nonce: u32) -> Vec<u8> {
-    seal_dns(DnsTransport::DoQ, msg, nonce)
-}
-
 /// Encrypt a DNS message into a frame on `transport`.
 ///
 /// # Panics
@@ -190,7 +185,7 @@ mod tests {
     #[test]
     fn seals_and_opens() {
         let msg = query();
-        let frame = seal(&msg, 0xdead_beef);
+        let frame = seal_dns(DnsTransport::DoQ, &msg, 0xdead_beef);
         assert!(looks_encrypted(&frame));
         assert_eq!(open(&frame).unwrap(), msg);
     }
@@ -236,8 +231,9 @@ mod tests {
     #[test]
     fn distinct_nonces_distinct_ciphertexts() {
         let msg = query();
-        assert_ne!(seal(&msg, 1), seal(&msg, 2));
-        assert_eq!(open(&seal(&msg, 1)).unwrap(), open(&seal(&msg, 2)).unwrap());
+        let seal = |nonce| seal_dns(DnsTransport::DoQ, &msg, nonce);
+        assert_ne!(seal(1), seal(2));
+        assert_eq!(open(&seal(1)).unwrap(), open(&seal(2)).unwrap());
     }
 
     #[test]
@@ -245,7 +241,7 @@ mod tests {
         assert!(open(b"short").is_err());
         assert!(open(b"xxxxxxxxxxxx").is_err());
         let msg = query();
-        let mut frame = seal(&msg, 9);
+        let mut frame = seal_dns(DnsTransport::DoQ, &msg, 9);
         // Corrupt a byte inside the encoded qname: decode must not return
         // the original message (it either errors or yields a different one).
         frame[20] ^= 0xff;
@@ -262,7 +258,11 @@ mod tests {
         );
         assert!(!frame.windows(7).any(|w| w.eq_ignore_ascii_case(b"decoy77")));
         assert_eq!(open_name(b"eSN1"), None);
-        assert_eq!(open_name(&seal(&query(), 3)), None, "wrong magic refused");
+        assert_eq!(
+            open_name(&seal_dns(DnsTransport::DoQ, &query(), 3)),
+            None,
+            "wrong magic refused"
+        );
     }
 
     #[test]

@@ -61,6 +61,6 @@ pub use tls::{ClientHello, TlsExtension, TlsRecord};
 pub use transport::{DnsTransport, EncryptionDeployment, TlsMode, TransportProfile};
 pub use udp::UdpDatagram;
 pub use view::{
-    extract_app_field, extract_visibility, AppField, AppProtocol, DecodedView, EncryptedTransport,
-    HiddenField, Visibility,
+    extract_visibility, AppField, AppProtocol, DecodedView, EncryptedTransport, HiddenField,
+    Visibility,
 };

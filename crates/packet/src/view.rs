@@ -128,8 +128,8 @@ impl Visibility {
 
 /// Lazily-computed, shareable application-layer extraction for one packet.
 ///
-/// Cheap to construct (no parsing happens until [`DecodedView::app_field`]
-/// or [`DecodedView::visibility`] is first called); intended to be wrapped
+/// Cheap to construct (no parsing happens until [`DecodedView::visibility`]
+/// is first called); intended to be wrapped
 /// in an `Arc` and cloned along with the packet through duplications and
 /// hops.
 #[derive(Debug, Default)]
@@ -150,13 +150,6 @@ impl DecodedView {
     /// both payload and view.)
     pub fn visibility(&self, pkt: &Ipv4Packet) -> Option<&Visibility> {
         self.field.get_or_init(|| extract_visibility(pkt)).as_ref()
-    }
-
-    /// The packet's clear application field — the pre-encryption-axis
-    /// surface. Hidden flows yield `None` here; taps that understand
-    /// encryption read [`DecodedView::visibility`] instead.
-    pub fn app_field(&self, pkt: &Ipv4Packet) -> Option<&AppField> {
-        self.visibility(pkt).and_then(Visibility::clear)
     }
 
     /// Whether the extraction has already run (test/bench introspection).
@@ -240,21 +233,17 @@ pub fn extract_visibility(pkt: &Ipv4Packet) -> Option<Visibility> {
     }
 }
 
-/// The clear-field reference extraction (compat surface): exactly
-/// [`extract_visibility`] filtered to [`Visibility::Clear`].
-pub fn extract_app_field(pkt: &Ipv4Packet) -> Option<AppField> {
-    match extract_visibility(pkt)? {
-        Visibility::Clear(field) => Some(field),
-        Visibility::Hidden(_) => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ipv4::DEFAULT_TTL;
     use crate::tcp::TcpFlags;
     use std::net::Ipv4Addr;
+
+    /// The clear field `view` decodes from `pkt`, if the name is visible.
+    fn clear_field(view: &DecodedView, pkt: &Ipv4Packet) -> Option<AppField> {
+        view.visibility(pkt).and_then(Visibility::clear).cloned()
+    }
 
     fn wrap(proto: IpProtocol, payload: Vec<u8>) -> Ipv4Packet {
         Ipv4Packet::new(
@@ -276,12 +265,12 @@ mod tests {
         );
         let view = DecodedView::new();
         assert!(!view.is_decoded());
-        let field = view.app_field(&pkt).cloned().expect("qname extracted");
+        let field = clear_field(&view, &pkt).expect("qname extracted");
         assert_eq!(field.protocol, AppProtocol::Dns);
         assert_eq!(field.name.as_str(), "a.example");
         assert!(view.is_decoded());
         // Second call returns the cached value.
-        assert_eq!(view.app_field(&pkt), Some(&field));
+        assert_eq!(view.visibility(&pkt), Some(&Visibility::Clear(field)));
     }
 
     #[test]
@@ -291,7 +280,7 @@ mod tests {
             IpProtocol::Tcp,
             TcpSegment::new(1, 80, 1, 1, TcpFlags::PSH_ACK, req.encode()).encode(),
         );
-        let f = DecodedView::new().app_field(&http).cloned().unwrap();
+        let f = clear_field(&DecodedView::new(), &http).unwrap();
         assert_eq!(f.protocol, AppProtocol::Http);
         assert_eq!(f.name.as_str(), "h.example");
 
@@ -300,7 +289,7 @@ mod tests {
             IpProtocol::Tcp,
             TcpSegment::new(1, 443, 1, 1, TcpFlags::PSH_ACK, ch.encode_record()).encode(),
         );
-        let f = DecodedView::new().app_field(&tls_pkt).cloned().unwrap();
+        let f = clear_field(&DecodedView::new(), &tls_pkt).unwrap();
         assert_eq!(f.protocol, AppProtocol::Tls);
         assert_eq!(f.name.as_str(), "t.example");
     }
@@ -314,17 +303,17 @@ mod tests {
             IpProtocol::Udp,
             UdpDatagram::new(53, 53, resp.encode()).encode(),
         );
-        assert!(DecodedView::new().app_field(&pkt).is_none());
+        assert!(DecodedView::new().visibility(&pkt).is_none());
 
         let off_port = wrap(
             IpProtocol::Tcp,
             TcpSegment::new(1, 8080, 1, 1, TcpFlags::PSH_ACK, b"x".to_vec()).encode(),
         );
-        assert!(DecodedView::new().app_field(&off_port).is_none());
+        assert!(DecodedView::new().visibility(&off_port).is_none());
 
         let garbage = wrap(IpProtocol::Udp, vec![1, 2, 3]);
         let view = DecodedView::new();
-        assert!(view.app_field(&garbage).is_none());
+        assert!(view.visibility(&garbage).is_none());
         assert!(view.is_decoded(), "failed extraction is cached too");
     }
 
@@ -336,8 +325,8 @@ mod tests {
             UdpDatagram::new(5000, 53, q.encode()).encode(),
         );
         assert_eq!(
-            DecodedView::new().app_field(&pkt).cloned(),
-            extract_app_field(&pkt)
+            DecodedView::new().visibility(&pkt).cloned(),
+            extract_visibility(&pkt)
         );
     }
 
@@ -355,7 +344,6 @@ mod tests {
                 UdpDatagram::new(5000, encrypted::port_for(transport), frame).encode(),
             );
             let view = DecodedView::new();
-            assert!(view.app_field(&pkt).is_none(), "no clear field");
             let vis = view.visibility(&pkt).expect("fingerprinted");
             let hidden = vis.hidden().expect("hidden, not clear");
             assert_eq!(hidden.protocol, AppProtocol::Dns);
@@ -373,10 +361,6 @@ mod tests {
             TcpSegment::new(1, 443, 1, 1, TcpFlags::PSH_ACK, ch.encode_record()).encode(),
         );
         let view = DecodedView::new();
-        assert!(
-            view.app_field(&pkt).is_none(),
-            "cover SNI is not a clear field"
-        );
         let hidden = view.visibility(&pkt).unwrap().hidden().unwrap().clone();
         assert_eq!(hidden.protocol, AppProtocol::Tls);
         assert_eq!(hidden.transport, EncryptedTransport::Ech);

@@ -18,8 +18,8 @@ use shadow_packet::ipv4::DEFAULT_TTL;
 use shadow_packet::tls::{self, ClientHello, ECH_COVER_SNI, FRONT_SNI};
 use shadow_packet::transport::DnsTransport;
 use shadow_packet::{
-    extract_app_field, extract_visibility, AppProtocol, EncryptedTransport, IpProtocol, Ipv4Packet,
-    TcpFlags, TcpSegment, UdpDatagram, Visibility,
+    extract_visibility, AppProtocol, EncryptedTransport, IpProtocol, Ipv4Packet, TcpFlags,
+    TcpSegment, UdpDatagram, Visibility,
 };
 use std::net::Ipv4Addr;
 
@@ -143,7 +143,6 @@ proptest! {
         prop_assert_eq!(encrypted::open_name(&frame), None);
         // …and the shared extraction memo surfaces Hidden, with no name.
         let pkt = udp_packet(encrypted::port_for(transport), frame);
-        prop_assert_eq!(extract_app_field(&pkt), None);
         match extract_visibility(&pkt) {
             Some(Visibility::Hidden(hidden)) => {
                 prop_assert_eq!(hidden.protocol, AppProtocol::Dns);
@@ -177,7 +176,6 @@ proptest! {
         prop_assert_eq!(sniffed.as_deref(), Some(ECH_COVER_SNI));
         // The shared memo classifies the flow Hidden with the cover only.
         let pkt = tls_packet(record);
-        prop_assert_eq!(extract_app_field(&pkt), None);
         match extract_visibility(&pkt) {
             Some(Visibility::Hidden(hidden)) => {
                 prop_assert_eq!(hidden.transport, EncryptedTransport::Ech);

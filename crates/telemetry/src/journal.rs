@@ -286,13 +286,6 @@ impl Telemetry {
         });
     }
 
-    /// Record wall-clock for a named phase (no-op when disabled).
-    pub fn record_phase_ns(&self, phase: &str, ns: u64) {
-        if let Some(inner) = &self.0 {
-            inner.metrics.record_phase_ns(phase, ns);
-        }
-    }
-
     /// Freeze-and-reset the metrics into a snapshot attributed to this
     /// shard. Disabled handles return the empty snapshot.
     pub fn take_snapshot(&self) -> MetricsSnapshot {

@@ -9,7 +9,6 @@
 //! yields the same result, and the *world* section equals the sequential
 //! run's (enforced by `tests/metrics_merge.rs`).
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -254,8 +253,6 @@ pub struct MetricsRegistry {
     /// Run-section: per-shard folds sum to at least the merged graph's
     /// dedup'd edge count, not exactly it.
     pub router_graph_edges: Counter,
-    /// Wall-clock nanoseconds per named phase (this shard).
-    phase_wall_ns: Mutex<BTreeMap<String, u64>>,
 }
 
 pub const DECOY_LABELS: &[&str] = &["DNS", "HTTP", "TLS"];
@@ -294,21 +291,11 @@ impl Default for MetricsRegistry {
             sink_tracked_decoys: Counter::default(),
             topo_lookups: Counter::default(),
             router_graph_edges: Counter::default(),
-            phase_wall_ns: Mutex::new(BTreeMap::new()),
         }
     }
 }
 
 impl MetricsRegistry {
-    /// Record wall-clock for a named phase (added to any prior value).
-    pub fn record_phase_ns(&self, phase: &str, ns: u64) {
-        *self
-            .phase_wall_ns
-            .lock()
-            .entry(phase.to_string())
-            .or_insert(0) += ns;
-    }
-
     /// Freeze-and-reset into a snapshot attributed to `shard`. Resetting
     /// means phase-level snapshots never double-count: Phase II's snapshot
     /// starts from zero even though the engine (and registry) persist.
@@ -355,7 +342,7 @@ impl MetricsRegistry {
                 sink_tracked_decoys: self.sink_tracked_decoys.take(),
                 topo_lookups: self.topo_lookups.take(),
                 router_graph_edges: self.router_graph_edges.take(),
-                phase_wall_ns: std::mem::take(&mut self.phase_wall_ns.lock()),
+                phase_wall_ns: BTreeMap::new(),
             },
         }
     }
@@ -460,6 +447,8 @@ pub struct RunMetrics {
     /// Time-Exceeded observations folded into router-graph builders,
     /// summed over shards (pre-dedup, so ≥ the merged graph's hop count).
     pub router_graph_edges: u64,
+    /// Wall-clock nanoseconds per phase, summed over chunks. The executor
+    /// adds each chunk's phase time to its snapshot after the phase ends.
     pub phase_wall_ns: BTreeMap<String, u64>,
 }
 
@@ -694,12 +683,9 @@ mod tests {
     fn take_snapshot_resets_registry() {
         let reg = MetricsRegistry::default();
         reg.tap_observations.inc();
-        reg.record_phase_ns("phase1", 42);
         let first = reg.take_snapshot(0);
         assert_eq!(first.world.tap_observations, 1);
-        assert_eq!(first.run.phase_wall_ns.get("phase1"), Some(&42));
         let second = reg.take_snapshot(0);
         assert_eq!(second.world.tap_observations, 0);
-        assert!(second.run.phase_wall_ns.is_empty());
     }
 }

@@ -333,10 +333,11 @@ fn main() {
             config.world.tranco_sites,
         );
     }
+    let auto = ChunkConfig::auto();
     let started = std::time::Instant::now();
     let outcome = match (shards, scale_factor) {
         (Some(k), _) => Study::run_sharded(config, k),
-        (None, Some(_)) => Study::run_chunked(config, ChunkConfig::auto()),
+        (None, Some(_)) => Study::run_chunked(config, auto),
         (None, None) => Study::run(config),
     };
     let (kind, factor) = match scale_factor {
@@ -345,7 +346,7 @@ fn main() {
     };
     let shape = match (shards, scale_factor) {
         (Some(k), _) => format!("{k} shards, "),
-        (None, Some(_)) => "work-stealing, ".to_string(),
+        (None, Some(_)) => format!("{} chunks on {} workers, ", auto.chunks, auto.workers),
         (None, None) => String::new(),
     };
     println!(

@@ -33,7 +33,7 @@ fn run_rounds(seed: u64, rounds: usize) -> (usize, usize, f64) {
         .registry
         .iter()
         .filter(|d| d.protocol == DecoyProtocol::Dns)
-        .map(|d| (d.vp, d.dst()))
+        .map(|d| (d.vp, d.dst))
         .collect::<BTreeSet<_>>()
         .len();
     (

@@ -128,7 +128,7 @@ fn sharded_equivalence_survives_faults() {
 }
 
 #[test]
-fn work_stealing_equivalence_survives_faults() {
+fn chunked_equivalence_survives_faults() {
     // The conditioner's decisions are value-derived from packet bytes, so
     // nondeterministic chunk→thread placement must not change which
     // packets suffer. Shapes mirror tests/sharded_equivalence.rs.

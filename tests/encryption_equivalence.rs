@@ -89,7 +89,7 @@ fn sharded_matches_sequential_at_both_extremes() {
 }
 
 #[test]
-fn work_stealing_matches_sequential_at_both_extremes() {
+fn chunked_matches_sequential_at_both_extremes() {
     let shape = ChunkConfig::with_workers(2).with_chunks(5);
     for deployment in levels() {
         for with_faults in [false, true] {

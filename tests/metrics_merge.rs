@@ -43,8 +43,12 @@ fn synthetic_snapshots(k: u32, seed: u64) -> Vec<MetricsSnapshot> {
                 registry.queue_depth.record(next(1 << 12));
             }
             registry.events_drained.add(next(1000));
-            registry.record_phase_ns("phase1", next(1 << 20));
-            registry.take_snapshot(shard)
+            let mut snapshot = registry.take_snapshot(shard);
+            snapshot
+                .run
+                .phase_wall_ns
+                .insert("phase1".to_string(), next(1 << 20));
+            snapshot
         })
         .collect()
 }

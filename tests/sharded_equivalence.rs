@@ -9,14 +9,17 @@
 //! classification an `ArrivalClassified` one, so the raw arrival stream and
 //! the unsolicited-request classifications are compared per arrival. Two
 //! distinct seeds are tested so a bug that collapses output to a constant
-//! cannot pass.
+//! cannot pass. The decoy registries the chunks assemble are pinned by
+//! record count and an order-insensitive digest, for both phases.
 
 use std::collections::BTreeSet;
 use traffic_shadowing::shadow_core::campaign::{CampaignRunner, Phase1Config};
+use traffic_shadowing::shadow_core::decoy::DecoyRegistry;
 use traffic_shadowing::shadow_core::executor::{run_phase1_chunks, ChunkConfig, TelemetryOptions};
 use traffic_shadowing::shadow_core::noise::NoiseFilter;
 use traffic_shadowing::shadow_core::sink::SinkConfig;
 use traffic_shadowing::shadow_core::world::{generate_spec, WorldConfig};
+use traffic_shadowing::shadow_netsim::fault::fnv1a64;
 use traffic_shadowing::shadow_telemetry::{diff, JournalRecord};
 use traffic_shadowing::shadow_vantage::platform::VpId;
 use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
@@ -88,6 +91,30 @@ fn journal(outcome: &StudyOutcome) -> &[JournalRecord] {
     outcome.journal.as_deref().expect("journal enabled")
 }
 
+/// A registry's record count and order-insensitive digest: one line per
+/// record, the lines sorted and concatenated, hashed with FNV-1a.
+fn registry_digest(registry: &DecoyRegistry) -> (usize, u64) {
+    let mut lines: Vec<String> = registry
+        .iter()
+        .map(|r| {
+            format!(
+                "{} {} {} {} {} {}\n",
+                r.domain.as_str(),
+                r.dst,
+                r.ttl,
+                r.protocol.as_str(),
+                r.vp.0,
+                r.planned_at.millis()
+            )
+        })
+        .collect();
+    lines.sort();
+    (lines.len(), fnv1a64(lines.concat().as_bytes()))
+}
+
+/// The tiny world (seed 99)'s full Phase I registry.
+const PHASE1_REGISTRY: (usize, u64) = (528, 0xd2d8_1785_2fa7_31d9);
+
 #[test]
 fn sharded_matches_sequential_for_every_shard_count() {
     for seed in SEEDS {
@@ -126,10 +153,23 @@ fn sharded_preserves_phase2_localization() {
     let sharded = Study::run_sharded(StudyConfig::tiny(seed), 2);
     assert_eq!(sequential.traced_paths, sharded.traced_paths);
     assert_eq!(sequential.traceroutes, sharded.traceroutes);
+    for (outcome, shape) in [(&sequential, "sequential"), (&sharded, "K=2")] {
+        assert_eq!(
+            registry_digest(&outcome.phase1.registry),
+            PHASE1_REGISTRY,
+            "{shape}: Phase I registry"
+        );
+        let phase2 = outcome.phase2.as_ref().expect("Phase II ran");
+        assert_eq!(
+            registry_digest(&phase2.registry),
+            (720, 0x5c96_bdc7_5947_2124),
+            "{shape}: Phase II registry"
+        );
+    }
 }
 
 #[test]
-fn work_stealing_matches_sequential_for_every_shape() {
+fn chunked_matches_sequential_for_every_shape() {
     // Same matrix as the fixed-shard test, at uneven (chunks, workers)
     // shapes: chunk→thread placement is nondeterministic, the merged
     // output must not be.
@@ -163,7 +203,7 @@ fn work_stealing_matches_sequential_for_every_shape() {
 }
 
 #[test]
-fn work_stealing_preserves_phase2_localization() {
+fn chunked_preserves_phase2_localization() {
     let seed = 99;
     let sequential = Study::run(StudyConfig::tiny(seed));
     let chunked = Study::run_chunked(
@@ -199,7 +239,10 @@ fn vp_limit_matches_filtered_sequential_composition() {
         ChunkConfig::with_workers(3).with_chunks(7),
     ];
     let mut decoys = Vec::new();
-    for limit in [Some(3), None] {
+    for (limit, pinned) in [
+        (Some(3), (132, 0x5ccc_61e3_61dd_a67f)),
+        (None, PHASE1_REGISTRY),
+    ] {
         let allowed: Option<BTreeSet<VpId>> =
             limit.map(|n| platform_order.iter().take(n).copied().collect());
         let mut world = spec.instantiate();
@@ -215,6 +258,8 @@ fn vp_limit_matches_filtered_sequential_composition() {
             SinkConfig::streaming(),
             |vp| allowed.as_ref().is_none_or(|a| a.contains(&vp)),
         );
+        let digest = registry_digest(&expected.registry);
+        assert_eq!(digest, pinned, "vp_limit {limit:?}: composed registry");
         for shape in shapes {
             let bounded = run_phase1_chunks(
                 &spec,
@@ -226,9 +271,9 @@ fn vp_limit_matches_filtered_sequential_composition() {
                 limit,
             );
             assert_eq!(
-                expected.decoy_count(),
-                bounded.data.decoy_count(),
-                "vp_limit {limit:?}, {shape:?}: decoy registries differ in size"
+                registry_digest(&bounded.data.registry),
+                digest,
+                "vp_limit {limit:?}, {shape:?}: decoy registries differ"
             );
             assert_same_journal(
                 &expected.journal,

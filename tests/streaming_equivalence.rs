@@ -195,7 +195,7 @@ fn histogram_grid_matches_cdf_bit_for_bit() {
             // Phase II decoys are not in the Phase I registry.
             if let Some(decoy) = registry.lookup(&DnsName::parse(domain).unwrap()) {
                 let interval = record.at_ms - decoy.planned_at.millis();
-                samples.push((decoy.protocol, decoy.dst(), interval));
+                samples.push((decoy.protocol, decoy.dst, interval));
             }
         }
     }

@@ -69,7 +69,6 @@ fn build_registry(protocols: &[DecoyProtocol]) -> (DecoyRegistry, Vec<DecoyRecor
                 protocol,
                 64,
                 SimTime((i as u64) * 700),
-                None,
             )
         })
         .collect();
@@ -227,7 +226,7 @@ fn naive_origins(
         if req.decoy.protocol != DecoyProtocol::Dns || !req.label.is_unsolicited() {
             continue;
         }
-        let Some(dest_name) = dests.get(&req.decoy.dst()) else {
+        let Some(dest_name) = dests.get(&req.decoy.dst) else {
             continue;
         };
         let src = req.arrival.src;
@@ -297,14 +296,14 @@ fn naive_resolver_case(
 ) -> ResolverCase {
     let decoys = registry
         .iter()
-        .filter(|d| d.protocol == DecoyProtocol::Dns && d.dst() == dst)
+        .filter(|d| d.protocol == DecoyProtocol::Dns && d.dst == dst)
         .count();
     let mut shadowed: BTreeSet<&str> = BTreeSet::new();
     let mut http_probed: BTreeSet<&str> = BTreeSet::new();
     let mut intervals: Vec<u64> = Vec::new();
     for req in correlated {
         if req.decoy.protocol != DecoyProtocol::Dns
-            || req.decoy.dst() != dst
+            || req.decoy.dst != dst
             || !req.label.is_unsolicited()
         {
             continue;
@@ -353,16 +352,14 @@ fn naive_anycast(
     let problematic: BTreeSet<VpId> = correlated
         .iter()
         .filter(|r| {
-            r.decoy.protocol == DecoyProtocol::Dns
-                && r.decoy.dst() == dst
-                && r.label.is_unsolicited()
+            r.decoy.protocol == DecoyProtocol::Dns && r.decoy.dst == dst && r.label.is_unsolicited()
         })
         .map(|r| r.decoy.vp)
         .collect();
     let mut seen: BTreeSet<VpId> = BTreeSet::new();
     let (mut in_country, mut elsewhere) = ((0, 0), (0, 0));
     for decoy in registry.iter() {
-        if decoy.protocol != DecoyProtocol::Dns || decoy.dst() != dst || !seen.insert(decoy.vp) {
+        if decoy.protocol != DecoyProtocol::Dns || decoy.dst != dst || !seen.insert(decoy.vp) {
             continue;
         }
         let Some(&country) = country_of.get(&decoy.vp) else {
