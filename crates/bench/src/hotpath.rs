@@ -14,6 +14,7 @@ use traffic_shadowing::shadow_netsim::engine::Engine;
 use traffic_shadowing::shadow_netsim::time::{SimDuration, SimTime};
 use traffic_shadowing::shadow_netsim::topology::TopologyBuilder;
 use traffic_shadowing::shadow_observer::dpi::{DpiConfig, DpiTap};
+use traffic_shadowing::shadow_observer::exhibitor::ExhibitorConfig;
 use traffic_shadowing::shadow_observer::policy::{
     DelayBucket, ProbeKind, ReplayPolicy, WeightedChoice,
 };
@@ -102,12 +103,14 @@ pub fn run_hot_path_with(packets: u64, retention_capacity: usize) -> HotPathMetr
                 watch_dns: true,
                 watch_http: true,
                 watch_tls: true,
-                zone_filter: Some(DnsName::parse("www.experiment.example").unwrap()),
-                policy: policy.clone(),
-                retention_capacity,
-                retention_ttl: SimDuration::from_days(2),
                 dst_filter: None,
-                origins: vec![WeightedChoice::new(origin, 1)],
+                exhibitor: ExhibitorConfig {
+                    zone_filter: Some(DnsName::parse("www.experiment.example").unwrap()),
+                    policy: policy.clone(),
+                    retention_capacity,
+                    retention_ttl: SimDuration::from_days(2),
+                    origins: vec![WeightedChoice::new(origin, 1)],
+                },
                 seed: 99,
                 fingerprints: traffic_shadowing::shadow_observer::FingerprintDb::default(),
                 recall_sources: None,

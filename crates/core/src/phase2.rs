@@ -9,7 +9,7 @@
 
 use crate::campaign::{finish_phase, run_slice, CampaignData, PlannedSend};
 use crate::correlate::PathKey;
-use crate::decoy::{DecoyProtocol, DecoyRecord};
+use crate::decoy::{DecoyProtocol, DecoyRecord, DecoyRegistry};
 use crate::sink::{CorrelationAggregates, SinkConfig};
 use crate::world::World;
 use serde::{Deserialize, Serialize};
@@ -19,6 +19,7 @@ use shadow_telemetry::EventKind;
 use shadow_topo::ProbePath;
 use shadow_vantage::platform::VpId;
 use shadow_vantage::schedule::RateLimitedScheduler;
+use shadow_vantage::vp::{IcmpObservation, VpReport};
 use std::collections::{BTreeMap, HashMap};
 use std::net::Ipv4Addr;
 
@@ -153,13 +154,9 @@ impl Phase2Runner {
         // into the sequential run's graph exactly.
         for (vp, report) in &data.vp_reports {
             for obs in &report.icmp {
-                // The identification field maps the expired probe back to
-                // its decoy (and initial TTL), mirroring localize's filter.
-                if let Some(&(ref domain, ttl, dst)) = report.ident_map.get(&obs.orig_ident) {
-                    if dst == obs.orig_dst && data.registry.lookup(domain).is_some() {
-                        let path = ProbePath { vp: vp.0, dst };
-                        data.router_graph.observe(path, ttl, obs.router);
-                    }
+                if let Some((dst, ttl)) = expired_probe(report, obs, &data.registry) {
+                    let path = ProbePath { vp: vp.0, dst };
+                    data.router_graph.observe(path, ttl, obs.router);
                 }
             }
         }
@@ -193,16 +190,9 @@ impl Phase2Runner {
             let mut revealed: BTreeMap<u8, Ipv4Addr> = BTreeMap::new();
             let mut min_answer_ttl: Option<u8> = None;
             if let Some(report) = report {
-                for obs in &report.icmp {
-                    if obs.orig_dst != key.dst {
-                        continue;
-                    }
-                    // The identification field maps the expired probe back
-                    // to its decoy — and therefore to its initial TTL.
-                    if let Some(&(ref domain, ttl, dst)) = report.ident_map.get(&obs.orig_ident) {
-                        if dst == key.dst && data.registry.lookup(domain).is_some() {
-                            revealed.entry(ttl).or_insert(obs.router);
-                        }
+                for obs in report.icmp.iter().filter(|obs| obs.orig_dst == key.dst) {
+                    if let Some((_, ttl)) = expired_probe(report, obs, &data.registry) {
+                        revealed.entry(ttl).or_insert(obs.router);
                     }
                 }
                 for ans in &report.dns_answers {
@@ -248,6 +238,20 @@ impl Phase2Runner {
         }
         results
     }
+}
+
+/// Map one Time-Exceeded back to its probe, the one rule both the router
+/// graph and [`Phase2Runner::localize`] apply: the identification field
+/// names the decoy (and so its initial TTL), whose destination must be the
+/// one the ICMP quotes and which must be a decoy of this phase. Returns the
+/// probe's (destination, initial TTL).
+fn expired_probe(
+    report: &VpReport,
+    obs: &IcmpObservation,
+    registry: &DecoyRegistry,
+) -> Option<(Ipv4Addr, u8)> {
+    let (domain, ttl, dst) = report.ident_map.get(&obs.orig_ident)?;
+    (*dst == obs.orig_dst && registry.lookup(domain).is_some()).then_some((*dst, *ttl))
 }
 
 /// Pick the Phase II input from Phase I's streamed aggregates: the

@@ -16,7 +16,7 @@ use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha20Rng;
 use shadow_dns::authoritative::AuthorityMode;
 use shadow_dns::catalog::{pair_address, DnsDestinationKind, ShadowClass, DNS_DESTINATIONS};
-use shadow_dns::profile::{ResolverProfile, ShadowingConfig};
+use shadow_dns::profile::ResolverProfile;
 use shadow_geo::country::{cc, country_info, COUNTRIES};
 use shadow_geo::{
     AsCatalog, AsInfo, AsKind, Asn, CountryCode, GeoDb, GeoRecord, HostingLabel, Ipv4Prefix,
@@ -26,6 +26,7 @@ use shadow_netsim::fault::fnv1a64;
 use shadow_netsim::time::SimDuration;
 use shadow_netsim::topology::{NodeId, TopologyBuilder};
 use shadow_observer::dpi::DpiConfig;
+use shadow_observer::exhibitor::ExhibitorConfig;
 use shadow_observer::policy::{DelayBucket, ProbeKind, ReplayPolicy, WeightedChoice};
 use shadow_observer::probe::DnsVia;
 use shadow_packet::dns::DnsName;
@@ -750,12 +751,13 @@ fn place_dns_destinations(b: &mut Builder, honeypots: &Honeypots) -> Vec<Deploye
                     let profile = ResolverProfile::shadowing(
                         &format!("{} (CN)", dest.name),
                         b.config.seed ^ u64::from(dest.operator_asn),
-                        ShadowingConfig {
+                        ExhibitorConfig {
+                            zone_filter: None,
                             policy: policy_for(dest.shadow_class, dest.name)
                                 .expect("anycast class has a policy"),
-                            origins: origin_pool(b, dest.name),
                             retention_capacity: 1_000_000,
                             retention_ttl: SimDuration::from_days(20),
+                            origins: origin_pool(b, dest.name),
                         },
                     );
                     b.ground_truth
@@ -787,11 +789,12 @@ fn place_dns_destinations(b: &mut Builder, honeypots: &Honeypots) -> Vec<Deploye
                             ResolverProfile::shadowing(
                                 dest.name,
                                 b.config.seed ^ u64::from(dest.operator_asn),
-                                ShadowingConfig {
+                                ExhibitorConfig {
+                                    zone_filter: None,
                                     policy,
-                                    origins: origin_pool(b, dest.name),
                                     retention_capacity: 1_000_000,
                                     retention_ttl: SimDuration::from_days(30),
+                                    origins: origin_pool(b, dest.name),
                                 },
                             )
                         }
@@ -882,26 +885,27 @@ fn place_tranco_sites(b: &mut Builder, _honeypots: &Honeypots) -> Vec<TrancoSite
         let shadow = if country == cc("CN") && b.rng.gen_range(0..100) < 30 {
             Some(SiteShadowSpec {
                 label: "tls-dst".to_string(),
-                policy: ReplayPolicy {
-                    trigger_percent: 75,
-                    delays: vec![
-                        WeightedChoice::new(DelayBucket::Minutes(2, 50), 20),
-                        WeightedChoice::new(DelayBucket::Hours(1, 20), 40),
-                        WeightedChoice::new(DelayBucket::Days(1, 6), 40),
-                    ],
-                    protocols: vec![
-                        WeightedChoice::new(ProbeKind::Dns, 40),
-                        WeightedChoice::new(ProbeKind::Http, 35),
-                        WeightedChoice::new(ProbeKind::Https, 25),
-                    ],
-                    reuse: vec![WeightedChoice::new(1, 50), WeightedChoice::new(2, 50)],
-                },
-                origins: origin_pool(b, "tls-dst"),
-                zone_filter: Some(b.zone.clone()),
-                retention_capacity: 100_000,
-                retention_ttl: SimDuration::from_days(8),
                 seed: b.config.seed ^ (i as u64) << 17,
-                tls_only: true,
+                exhibitor: ExhibitorConfig {
+                    zone_filter: Some(b.zone.clone()),
+                    policy: ReplayPolicy {
+                        trigger_percent: 75,
+                        delays: vec![
+                            WeightedChoice::new(DelayBucket::Minutes(2, 50), 20),
+                            WeightedChoice::new(DelayBucket::Hours(1, 20), 40),
+                            WeightedChoice::new(DelayBucket::Days(1, 6), 40),
+                        ],
+                        protocols: vec![
+                            WeightedChoice::new(ProbeKind::Dns, 40),
+                            WeightedChoice::new(ProbeKind::Http, 35),
+                            WeightedChoice::new(ProbeKind::Https, 25),
+                        ],
+                        reuse: vec![WeightedChoice::new(1, 50), WeightedChoice::new(2, 50)],
+                    },
+                    retention_capacity: 100_000,
+                    retention_ttl: SimDuration::from_days(8),
+                    origins: origin_pool(b, "tls-dst"),
+                },
             })
         } else {
             None
@@ -1233,16 +1237,18 @@ fn place_dpi_taps(b: &mut Builder, tranco: &[TrancoSite], platform: &Platform) {
                 watch_dns: spec.dns,
                 watch_http: spec.http,
                 watch_tls: spec.tls,
-                zone_filter: Some(b.zone.clone()),
-                policy: policy.clone(),
-                retention_capacity: 500_000,
-                retention_ttl: spec.retention,
                 dst_filter: if spec.dns {
                     Some(resolver_dsts.clone())
                 } else {
                     None
                 },
-                origins: origins.clone(),
+                exhibitor: ExhibitorConfig {
+                    zone_filter: Some(b.zone.clone()),
+                    policy: policy.clone(),
+                    retention_capacity: 500_000,
+                    retention_ttl: spec.retention,
+                    origins: origins.clone(),
+                },
                 seed: b.config.seed ^ ((i as u64) << 24) ^ ((j as u64) << 8),
                 fingerprints: fingerprints.clone(),
                 recall_sources: Some(recall_sources.clone()),

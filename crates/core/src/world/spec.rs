@@ -16,50 +16,25 @@ use shadow_dns::profile::ResolverProfile;
 use shadow_dns::resolver::RecursiveResolverHost;
 use shadow_geo::{AsCatalog, GeoDb};
 use shadow_honeypot::authority::ExperimentAuthorityHost;
-use shadow_honeypot::web::{SiteShadow, WebHost};
+use shadow_honeypot::web::WebHost;
 use shadow_netsim::engine::{Engine, Host, WireTap};
-use shadow_netsim::time::SimDuration;
 use shadow_netsim::topology::{NodeId, Topology};
 use shadow_observer::dpi::{DpiConfig, DpiTap};
+use shadow_observer::exhibitor::ExhibitorConfig;
 use shadow_observer::intercept::InterceptorTap;
-use shadow_observer::policy::{ReplayPolicy, WeightedChoice};
 use shadow_observer::probe::{DnsVia, ProbeOriginHost};
 use shadow_packet::dns::DnsName;
 use shadow_vantage::platform::Platform;
 use shadow_vantage::vp::VantagePointHost;
 use std::net::Ipv4Addr;
 
-/// Constructor arguments for a destination-side shadowing sensor.
+/// Constructor arguments for a destination-side SNI sensor
+/// ([`WebHost::with_shadow`]).
 #[derive(Debug, Clone)]
 pub struct SiteShadowSpec {
     pub label: String,
-    pub policy: ReplayPolicy,
-    pub origins: Vec<WeightedChoice<NodeId>>,
-    pub zone_filter: Option<DnsName>,
-    pub retention_capacity: usize,
-    pub retention_ttl: SimDuration,
     pub seed: u64,
-    /// `true` = SNI-only sensor ([`SiteShadow::new_tls_only`]).
-    pub tls_only: bool,
-}
-
-impl SiteShadowSpec {
-    fn instantiate(&self) -> SiteShadow {
-        let build = if self.tls_only {
-            SiteShadow::new_tls_only
-        } else {
-            SiteShadow::new
-        };
-        build(
-            &self.label,
-            self.policy.clone(),
-            self.origins.clone(),
-            self.zone_filter.clone(),
-            self.retention_capacity,
-            self.retention_ttl,
-            self.seed,
-        )
-    }
+    pub exhibitor: ExhibitorConfig,
 }
 
 /// Constructor arguments for one endpoint application.
@@ -150,7 +125,7 @@ impl HostSpec {
             HostSpec::PlainWeb { addr, seed, shadow } => {
                 let site = WebHost::plain(*addr, *seed);
                 match shadow {
-                    Some(spec) => Box::new(site.with_shadow(spec.instantiate())),
+                    Some(s) => Box::new(site.with_shadow(&s.label, s.seed, s.exhibitor.clone())),
                     None => Box::new(site),
                 }
             }

@@ -22,5 +22,5 @@ pub use authoritative::StaticAuthorityHost;
 pub use catalog::{
     pair_address, DnsDestination, DnsDestinationKind, ShadowClass, DNS_DESTINATIONS,
 };
-pub use profile::{ResolverProfile, RetryHabit, ShadowingConfig};
+pub use profile::{ResolverProfile, RetryHabit};
 pub use resolver::RecursiveResolverHost;

@@ -5,9 +5,8 @@
 //! optional shadowing hook that makes a resolver an exhibitor.
 
 use serde::{Deserialize, Serialize};
-use shadow_netsim::time::SimDuration;
-use shadow_netsim::topology::NodeId;
-use shadow_observer::policy::{DelayBucket, ReplayPolicy, WeightedChoice};
+use shadow_observer::exhibitor::ExhibitorConfig;
+use shadow_observer::policy::DelayBucket;
 
 /// Benign duplicate-query habit ("implementation choices (e.g., intentional
 /// retries)"). Distinct from shadowing: always DNS, always soon, sent from
@@ -35,19 +34,6 @@ impl RetryHabit {
     }
 }
 
-/// The shadowing hook of an exhibitor resolver.
-#[derive(Debug, Clone)]
-pub struct ShadowingConfig {
-    /// When/what/how often to probe.
-    pub policy: ReplayPolicy,
-    /// Probe origins this exhibitor feeds (weighted — one data-analysis
-    /// partner may dominate, cf. Figure 6's multi-AS fan-out for 114DNS).
-    pub origins: Vec<WeightedChoice<NodeId>>,
-    /// How long the exhibitor's pipeline retains data.
-    pub retention_capacity: usize,
-    pub retention_ttl: SimDuration,
-}
-
 /// Complete behaviour profile of one recursive resolver instance.
 #[derive(Debug, Clone)]
 pub struct ResolverProfile {
@@ -66,7 +52,8 @@ pub struct ResolverProfile {
     /// `tests/cache_refresh_spike.rs` in `shadow-dns`).
     pub cache_refresh: bool,
     pub retry: Option<RetryHabit>,
-    pub shadowing: Option<ShadowingConfig>,
+    /// The exhibitor every client qname goes through (`None` = benign).
+    pub shadowing: Option<ExhibitorConfig>,
     /// RNG seed for this instance's behaviour.
     pub seed: u64,
 }
@@ -103,15 +90,7 @@ impl ResolverProfile {
     }
 
     /// An exhibitor: retries plus a shadowing pipeline.
-    pub fn shadowing(name: &str, seed: u64, config: ShadowingConfig) -> Self {
-        config
-            .policy
-            .validate()
-            .expect("shadowing policy must validate");
-        assert!(
-            !config.origins.is_empty(),
-            "shadowing resolver needs probe origins"
-        );
+    pub fn shadowing(name: &str, seed: u64, config: ExhibitorConfig) -> Self {
         Self {
             retry: Some(RetryHabit::common()),
             shadowing: Some(config),
@@ -123,7 +102,9 @@ impl ResolverProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use shadow_observer::policy::ProbeKind;
+    use shadow_netsim::time::SimDuration;
+    use shadow_netsim::topology::NodeId;
+    use shadow_observer::policy::{ReplayPolicy, WeightedChoice};
 
     #[test]
     fn builders_compose() {
@@ -132,44 +113,14 @@ mod tests {
         let retrying = ResolverProfile::with_retries("google", 2);
         assert_eq!(retrying.retry.as_ref().unwrap().percent, 25);
         assert!(retrying.shadowing.is_none());
-    }
-
-    #[test]
-    fn shadowing_builder_validates() {
-        let config = ShadowingConfig {
+        let config = ExhibitorConfig {
+            zone_filter: None,
             policy: ReplayPolicy::heavy_prober(),
-            origins: vec![WeightedChoice::new(NodeId(1), 1)],
             retention_capacity: 10_000,
             retention_ttl: SimDuration::from_days(30),
-        };
-        let profile = ResolverProfile::shadowing("yandex", 3, config);
-        assert!(profile.shadowing.is_some());
-        assert!(profile.retry.is_some());
-    }
-
-    #[test]
-    #[should_panic(expected = "probe origins")]
-    fn shadowing_without_origins_panics() {
-        let config = ShadowingConfig {
-            policy: ReplayPolicy::heavy_prober(),
-            origins: vec![],
-            retention_capacity: 10,
-            retention_ttl: SimDuration::from_days(1),
-        };
-        let _ = ResolverProfile::shadowing("bad", 4, config);
-    }
-
-    #[test]
-    #[should_panic(expected = "validate")]
-    fn shadowing_with_invalid_policy_panics() {
-        let mut policy = ReplayPolicy::heavy_prober();
-        policy.protocols = vec![WeightedChoice::new(ProbeKind::Dns, 0)];
-        let config = ShadowingConfig {
-            policy,
             origins: vec![WeightedChoice::new(NodeId(1), 1)],
-            retention_capacity: 10,
-            retention_ttl: SimDuration::from_days(1),
         };
-        let _ = ResolverProfile::shadowing("bad", 5, config);
+        let shadowing = ResolverProfile::shadowing("yandex", 3, config);
+        assert!(shadowing.shadowing.is_some() && shadowing.retry.is_some());
     }
 }

@@ -4,15 +4,16 @@
 //! caching, upstream recursion to the zone's authoritative server, query
 //! coalescing, benign duplicate queries (the within-one-minute DNS-DNS
 //! unsolicited requests the paper attributes to implementation choices),
-//! and — on exhibitor instances — the shadowing pipeline that schedules
-//! probes hours or days later.
+//! and — on exhibitor instances — an [`Exhibitor`] that every client qname
+//! goes through, scheduling probes hours or days later.
 
 use crate::profile::ResolverProfile;
 use rand::Rng;
 use shadow_netsim::engine::{Ctx, Host};
 use shadow_netsim::time::{SimDuration, SimTime};
 use shadow_netsim::transport::Transport;
-use shadow_observer::retention::RetentionStore;
+use shadow_observer::exhibitor::{observation_rng, Exhibitor};
+use shadow_observer::ObservedProtocol;
 use shadow_packet::dns::{DnsMessage, DnsName, DnsRecord, Rcode};
 use shadow_packet::encrypted;
 use shadow_packet::ipv4::{IpProtocol, Ipv4Packet, DEFAULT_TTL};
@@ -31,7 +32,6 @@ pub struct ResolverStats {
     pub cache_hits: u64,
     pub upstream_queries: u64,
     pub benign_retries: u64,
-    pub shadow_probes_scheduled: u64,
     pub nxdomain_answers: u64,
 }
 
@@ -80,7 +80,8 @@ pub struct RecursiveResolverHost {
     /// Timer token → qname for active cache refreshes.
     refresh_tokens: HashMap<u64, DnsName>,
     next_token: u64,
-    shadow_store: Option<RetentionStore>,
+    /// The shadowing pipeline, on exhibitor instances.
+    shadow: Option<Exhibitor>,
     next_upstream_id: u16,
     pub stats: ResolverStats,
 }
@@ -92,10 +93,13 @@ impl RecursiveResolverHost {
         profile: ResolverProfile,
         zones: Vec<(DnsName, Ipv4Addr)>,
     ) -> Self {
-        let shadow_store = profile
-            .shadowing
-            .as_ref()
-            .map(|cfg| RetentionStore::new(cfg.retention_capacity, cfg.retention_ttl));
+        let shadow = profile.shadowing.clone().map(|config| {
+            Exhibitor::new(
+                profile.name.clone(),
+                profile.seed ^ RESOLVER_SEED_SALT,
+                config,
+            )
+        });
         Self {
             service_addr,
             egress_addr,
@@ -107,7 +111,7 @@ impl RecursiveResolverHost {
             retry_tokens: HashMap::new(),
             refresh_tokens: HashMap::new(),
             next_token: 1,
-            shadow_store,
+            shadow,
             next_upstream_id: 1,
             stats: ResolverStats::default(),
         }
@@ -115,6 +119,11 @@ impl RecursiveResolverHost {
 
     pub fn profile(&self) -> &ResolverProfile {
         &self.profile
+    }
+
+    /// The shadowing pipeline, on exhibitor instances.
+    pub fn exhibitor(&self) -> Option<&Exhibitor> {
+        self.shadow.as_ref()
     }
 
     fn zone_for(&self, qname: &DnsName) -> Option<Ipv4Addr> {
@@ -176,47 +185,6 @@ impl RecursiveResolverHost {
         id
     }
 
-    /// The shadowing hook: run on every *new* client qname.
-    fn maybe_shadow(&mut self, qname: &DnsName, ctx: &mut Ctx<'_>) {
-        let Some(cfg) = self.profile.shadowing.clone() else {
-            return;
-        };
-        let store = self
-            .shadow_store
-            .as_mut()
-            .expect("store exists when shadowing configured");
-        let (orders, plan) = shadow_observer::scheduler::plan_probes(
-            &cfg.policy,
-            store,
-            &cfg.origins,
-            self.profile.seed ^ RESOLVER_SEED_SALT,
-            qname,
-            shadow_observer::ObservedProtocol::Dns,
-            ctx.now(),
-            &self.profile.name,
-        );
-        if plan.capacity_evictions > 0 {
-            if let Some(m) = ctx.telemetry().metrics() {
-                m.retention_capacity_evictions.add(plan.capacity_evictions);
-            }
-        }
-        self.stats.shadow_probes_scheduled += u64::from(plan.probes);
-        if plan.probes > 0 {
-            let telemetry = ctx.telemetry();
-            if let Some(m) = telemetry.metrics() {
-                m.shadow_probes_scheduled.add(u64::from(plan.probes));
-            }
-            telemetry.event(ctx.now().millis(), Some(ctx.node().0), || {
-                shadow_telemetry::EventKind::ShadowProbeScheduled {
-                    domain: qname.as_str().to_string(),
-                }
-            });
-        }
-        for (origin, delay, order) in orders {
-            ctx.post(origin, delay, Box::new(order));
-        }
-    }
-
     fn on_client_query(
         &mut self,
         src: Ipv4Addr,
@@ -237,7 +205,9 @@ impl RecursiveResolverHost {
         }
         let client = (src, src_port, query.id, transport);
 
-        self.maybe_shadow(&qname, ctx);
+        if let Some(exhibitor) = &mut self.shadow {
+            exhibitor.observe(&qname, ObservedProtocol::Dns, ctx);
+        }
 
         // Cache.
         if self.profile.cache_enabled {
@@ -284,11 +254,7 @@ impl RecursiveResolverHost {
         // decision is derived from (seed, qname, now) so it does not depend
         // on which other names this instance resolved before.
         if let Some(retry) = self.profile.retry.clone() {
-            let mut rng = shadow_observer::scheduler::observation_rng(
-                self.profile.seed ^ RETRY_SEED_SALT,
-                &qname,
-                ctx.now(),
-            );
+            let mut rng = observation_rng(self.profile.seed ^ RETRY_SEED_SALT, &qname, ctx.now());
             if rng.gen_range(0..100u32) < u32::from(retry.percent) {
                 for _ in 0..retry.count {
                     let delay = retry.delay.sample(&mut rng);

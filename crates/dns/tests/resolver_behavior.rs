@@ -4,13 +4,14 @@
 //! (the 114DNS case study).
 
 use shadow_dns::authoritative::{AuthorityMode, StaticAuthorityHost};
-use shadow_dns::profile::{ResolverProfile, RetryHabit, ShadowingConfig};
+use shadow_dns::profile::{ResolverProfile, RetryHabit};
 use shadow_dns::resolver::RecursiveResolverHost;
 use shadow_geo::{Asn, Region};
 use shadow_netsim::engine::{Ctx, Engine, Host};
 use shadow_netsim::time::{SimDuration, SimTime};
 use shadow_netsim::topology::{NodeId, TopologyBuilder};
 use shadow_netsim::transport::Transport;
+use shadow_observer::exhibitor::ExhibitorConfig;
 use shadow_observer::policy::{DelayBucket, ProbeKind, ReplayPolicy, WeightedChoice};
 use shadow_observer::probe::ProbeOrder;
 use shadow_packet::dns::{DnsMessage, DnsName, Rcode, RecordData};
@@ -289,7 +290,8 @@ fn shadowing_resolver_schedules_probes() {
         ResolverProfile::shadowing(
             "yandex-sim",
             7,
-            ShadowingConfig {
+            ExhibitorConfig {
+                zone_filter: None,
                 policy: ReplayPolicy {
                     trigger_percent: 100,
                     delays: vec![WeightedChoice::new(DelayBucket::Hours(1, 3), 1)],
@@ -320,7 +322,7 @@ fn shadowing_resolver_schedules_probes() {
         .engine
         .host_as::<RecursiveResolverHost>(w.resolver)
         .unwrap();
-    assert_eq!(resolver.stats.shadow_probes_scheduled, 3);
+    assert_eq!(resolver.exhibitor().unwrap().stats().probes_scheduled, 3);
     // Communication with the client was not tampered with.
     let sink = w.engine.host_as::<Sink>(w.client).unwrap();
     assert_eq!(sink.responses().len(), 1);
@@ -333,7 +335,8 @@ fn shadowing_triggers_once_per_unique_name() {
         ResolverProfile::shadowing(
             "dedup",
             8,
-            ShadowingConfig {
+            ExhibitorConfig {
+                zone_filter: None,
                 policy: ReplayPolicy {
                     trigger_percent: 100,
                     delays: vec![WeightedChoice::new(DelayBucket::Seconds(10, 20), 1)],
@@ -399,7 +402,8 @@ fn anycast_instances_diverge_like_114dns() {
     let shadow_profile = ResolverProfile::shadowing(
         "114dns-cn",
         9,
-        ShadowingConfig {
+        ExhibitorConfig {
+            zone_filter: None,
             policy: ReplayPolicy {
                 trigger_percent: 100,
                 delays: vec![WeightedChoice::new(DelayBucket::Minutes(1, 5), 1)],

@@ -17,4 +17,4 @@ pub mod web;
 
 pub use authority::ExperimentAuthorityHost;
 pub use capture::{Arrival, ArrivalProtocol, CaptureLog};
-pub use web::{SiteShadow, WebHost};
+pub use web::WebHost;

@@ -1,18 +1,16 @@
 //! Web endpoints: the honey websites (HTTP + TLS capture with logging) and,
 //! with logging disabled, the generic destination servers standing in for
-//! the Tranco-top-1K sites HTTP/TLS decoys are sent to.
+//! the Tranco-top-1K sites HTTP/TLS decoys are sent to, optionally with a
+//! destination-side SNI sensor.
 
 use crate::capture::{
     capture_with_telemetry, Arrival, ArrivalProtocol, CaptureLog, Label, SharedArrivalSink,
 };
 use shadow_netsim::engine::{Ctx, Host};
 use shadow_netsim::tcp::{ConnKey, TcpEvent, TcpStack};
-use shadow_netsim::time::SimDuration;
-use shadow_netsim::topology::NodeId;
 use shadow_netsim::transport::Transport;
-use shadow_observer::policy::{ReplayPolicy, WeightedChoice};
-use shadow_observer::retention::{ObservedProtocol, RetentionStore};
-use shadow_observer::scheduler::plan_probes;
+use shadow_observer::exhibitor::{Exhibitor, ExhibitorConfig};
+use shadow_observer::retention::ObservedProtocol;
 use shadow_packet::dns::DnsName;
 use shadow_packet::http::{HttpRequest, HttpResponse};
 use shadow_packet::ipv4::{IpProtocol, Ipv4Packet, DEFAULT_TTL};
@@ -22,122 +20,9 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
-/// Destination-side shadowing: the server's own network silently records
-/// clear-text fields (SNI above all) and probes them later. This models
-/// the paper's finding that 65% of TLS observers sit *at the destination*
-/// (Table 2) — and the sensor parses raw segments, so even Phase II's
-/// handshake-less probes are observed once they reach the host.
-pub struct SiteShadow {
-    pub label: String,
-    pub policy: ReplayPolicy,
-    pub origins: Vec<WeightedChoice<NodeId>>,
-    pub zone_filter: Option<DnsName>,
-    /// Watch HTTP Host headers (off for the common SNI-only sensor: the
-    /// paper locates 97.7% of HTTP observers on the wire, not at the
-    /// destination, while 65% of TLS observers are destination-side).
-    pub watch_http: bool,
-    pub watch_tls: bool,
-    store: RetentionStore,
-    seed: u64,
-    pub probes_scheduled: u64,
-}
-
-impl SiteShadow {
-    pub fn new(
-        label: &str,
-        policy: ReplayPolicy,
-        origins: Vec<WeightedChoice<NodeId>>,
-        zone_filter: Option<DnsName>,
-        retention_capacity: usize,
-        retention_ttl: SimDuration,
-        seed: u64,
-    ) -> Self {
-        policy.validate().expect("site shadow policy must validate");
-        assert!(!origins.is_empty(), "site shadow needs probe origins");
-        Self {
-            label: label.to_string(),
-            policy,
-            origins,
-            zone_filter,
-            watch_http: true,
-            watch_tls: true,
-            store: RetentionStore::new(retention_capacity, retention_ttl),
-            seed: seed ^ 0x0517_e5d0,
-            probes_scheduled: 0,
-        }
-    }
-
-    /// The common destination-side sensor shape: SNI only.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new_tls_only(
-        label: &str,
-        policy: ReplayPolicy,
-        origins: Vec<WeightedChoice<NodeId>>,
-        zone_filter: Option<DnsName>,
-        retention_capacity: usize,
-        retention_ttl: SimDuration,
-        seed: u64,
-    ) -> Self {
-        Self {
-            watch_http: false,
-            ..Self::new(
-                label,
-                policy,
-                origins,
-                zone_filter,
-                retention_capacity,
-                retention_ttl,
-                seed,
-            )
-        }
-    }
-
-    fn observe(&mut self, domain: &DnsName, via: ObservedProtocol, ctx: &mut Ctx<'_>) {
-        if let Some(zone) = &self.zone_filter {
-            if !domain.is_subdomain_of(zone) {
-                return;
-            }
-        }
-        let (orders, plan) = plan_probes(
-            &self.policy,
-            &mut self.store,
-            &self.origins,
-            self.seed,
-            domain,
-            via,
-            ctx.now(),
-            &self.label,
-        );
-        if plan.capacity_evictions > 0 {
-            if let Some(m) = ctx.telemetry().metrics() {
-                m.retention_capacity_evictions.add(plan.capacity_evictions);
-            }
-        }
-        self.probes_scheduled += u64::from(plan.probes);
-        record_shadow_probes(ctx, domain, u64::from(plan.probes));
-        for (origin, delay, order) in orders {
-            ctx.post(origin, delay, Box::new(order));
-        }
-    }
-}
-
-/// Count `probes` scheduled shadow probes and journal one
-/// [`ShadowProbeScheduled`](shadow_telemetry::EventKind::ShadowProbeScheduled)
-/// event for the triggering domain (no-op when none were scheduled).
-fn record_shadow_probes(ctx: &Ctx<'_>, domain: &DnsName, probes: u64) {
-    if probes == 0 {
-        return;
-    }
-    let telemetry = ctx.telemetry();
-    if let Some(m) = telemetry.metrics() {
-        m.shadow_probes_scheduled.add(probes);
-    }
-    telemetry.event(ctx.now().millis(), Some(ctx.node().0), || {
-        shadow_telemetry::EventKind::ShadowProbeScheduled {
-            domain: domain.as_str().to_string(),
-        }
-    });
-}
+/// Seed diversifier for destination-side sensors, so their streams never
+/// collide with other exhibitors seeded from the same world seed.
+const SENSOR_SEED_SALT: u64 = 0x0517_e5d0;
 
 /// The purpose-statement homepage the paper documents on the honeypot
 /// website ("we document the purpose of our experiment and contact
@@ -161,8 +46,12 @@ pub struct WebHost {
     sink: Option<SharedArrivalSink>,
     /// Buffered bytes per connection until a full request parses.
     rx: HashMap<ConnKey, Vec<u8>>,
-    /// Optional destination-side shadowing sensor.
-    shadow: Option<SiteShadow>,
+    /// Optional destination-side shadowing sensor: the server's own
+    /// network silently records SNI and probes it later. This models the
+    /// paper's finding that 65% of TLS observers sit *at the destination*
+    /// (Table 2); HTTP observers sit on the wire (97.7%), so the sensor
+    /// watches SNI only.
+    shadow: Option<Exhibitor>,
     pub http_requests_served: u64,
     pub tls_hellos_seen: u64,
 }
@@ -195,54 +84,35 @@ impl WebHost {
         }
     }
 
-    /// Attach a destination-side shadowing sensor (builder style).
-    pub fn with_shadow(mut self, shadow: SiteShadow) -> Self {
-        self.shadow = Some(shadow);
+    /// Attach a destination-side SNI sensor (builder style): an exhibitor
+    /// labelled `label`, seeded from `seed`, running `config`.
+    pub fn with_shadow(mut self, label: &str, seed: u64, config: ExhibitorConfig) -> Self {
+        self.shadow = Some(Exhibitor::new(label, seed ^ SENSOR_SEED_SALT, config));
         self
-    }
-
-    pub fn shadow(&self) -> Option<&SiteShadow> {
-        self.shadow.as_ref()
     }
 
     /// Raw packet-level sniffing run before TCP processing: a port-mirror
     /// sensor sees every segment, including Phase II's handshake-less
     /// probes that the TCP stack itself would RST.
     fn sniff(&mut self, seg: &TcpSegment, ctx: &mut Ctx<'_>) {
-        let Some(mut shadow) = self.shadow.take() else {
+        let Some(shadow) = &mut self.shadow else {
             return;
         };
-        if !seg.payload.is_empty() {
-            match seg.dst_port {
-                80 if shadow.watch_http => {
-                    if let Ok(req) = HttpRequest::decode(&seg.payload) {
-                        if let Some(host) = req.host() {
-                            if let Ok(domain) = DnsName::parse(host) {
-                                shadow.observe(&domain, ObservedProtocol::Http, ctx);
-                            }
-                        }
-                    }
-                }
-                443 if shadow.watch_tls => {
-                    if let Ok(hello) = ClientHello::decode_record(&seg.payload) {
-                        // Destination-side sensors share the terminating
-                        // server's keys: a fronted hello's sealed inner
-                        // name is readable here, unlike at any on-path tap
-                        // (which sees only the shared front SNI). ECH
-                        // stays sealed — those keys live with the
-                        // client-facing front, not this origin.
-                        let name = hello.fronted_inner().or_else(|| hello.sni());
-                        if let Some(name) = name {
-                            if let Ok(domain) = DnsName::parse(&name) {
-                                shadow.observe(&domain, ObservedProtocol::Tls, ctx);
-                            }
-                        }
-                    }
-                }
-                _ => {}
-            }
+        if seg.dst_port != 443 || seg.payload.is_empty() {
+            return;
         }
-        self.shadow = Some(shadow);
+        let Ok(hello) = ClientHello::decode_record(&seg.payload) else {
+            return;
+        };
+        // Destination-side sensors share the terminating server's keys: a
+        // fronted hello's sealed inner name is readable here, unlike at any
+        // on-path tap (which sees only the shared front SNI). ECH stays
+        // sealed — those keys live with the client-facing front, not this
+        // origin.
+        let name = hello.fronted_inner().or_else(|| hello.sni());
+        if let Some(domain) = name.and_then(|name| DnsName::parse(&name).ok()) {
+            shadow.observe(&domain, ObservedProtocol::Tls, ctx);
+        }
     }
 
     pub fn addr(&self) -> Ipv4Addr {
@@ -402,8 +272,13 @@ mod tests {
     use super::*;
     use shadow_geo::{Asn, Region};
     use shadow_netsim::engine::Engine;
-    use shadow_netsim::time::SimTime;
+    use shadow_netsim::time::{SimDuration, SimTime};
     use shadow_netsim::topology::{NodeId, TopologyBuilder};
+    use shadow_observer::policy::{DelayBucket, ProbeKind, ReplayPolicy, WeightedChoice};
+    use shadow_observer::probe::ProbeOrder;
+    use shadow_packet::encrypted;
+    use shadow_packet::tcp::TcpFlags;
+    use shadow_packet::tls::FRONT_SNI;
 
     /// A minimal client driving one HTTP or TLS exchange.
     struct Client {
@@ -585,5 +460,109 @@ mod tests {
         let host = engine.host_as::<WebHost>(web).unwrap();
         assert_eq!(host.captures().len(), 0, "plain sites do not log");
         assert_eq!(host.http_requests_served, 1, "but they do serve");
+    }
+
+    /// Records the probe orders posted to its node.
+    struct Orders(Vec<ProbeOrder>);
+
+    impl Host for Orders {
+        fn on_packet(&mut self, _pkt: Ipv4Packet, _ctx: &mut Ctx<'_>) {}
+
+        fn on_message(&mut self, msg: Box<dyn Any + Send + Sync>, _ctx: &mut Ctx<'_>) {
+            if let Ok(order) = msg.downcast::<ProbeOrder>() {
+                self.0.push(*order);
+            }
+        }
+
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    #[test]
+    fn destination_sensor_probes_the_names_it_can_read() {
+        let mut tb = TopologyBuilder::new(6);
+        tb.add_as(Asn(1), Region::Europe);
+        tb.add_router(Asn(1), Ipv4Addr::new(1, 0, 0, 1), true)
+            .unwrap();
+        let client_addr = Ipv4Addr::new(1, 1, 0, 1);
+        let web_addr = Ipv4Addr::new(1, 1, 0, 80);
+        let client = tb.add_host(Asn(1), client_addr).unwrap();
+        let web = tb.add_host(Asn(1), web_addr).unwrap();
+        let origin = tb.add_host(Asn(1), Ipv4Addr::new(1, 1, 0, 99)).unwrap();
+        let mut engine = Engine::new(tb.build().unwrap());
+        let config = ExhibitorConfig {
+            zone_filter: Some(DnsName::parse("www.experiment.example").unwrap()),
+            policy: ReplayPolicy {
+                trigger_percent: 100,
+                delays: vec![WeightedChoice::new(DelayBucket::Seconds(1, 5), 1)],
+                protocols: vec![WeightedChoice::new(ProbeKind::Dns, 1)],
+                reuse: vec![WeightedChoice::new(1, 1)],
+            },
+            retention_capacity: 100,
+            retention_ttl: SimDuration::from_days(1),
+            origins: vec![WeightedChoice::new(origin, 1)],
+        };
+        let site = WebHost::plain(web_addr, 5).with_shadow("tls-dst", 1, config);
+        engine.add_host(web, Box::new(site));
+        engine.add_host(origin, Box::new(Orders(Vec::new())));
+        // A clear SNI over a full handshake.
+        let clear = ClientHello::with_sni("clear.www.experiment.example", [1u8; 32]);
+        engine.add_host(
+            client,
+            Box::new(Client::new(
+                client_addr,
+                web_addr,
+                443,
+                clear.encode_record(),
+            )),
+        );
+        engine.post(SimTime::ZERO, client, Box::new(()));
+        // Handshake-less segments, as Phase II's TTL sweep sends them.
+        let sealed = |name: &str| encrypted::seal_name(name, 7);
+        let hellos = [
+            ClientHello::with_fronted(
+                FRONT_SNI,
+                [2u8; 32],
+                sealed("fronted.www.experiment.example"),
+            ),
+            ClientHello::with_ech([3u8; 32], sealed("ech.www.experiment.example")),
+        ];
+        for (i, hello) in hellos.iter().enumerate() {
+            let seg = TcpSegment::new(
+                40_000 + i as u16,
+                443,
+                1,
+                1,
+                TcpFlags::PSH_ACK,
+                hello.encode_record(),
+            );
+            let pkt = Ipv4Packet::new(
+                client_addr,
+                web_addr,
+                IpProtocol::Tcp,
+                DEFAULT_TTL,
+                0,
+                seg.encode(),
+            );
+            engine.inject(SimTime(1_000 * (i as u64 + 1)), client, pkt);
+        }
+        engine.run_to_completion();
+        let orders = &engine.host_as::<Orders>(origin).unwrap().0;
+        let mut probed: Vec<&str> = orders.iter().map(|o| o.domain.as_str()).collect();
+        probed.sort_unstable();
+        // The fronted hello's inner name is readable at the destination;
+        // ECH's is not, and its cover SNI lies outside the zone.
+        assert_eq!(
+            probed,
+            [
+                "clear.www.experiment.example",
+                "fronted.www.experiment.example"
+            ]
+        );
     }
 }

@@ -559,40 +559,6 @@ impl Engine {
         self.run_until(SimTime(u64::MAX))
     }
 
-    /// Run until the queue drains or `max_events` have been processed.
-    /// Returns `(processed, drained)`; `drained == false` means the budget
-    /// was exhausted — a runaway feedback loop in the configured world.
-    pub fn run_with_budget(&mut self, max_events: u64) -> (u64, bool) {
-        let mut processed = 0;
-        while processed < max_events {
-            // Single-pop on purpose: the budget must cut mid-tick exactly.
-            let Some((at, _, key)) = self.queue.pop() else {
-                if processed > 0 {
-                    if let Some(m) = self.telemetry.metrics() {
-                        m.events_drained.add(processed);
-                    }
-                }
-                return (processed, true);
-            };
-            let kind = self.events.remove(key).expect("queued event is live");
-            self.now = at;
-            self.dispatch(kind);
-            processed += 1;
-            self.stats.events_processed += 1;
-            if processed & 0xFFF == 0 {
-                if let Some(m) = self.telemetry.metrics() {
-                    m.queue_depth.record(self.events.len() as u64);
-                }
-            }
-        }
-        if processed > 0 {
-            if let Some(m) = self.telemetry.metrics() {
-                m.events_drained.add(processed);
-            }
-        }
-        (processed, self.queue.is_empty())
-    }
-
     fn dispatch(&mut self, kind: EventKind) {
         // Reuse one action buffer across the whole run; `apply` drains it.
         let mut actions = std::mem::take(&mut self.scratch_actions);
@@ -1231,61 +1197,5 @@ mod tests {
         w.engine.run_to_completion();
         assert_eq!(w.engine.stats().packets_delivered, 1);
         // Nothing came back, no crash: the client had no host either.
-    }
-}
-
-#[cfg(test)]
-mod budget_tests {
-    use super::*;
-    use crate::topology::TopologyBuilder;
-    use shadow_geo::{Asn, Region};
-    use shadow_packet::udp::UdpDatagram;
-    use std::net::Ipv4Addr;
-
-    fn tiny() -> (Engine, NodeId, Ipv4Addr, Ipv4Addr) {
-        let mut tb = TopologyBuilder::new(1);
-        tb.add_as(Asn(1), Region::Europe);
-        tb.add_router(Asn(1), Ipv4Addr::new(1, 0, 0, 1), true)
-            .unwrap();
-        let a = Ipv4Addr::new(1, 1, 0, 1);
-        let b = Ipv4Addr::new(1, 1, 0, 2);
-        let client = tb.add_host(Asn(1), a).unwrap();
-        tb.add_host(Asn(1), b).unwrap();
-        (Engine::new(tb.build().unwrap()), client, a, b)
-    }
-
-    fn pkt(src: Ipv4Addr, dst: Ipv4Addr) -> Ipv4Packet {
-        Ipv4Packet::new(
-            src,
-            dst,
-            IpProtocol::Udp,
-            DEFAULT_TTL,
-            1,
-            UdpDatagram::new(1, 2, vec![0]).encode(),
-        )
-    }
-
-    #[test]
-    fn budget_drains_small_queues() {
-        let (mut engine, client, a, b) = tiny();
-        engine.inject(SimTime::ZERO, client, pkt(a, b));
-        let (processed, drained) = engine.run_with_budget(1_000);
-        assert!(drained);
-        assert!(processed >= 2, "at least router hop + delivery");
-    }
-
-    #[test]
-    fn budget_caps_runaway_queues() {
-        let (mut engine, client, a, b) = tiny();
-        for i in 0..100u64 {
-            engine.inject(SimTime(i), client, pkt(a, b));
-        }
-        let (processed, drained) = engine.run_with_budget(10);
-        assert_eq!(processed, 10);
-        assert!(!drained, "budget exhausted before the queue");
-        // A later unconstrained run finishes the rest.
-        let (_, drained) = engine.run_with_budget(u64::MAX);
-        assert!(drained);
-        assert_eq!(engine.stats().packets_delivered, 100);
     }
 }

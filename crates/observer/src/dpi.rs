@@ -1,10 +1,11 @@
 //! The on-wire traffic observer: a DPI-style wire tap.
 //!
 //! Extracts the three clear-text fields the paper's decoys bait — DNS
-//! QNAMEs, HTTP `Host` headers, TLS SNI — from packets the router forwards,
-//! retains them, and schedules unsolicited probes through its exhibitor's
-//! probe-origin hosts. Forwarding is never disturbed ([`TapVerdict::Continue`]):
-//! that is precisely what makes traffic shadowing covert.
+//! QNAMEs, HTTP `Host` headers, TLS SNI — from packets the router forwards
+//! and hands them to its [`Exhibitor`], which retains them and schedules
+//! unsolicited probes through its probe-origin hosts. Forwarding is never
+//! disturbed ([`TapVerdict::Continue`]): that is precisely what makes
+//! traffic shadowing covert.
 //!
 //! Encrypted flows degrade gracefully rather than vanish: a DoT/DoH/DoQ
 //! frame or ECH hello surfaces as [`Visibility::Hidden`] — the tap counts
@@ -15,18 +16,17 @@
 //! SNI, but it is the shared front name, so SNI-keyed attribution is wrong
 //! unless the tap sits at the terminating destination.
 
+use crate::exhibitor::{Exhibitor, ExhibitorConfig};
 use crate::fingerprint::FingerprintDb;
-use crate::policy::{ReplayPolicy, WeightedChoice};
 pub use crate::retention::ObservedProtocol;
-use crate::retention::RetentionStore;
 use shadow_netsim::engine::{Ctx, TapVerdict, WireTap};
-use shadow_netsim::time::SimDuration;
 use shadow_netsim::topology::NodeId;
-use shadow_packet::dns::DnsName;
 use shadow_packet::ipv4::Ipv4Packet;
 use shadow_packet::tls::FRONT_SNI;
 use shadow_packet::{AppProtocol, DecodedView, Visibility};
 use std::any::Any;
+use std::collections::BTreeSet;
+use std::net::Ipv4Addr;
 
 impl From<AppProtocol> for ObservedProtocol {
     fn from(p: AppProtocol) -> Self {
@@ -47,20 +47,12 @@ pub struct DpiConfig {
     pub watch_dns: bool,
     pub watch_http: bool,
     pub watch_tls: bool,
-    /// Only observe subdomains of this zone (`None` = everything). Real
-    /// exhibitors key on newly-observed domains; the filter keeps large
-    /// simulations cheap.
-    pub zone_filter: Option<DnsName>,
-    pub policy: ReplayPolicy,
-    pub retention_capacity: usize,
-    pub retention_ttl: SimDuration,
     /// Only observe packets towards these destinations (`None` = any).
     /// The paper: "observers exhibit preferences in traffic destination
     /// (similar to other types of manipulation, e.g., interception)".
-    pub dst_filter: Option<std::collections::BTreeSet<std::net::Ipv4Addr>>,
-    /// Probe-origin hosts this exhibitor commands, with selection weights
-    /// (one AS may carry most probes, echoing Section 5.2).
-    pub origins: Vec<WeightedChoice<NodeId>>,
+    pub dst_filter: Option<BTreeSet<Ipv4Addr>>,
+    /// What the tap's exhibitor does with the names it extracts.
+    pub exhibitor: ExhibitorConfig,
     pub seed: u64,
     /// Destination-IP fingerprint table for name-blind classification of
     /// encrypted flows. Empty = the observer has no fallback and hidden
@@ -73,16 +65,14 @@ pub struct DpiConfig {
     /// originate, so the observers' *own* probe replays — which re-put
     /// decoy names on the wire in the clear — don't echo into the recall
     /// numerators. `None` counts every flow (unit-test worlds).
-    pub recall_sources: Option<std::collections::BTreeSet<std::net::Ipv4Addr>>,
+    pub recall_sources: Option<BTreeSet<Ipv4Addr>>,
 }
 
-/// Counters exposed for tests and for ground-truth bookkeeping.
+/// Counters exposed for tests and for ground-truth bookkeeping (the
+/// exhibitor keeps its own, see [`DpiTap::exhibitor`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DpiStats {
     pub packets_seen: u64,
-    pub domains_observed: u64,
-    pub probes_scheduled: u64,
-    pub probes_beyond_retention: u64,
     /// Hidden (encrypted) flows seen: the name was out of reach.
     pub encrypted_flows_seen: u64,
     /// Hidden flows the IP-fingerprint fallback attributed to a service.
@@ -91,12 +81,16 @@ pub struct DpiStats {
     pub front_sni_seen: u64,
 }
 
-/// The tap itself. Stateless apart from the retention store: all probe
-/// randomness is derived per observation from `config.seed`, so what the
-/// tap does for one domain never depends on what other traffic it saw.
+/// The tap itself: name extraction, watch switches and recall telemetry
+/// in front of one [`Exhibitor`].
 pub struct DpiTap {
-    config: DpiConfig,
-    store: RetentionStore,
+    watch_dns: bool,
+    watch_http: bool,
+    watch_tls: bool,
+    dst_filter: Option<BTreeSet<Ipv4Addr>>,
+    fingerprints: FingerprintDb,
+    recall_sources: Option<BTreeSet<Ipv4Addr>>,
+    exhibitor: Exhibitor,
     stats: DpiStats,
     /// Whether the wire-recall telemetry window is open. The study closes
     /// it before Phase II: the TTL sweep's volume depends on what Phase I
@@ -110,18 +104,25 @@ pub struct DpiTap {
 
 impl DpiTap {
     pub fn new(config: DpiConfig) -> Self {
-        config
-            .policy
-            .validate()
-            .expect("DPI replay policy must validate");
-        assert!(
-            !config.origins.is_empty(),
-            "a DPI observer needs at least one probe origin"
-        );
-        let store = RetentionStore::new(config.retention_capacity, config.retention_ttl);
+        let DpiConfig {
+            label,
+            watch_dns,
+            watch_http,
+            watch_tls,
+            dst_filter,
+            exhibitor,
+            seed,
+            fingerprints,
+            recall_sources,
+        } = config;
         Self {
-            config,
-            store,
+            watch_dns,
+            watch_http,
+            watch_tls,
+            dst_filter,
+            fingerprints,
+            recall_sources,
+            exhibitor: Exhibitor::new(label, seed ^ 0xd91_7a9, exhibitor),
             stats: DpiStats::default(),
             recall_open: true,
         }
@@ -134,16 +135,12 @@ impl DpiTap {
         self.recall_open = false;
     }
 
-    pub fn label(&self) -> &str {
-        &self.config.label
-    }
-
     pub fn stats(&self) -> DpiStats {
         self.stats
     }
 
-    pub fn store(&self) -> &RetentionStore {
-        &self.store
+    pub fn exhibitor(&self) -> &Exhibitor {
+        &self.exhibitor
     }
 
     /// Whether this observer's protocol switches cover `proto`. Filtering
@@ -151,35 +148,27 @@ impl DpiTap {
     /// the maximal extraction, per-tap configuration is applied here.
     fn watches(&self, proto: AppProtocol) -> bool {
         match proto {
-            AppProtocol::Dns => self.config.watch_dns,
-            AppProtocol::Http => self.config.watch_http,
-            AppProtocol::Tls => self.config.watch_tls,
+            AppProtocol::Dns => self.watch_dns,
+            AppProtocol::Http => self.watch_http,
+            AppProtocol::Tls => self.watch_tls,
         }
     }
 
     /// Whether `src` is a measured (platform-originated) flow for the
     /// wire-recall telemetry. Observer behaviour never consults this.
-    fn measured(&self, src: std::net::Ipv4Addr) -> bool {
+    fn measured(&self, src: Ipv4Addr) -> bool {
         if !self.recall_open {
             return false;
         }
-        match &self.config.recall_sources {
+        match &self.recall_sources {
             Some(sources) => sources.contains(&src),
-            None => true,
-        }
-    }
-
-    fn in_zone(&self, name: &DnsName) -> bool {
-        match &self.config.zone_filter {
-            Some(zone) => name.is_subdomain_of(zone),
             None => true,
         }
     }
 
     /// Graceful degradation for a flow whose name is sealed: count it, try
     /// the IP-fingerprint fallback, journal the sighting. No name reaches
-    /// the retention store or the probe scheduler — an IP-level guess is
-    /// not replayable data.
+    /// the exhibitor — an IP-level guess is not replayable data.
     fn observe_hidden(
         &mut self,
         pkt: &Ipv4Packet,
@@ -188,7 +177,6 @@ impl DpiTap {
     ) {
         self.stats.encrypted_flows_seen += 1;
         let classified = self
-            .config
             .fingerprints
             .classify(pkt.header.dst, pkt.payload.len())
             .map(str::to_string);
@@ -227,7 +215,7 @@ impl WireTap for DpiTap {
         ctx: &mut Ctx<'_>,
     ) -> TapVerdict {
         self.stats.packets_seen += 1;
-        if let Some(filter) = &self.config.dst_filter {
+        if let Some(filter) = &self.dst_filter {
             if !filter.contains(&pkt.header.dst) {
                 return TapVerdict::Continue;
             }
@@ -272,48 +260,8 @@ impl WireTap for DpiTap {
                 });
             }
         }
-        let proto = ObservedProtocol::from(field.protocol);
-        let domain = field.name.clone();
-        if !self.in_zone(&domain) {
-            return TapVerdict::Continue;
-        }
-        // Data evicted after the retention TTL cannot fuel probes — the
-        // mechanism behind the shorter intervals the paper sees for
-        // mid-path (storage-bounded) observers.
-        let (orders, plan) = crate::scheduler::plan_probes(
-            &self.config.policy,
-            &mut self.store,
-            &self.config.origins,
-            self.config.seed ^ 0xd91_7a9,
-            &domain,
-            proto,
-            ctx.now(),
-            &self.config.label,
-        );
-        if plan.was_new {
-            self.stats.domains_observed += 1;
-        }
-        if plan.capacity_evictions > 0 {
-            if let Some(m) = ctx.telemetry().metrics() {
-                m.retention_capacity_evictions.add(plan.capacity_evictions);
-            }
-        }
-        self.stats.probes_scheduled += u64::from(plan.probes);
-        self.stats.probes_beyond_retention += u64::from(plan.beyond_retention);
-        if plan.probes > 0 {
-            let telemetry = ctx.telemetry();
-            if let Some(m) = telemetry.metrics() {
-                m.shadow_probes_scheduled.add(u64::from(plan.probes));
-            }
-            telemetry.event(ctx.now().millis(), Some(ctx.node().0), || {
-                shadow_telemetry::EventKind::ShadowProbeScheduled {
-                    domain: domain.as_str().to_string(),
-                }
-            });
-        }
-        for (origin, delay, order) in orders {
-            ctx.post(origin, delay, Box::new(order));
-        }
+        self.exhibitor
+            .observe(&field.name, field.protocol.into(), ctx);
         TapVerdict::Continue
     }
 
@@ -329,19 +277,18 @@ impl WireTap for DpiTap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{DelayBucket, ProbeKind};
+    use crate::policy::{DelayBucket, ProbeKind, ReplayPolicy, WeightedChoice};
     use crate::probe::ProbeOrder;
     use shadow_geo::{Asn, Region};
     use shadow_netsim::engine::{Engine, Host};
-    use shadow_netsim::time::SimTime;
+    use shadow_netsim::time::{SimDuration, SimTime};
     use shadow_netsim::topology::TopologyBuilder;
-    use shadow_packet::dns::DnsMessage;
+    use shadow_packet::dns::{DnsMessage, DnsName};
     use shadow_packet::http::HttpRequest;
     use shadow_packet::ipv4::{IpProtocol, DEFAULT_TTL};
     use shadow_packet::tcp::{TcpFlags, TcpSegment};
     use shadow_packet::tls;
     use shadow_packet::udp::UdpDatagram;
-    use std::net::Ipv4Addr;
 
     /// Records ProbeOrders with their delivery times.
     struct Recorder {
@@ -420,12 +367,14 @@ mod tests {
             watch_dns: true,
             watch_http: true,
             watch_tls: true,
-            zone_filter: Some(DnsName::parse("www.experiment.example").unwrap()),
-            policy: prompt_policy(),
-            retention_capacity: 100,
-            retention_ttl: SimDuration::from_days(2),
             dst_filter: None,
-            origins: vec![WeightedChoice::new(origin, 1)],
+            exhibitor: ExhibitorConfig {
+                zone_filter: Some(DnsName::parse("www.experiment.example").unwrap()),
+                policy: prompt_policy(),
+                retention_capacity: 100,
+                retention_ttl: SimDuration::from_days(2),
+                origins: vec![WeightedChoice::new(origin, 1)],
+            },
             seed: 77,
             fingerprints: FingerprintDb::default(),
             recall_sources: None,
@@ -482,8 +431,12 @@ mod tests {
             .inject(SimTime(2_000), w.client, tls_decoy(&w, "t1"));
         w.engine.run_to_completion();
         let tap = w.engine.tap_as::<DpiTap>(w.tap_node, 0).unwrap();
-        assert_eq!(tap.stats().domains_observed, 3);
-        assert_eq!(tap.stats().probes_scheduled, 6, "2 probes per domain");
+        assert_eq!(tap.exhibitor().stats().domains_observed, 3);
+        assert_eq!(
+            tap.exhibitor().stats().probes_scheduled,
+            6,
+            "2 probes per domain"
+        );
         let recorder = w.engine.host_as::<Recorder>(w.origin).unwrap();
         assert_eq!(recorder.orders.len(), 6);
         let domains: std::collections::HashSet<_> = recorder
@@ -522,7 +475,7 @@ mod tests {
         w.engine.run_to_completion();
         let tap = w.engine.tap_as::<DpiTap>(w.tap_node, 0).unwrap();
         assert_eq!(tap.stats().packets_seen, 1);
-        assert_eq!(tap.stats().domains_observed, 0);
+        assert_eq!(tap.exhibitor().stats().domains_observed, 0);
     }
 
     #[test]
@@ -534,8 +487,8 @@ mod tests {
             .inject(SimTime(500), w.client, dns_decoy(&w, "same"));
         w.engine.run_to_completion();
         let tap = w.engine.tap_as::<DpiTap>(w.tap_node, 0).unwrap();
-        assert_eq!(tap.stats().domains_observed, 1);
-        assert_eq!(tap.stats().probes_scheduled, 2);
+        assert_eq!(tap.exhibitor().stats().domains_observed, 1);
+        assert_eq!(tap.exhibitor().stats().probes_scheduled, 2);
     }
 
     #[test]
@@ -544,16 +497,16 @@ mod tests {
             let mut config = base_config(origin);
             // Policy wants probes after days, but the device only retains
             // data for one hour.
-            config.policy.delays = vec![WeightedChoice::new(DelayBucket::Days(3, 5), 1)];
-            config.retention_ttl = SimDuration::from_hours(1);
+            config.exhibitor.policy.delays = vec![WeightedChoice::new(DelayBucket::Days(3, 5), 1)];
+            config.exhibitor.retention_ttl = SimDuration::from_hours(1);
             config
         });
         w.engine
             .inject(SimTime::ZERO, w.client, dns_decoy(&w, "late"));
         w.engine.run_to_completion();
         let tap = w.engine.tap_as::<DpiTap>(w.tap_node, 0).unwrap();
-        assert_eq!(tap.stats().probes_scheduled, 0);
-        assert_eq!(tap.stats().probes_beyond_retention, 2);
+        assert_eq!(tap.exhibitor().stats().probes_scheduled, 0);
+        assert_eq!(tap.exhibitor().stats().probes_beyond_retention, 2);
         let recorder = w.engine.host_as::<Recorder>(w.origin).unwrap();
         assert!(recorder.orders.is_empty());
     }
@@ -573,7 +526,11 @@ mod tests {
             .inject(SimTime(200), w.client, http_decoy(&w, "h2"));
         w.engine.run_to_completion();
         let tap = w.engine.tap_as::<DpiTap>(w.tap_node, 0).unwrap();
-        assert_eq!(tap.stats().domains_observed, 1, "only HTTP watched");
+        assert_eq!(
+            tap.exhibitor().stats().domains_observed,
+            1,
+            "only HTTP watched"
+        );
     }
 
     #[test]

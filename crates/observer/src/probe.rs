@@ -4,9 +4,10 @@
 //! by themselves" — the data flows from the on-path observer to some other
 //! machine which performs the probing (security-company proxies, analysis
 //! farms, resolver partners). A [`ProbeOriginHost`] is that machine: it
-//! receives [`ProbeOrder`] messages (posted by DPI taps or shadowing
-//! resolvers), resolves the observed domain, and issues DNS re-queries,
-//! HTTP path-enumeration scans, or TLS probes.
+//! receives [`ProbeOrder`] messages (posted by an
+//! [`Exhibitor`](crate::exhibitor::Exhibitor)), resolves the observed
+//! domain, and issues DNS re-queries, HTTP path-enumeration scans, or TLS
+//! probes.
 
 use crate::policy::ProbeKind;
 use rand::Rng;
@@ -14,7 +15,7 @@ use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha20Rng;
 use shadow_netsim::engine::{Ctx, Host};
 use shadow_netsim::tcp::{ConnKey, TcpEvent, TcpStack};
-use shadow_netsim::time::{SimDuration, SimTime};
+use shadow_netsim::time::SimDuration;
 use shadow_netsim::transport::Transport;
 use shadow_packet::dns::{DnsMessage, DnsName, RecordData};
 use shadow_packet::http::HttpRequest;
@@ -58,15 +59,6 @@ pub struct ProbeOrder {
     /// order makes the origin host's behaviour a pure function of the
     /// orders it receives, independent of their interleaving.
     pub seed: u64,
-}
-
-/// One emitted probe, logged for tests and debugging.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProbeRecord {
-    pub at: SimTime,
-    pub domain: DnsName,
-    pub kind: ProbeKind,
-    pub detail: String,
 }
 
 /// The paths an HTTP prober enumerates — the shape Section 5 reports ("95%
@@ -116,8 +108,6 @@ pub struct ProbeOriginHost {
     pending_dns: HashMap<u16, (DnsName, ProbeKind, u64)>,
     /// TCP connections in flight.
     pending_conns: HashMap<ConnKey, ConnPurpose>,
-    /// Everything this origin emitted.
-    pub log: Vec<ProbeRecord>,
 }
 
 impl ProbeOriginHost {
@@ -130,7 +120,6 @@ impl ProbeOriginHost {
             next_dns_id: 1,
             pending_dns: HashMap::new(),
             pending_conns: HashMap::new(),
-            log: Vec::new(),
         }
     }
 
@@ -174,13 +163,7 @@ impl ProbeOriginHost {
         self.next_dns_id = self.next_dns_id.wrapping_add(1).max(1);
         let query = DnsMessage::query(id, domain.clone());
         let pkt = self.udp(self.dns_via.target(), 53, query.encode());
-        self.pending_dns.insert(id, (domain.clone(), kind, seed));
-        self.log.push(ProbeRecord {
-            at: ctx.now(),
-            domain,
-            kind: ProbeKind::Dns,
-            detail: format!("lookup via {:?}", self.dns_via),
-        });
+        self.pending_dns.insert(id, (domain, kind, seed));
         ctx.send(pkt);
     }
 
@@ -237,31 +220,16 @@ impl ProbeOriginHost {
                     let Some(purpose) = self.pending_conns.get(&key) else {
                         continue;
                     };
-                    let (payload, record) = match purpose {
-                        ConnPurpose::Http { domain, path } => (
-                            HttpRequest::get(domain.as_str(), path).encode(),
-                            ProbeRecord {
-                                at: ctx.now(),
-                                domain: domain.clone(),
-                                kind: ProbeKind::Http,
-                                detail: format!("GET {path}"),
-                            },
-                        ),
+                    let payload = match purpose {
+                        ConnPurpose::Http { domain, path } => {
+                            HttpRequest::get(domain.as_str(), path).encode()
+                        }
                         ConnPurpose::Https { domain, seed } => {
                             let mut random = [0u8; 32];
                             ChaCha20Rng::seed_from_u64(*seed).fill(&mut random);
-                            (
-                                ClientHello::with_sni(domain.as_str(), random).encode_record(),
-                                ProbeRecord {
-                                    at: ctx.now(),
-                                    domain: domain.clone(),
-                                    kind: ProbeKind::Https,
-                                    detail: "ClientHello".to_string(),
-                                },
-                            )
+                            ClientHello::with_sni(domain.as_str(), random).encode_record()
                         }
                     };
-                    self.log.push(record);
                     let mut out = Vec::new();
                     self.tcp.send(key, payload, &mut out);
                     self.tcp_packets(key.peer, out, ctx);

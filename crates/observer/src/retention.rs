@@ -7,10 +7,11 @@
 //! capacity (FIFO eviction) and a time-to-live.
 //!
 //! Capacity evictions are surfaced through the run-section telemetry
-//! counter `retention_capacity_evictions` (bumped by every exhibitor that
-//! drives a store through `plan_probes`): per-shard stores see per-shard
-//! traffic subsets, so a nonzero count flags the sharded-equivalence
-//! caveat documented in DESIGN.md §5 instead of leaving it silent.
+//! counter `retention_capacity_evictions`, bumped in one place:
+//! [`Exhibitor::observe`](crate::exhibitor::Exhibitor::observe), which owns
+//! every store a campaign drives. Per-shard stores see per-shard traffic
+//! subsets, so a nonzero count flags the sharded-equivalence caveat
+//! documented in DESIGN.md §5 instead of leaving it silent.
 //!
 //! ## Memory layout
 //!

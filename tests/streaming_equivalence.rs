@@ -11,6 +11,7 @@ use traffic_shadowing::shadow_core::executor::{ChunkConfig, TelemetryOptions};
 use traffic_shadowing::shadow_dns::catalog::resolver_h;
 use traffic_shadowing::shadow_honeypot::authority::ExperimentAuthorityHost;
 use traffic_shadowing::shadow_honeypot::web::WebHost;
+use traffic_shadowing::shadow_netsim::fault::fnv1a64;
 use traffic_shadowing::shadow_packet::dns::DnsName;
 use traffic_shadowing::shadow_telemetry::EventKind;
 use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
@@ -40,6 +41,10 @@ const GOLDEN_BUNDLE: &str = include_str!("golden/bundle_tiny_4021.json");
 /// the bundle omits: Table 1, Figure 4's control, HTTP/TLS probing, both
 /// §5.2 results and the case studies.
 const GOLDEN_REPORT: &str = include_str!("golden/report_tiny_4021.txt");
+
+/// Byte length and FNV-1a digest of `Study::run(StudyConfig::standard(SEED))`'s
+/// bundle, the one `full_campaign 4021` exports.
+const STANDARD_BUNDLE: (usize, u64) = (541_869, 0x41c5_c3b8_6744_8ced);
 
 /// A profile exercising every fault class at once (mirrors
 /// `tests/chaos_determinism.rs`).
@@ -246,12 +251,20 @@ fn histogram_grid_matches_cdf_bit_for_bit() {
 #[ignore = "standard world: run in release via the CI streaming-equivalence job"]
 fn streaming_is_shard_invariant_on_standard_world() {
     let sequential = Study::run(StudyConfig::standard(SEED));
+    let expected = bundle_json(&sequential);
+    // Pinned, not only compared across shapes: a change that moved every
+    // shape the same way would otherwise pass.
+    assert_eq!(
+        (expected.len(), fnv1a64(expected.as_bytes())),
+        STANDARD_BUNDLE,
+        "standard-world bundle length or digest moved"
+    );
     for k in [1usize, 4] {
         let sharded = Study::run_sharded(StudyConfig::standard(SEED), k);
         assert_eq!(sequential.phase1.aggregates, sharded.phase1.aggregates);
-        assert_eq!(bundle_json(&sequential), bundle_json(&sharded));
+        assert_eq!(expected, bundle_json(&sharded));
     }
     let chunked = Study::run_chunked(StudyConfig::standard(SEED), ChunkConfig::auto());
     assert_eq!(sequential.phase1.aggregates, chunked.phase1.aggregates);
-    assert_eq!(bundle_json(&sequential), bundle_json(&chunked));
+    assert_eq!(expected, bundle_json(&chunked));
 }
