@@ -3,7 +3,8 @@
 //!
 //! A decoy describes itself: its domain is the §3 identifier of its send
 //! time, VP, destination and TTL. The campaign plans keep only their sends
-//! ([`crate::campaign::PlannedSend`]); each chunk indexes the decoys it
+//! (Phase I in closed form, [`crate::campaign::Phase1Schedule`]; Phase II
+//! as [`crate::campaign::PlannedSend`]s); each chunk indexes the decoys it
 //! posts in a [`DecoyRegistry`] of its own, and chunk registries merge by
 //! VP-disjoint union.
 

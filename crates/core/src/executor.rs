@@ -7,16 +7,19 @@
 //! 1. generates the [`WorldSpec`] once (all randomness lives there);
 //! 2. instantiates a scout [`World`] on the calling thread, replays the
 //!    Appendix-E pre-flight on it, and compiles the global Phase I plan
-//!    there once, shared read-only with every chunk;
+//!    there once, shared read-only with every chunk. The plan is the
+//!    closed-form [`Phase1Schedule`](crate::campaign::Phase1Schedule):
+//!    target list plus roster, O(VPs + targets), whatever the send count;
 //! 3. partitions the VP set round-robin into [`ChunkConfig::chunks`]
 //!    chunks, which [`ChunkConfig::workers`] threads claim one at a time
 //!    from one shared queue until it drains;
 //! 4. runs every chunk in a private world instantiated from the shared
 //!    spec — identical topology, exhibitor seeds and honeypots, and (after
-//!    its own pre-flight replay) identical platform vetting — posting only
-//!    the sends its VPs own, registering the decoys it posts for its own
-//!    correlation sink, and running the clock through the global grace
-//!    window, so retention-store timing matches the sequential run;
+//!    its own pre-flight replay) identical platform vetting — expanding and
+//!    posting only the sends its VPs own, registering the decoys it posts
+//!    for its own correlation sink, and running the clock through the
+//!    global grace window, so retention-store timing matches the
+//!    sequential run;
 //! 5. merges chunk outputs in chunk-index order with the commutative,
 //!    order-stable [`CampaignData::absorb`]; chunk journals stay in
 //!    emission order, concatenated in chunk order, until the study sorts
@@ -230,7 +233,8 @@ where
 ///
 /// * The global plan is compiled **once**, on a scout world built on the
 ///   calling thread, and borrowed read-only by every chunk — the plan is a
-///   pure function of the post-pre-flight world.
+///   pure function of the post-pre-flight world. Each chunk expands only
+///   its own VPs' sends from it.
 /// * Chunk→thread placement is nondeterministic, but each chunk runs in
 ///   its own private world keyed by chunk index and the merge folds in
 ///   chunk-index order, so output is byte-identical to the sequential run
@@ -245,9 +249,10 @@ where
 ///   sink aggregates ride back inside each chunk's [`CampaignData`] and
 ///   merge in [`CampaignData::absorb`]; no chunk buffers its arrivals.
 /// * When `vp_limit` is `Some(n)`, only the first `n` VPs in (pre-vetting)
-///   platform order post their sends. World construction, pre-flight
-///   replay and plan compilation still run at full scale: the bound trims
-///   the executed slice, not the set-up.
+///   platform order post their sends. World construction and pre-flight
+///   replay still run at full scale: the bound trims the executed slice,
+///   not the set-up. The plan costs O(VPs + targets) either way, and the
+///   sends of VPs outside the bound are never expanded.
 ///
 /// The scout world is not wasted: chunk 0 runs in it (post-pre-flight,
 /// pre-telemetry), so `chunks == 1` costs exactly one instantiation, like
@@ -268,9 +273,9 @@ pub fn run_phase1_chunks(
     let assignment = shard_vps(&vp_ids, chunks);
 
     // Scout: pay one instantiation + pre-flight up front to compute the
-    // global plan every chunk shares. It stays on the calling thread: a plan
-    // compiled on a worker lands in a fresh per-thread malloc arena and
-    // raises peak RSS.
+    // global plan every chunk shares. It stays on the calling thread, so
+    // chunk 0's world (the scout) lives in the main malloc arena rather
+    // than a worker's fresh per-thread one.
     let mut scout = spec.instantiate();
     let scout_preflight = NoiseFilter::run_and_apply(&mut scout);
     let plan = CampaignRunner::plan_phase1(&scout, config);

@@ -72,7 +72,8 @@ pub struct TracerouteResult {
 
 /// The complete Phase II sweep schedule (see [`crate::campaign::Phase1Plan`]
 /// for the plan/execute rationale — each chunk executes the plan slice
-/// keyed by the traced path's VP, and registers the probes it posts).
+/// keyed by the traced path's VP, and registers the probes it posts). At
+/// most `max_paths` × `max_ttl` sends, so unlike Phase I it holds them.
 #[derive(Debug)]
 pub struct Phase2Plan {
     pub sends: Vec<PlannedSend>,
@@ -146,7 +147,8 @@ impl Phase2Runner {
                 dpi.close_recall_window();
             }
         });
-        let mut data = run_slice(world, &plan.sends, plan.last_send, config.grace, sink, owns);
+        let sends = plan.sends.iter().filter(|send| owns(send.vp)).cloned();
+        let mut data = run_slice(world, sends, plan.last_send, config.grace, sink, &owns);
 
         // Fold this shard's Time-Exceeded evidence into the router graph.
         // Each probe path belongs to exactly one sweeping VP, and a VP to

@@ -315,7 +315,7 @@ fn shadowing_resolver_schedules_probes() {
     for (at, order) in &origin_sink.orders {
         assert!(*at >= SimTime::ZERO + SimDuration::from_hours(1));
         assert!(*at <= SimTime::ZERO + SimDuration::from_hours(3) + SimDuration::from_secs(5));
-        assert_eq!(order.exhibitor, "yandex-sim");
+        assert_eq!(&*order.exhibitor, "yandex-sim");
         assert_eq!(order.domain.as_str(), format!("decoy1.{ZONE}"));
     }
     let resolver = w
@@ -470,5 +470,5 @@ fn anycast_instances_diverge_like_114dns() {
     let orders = &engine.host_as::<Sink>(origin).unwrap().orders;
     assert_eq!(orders.len(), 1);
     assert!(orders[0].1.domain.as_str().starts_with("fromcn"));
-    assert_eq!(orders[0].1.exhibitor, "114dns-cn");
+    assert_eq!(&*orders[0].1.exhibitor, "114dns-cn");
 }

@@ -238,16 +238,15 @@ impl Host for WebHost {
         for event in events {
             match event {
                 TcpEvent::Data(key, bytes) => {
-                    let buf = self.rx.entry(key).or_default();
+                    let mut buf = self.rx.remove(&key).unwrap_or_default();
                     buf.extend_from_slice(&bytes);
-                    let raw = buf.clone();
                     let consumed = match key.local_port {
-                        80 => self.handle_http(key, &raw, ctx),
-                        443 => self.handle_tls(key, &raw, ctx),
+                        80 => self.handle_http(key, &buf, ctx),
+                        443 => self.handle_tls(key, &buf, ctx),
                         _ => true, // unexpected port: discard
                     };
-                    if consumed {
-                        self.rx.remove(&key);
+                    if !consumed {
+                        self.rx.insert(key, buf);
                     }
                 }
                 TcpEvent::Closed(key) | TcpEvent::Reset(key) => {

@@ -17,6 +17,7 @@ use shadow_netsim::fault::fnv1a64;
 use shadow_netsim::time::{SimDuration, SimTime};
 use shadow_netsim::topology::NodeId;
 use shadow_packet::dns::DnsName;
+use std::sync::Arc;
 
 /// Derive the RNG for one observation from the exhibitor seed, the observed
 /// domain, and the observation time. Keyed per *value* rather than drawn
@@ -70,8 +71,9 @@ pub struct ExhibitorStats {
 /// ([`observation_rng`]), so what it does for one domain never depends on
 /// what other names it saw.
 pub struct Exhibitor {
-    /// Ground-truth provenance carried on every order.
-    label: String,
+    /// Ground-truth provenance carried on every order, shared by all of
+    /// them.
+    label: Arc<str>,
     seed: u64,
     zone_filter: Option<DnsName>,
     policy: ReplayPolicy,
@@ -92,7 +94,7 @@ impl Exhibitor {
             "an exhibitor needs probe origins"
         );
         Self {
-            label: label.into(),
+            label: Arc::from(label.into()),
             seed,
             zone_filter: config.zone_filter,
             policy: config.policy,
@@ -166,14 +168,13 @@ impl Exhibitor {
                 continue;
             }
             let origin = *sample_weighted(&self.origins, &mut rng);
-            self.store.mark_used(domain);
             out.push((
                 origin,
                 delay,
                 ProbeOrder {
                     domain: domain.clone(),
                     kind,
-                    exhibitor: self.label.clone(),
+                    exhibitor: Arc::clone(&self.label),
                     seed: rng.next_u64(),
                 },
             ));
@@ -223,7 +224,7 @@ mod tests {
         for (node, delay, order) in &orders {
             assert_eq!(*node, NodeId(7));
             assert!(*delay <= SimDuration::from_secs(10));
-            assert_eq!(order.exhibitor, "x");
+            assert_eq!(&*order.exhibitor, "x");
         }
     }
 

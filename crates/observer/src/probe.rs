@@ -25,6 +25,7 @@ use shadow_packet::udp::UdpDatagram;
 use std::any::Any;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// How this origin turns a domain into an address for HTTP/TLS probes, and
 /// where its unsolicited DNS re-queries go.
@@ -52,8 +53,9 @@ pub struct ProbeOrder {
     pub domain: DnsName,
     pub kind: ProbeKind,
     /// Ground-truth provenance label (which exhibitor sent this), carried
-    /// for tests; the measurement pipeline never reads it.
-    pub exhibitor: String,
+    /// for tests; the measurement pipeline never reads it. Shared with the
+    /// exhibitor, so an order costs no copy of it.
+    pub exhibitor: Arc<str>,
     /// Per-order randomness (path choice, ClientHello random), drawn by the
     /// exhibitor from its observation-derived stream. Keeping it on the
     /// order makes the origin host's behaviour a pure function of the

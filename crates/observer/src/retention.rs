@@ -61,8 +61,6 @@ pub struct ObservedItem {
     pub first_seen: SimTime,
     /// How the data was observed.
     pub via: ObservedProtocol,
-    /// How many times this item has been leveraged for probes so far.
-    pub uses: u32,
 }
 
 /// Marker for an unused table slot.
@@ -218,7 +216,6 @@ impl RetentionStore {
             domain,
             first_seen: now,
             via,
-            uses: 0,
         });
         true
     }
@@ -227,13 +224,6 @@ impl RetentionStore {
     pub fn contains(&mut self, domain: &DnsName, now: SimTime) -> bool {
         self.expire(now);
         self.lookup(domain).is_some()
-    }
-
-    /// Count one use of `domain`'s data (a probe emitted).
-    pub fn mark_used(&mut self, domain: &DnsName) {
-        if let Some(slot) = self.lookup(domain) {
-            self.items[slot].uses += 1;
-        }
     }
 
     pub fn iter(&self) -> impl Iterator<Item = &ObservedItem> {
@@ -299,15 +289,6 @@ mod tests {
     }
 
     #[test]
-    fn use_counting() {
-        let mut store = RetentionStore::new(10, SimDuration::from_days(1));
-        store.observe(name("a.example"), DNS, SimTime(0));
-        store.mark_used(&name("a.example"));
-        store.mark_used(&name("a.example"));
-        assert_eq!(store.iter().next().unwrap().uses, 2);
-    }
-
-    #[test]
     fn index_survives_mixed_eviction_and_expiry() {
         // Exercise the table ↔ queue offset accounting (`head`) across
         // capacity evictions, TTL expiry, and re-insertions.
@@ -318,26 +299,16 @@ mod tests {
         assert_eq!(store.evictions(), 2, "a and b evicted by capacity");
         assert!(!store.contains(&name("a.example"), SimTime(10)));
         assert!(store.contains(&name("c.example"), SimTime(10)));
-        // mark_used must hit the right slot despite the shifted head.
-        store.mark_used(&name("d.example"));
-        let uses: Vec<_> = store
-            .iter()
-            .map(|i| (i.domain.as_str().to_string(), i.uses))
-            .collect();
-        assert_eq!(
-            uses,
-            vec![
-                ("c.example".to_string(), 0),
-                ("d.example".to_string(), 1),
-                ("e.example".to_string(), 0)
-            ]
-        );
+        // Lookups must hit the right slot despite the shifted head.
+        assert!(store.contains(&name("d.example"), SimTime(10)));
+        assert!(!store.observe(name("e.example"), DNS, SimTime(10)));
+        let retained: Vec<_> = store.iter().map(|i| i.domain.as_str()).collect();
+        assert_eq!(retained, ["c.example", "d.example", "e.example"]);
         // Expire everything, then reuse a previously-evicted name.
         assert!(!store.contains(&name("c.example"), SimTime(200_000)));
         assert_eq!(store.len(), 0);
         assert!(store.observe(name("a.example"), DNS, SimTime(200_000)));
-        store.mark_used(&name("a.example"));
-        assert_eq!(store.iter().next().unwrap().uses, 1);
+        assert!(store.contains(&name("a.example"), SimTime(200_000)));
     }
 
     #[test]

@@ -4,9 +4,10 @@
 //! fashion without stop" under an ethical rate limit of "no more than 2
 //! decoy packets per second to a given target". The scheduler hands out
 //! deterministic send times one (VP, target) reservation at a time,
-//! honoring both the per-target cap and a per-VP pacing gap; the Phase I
-//! and Phase II planners walk their work lists round-robin and reserve
-//! each send.
+//! honoring both the per-target cap and a per-VP pacing gap. The Phase II
+//! planner reserves every send; the Phase I planner reserves only the
+//! first VP's first round and extends it by the round-robin's closed form
+//! (`shadow_core::campaign::Phase1Schedule`).
 
 use crate::platform::VpId;
 use shadow_netsim::time::{SimDuration, SimTime};
@@ -37,6 +38,16 @@ impl RateLimitedScheduler {
             next_target_slot: HashMap::new(),
             next_vp_slot: HashMap::new(),
         }
+    }
+
+    /// Minimum spacing between sends to one target.
+    pub fn target_gap(&self) -> SimDuration {
+        self.target_gap
+    }
+
+    /// Minimum spacing between sends from one VP.
+    pub fn vp_gap(&self) -> SimDuration {
+        self.vp_gap
     }
 
     /// Reserve the earliest slot at or after `not_before` satisfying both
