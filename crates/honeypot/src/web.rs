@@ -344,7 +344,7 @@ mod tests {
             if !self.started {
                 self.started = true;
                 let mut out = Vec::new();
-                self.key = Some(self.tcp.connect(self.server, self.port, &mut out));
+                self.key = self.tcp.connect(self.server, self.port, &mut out);
                 self.emit(out, ctx);
             }
         }

@@ -71,7 +71,8 @@ pub enum TcpEvent {
 pub struct TcpStack {
     conns: HashMap<ConnKey, Conn>,
     listen_ports: Vec<u16>,
-    next_ephemeral: u16,
+    /// The next ephemeral port to try; `None` once past the last one.
+    next_ephemeral: Option<u16>,
     isn_counter: u32,
 }
 
@@ -80,7 +81,7 @@ impl TcpStack {
         Self {
             conns: HashMap::new(),
             listen_ports: Vec::new(),
-            next_ephemeral: 32_768,
+            next_ephemeral: Some(32_768),
             isn_counter: isn_seed,
         }
     }
@@ -108,29 +109,30 @@ impl TcpStack {
         self.isn_counter
     }
 
-    fn alloc_port(&mut self) -> u16 {
-        loop {
-            let port = self.next_ephemeral;
-            self.next_ephemeral = if self.next_ephemeral == u16::MAX {
-                32_768
-            } else {
-                self.next_ephemeral + 1
-            };
-            let in_use = self.conns.keys().any(|k| k.local_port == port);
-            if !in_use && !self.listen_ports.contains(&port) {
-                return port;
+    /// The next free ephemeral port, in order from 32,768; `None` once all
+    /// 32,768 are bound or listened on. The stack never removes a
+    /// connection, so every port it handed out stays bound, and the only
+    /// other local ports in use are listened ones: each port needs trying
+    /// at most once.
+    fn alloc_port(&mut self) -> Option<u16> {
+        while let Some(port) = self.next_ephemeral {
+            self.next_ephemeral = port.checked_add(1);
+            if !self.listen_ports.contains(&port) {
+                return Some(port);
             }
         }
+        None
     }
 
     /// Open a connection; returns the key and pushes the SYN to `out`.
+    /// `None` (and nothing pushed) when every ephemeral port is bound.
     pub fn connect(
         &mut self,
         peer: Ipv4Addr,
         peer_port: u16,
         out: &mut Vec<TcpSegment>,
-    ) -> ConnKey {
-        let local_port = self.alloc_port();
+    ) -> Option<ConnKey> {
+        let local_port = self.alloc_port()?;
         let key = ConnKey {
             peer,
             peer_port,
@@ -146,7 +148,7 @@ impl TcpStack {
             },
         );
         out.push(TcpSegment::syn(local_port, peer_port, isn));
-        key
+        Some(key)
     }
 
     /// Send payload on an established connection. Returns `false` (and
@@ -385,7 +387,7 @@ mod tests {
         let mut server = TcpStack::new(2);
         server.listen(80);
         let mut c_out = Vec::new();
-        let key = client.connect(SERVER, 80, &mut c_out);
+        let key = client.connect(SERVER, 80, &mut c_out).unwrap();
         let (c_ev, s_ev) = pump(&mut client, &mut server, c_out, Vec::new());
         assert_eq!(c_ev, vec![TcpEvent::Established(key)]);
         assert!(matches!(s_ev.as_slice(), [TcpEvent::Established(_)]));
@@ -397,7 +399,7 @@ mod tests {
         let mut server = TcpStack::new(2);
         server.listen(443);
         let mut c_out = Vec::new();
-        let key = client.connect(SERVER, 443, &mut c_out);
+        let key = client.connect(SERVER, 443, &mut c_out).unwrap();
         let (_, s_ev) = pump(&mut client, &mut server, c_out, Vec::new());
         let server_key = match &s_ev[0] {
             TcpEvent::Established(k) => *k,
@@ -421,7 +423,7 @@ mod tests {
         let mut server = TcpStack::new(4);
         server.listen(80);
         let mut c_out = Vec::new();
-        let key = client.connect(SERVER, 80, &mut c_out);
+        let key = client.connect(SERVER, 80, &mut c_out).unwrap();
         pump(&mut client, &mut server, c_out, Vec::new());
 
         let mut c_out = Vec::new();
@@ -436,7 +438,7 @@ mod tests {
         let mut server = TcpStack::new(6);
         // No listen().
         let mut c_out = Vec::new();
-        let key = client.connect(SERVER, 8080, &mut c_out);
+        let key = client.connect(SERVER, 8080, &mut c_out).unwrap();
         let (c_ev, _) = pump(&mut client, &mut server, c_out, Vec::new());
         assert_eq!(c_ev, vec![TcpEvent::Reset(key)]);
     }
@@ -445,7 +447,7 @@ mod tests {
     fn send_before_established_fails() {
         let mut client = TcpStack::new(7);
         let mut out = Vec::new();
-        let key = client.connect(SERVER, 80, &mut out);
+        let key = client.connect(SERVER, 80, &mut out).unwrap();
         let mut data_out = Vec::new();
         assert!(!client.send(key, b"too early".to_vec(), &mut data_out));
         assert!(data_out.is_empty());
@@ -455,9 +457,23 @@ mod tests {
     fn ephemeral_ports_unique() {
         let mut client = TcpStack::new(8);
         let mut out = Vec::new();
-        let k1 = client.connect(SERVER, 80, &mut out);
-        let k2 = client.connect(SERVER, 80, &mut out);
+        let k1 = client.connect(SERVER, 80, &mut out).unwrap();
+        let k2 = client.connect(SERVER, 80, &mut out).unwrap();
         assert_ne!(k1.local_port, k2.local_port);
+    }
+
+    #[test]
+    fn connect_fails_once_every_ephemeral_port_is_bound() {
+        let mut client = TcpStack::new(8);
+        let mut out = Vec::new();
+        let mut ports = std::collections::HashSet::new();
+        for _ in 0..32_768 {
+            let key = client.connect(SERVER, 80, &mut out).unwrap();
+            assert!(ports.insert(key.local_port), "port {key} reused");
+            out.clear();
+        }
+        assert_eq!(client.connect(SERVER, 80, &mut out), None);
+        assert!(out.is_empty(), "a failed connect sends no SYN");
     }
 
     #[test]
@@ -467,7 +483,7 @@ mod tests {
         let mut site = TcpStack::new(10);
         site.listen(80);
         let mut out = Vec::new();
-        let key = vp.connect(SERVER, 80, &mut out);
+        let key = vp.connect(SERVER, 80, &mut out).unwrap();
         pump(&mut vp, &mut site, out, Vec::new());
         let mut out = Vec::new();
         vp.send(
@@ -495,7 +511,7 @@ mod tests {
         let mut server = TcpStack::new(12);
         server.listen(80);
         let mut out = Vec::new();
-        let key = client.connect(SERVER, 80, &mut out);
+        let key = client.connect(SERVER, 80, &mut out).unwrap();
         pump(&mut client, &mut server, out, Vec::new());
         assert_eq!(client.active_connections(), 1);
         let mut out = Vec::new();

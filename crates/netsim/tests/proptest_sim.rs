@@ -131,7 +131,7 @@ proptest! {
         let client_addr = Ipv4Addr::new(10, 0, 0, 1);
         let server_addr = Ipv4Addr::new(10, 0, 0, 2);
         let mut c_out = Vec::new();
-        let key = client.connect(server_addr, 443, &mut c_out);
+        let key = client.connect(server_addr, 443, &mut c_out).unwrap();
         let mut established = false;
         for _ in 0..8 {
             let mut s_out = Vec::new();

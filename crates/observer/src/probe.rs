@@ -197,14 +197,18 @@ impl ProbeOriginHost {
                     ENUMERATION_PATHS[rng.gen_range(0..ENUMERATION_PATHS.len())].to_string()
                 };
                 let mut segs = Vec::new();
-                let key = self.tcp.connect(addr, 80, &mut segs);
+                let Some(key) = self.tcp.connect(addr, 80, &mut segs) else {
+                    return; // Every ephemeral port is bound: the probe dies here.
+                };
                 self.pending_conns
                     .insert(key, ConnPurpose::Http { domain, path });
                 self.tcp_packets(addr, segs, ctx);
             }
             ProbeKind::Https => {
                 let mut segs = Vec::new();
-                let key = self.tcp.connect(addr, 443, &mut segs);
+                let Some(key) = self.tcp.connect(addr, 443, &mut segs) else {
+                    return; // Every ephemeral port is bound: the probe dies here.
+                };
                 self.pending_conns
                     .insert(key, ConnPurpose::Https { domain, seed });
                 self.tcp_packets(addr, segs, ctx);

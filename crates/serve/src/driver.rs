@@ -28,7 +28,9 @@
 //! positions from `(seed, waves_done)` and rejects a checkpoint whose
 //! recorded positions disagree.
 
-use crate::checkpoint::{CampaignCheckpoint, CheckpointHeader, CHECKPOINT_VERSION};
+use crate::checkpoint::{
+    self, CampaignCheckpoint, CheckpointHeader, StateLine, CHECKPOINT_VERSION,
+};
 use crate::ServeError;
 use shadow_core::sink::CorrelationAggregates;
 use shadow_telemetry::{JournalRecord, MetricsSnapshot};
@@ -361,9 +363,21 @@ impl CampaignDriver {
         ran
     }
 
-    /// The durable form of the current cumulative state.
+    /// A copy of the current cumulative state in its durable form.
+    /// [`Self::save_checkpoint`] writes the same bytes without the copy.
     pub fn checkpoint(&self) -> CampaignCheckpoint {
-        CampaignCheckpoint {
+        self.state_line().with_journal(self.journal.clone())
+    }
+
+    /// Checkpoint to `path` (atomic: tmp file + rename), streaming the
+    /// journal from the driver's own records.
+    pub fn save_checkpoint(&self, path: &Path) -> Result<(), ServeError> {
+        checkpoint::save(path, &self.state_line(), &self.journal)
+    }
+
+    /// Line 1 of this driver's checkpoint: everything but the journal.
+    fn state_line(&self) -> StateLine {
+        StateLine {
             header: CheckpointHeader {
                 version: CHECKPOINT_VERSION,
                 world_hash: self.config.world_hash(),
@@ -375,13 +389,8 @@ impl CampaignDriver {
             rng_streams: self.rng_streams.clone(),
             aggregates: self.aggregates.to_portable(),
             metrics: self.metrics.clone(),
-            journal: self.journal.clone(),
+            journal_records: self.journal.len(),
         }
-    }
-
-    /// Checkpoint to `path` (atomic: tmp file + rename).
-    pub fn save_checkpoint(&self, path: &Path) -> Result<(), ServeError> {
-        self.checkpoint().save(path)
     }
 }
 

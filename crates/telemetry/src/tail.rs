@@ -134,23 +134,26 @@ impl JournalTailHub {
 
     /// Render `records` to JSON lines once and push them into every live
     /// subscriber ring, dropping the oldest buffered line of any ring that
-    /// is full. Never blocks on readers.
+    /// is full. Never blocks on readers. With no live subscriber nothing
+    /// is rendered, and only the last `capacity` records are: a ring keeps
+    /// at most that many lines, so each earlier record counts as dropped,
+    /// once per live ring, exactly as if it had been pushed and evicted.
     pub fn publish_records(&self, records: &[JournalRecord]) {
-        if records.is_empty() {
+        let mut subs = self.subscribers.lock().expect("tail hub poisoned");
+        subs.retain(|weak| weak.strong_count() > 0);
+        if records.is_empty() || subs.is_empty() {
             return;
         }
-        let lines: Vec<Arc<str>> = records
+        let skipped = records.len().saturating_sub(self.capacity);
+        let lines: Vec<Arc<str>> = records[skipped..]
             .iter()
             .filter_map(|r| serde_json::to_string(r).ok())
             .map(Arc::from)
             .collect();
-        let mut subs = self.subscribers.lock().expect("tail hub poisoned");
-        subs.retain(|weak| {
-            let Some(ring) = weak.upgrade() else {
-                return false;
-            };
+        for ring in subs.iter().filter_map(Weak::upgrade) {
             {
                 let mut state = ring.lines.lock().expect("tail ring poisoned");
+                self.dropped.fetch_add(skipped as u64, Ordering::Relaxed);
                 for line in &lines {
                     if state.buf.len() >= state.capacity {
                         state.buf.pop_front();
@@ -160,8 +163,7 @@ impl JournalTailHub {
                 }
             }
             ring.wake.notify_all();
-            true
-        });
+        }
     }
 
     /// Mark the stream finished: subscribers drain what they have buffered
@@ -220,6 +222,24 @@ mod tests {
         assert_eq!(hub.events_dropped(), 1);
         let first = sub.next_line(Duration::from_millis(50)).unwrap();
         assert!(first.contains("\"seq\": 2") || first.contains("\"seq\":2"));
+    }
+
+    #[test]
+    fn oversized_batch_drops_exactly_what_a_full_push_would() {
+        let hub = JournalTailHub::new(4);
+        let holding = hub.subscribe();
+        hub.publish_records(&[record(100), record(101)]);
+        let empty = hub.subscribe();
+        let batch: Vec<JournalRecord> = (0..12).map(record).collect();
+        hub.publish_records(&batch);
+        // 2 buffered + 12 new into a ring of 4 drops 10; 0 + 12 drops 8.
+        assert_eq!(hub.events_dropped(), 18);
+        for sub in [holding, empty] {
+            let seqs: Vec<u64> = std::iter::from_fn(|| sub.next_line(Duration::ZERO))
+                .map(|line| serde_json::from_str::<JournalRecord>(&line).unwrap().seq)
+                .collect();
+            assert_eq!(seqs, [8, 9, 10, 11]);
+        }
     }
 
     #[test]

@@ -288,7 +288,10 @@ impl VantagePointHost {
             }
             _ if decoy.handshake => {
                 let mut segs = Vec::new();
-                let key = self.tcp.connect(dst, dst_port, &mut segs);
+                // Every ephemeral port is bound: the decoy is not sent.
+                let Some(key) = self.tcp.connect(dst, dst_port, &mut segs) else {
+                    return;
+                };
                 let pending = PendingConn {
                     domain: decoy.domain,
                     ident,

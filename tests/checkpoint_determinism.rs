@@ -4,9 +4,13 @@
 //! state — aggregates, journal, and metrics — to a run that was never
 //! interrupted. Checked at K ∈ {1, 4}, with and without an active
 //! `FaultProfile`, by comparing the rendered checkpoint JSON strings.
+//! Also: a checkpoint's journal lines are the JSONL journal, and a file
+//! that is cut short or padded does not load.
 
 use shadow_serve::{CampaignCheckpoint, CampaignDriver, ServeConfig, ServeError};
+use std::path::PathBuf;
 use traffic_shadowing::shadow_chaos::FaultProfile;
+use traffic_shadowing::shadow_telemetry::to_jsonl;
 
 const SEED: u64 = 4242;
 
@@ -160,4 +164,60 @@ fn resume_rejects_a_journal_out_of_time_order() {
             other => panic!("{name}: expected Corrupt, got {:?}", other.err()),
         }
     }
+}
+
+fn temp_path(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("shadow-serve-{tag}-{}.json", std::process::id()))
+}
+
+/// Run one wave and save it through a real file; returns the driver and
+/// the file's bytes.
+fn saved_after_one_wave(tag: &str) -> (CampaignDriver, Vec<u8>) {
+    let path = temp_path(tag);
+    let mut driver = CampaignDriver::new(config(1, false));
+    driver.run_next_wave();
+    driver.save_checkpoint(&path).expect("checkpoint writes");
+    let bytes = std::fs::read(&path).expect("checkpoint reads back");
+    std::fs::remove_file(&path).ok();
+    (driver, bytes)
+}
+
+#[test]
+fn checkpoint_journal_lines_are_the_jsonl_journal() {
+    let (driver, bytes) = saved_after_one_wave("jsonl");
+    let text = String::from_utf8(bytes).expect("checkpoint is UTF-8");
+    let (_, journal_lines) = text.split_once('\n').expect("a state line");
+    assert!(!driver.journal().is_empty(), "the tiny config journals");
+    assert_eq!(journal_lines, to_jsonl(driver.journal()).expect("renders"));
+}
+
+#[test]
+fn load_rejects_a_cut_or_padded_journal() {
+    let (_, bytes) = saved_after_one_wave("cut");
+    let last_line = bytes[..bytes.len() - 1]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .expect("journal lines follow the state line")
+        + 1;
+    let path = temp_path("cut-tampered");
+    std::fs::write(&path, &bytes).expect("checkpoint writes");
+    assert!(
+        CampaignCheckpoint::load(&path).is_ok(),
+        "the intact file loads"
+    );
+    for (name, file) in [
+        ("cut at half its bytes", bytes[..bytes.len() / 2].to_vec()),
+        ("one record short", bytes[..last_line].to_vec()),
+        (
+            "one record extra",
+            [&bytes[..], &bytes[last_line..]].concat(),
+        ),
+    ] {
+        std::fs::write(&path, file).expect("checkpoint writes");
+        match CampaignCheckpoint::load(&path) {
+            Err(ServeError::Corrupt(_)) => {}
+            other => panic!("{name}: expected Corrupt, got {:?}", other.err()),
+        }
+    }
+    std::fs::remove_file(&path).ok();
 }
