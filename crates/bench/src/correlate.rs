@@ -15,20 +15,13 @@ use traffic_shadowing::shadow_core::sink::{CorrelationSink, SinkConfig};
 use traffic_shadowing::shadow_honeypot::capture::{Arrival, ArrivalProtocol, ArrivalSink, Label};
 use traffic_shadowing::shadow_netsim::time::{SimDuration, SimTime};
 use traffic_shadowing::shadow_packet::dns::DnsName;
+use traffic_shadowing::shadow_packet::transport::splitmix64;
 use traffic_shadowing::shadow_vantage::platform::VpId;
 
 use crate::hotpath::peak_rss_bytes;
 
 /// Deterministic stream seed — the same arrivals every run, every machine.
 const STREAM_SEED: u64 = 0x5EED_C0DE_0451;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// The registered decoy population the stream resolves against.
 pub struct CorrelateFixture {

@@ -11,18 +11,11 @@
 
 use std::net::Ipv4Addr;
 use std::time::Instant;
+use traffic_shadowing::shadow_packet::transport::splitmix64;
 use traffic_shadowing::shadow_topo::{ProbePath, RouterGraphBuilder};
 
 /// Deterministic probe seed — the same addresses every run, every machine.
 const PROBE_SEED: u64 = 0x10C4_11A8_1E5E_ED01;
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// A probe stream biased toward covered address space: three in four
 /// probes land inside a random registered prefix (the hot case — routed

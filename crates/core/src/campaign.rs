@@ -466,17 +466,19 @@ impl CampaignRunner {
         finish_phase(world, "phase1", data)
     }
 
-    /// Snapshot the reports of the VPs satisfying `owns` (a chunk reports
-    /// only the VPs it drove; the others sat idle in its copy of the world).
-    pub fn harvest(world: &World, owns: impl Fn(VpId) -> bool) -> HashMap<VpId, VpReport> {
+    /// Move out the reports of the VPs satisfying `owns` (a chunk reports
+    /// only the VPs it drove; the others sat idle in its copy of the
+    /// world), so each of them starts its next phase with an empty report.
+    pub fn harvest(world: &mut World, owns: impl Fn(VpId) -> bool) -> HashMap<VpId, VpReport> {
+        let engine = &mut world.engine;
         world
             .platform
             .vps
             .iter()
             .filter(|vp| owns(vp.id))
             .filter_map(|vp| {
-                let host = world.engine.host_as::<VantagePointHost>(vp.node)?;
-                Some((vp.id, host.report.clone()))
+                let host = engine.host_as_mut::<VantagePointHost>(vp.node)?;
+                Some((vp.id, std::mem::take(&mut host.report)))
             })
             .collect()
     }

@@ -7,8 +7,6 @@
 //! addresses that should never answer).
 
 use crate::world::World;
-use shadow_honeypot::authority::ExperimentAuthorityHost;
-use shadow_honeypot::web::WebHost;
 use shadow_netsim::engine::{Ctx, Host};
 use shadow_netsim::time::SimDuration;
 use shadow_netsim::transport::Transport;
@@ -31,20 +29,10 @@ pub const PREFLIGHT_TTLS: (u8, u8) = (20, 60);
 /// The controlled server of Appendix E ("directly sending packets to our
 /// controlled server and inspect whether contents or TTL fields have been
 /// tampered with"). Records the *arrival* TTL of every probe.
+#[derive(Default)]
 pub struct ControlServerHost {
-    #[allow(dead_code)]
-    addr: Ipv4Addr,
     /// (source address, arrival TTL, first payload byte as probe tag).
     pub received: Vec<(Ipv4Addr, u8, u8)>,
-}
-
-impl ControlServerHost {
-    pub fn new(addr: Ipv4Addr) -> Self {
-        Self {
-            addr,
-            received: Vec::new(),
-        }
-    }
 }
 
 impl Host for ControlServerHost {
@@ -201,24 +189,6 @@ impl NoiseFilter {
         platform.vet_ttl_rewrite(&deltas, Self::expected_delta());
         platform.exclude_intercepted(&intercepted);
         world.platform = platform;
-        // Discard any honeypot captures the pre-flight probes left behind,
-        // so the campaign harvest starts from a clean slate. A sharded run
-        // replays the pre-flight once per shard; without this drain the
-        // (identical) pre-flight arrivals would be counted once per shard
-        // at merge time.
-        let auth_node = world.auth_node;
-        if let Some(auth) = world
-            .engine
-            .host_as_mut::<ExperimentAuthorityHost>(auth_node)
-        {
-            let _ = std::mem::take(&mut auth.captures);
-        }
-        let web_nodes: Vec<_> = world.honey_web.iter().map(|&(node, _, _)| node).collect();
-        for node in web_nodes {
-            if let Some(web) = world.engine.host_as_mut::<WebHost>(node) {
-                let _ = web.take_captures();
-            }
-        }
         PreflightOutcome {
             ttl_deltas,
             intercepted,

@@ -9,7 +9,8 @@
 
 use crate::campaign::{finish_phase, run_slice, CampaignData, PlannedSend};
 use crate::correlate::PathKey;
-use crate::decoy::{DecoyProtocol, DecoyRecord, DecoyRegistry};
+use crate::decoy::{DecoyProtocol, DecoyRecord};
+use crate::ident::DecoyIdent;
 use crate::sink::{CorrelationAggregates, SinkConfig};
 use crate::world::World;
 use serde::{Deserialize, Serialize};
@@ -156,7 +157,7 @@ impl Phase2Runner {
         // into the sequential run's graph exactly.
         for (vp, report) in &data.vp_reports {
             for obs in &report.icmp {
-                if let Some((dst, ttl)) = expired_probe(report, obs, &data.registry) {
+                if let Some((dst, ttl)) = expired_probe(report, obs) {
                     let path = ProbePath { vp: vp.0, dst };
                     data.router_graph.observe(path, ttl, obs.router);
                 }
@@ -193,20 +194,20 @@ impl Phase2Runner {
             let mut min_answer_ttl: Option<u8> = None;
             if let Some(report) = report {
                 for obs in report.icmp.iter().filter(|obs| obs.orig_dst == key.dst) {
-                    if let Some((_, ttl)) = expired_probe(report, obs, &data.registry) {
+                    if let Some((_, ttl)) = expired_probe(report, obs) {
                         revealed.entry(ttl).or_insert(obs.router);
                     }
                 }
-                for ans in &report.dns_answers {
-                    if let Some(decoy) = data.registry.lookup(&ans.domain) {
-                        if decoy.vp == key.vp
-                            && decoy.dst == key.dst
-                            && decoy.protocol == key.protocol
-                        {
-                            min_answer_ttl =
-                                Some(min_answer_ttl.map_or(decoy.ttl, |t: u8| t.min(decoy.ttl)));
-                        }
-                    }
+                // Only DNS probes draw DNS answers; each answer names its
+                // probe, whose identifier carries the destination and TTL.
+                if key.protocol == DecoyProtocol::Dns {
+                    let answered = report
+                        .dns_answers
+                        .iter()
+                        .filter_map(|ans| DecoyIdent::from_domain(&ans.domain))
+                        .filter(|probe| probe.dst == key.dst)
+                        .map(|probe| probe.ttl);
+                    min_answer_ttl = answered.min();
                 }
             }
 
@@ -244,16 +245,12 @@ impl Phase2Runner {
 
 /// Map one Time-Exceeded back to its probe, the one rule both the router
 /// graph and [`Phase2Runner::localize`] apply: the identification field
-/// names the decoy (and so its initial TTL), whose destination must be the
-/// one the ICMP quotes and which must be a decoy of this phase. Returns the
-/// probe's (destination, initial TTL).
-fn expired_probe(
-    report: &VpReport,
-    obs: &IcmpObservation,
-    registry: &DecoyRegistry,
-) -> Option<(Ipv4Addr, u8)> {
-    let (domain, ttl, dst) = report.ident_map.get(&obs.orig_ident)?;
-    (*dst == obs.orig_dst && registry.lookup(domain).is_some()).then_some((*dst, *ttl))
+/// names the probe (and so its initial TTL), whose destination must be the
+/// one the ICMP quotes. A phase's reports hold only that phase's probes.
+/// Returns the probe's (destination, initial TTL).
+fn expired_probe(report: &VpReport, obs: &IcmpObservation) -> Option<(Ipv4Addr, u8)> {
+    let &(ttl, dst) = report.ident_map.get(&obs.orig_ident)?;
+    (dst == obs.orig_dst).then_some((dst, ttl))
 }
 
 /// Pick the Phase II input from Phase I's streamed aggregates: the

@@ -44,8 +44,6 @@ struct Builder {
     config: WorldConfig,
     rng: ChaCha20Rng,
     catalog: AsCatalog,
-    #[allow(dead_code)]
-    alloc: PrefixAllocator,
     geo: GeoDb,
     tb: TopologyBuilder,
     as_prefix: HashMap<Asn, Ipv4Prefix>,
@@ -258,7 +256,6 @@ pub fn generate_spec(config: WorldConfig) -> WorldSpec {
         config,
         rng,
         catalog,
-        alloc,
         geo,
         tb,
         as_prefix,
@@ -486,8 +483,7 @@ fn place_honeypots(b: &mut Builder) -> Honeypots {
     ));
 
     let (control_node, control_addr) = b.add_host_in(us);
-    b.hosts
-        .push((control_node, HostSpec::Control { addr: control_addr }));
+    b.hosts.push((control_node, HostSpec::Control));
 
     Honeypots {
         auth_node,

@@ -53,7 +53,7 @@ pub enum HostSpec {
         web_addrs: Vec<Ipv4Addr>,
     },
     /// Pre-flight control server.
-    Control { addr: Ipv4Addr },
+    Control,
     /// An exhibitor's probe origin.
     Origin {
         addr: Ipv4Addr,
@@ -102,7 +102,7 @@ impl HostSpec {
                 zone.clone(),
                 web_addrs.clone(),
             )),
-            HostSpec::Control { addr } => Box::new(ControlServerHost::new(*addr)),
+            HostSpec::Control => Box::<ControlServerHost>::default(),
             HostSpec::Origin { addr, via, seed } => {
                 Box::new(ProbeOriginHost::new(*addr, *via, *seed))
             }

@@ -39,11 +39,6 @@ impl RetryHabit {
 pub struct ResolverProfile {
     /// Display name (catalog name, possibly with an instance suffix).
     pub name: String,
-    /// Whether positive answers are cached (all real resolvers cache; the
-    /// switch exists for experiments).
-    pub cache_enabled: bool,
-    /// Cap on cached-record TTLs, seconds (common operational practice).
-    pub max_cache_ttl_secs: u32,
     /// Active cache refreshing: re-query upstream when a cached record's
     /// TTL expires. The paper considers this as an alternative explanation
     /// for unsolicited requests and falsifies it by the *absence* of
@@ -63,8 +58,6 @@ impl ResolverProfile {
     pub fn well_behaved(name: &str, seed: u64) -> Self {
         Self {
             name: name.to_string(),
-            cache_enabled: true,
-            max_cache_ttl_secs: 86_400,
             cache_refresh: false,
             retry: None,
             shadowing: None,

@@ -210,19 +210,17 @@ impl RecursiveResolverHost {
         }
 
         // Cache.
-        if self.profile.cache_enabled {
-            if let Some(entry) = self.cache.get(&qname) {
-                if entry.expires > ctx.now() {
-                    self.stats.cache_hits += 1;
-                    if let Some(m) = ctx.telemetry().metrics() {
-                        m.resolver_cache_hits.inc();
-                    }
-                    let answers = entry.answers.clone();
-                    self.respond(client, &qname, Rcode::NoError, answers, ctx);
-                    return;
+        if let Some(entry) = self.cache.get(&qname) {
+            if entry.expires > ctx.now() {
+                self.stats.cache_hits += 1;
+                if let Some(m) = ctx.telemetry().metrics() {
+                    m.resolver_cache_hits.inc();
                 }
-                self.cache.remove(&qname);
+                let answers = entry.answers.clone();
+                self.respond(client, &qname, Rcode::NoError, answers, ctx);
+                return;
             }
+            self.cache.remove(&qname);
         }
 
         // Which authoritative serves this name?
@@ -273,14 +271,14 @@ impl RecursiveResolverHost {
         };
         self.in_flight.remove(&pending.qname);
         let rcode = msg.flags.rcode;
-        if self.profile.cache_enabled && rcode == Rcode::NoError && !msg.answers.is_empty() {
+        if rcode == Rcode::NoError && !msg.answers.is_empty() {
             let ttl_secs = msg
                 .answers
                 .iter()
                 .map(|rr| rr.ttl)
                 .min()
                 .unwrap_or(0)
-                .min(self.profile.max_cache_ttl_secs);
+                .min(MAX_CACHE_TTL_SECS);
             let ttl = SimDuration::from_secs(u64::from(ttl_secs));
             let refresh_due = !self.cache.contains_key(&pending.qname);
             self.cache.insert(
@@ -304,6 +302,9 @@ impl RecursiveResolverHost {
         }
     }
 }
+
+/// Cap on cached-record TTLs, seconds (common operational practice).
+const MAX_CACHE_TTL_SECS: u32 = 86_400;
 
 /// Seed diversifier so resolver RNG streams never collide with other
 /// subsystems seeded from the same world seed.

@@ -6,9 +6,7 @@
 //! limits and other ethics machinery of the real deployment have no
 //! simulated equivalent and live in the honey website instead.
 
-use crate::capture::{
-    capture_with_telemetry, Arrival, ArrivalProtocol, CaptureLog, Label, SharedArrivalSink,
-};
+use crate::capture::{capture_with_telemetry, Arrival, ArrivalProtocol, Label, SharedArrivalSink};
 use shadow_netsim::engine::{Ctx, Host};
 use shadow_netsim::transport::Transport;
 use shadow_packet::dns::{DnsMessage, DnsName, DnsRecord, Rcode};
@@ -32,9 +30,9 @@ pub struct ExperimentAuthorityHost {
     /// Label stamped on every DNS capture ("AUTH"); built once so each
     /// query's arrival record shares it.
     label: Label,
-    pub captures: CaptureLog,
     /// Streaming correlation sink; installed by the campaign layer before
-    /// Phase I traffic starts, `None` during preflight and unit tests.
+    /// Phase I traffic starts. `None` during the pre-flight, whose
+    /// captures are dropped.
     sink: Option<SharedArrivalSink>,
     pub queries_answered: u64,
     pub out_of_zone_queries: u64,
@@ -48,7 +46,6 @@ impl ExperimentAuthorityHost {
             zone,
             web_addrs,
             label: "AUTH".into(),
-            captures: CaptureLog::new(),
             sink: None,
             queries_answered: 0,
             out_of_zone_queries: 0,
@@ -94,7 +91,6 @@ impl Host for ExperimentAuthorityHost {
         let response = if qname.is_subdomain_of(&self.zone) {
             self.queries_answered += 1;
             capture_with_telemetry(
-                &mut self.captures,
                 self.sink.as_ref(),
                 Arrival {
                     at: ctx.now(),
@@ -139,6 +135,7 @@ impl Host for ExperimentAuthorityHost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::capture::CaptureLog;
     use shadow_geo::{Asn, Region};
     use shadow_netsim::engine::Engine;
     use shadow_netsim::time::SimTime;
@@ -187,6 +184,17 @@ mod tests {
         )
     }
 
+    /// The authoritative host for the test zone with a recording sink
+    /// installed, and that sink.
+    fn recorded_authority(
+        auth_addr: Ipv4Addr,
+    ) -> (Box<ExperimentAuthorityHost>, SharedArrivalSink) {
+        let mut host = ExperimentAuthorityHost::new(auth_addr, zone(), web_addrs());
+        let captured = CaptureLog::shared();
+        host.set_arrival_sink(Some(captured.clone()));
+        (Box::new(host), captured)
+    }
+
     fn zone() -> DnsName {
         DnsName::parse("www.experiment.example").unwrap()
     }
@@ -214,10 +222,8 @@ mod tests {
     #[test]
     fn wildcard_answers_any_label() {
         let (mut engine, client, auth, client_addr, auth_addr) = world();
-        engine.add_host(
-            auth,
-            Box::new(ExperimentAuthorityHost::new(auth_addr, zone(), web_addrs())),
-        );
+        let (host, captured) = recorded_authority(auth_addr);
+        engine.add_host(auth, host);
         engine.add_host(
             client,
             Box::new(Sink {
@@ -243,8 +249,15 @@ mod tests {
             RecordData::A(a) => assert!(web_addrs().contains(&a)),
             ref other => panic!("unexpected {other:?}"),
         }
+        let arrivals = CaptureLog::arrivals(&captured);
+        assert_eq!(arrivals.len(), 1);
+        assert_eq!(arrivals[0].protocol, ArrivalProtocol::Dns);
+        assert_eq!(arrivals[0].honeypot, "AUTH");
+        assert_eq!(
+            arrivals[0].domain.as_str(),
+            "g6d8jjkut5obc4-9982.www.experiment.example"
+        );
         let auth_host = engine.host_as::<ExperimentAuthorityHost>(auth).unwrap();
-        assert_eq!(auth_host.captures.len(), 1);
         assert_eq!(auth_host.queries_answered, 1);
     }
 
@@ -273,10 +286,8 @@ mod tests {
     #[test]
     fn out_of_zone_refused_and_not_captured() {
         let (mut engine, client, auth, client_addr, auth_addr) = world();
-        engine.add_host(
-            auth,
-            Box::new(ExperimentAuthorityHost::new(auth_addr, zone(), web_addrs())),
-        );
+        let (host, captured) = recorded_authority(auth_addr);
+        engine.add_host(auth, host);
         engine.add_host(
             client,
             Box::new(Sink {
@@ -293,8 +304,8 @@ mod tests {
         let dg = UdpDatagram::decode(&sink.packets[0].payload).unwrap();
         let resp = DnsMessage::decode(&dg.payload).unwrap();
         assert_eq!(resp.flags.rcode, Rcode::Refused);
+        assert!(CaptureLog::arrivals(&captured).is_empty());
         let auth_host = engine.host_as::<ExperimentAuthorityHost>(auth).unwrap();
-        assert_eq!(auth_host.captures.len(), 0);
         assert_eq!(auth_host.out_of_zone_queries, 1);
     }
 }

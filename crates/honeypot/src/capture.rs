@@ -1,6 +1,6 @@
 //! Capture records: everything that arrives at a honeypot.
 
-use serde::{Content, DeError, Deserialize, Serialize};
+use serde::{Deserialize, Serialize};
 use shadow_netsim::engine::Ctx;
 use shadow_netsim::time::SimTime;
 use shadow_packet::dns::DnsName;
@@ -12,8 +12,7 @@ use std::sync::Arc;
 ///
 /// `Arc`-backed: every arrival carries its capturing honeypot's label, so
 /// the per-capture copy must be a reference-count bump, not a fresh heap
-/// string. Serializes as a plain string — capture-log and journal
-/// encodings are unchanged from the `String` representation.
+/// string.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Label(Arc<str>);
 
@@ -47,18 +46,6 @@ impl std::fmt::Display for Label {
     }
 }
 
-impl Serialize for Label {
-    fn serialize_content(&self) -> Content {
-        Content::Str(self.0.to_string())
-    }
-}
-
-impl Deserialize for Label {
-    fn deserialize_content(content: &Content) -> Result<Self, DeError> {
-        String::deserialize_content(content).map(Label::from)
-    }
-}
-
 /// The protocol an arrival came in over — the `Request` half of the paper's
 /// `Decoy-Request` protocol-combination labels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
@@ -80,7 +67,7 @@ impl ArrivalProtocol {
 }
 
 /// One request that reached a honeypot bearing an experiment domain.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Arrival {
     pub at: SimTime,
     pub src: Ipv4Addr,
@@ -91,34 +78,6 @@ pub struct Arrival {
     pub http_path: Option<String>,
     /// Which honeypot captured it ("US", "DE", "SG").
     pub honeypot: Label,
-}
-
-/// An append-only capture log.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct CaptureLog {
-    entries: Vec<Arrival>,
-}
-
-impl CaptureLog {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn push(&mut self, arrival: Arrival) {
-        self.entries.push(arrival);
-    }
-
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = &Arrival> {
-        self.entries.iter()
-    }
 }
 
 /// The capture-time verdict a streaming sink returns for one arrival.
@@ -164,19 +123,50 @@ pub trait ArrivalSink: Send {
 /// `Send` bound the sharded executor needs when worlds cross threads.
 pub type SharedArrivalSink = Arc<parking_lot::Mutex<Box<dyn ArrivalSink>>>;
 
+/// A recording [`ArrivalSink`]: it keeps every arrival offered to it, in
+/// capture order, and classifies none. Host tests install one to read
+/// what a honeypot captured.
+#[derive(Debug, Clone, Default)]
+pub struct CaptureLog {
+    entries: Vec<Arrival>,
+}
+
+impl CaptureLog {
+    /// An empty log behind the handle hosts install.
+    pub fn shared() -> SharedArrivalSink {
+        Arc::new(parking_lot::Mutex::new(Box::new(Self::default())))
+    }
+
+    /// The arrivals the log behind `sink` recorded.
+    ///
+    /// # Panics
+    ///
+    /// If `sink` holds another kind of sink.
+    pub fn arrivals(sink: &SharedArrivalSink) -> Vec<Arrival> {
+        let mut sink = sink.lock();
+        let log = sink.as_any_mut().downcast_mut::<Self>();
+        log.expect("the sink is a capture log").entries.clone()
+    }
+}
+
+impl ArrivalSink for CaptureLog {
+    fn offer(&mut self, arrival: &Arrival) -> SinkDecision {
+        self.entries.push(arrival.clone());
+        SinkDecision::unclassified()
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+        self
+    }
+}
+
 /// Record `arrival` into the engine's telemetry (the per-protocol
 /// `arrivals_captured` counter plus an [`EventKind::ArrivalCaptured`]
-/// journal event), then offer it to the streaming `sink` if one is
-/// installed, or append it to `log` if none is (the pre-flight's
-/// sink-less captures). Every honeypot capture path
-/// funnels through here, so the counters, the journal, the sink
-/// aggregates, and the capture log can never disagree.
-pub fn capture_with_telemetry(
-    log: &mut CaptureLog,
-    sink: Option<&SharedArrivalSink>,
-    arrival: Arrival,
-    ctx: &Ctx<'_>,
-) {
+/// journal event), then offer it to the streaming `sink`, or drop it when
+/// none is installed (the pre-flight's captures). Every honeypot capture
+/// path funnels through here, so the counters, the journal and the sink
+/// aggregates can never disagree.
+pub fn capture_with_telemetry(sink: Option<&SharedArrivalSink>, arrival: Arrival, ctx: &Ctx<'_>) {
     let telemetry = ctx.telemetry();
     if telemetry.is_enabled() {
         if let Some(m) = telemetry.metrics() {
@@ -194,7 +184,6 @@ pub fn capture_with_telemetry(
         });
     }
     let Some(sink) = sink else {
-        log.push(arrival);
         return;
     };
     let decision = sink.lock().offer(&arrival);
@@ -231,12 +220,16 @@ mod tests {
     }
 
     #[test]
-    fn log_accumulates() {
-        let mut log = CaptureLog::new();
-        assert!(log.is_empty());
-        log.push(arrival(5, ArrivalProtocol::Dns, "US"));
-        log.push(arrival(1, ArrivalProtocol::Http, "US"));
-        assert_eq!(log.len(), 2);
+    fn log_records_offers_in_order_and_classifies_none() {
+        let sink = CaptureLog::shared();
+        let offered = [
+            arrival(5, ArrivalProtocol::Dns, "US"),
+            arrival(1, ArrivalProtocol::Http, "US"),
+        ];
+        for a in &offered {
+            assert_eq!(sink.lock().offer(a), SinkDecision::unclassified());
+        }
+        assert_eq!(CaptureLog::arrivals(&sink), offered);
     }
 
     #[test]

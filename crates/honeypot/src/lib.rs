@@ -4,9 +4,10 @@
 //! resolves — via wildcard records served by [`authority::ExperimentAuthorityHost`]
 //! — to honey web servers ([`web::WebHost`] in honeypot mode) in three
 //! regions (US, DE, SG in the paper). Whatever arrives bearing an
-//! experiment domain is logged as an [`capture::Arrival`]; deciding which
-//! arrivals are *unsolicited* is the correlation engine's job
-//! (`shadow-core`), because it requires the decoy registry.
+//! experiment domain becomes a [`capture::Arrival`], offered to the
+//! installed [`capture::ArrivalSink`]; deciding which arrivals are
+//! *unsolicited* is the correlation engine's job (`shadow-core`), because
+//! it requires the decoy registry.
 //!
 //! [`web::WebHost`] doubles, without logging, as the generic Tranco-site
 //! destination server HTTP/TLS decoys are sent to.

@@ -3,9 +3,7 @@
 //! the Tranco-top-1K sites HTTP/TLS decoys are sent to, optionally with a
 //! destination-side SNI sensor.
 
-use crate::capture::{
-    capture_with_telemetry, Arrival, ArrivalProtocol, CaptureLog, Label, SharedArrivalSink,
-};
+use crate::capture::{capture_with_telemetry, Arrival, ArrivalProtocol, Label, SharedArrivalSink};
 use shadow_netsim::engine::{Ctx, Host};
 use shadow_netsim::tcp::{ConnKey, TcpEvent, TcpStack};
 use shadow_netsim::transport::Transport;
@@ -40,9 +38,9 @@ pub struct WebHost {
     tcp: TcpStack,
     /// `Some(region)` = honeypot mode with capture; `None` = plain site.
     honeypot_region: Option<Label>,
-    captures: CaptureLog,
     /// Streaming correlation sink; installed by the campaign layer before
-    /// Phase I traffic starts, `None` during preflight and unit tests.
+    /// Phase I traffic starts. `None` during the pre-flight, whose
+    /// captures are dropped.
     sink: Option<SharedArrivalSink>,
     /// Buffered bytes per connection until a full request parses.
     rx: HashMap<ConnKey, Vec<u8>>,
@@ -75,7 +73,6 @@ impl WebHost {
             addr,
             tcp,
             honeypot_region,
-            captures: CaptureLog::new(),
             sink: None,
             rx: HashMap::new(),
             shadow: None,
@@ -119,14 +116,6 @@ impl WebHost {
         self.addr
     }
 
-    pub fn captures(&self) -> &CaptureLog {
-        &self.captures
-    }
-
-    pub fn take_captures(&mut self) -> CaptureLog {
-        std::mem::take(&mut self.captures)
-    }
-
     /// Install (or clear) the streaming arrival sink.
     pub fn set_arrival_sink(&mut self, sink: Option<SharedArrivalSink>) {
         self.sink = sink;
@@ -145,9 +134,9 @@ impl WebHost {
         }
     }
 
-    fn capture(&mut self, arrival: Arrival, ctx: &Ctx<'_>) {
+    fn capture(&self, arrival: Arrival, ctx: &Ctx<'_>) {
         if self.honeypot_region.is_some() {
-            capture_with_telemetry(&mut self.captures, self.sink.as_ref(), arrival, ctx);
+            capture_with_telemetry(self.sink.as_ref(), arrival, ctx);
         }
     }
 
@@ -269,6 +258,7 @@ impl Host for WebHost {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::capture::CaptureLog;
     use shadow_geo::{Asn, Region};
     use shadow_netsim::engine::Engine;
     use shadow_netsim::time::{SimDuration, SimTime};
@@ -376,10 +366,18 @@ mod tests {
         )
     }
 
+    /// `host` with a recording sink installed, and that sink.
+    fn recorded(mut host: WebHost) -> (Box<WebHost>, SharedArrivalSink) {
+        let sink = CaptureLog::shared();
+        host.set_arrival_sink(Some(sink.clone()));
+        (Box::new(host), sink)
+    }
+
     #[test]
     fn honeypot_logs_http_request_with_path() {
         let (mut engine, client, web, client_addr, web_addr) = world();
-        engine.add_host(web, Box::new(WebHost::honeypot(web_addr, "US", 1)));
+        let (host, sink) = recorded(WebHost::honeypot(web_addr, "US", 1));
+        engine.add_host(web, host);
         let req = HttpRequest::get("abc123.www.experiment.example", "/.git/config");
         engine.add_host(
             client,
@@ -387,9 +385,9 @@ mod tests {
         );
         engine.post(SimTime::ZERO, client, Box::new(()));
         engine.run_to_completion();
-        let host = engine.host_as::<WebHost>(web).unwrap();
-        assert_eq!(host.captures().len(), 1);
-        let arrival = host.captures().iter().next().unwrap();
+        let arrivals = CaptureLog::arrivals(&sink);
+        assert_eq!(arrivals.len(), 1);
+        let arrival = &arrivals[0];
         assert_eq!(arrival.protocol, ArrivalProtocol::Http);
         assert_eq!(arrival.domain.as_str(), "abc123.www.experiment.example");
         assert_eq!(arrival.http_path.as_deref(), Some("/.git/config"));
@@ -421,7 +419,8 @@ mod tests {
     #[test]
     fn honeypot_logs_tls_sni_and_declines() {
         let (mut engine, client, web, client_addr, web_addr) = world();
-        engine.add_host(web, Box::new(WebHost::honeypot(web_addr, "SG", 3)));
+        let (host, sink) = recorded(WebHost::honeypot(web_addr, "SG", 3));
+        engine.add_host(web, host);
         let hello = ClientHello::with_sni("tls7.www.experiment.example", [5u8; 32]);
         engine.add_host(
             client,
@@ -434,9 +433,9 @@ mod tests {
         );
         engine.post(SimTime::ZERO, client, Box::new(()));
         engine.run_to_completion();
-        let host = engine.host_as::<WebHost>(web).unwrap();
-        assert_eq!(host.captures().len(), 1);
-        let arrival = host.captures().iter().next().unwrap();
+        let arrivals = CaptureLog::arrivals(&sink);
+        assert_eq!(arrivals.len(), 1);
+        let arrival = &arrivals[0];
         assert_eq!(arrival.protocol, ArrivalProtocol::Https);
         assert_eq!(arrival.domain.as_str(), "tls7.www.experiment.example");
         // The client got a fatal alert back.
@@ -448,7 +447,8 @@ mod tests {
     #[test]
     fn plain_site_serves_but_never_captures() {
         let (mut engine, client, web, client_addr, web_addr) = world();
-        engine.add_host(web, Box::new(WebHost::plain(web_addr, 4)));
+        let (host, sink) = recorded(WebHost::plain(web_addr, 4));
+        engine.add_host(web, host);
         let req = HttpRequest::get("decoy.www.experiment.example", "/");
         engine.add_host(
             client,
@@ -457,7 +457,10 @@ mod tests {
         engine.post(SimTime::ZERO, client, Box::new(()));
         engine.run_to_completion();
         let host = engine.host_as::<WebHost>(web).unwrap();
-        assert_eq!(host.captures().len(), 0, "plain sites do not log");
+        assert!(
+            CaptureLog::arrivals(&sink).is_empty(),
+            "plain sites do not log"
+        );
         assert_eq!(host.http_requests_served, 1, "but they do serve");
     }
 

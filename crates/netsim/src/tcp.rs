@@ -4,7 +4,10 @@
 //! handshakes" (Phase I), while Phase II deliberately skips handshakes. This
 //! module gives every simulated endpoint (vantage points, web servers,
 //! honeypots, probe origins) a shared connection engine: three-way
-//! handshake, in-order data exchange, FIN/RST teardown.
+//! handshake, in-order data exchange, FIN/RST teardown. A connection that
+//! closes (FIN both ways, a RST either way, a sequence violation) leaves
+//! the stack; a later segment for it is answered like one for a
+//! connection that never existed.
 //!
 //! Simplifications, safe because simulated links are reliable and in-order:
 //! no retransmission, no congestion control, no out-of-order reassembly.
@@ -38,7 +41,6 @@ enum ConnState {
     Established,
     FinWait,
     CloseWait,
-    Closed,
 }
 
 #[derive(Debug)]
@@ -64,15 +66,22 @@ pub enum TcpEvent {
     Reset(ConnKey),
 }
 
+/// The lowest ephemeral port; clients take ports from here up to 65,535.
+const FIRST_EPHEMERAL: u16 = 32_768;
+/// How many ephemeral ports there are.
+const EPHEMERAL_PORTS: u32 = 32_768;
+
 /// Per-host TCP machinery. The owner passes outbound segments to the
 /// network itself (the stack only produces `TcpSegment`s, keeping it free of
 /// engine dependencies).
 #[derive(Debug)]
 pub struct TcpStack {
+    /// Live connections only: a closed one is removed.
     conns: HashMap<ConnKey, Conn>,
     listen_ports: Vec<u16>,
-    /// The next ephemeral port to try; `None` once past the last one.
-    next_ephemeral: Option<u16>,
+    /// Ephemeral ports tried so far; the next candidate is
+    /// `FIRST_EPHEMERAL + ports_tried % EPHEMERAL_PORTS`.
+    ports_tried: u32,
     isn_counter: u32,
 }
 
@@ -81,7 +90,7 @@ impl TcpStack {
         Self {
             conns: HashMap::new(),
             listen_ports: Vec::new(),
-            next_ephemeral: Some(32_768),
+            ports_tried: 0,
             isn_counter: isn_seed,
         }
     }
@@ -93,12 +102,9 @@ impl TcpStack {
         }
     }
 
-    /// Number of live (non-closed) connections.
+    /// Number of live connections.
     pub fn active_connections(&self) -> usize {
-        self.conns
-            .values()
-            .filter(|c| c.state != ConnState::Closed)
-            .count()
+        self.conns.len()
     }
 
     fn next_isn(&mut self) -> u32 {
@@ -109,23 +115,47 @@ impl TcpStack {
         self.isn_counter
     }
 
-    /// The next free ephemeral port, in order from 32,768; `None` once all
-    /// 32,768 are bound or listened on. The stack never removes a
-    /// connection, so every port it handed out stays bound, and the only
-    /// other local ports in use are listened ones: each port needs trying
-    /// at most once.
+    /// The next free ephemeral port, in order from 32,768 and wrapping
+    /// after 65,535; `None` when every one is listened on or held by a live
+    /// connection. Until the first wrap every candidate is fresh; after
+    /// it, one pass over the live connections marks the held ports, so a
+    /// connect costs O(live) however many candidates it skips.
     fn alloc_port(&mut self) -> Option<u16> {
-        while let Some(port) = self.next_ephemeral {
-            self.next_ephemeral = port.checked_add(1);
-            if !self.listen_ports.contains(&port) {
-                return Some(port);
+        let mut held = None;
+        for _ in 0..EPHEMERAL_PORTS {
+            let offset = (self.ports_tried % EPHEMERAL_PORTS) as u16;
+            let fresh = self.ports_tried < EPHEMERAL_PORTS;
+            // 2^32 is a multiple of the port count, so restarting the count
+            // at one full pass keeps both the order and the wrapped state.
+            self.ports_tried = self.ports_tried.checked_add(1).unwrap_or(EPHEMERAL_PORTS);
+            let port = FIRST_EPHEMERAL + offset;
+            if self.listen_ports.contains(&port) {
+                continue;
             }
+            if !fresh {
+                let held = held.get_or_insert_with(|| self.live_ephemeral_ports());
+                if held[usize::from(offset / 64)] >> (offset % 64) & 1 == 1 {
+                    continue;
+                }
+            }
+            return Some(port);
         }
         None
     }
 
+    /// A bitmap, by offset from 32,768, of the ports live connections hold.
+    fn live_ephemeral_ports(&self) -> [u64; EPHEMERAL_PORTS as usize / 64] {
+        let mut held = [0; EPHEMERAL_PORTS as usize / 64];
+        for key in self.conns.keys() {
+            if let Some(offset) = key.local_port.checked_sub(FIRST_EPHEMERAL) {
+                held[usize::from(offset / 64)] |= 1 << (offset % 64);
+            }
+        }
+        held
+    }
+
     /// Open a connection; returns the key and pushes the SYN to `out`.
-    /// `None` (and nothing pushed) when every ephemeral port is bound.
+    /// `None` (and nothing pushed) when every ephemeral port is in use.
     pub fn connect(
         &mut self,
         peer: Ipv4Addr,
@@ -178,45 +208,30 @@ impl TcpStack {
         true
     }
 
-    /// Close our side (FIN).
+    /// Close our side (FIN). After the peer's FIN, this ends the
+    /// connection.
     pub fn close(&mut self, key: ConnKey, out: &mut Vec<TcpSegment>) {
         let Some(conn) = self.conns.get_mut(&key) else {
             return;
         };
-        match conn.state {
-            ConnState::Established | ConnState::CloseWait | ConnState::SynReceived => {
-                let seg = TcpSegment::new(
-                    key.local_port,
-                    key.peer_port,
-                    conn.snd_nxt,
-                    conn.rcv_nxt,
-                    TcpFlags::FIN_ACK,
-                    SharedBytes::empty(),
-                );
-                conn.snd_nxt = conn.snd_nxt.wrapping_add(1);
-                conn.state = if conn.state == ConnState::CloseWait {
-                    ConnState::Closed
-                } else {
-                    ConnState::FinWait
-                };
-                out.push(seg);
-            }
-            _ => {}
-        }
-    }
-
-    /// Abort with RST.
-    pub fn abort(&mut self, key: ConnKey, out: &mut Vec<TcpSegment>) {
-        if let Some(conn) = self.conns.get_mut(&key) {
-            out.push(TcpSegment::new(
-                key.local_port,
-                key.peer_port,
-                conn.snd_nxt,
-                conn.rcv_nxt,
-                TcpFlags::RST.union(TcpFlags::ACK),
-                SharedBytes::empty(),
-            ));
-            conn.state = ConnState::Closed;
+        let peer_closed = match conn.state {
+            ConnState::Established | ConnState::SynReceived => false,
+            ConnState::CloseWait => true,
+            ConnState::SynSent | ConnState::FinWait => return,
+        };
+        out.push(TcpSegment::new(
+            key.local_port,
+            key.peer_port,
+            conn.snd_nxt,
+            conn.rcv_nxt,
+            TcpFlags::FIN_ACK,
+            SharedBytes::empty(),
+        ));
+        conn.snd_nxt = conn.snd_nxt.wrapping_add(1);
+        if peer_closed {
+            self.conns.remove(&key);
+        } else {
+            conn.state = ConnState::FinWait;
         }
     }
 
@@ -236,112 +251,109 @@ impl TcpStack {
         let mut events = Vec::new();
 
         if seg.flags.contains(TcpFlags::RST) {
-            if let Some(conn) = self.conns.get_mut(&key) {
-                if conn.state != ConnState::Closed {
-                    conn.state = ConnState::Closed;
-                    events.push(TcpEvent::Reset(key));
-                }
+            if self.conns.remove(&key).is_some() {
+                events.push(TcpEvent::Reset(key));
             }
             return events;
         }
 
-        match self.conns.get_mut(&key) {
-            None => {
-                if seg.flags.is_syn() && self.listen_ports.contains(&seg.dst_port) {
-                    // Passive open.
-                    let isn = self.next_isn();
-                    self.conns.insert(
-                        key,
-                        Conn {
-                            state: ConnState::SynReceived,
-                            snd_nxt: isn.wrapping_add(1),
-                            rcv_nxt: seg.seq.wrapping_add(1),
-                        },
-                    );
-                    out.push(TcpSegment::syn_ack(&seg, isn));
-                } else if !seg.flags.contains(TcpFlags::RST) {
-                    // No such connection: refuse.
-                    out.push(TcpSegment::rst(&seg));
+        let Some(conn) = self.conns.get_mut(&key) else {
+            if seg.flags.is_syn() && self.listen_ports.contains(&seg.dst_port) {
+                // Passive open.
+                let isn = self.next_isn();
+                self.conns.insert(
+                    key,
+                    Conn {
+                        state: ConnState::SynReceived,
+                        snd_nxt: isn.wrapping_add(1),
+                        rcv_nxt: seg.seq.wrapping_add(1),
+                    },
+                );
+                out.push(TcpSegment::syn_ack(&seg, isn));
+            } else {
+                // No such connection: refuse.
+                out.push(TcpSegment::rst(&seg));
+            }
+            return events;
+        };
+        let ended = match conn.state {
+            ConnState::SynSent => {
+                if seg.flags.is_syn_ack() && seg.ack == conn.snd_nxt {
+                    conn.rcv_nxt = seg.seq.wrapping_add(1);
+                    conn.state = ConnState::Established;
+                    out.push(TcpSegment::new(
+                        key.local_port,
+                        key.peer_port,
+                        conn.snd_nxt,
+                        conn.rcv_nxt,
+                        TcpFlags::ACK,
+                        SharedBytes::empty(),
+                    ));
+                    events.push(TcpEvent::Established(key));
+                }
+                false
+            }
+            ConnState::SynReceived => {
+                if seg.flags.contains(TcpFlags::ACK) && seg.ack == conn.snd_nxt {
+                    conn.state = ConnState::Established;
+                    events.push(TcpEvent::Established(key));
+                    // The handshake ACK may already carry data.
+                    Self::consume_data(conn, &key, &seg, out, &mut events)
+                } else {
+                    false
                 }
             }
-            Some(conn) => match conn.state {
-                ConnState::SynSent => {
-                    if seg.flags.is_syn_ack() && seg.ack == conn.snd_nxt {
-                        conn.rcv_nxt = seg.seq.wrapping_add(1);
-                        conn.state = ConnState::Established;
-                        out.push(TcpSegment::new(
-                            key.local_port,
-                            key.peer_port,
-                            conn.snd_nxt,
-                            conn.rcv_nxt,
-                            TcpFlags::ACK,
-                            SharedBytes::empty(),
-                        ));
-                        events.push(TcpEvent::Established(key));
-                    }
-                }
-                ConnState::SynReceived => {
-                    if seg.flags.contains(TcpFlags::ACK) && seg.ack == conn.snd_nxt {
-                        conn.state = ConnState::Established;
-                        events.push(TcpEvent::Established(key));
-                        // The handshake ACK may already carry data.
-                        Self::consume_data(conn, &key, &seg, out, &mut events);
-                    }
-                }
-                ConnState::Established | ConnState::FinWait | ConnState::CloseWait => {
-                    Self::consume_data(conn, &key, &seg, out, &mut events);
-                }
-                ConnState::Closed => {
-                    out.push(TcpSegment::rst(&seg));
-                }
-            },
+            ConnState::Established | ConnState::FinWait | ConnState::CloseWait => {
+                Self::consume_data(conn, &key, &seg, out, &mut events)
+            }
+        };
+        if ended {
+            self.conns.remove(&key);
         }
         events
     }
 
+    /// Take `seg`'s payload and FIN; returns whether the connection ended
+    /// (our FIN was already out, or the peer broke the sequence).
     fn consume_data(
         conn: &mut Conn,
         key: &ConnKey,
         seg: &TcpSegment,
         out: &mut Vec<TcpSegment>,
         events: &mut Vec<TcpEvent>,
-    ) {
+    ) -> bool {
         // Reliable in-order network: either the expected segment or a
         // duplicate/pure-ACK.
-        if !seg.payload.is_empty() || seg.flags.contains(TcpFlags::FIN) {
-            if seg.seq != conn.rcv_nxt {
-                // Unexpected sequence — with reliable links this is a peer
-                // bug; reset to surface it loudly in tests.
-                out.push(TcpSegment::rst(seg));
-                conn.state = ConnState::Closed;
-                events.push(TcpEvent::Reset(*key));
-                return;
-            }
-            conn.rcv_nxt = conn.rcv_nxt.wrapping_add(seg.seq_len());
-            if !seg.payload.is_empty() {
-                events.push(TcpEvent::Data(*key, seg.payload.clone()));
-            }
-            if seg.flags.contains(TcpFlags::FIN) {
-                match conn.state {
-                    ConnState::FinWait => {
-                        conn.state = ConnState::Closed;
-                    }
-                    _ => {
-                        conn.state = ConnState::CloseWait;
-                    }
-                }
-                events.push(TcpEvent::Closed(*key));
-            }
-            // ACK whatever we consumed.
-            out.push(TcpSegment::new(
-                key.local_port,
-                key.peer_port,
-                conn.snd_nxt,
-                conn.rcv_nxt,
-                TcpFlags::ACK,
-                SharedBytes::empty(),
-            ));
+        if seg.payload.is_empty() && !seg.flags.contains(TcpFlags::FIN) {
+            return false;
         }
+        if seg.seq != conn.rcv_nxt {
+            // Unexpected sequence — with reliable links this is a peer
+            // bug; reset to surface it loudly in tests.
+            out.push(TcpSegment::rst(seg));
+            events.push(TcpEvent::Reset(*key));
+            return true;
+        }
+        conn.rcv_nxt = conn.rcv_nxt.wrapping_add(seg.seq_len());
+        if !seg.payload.is_empty() {
+            events.push(TcpEvent::Data(*key, seg.payload.clone()));
+        }
+        let mut ended = false;
+        if seg.flags.contains(TcpFlags::FIN) {
+            ended = conn.state == ConnState::FinWait;
+            conn.state = ConnState::CloseWait;
+            events.push(TcpEvent::Closed(*key));
+        }
+        // ACK whatever we consumed.
+        out.push(TcpSegment::new(
+            key.local_port,
+            key.peer_port,
+            conn.snd_nxt,
+            conn.rcv_nxt,
+            TcpFlags::ACK,
+            SharedBytes::empty(),
+        ));
+        ended
     }
 }
 
@@ -506,7 +518,7 @@ mod tests {
     }
 
     #[test]
-    fn active_connection_count() {
+    fn closed_connections_leave_both_stacks() {
         let mut client = TcpStack::new(11);
         let mut server = TcpStack::new(12);
         server.listen(80);
@@ -514,10 +526,69 @@ mod tests {
         let key = client.connect(SERVER, 80, &mut out).unwrap();
         pump(&mut client, &mut server, out, Vec::new());
         assert_eq!(client.active_connections(), 1);
+        assert_eq!(server.active_connections(), 1);
         let mut out = Vec::new();
-        client.abort(key, &mut out);
-        assert_eq!(client.active_connections(), 0);
+        client.close(key, &mut out);
         let (_, s_ev) = pump(&mut client, &mut server, out, Vec::new());
-        assert!(s_ev.iter().any(|e| matches!(e, TcpEvent::Reset(_))));
+        let server_key = match s_ev.as_slice() {
+            [TcpEvent::Closed(k)] => *k,
+            other => panic!("unexpected {other:?}"),
+        };
+        let mut s_out = Vec::new();
+        server.close(server_key, &mut s_out);
+        let (c_ev, _) = pump(&mut client, &mut server, Vec::new(), s_out);
+        assert_eq!(c_ev, vec![TcpEvent::Closed(key)]);
+        assert_eq!(client.active_connections(), 0);
+        assert_eq!(server.active_connections(), 0);
+    }
+
+    /// Connect to a port nobody listens on; the server's RST reaps the
+    /// client's connection. Returns the port the client used.
+    fn refused_connect(client: &mut TcpStack, server: &mut TcpStack) -> u16 {
+        let mut out = Vec::new();
+        let key = client.connect(SERVER, 8080, &mut out).expect("a free port");
+        let (c_ev, _) = pump(client, server, out, Vec::new());
+        assert_eq!(c_ev, vec![TcpEvent::Reset(key)]);
+        key.local_port
+    }
+
+    #[test]
+    fn reaped_ports_are_reused_after_the_wrap() {
+        let mut client = TcpStack::new(13);
+        let mut server = TcpStack::new(14);
+        let ports: Vec<u16> = (0..40_000)
+            .map(|_| refused_connect(&mut client, &mut server))
+            .collect();
+        assert_eq!(ports[0], 32_768);
+        assert_eq!(ports[32_767], 65_535);
+        assert_eq!(ports[32_768], 32_768, "the cursor wraps");
+        assert_eq!(ports[39_999], 32_768 + 7_231);
+        assert_eq!(client.active_connections(), 0);
+    }
+
+    #[test]
+    fn the_wrap_skips_live_ports_and_reaped_keys_get_a_rst() {
+        let mut client = TcpStack::new(15);
+        let mut server = TcpStack::new(16);
+        server.listen(80);
+        // Port 32,768 stays live: its SYN is never delivered.
+        let mut out = Vec::new();
+        let live = client.connect(SERVER, 80, &mut out).unwrap();
+        assert_eq!(live.local_port, 32_768);
+        for _ in 1..32_768 {
+            refused_connect(&mut client, &mut server);
+        }
+        let mut out = Vec::new();
+        let next = client.connect(SERVER, 80, &mut out).unwrap();
+        assert_eq!(next.local_port, 32_769, "the live port is skipped");
+        assert_eq!(client.active_connections(), 2);
+
+        // A segment for the reaped connection on port 40,000.
+        let stray = TcpSegment::new(8080, 40_000, 7, 7, TcpFlags::PSH_ACK, b"late".to_vec());
+        let mut out = Vec::new();
+        assert!(client
+            .on_segment(SERVER, stray.clone(), &mut out)
+            .is_empty());
+        assert_eq!(out, vec![TcpSegment::rst(&stray)]);
     }
 }

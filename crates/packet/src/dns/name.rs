@@ -18,7 +18,7 @@ pub const MAX_NAME_LEN: usize = 253;
 /// ([`DnsName::labels`], [`DnsName::first_label`]) is first-class here.
 ///
 /// Backed by `Arc<str>`: a decoy's name is decoded once per packet and
-/// then cloned into every observer's retention store, capture log and
+/// then cloned into every observer's retention store, capture record and
 /// probe order along the route — with a shared allocation those clones
 /// are refcount bumps, and the per-hop memory cost of wide observation
 /// stays flat.

@@ -132,18 +132,24 @@ impl Default for TransportProfile {
     }
 }
 
-/// splitmix64: the stateless mixer behind per-flow adoption buckets.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
+/// One SplitMix64 step (Steele et al.): advance `state` by the golden
+/// gamma and return the mixed result. The workspace's one copy, used
+/// wherever a stream or a value-derived decision must be stable across
+/// runs, shards and processes (adoption buckets here, the daemon's wave
+/// seeds, the benches' fixed probe streams).
+#[inline]
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// Stable 0–99 bucket for identity `x` under `salt`. Adoption at level
 /// `p` is `bucket < p`, so adoption sets are nested as `p` grows.
 fn bucket(x: u64, salt: u64) -> u8 {
-    (splitmix64(x ^ salt) % 100) as u8
+    (splitmix64(&mut (x ^ salt)) % 100) as u8
 }
 
 const SALT_DNS: u64 = 0x00d0_57a1_ed05_7a1e;

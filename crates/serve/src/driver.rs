@@ -37,17 +37,8 @@ use shadow_telemetry::{JournalRecord, MetricsSnapshot};
 use std::path::{Path, PathBuf};
 use traffic_shadowing::shadow_core::executor::TelemetryOptions;
 use traffic_shadowing::shadow_netsim::fault::fnv1a64;
+use traffic_shadowing::shadow_packet::transport::splitmix64;
 use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
-
-/// `z ^= golden; mix(z)` — the SplitMix64 step (Steele et al.), the same
-/// generator family the chaos crate uses for value-derived decisions.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// How the daemon runs its campaign.
 #[derive(Debug, Clone)]

@@ -118,13 +118,15 @@ pub struct IcmpObservation {
     pub orig_ident: u16,
 }
 
-/// Everything a VP recorded, harvested post-run.
+/// Everything a VP recorded since the campaign last harvested it: each
+/// harvest moves the report out, so a phase's reports hold that phase's
+/// evidence only.
 #[derive(Debug, Clone, Default)]
 pub struct VpReport {
     pub dns_answers: Vec<DnsAnswerRecord>,
     pub icmp: Vec<IcmpObservation>,
-    /// Probe ident → (domain, requested initial TTL, destination).
-    pub ident_map: HashMap<u16, (DnsName, u8, Ipv4Addr)>,
+    /// Probe ident → (requested initial TTL, destination).
+    pub ident_map: HashMap<u16, (u8, Ipv4Addr)>,
     pub handshake_failures: u64,
 }
 
@@ -188,12 +190,10 @@ impl VantagePointHost {
         self.ttl_rewrite.unwrap_or(requested)
     }
 
-    fn alloc_ident(&mut self, domain: &DnsName, ttl: u8, dst: Ipv4Addr) -> u16 {
+    fn alloc_ident(&mut self, ttl: u8, dst: Ipv4Addr) -> u16 {
         let ident = self.next_ident;
         self.next_ident = self.next_ident.wrapping_add(1).max(1);
-        self.report
-            .ident_map
-            .insert(ident, (domain.clone(), ttl, dst));
+        self.report.ident_map.insert(ident, (ttl, dst));
         ident
     }
 
@@ -251,7 +251,7 @@ impl VantagePointHost {
 
     fn send_decoy(&mut self, decoy: DecoySend, ctx: &mut Ctx<'_>) {
         let (dst, ttl, payload) = (decoy.dst, decoy.ttl, decoy.payload);
-        let ident = self.alloc_ident(&decoy.domain, ttl, dst);
+        let ident = self.alloc_ident(ttl, dst);
         // Datagrams and raw probes take a source port that wraps with the
         // ident counter; a handshake takes its port from the TCP stack.
         let (src_base, dst_port): (u16, u16) = match payload {
@@ -505,12 +505,11 @@ mod tests {
     #[test]
     fn ident_allocation_tracks_probes() {
         let mut vp = VantagePointHost::new(Ipv4Addr::new(1, 1, 1, 1), 1, None);
-        let d = DnsName::parse("x.www.experiment.example").unwrap();
         let dst = Ipv4Addr::new(8, 8, 8, 8);
-        let i1 = vp.alloc_ident(&d, 3, dst);
-        let i2 = vp.alloc_ident(&d, 4, dst);
+        let i1 = vp.alloc_ident(3, dst);
+        let i2 = vp.alloc_ident(4, dst);
         assert_ne!(i1, i2);
-        assert_eq!(vp.report.ident_map[&i1], (d.clone(), 3, dst));
-        assert_eq!(vp.report.ident_map[&i2], (d, 4, dst));
+        assert_eq!(vp.report.ident_map[&i1], (3, dst));
+        assert_eq!(vp.report.ident_map[&i2], (4, dst));
     }
 }

@@ -4,6 +4,7 @@
 //! every packet the VP emits, so tests can witness (and pin) the wire.
 
 use shadow_geo::{Asn, Region};
+use shadow_honeypot::capture::{CaptureLog, SharedArrivalSink};
 use shadow_honeypot::web::WebHost;
 use shadow_netsim::engine::{Ctx, Engine, Host, TapVerdict, WireTap};
 use shadow_netsim::fault::fnv1a64;
@@ -106,6 +107,8 @@ struct World {
     resolver: NodeId,
     web: NodeId,
     web_addr: Ipv4Addr,
+    /// The recording sink installed on the honeypot at `web`.
+    captured: SharedArrivalSink,
     resolver_addr: Ipv4Addr,
     first_hop: NodeId,
 }
@@ -147,13 +150,17 @@ fn world(ttl_rewrite: Option<u8>) -> World {
             queries: Vec::new(),
         }),
     );
-    engine.add_host(web, Box::new(WebHost::honeypot(web_addr, "US", 5)));
+    let mut honeypot = WebHost::honeypot(web_addr, "US", 5);
+    let captured = CaptureLog::shared();
+    honeypot.set_arrival_sink(Some(captured.clone()));
+    engine.add_host(web, Box::new(honeypot));
     World {
         engine,
         vp,
         resolver,
         web,
         web_addr,
+        captured,
         resolver_addr,
         first_hop,
     }
@@ -232,8 +239,9 @@ fn http_decoy_completes_handshake_and_delivers_host_header() {
     w.engine.run_to_completion();
     let web = w.engine.host_as::<WebHost>(w.web).unwrap();
     assert_eq!(web.http_requests_served, 1);
-    let arrival = web.captures().iter().next().unwrap();
-    assert_eq!(arrival.domain, domain("h1"));
+    let arrivals = CaptureLog::arrivals(&w.captured);
+    assert_eq!(arrivals.len(), 1);
+    assert_eq!(arrivals[0].domain, domain("h1"));
     let vp = w.engine.host_as::<VantagePointHost>(w.vp).unwrap();
     assert_eq!(vp.report.handshake_failures, 0);
     assert_eq!(payloads_sent(&w), 1, "decoy sent after handshake");
@@ -250,8 +258,9 @@ fn tls_decoy_delivers_sni() {
     w.engine.run_to_completion();
     let web = w.engine.host_as::<WebHost>(w.web).unwrap();
     assert_eq!(web.tls_hellos_seen, 1);
-    let arrival = web.captures().iter().next().unwrap();
-    assert_eq!(arrival.domain, domain("t1"));
+    let arrivals = CaptureLog::arrivals(&w.captured);
+    assert_eq!(arrivals.len(), 1);
+    assert_eq!(arrivals[0].domain, domain("t1"));
 }
 
 #[test]
@@ -294,7 +303,7 @@ fn ttl_sweep_records_icmp_per_probe() {
     assert_eq!(vp.report.icmp.len(), router_hops as usize);
     // Every ICMP observation maps back to its probe via the ident map.
     for obs in &vp.report.icmp {
-        let (_, ttl, dst) = vp.report.ident_map[&obs.orig_ident].clone();
+        let (ttl, dst) = vp.report.ident_map[&obs.orig_ident];
         assert_eq!(dst, w.resolver_addr);
         assert!(ttl >= 1 && ttl <= router_hops);
         assert_eq!(obs.orig_dst, w.resolver_addr);

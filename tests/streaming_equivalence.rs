@@ -9,8 +9,6 @@ use traffic_shadowing::shadow_chaos::{FaultProfile, OutageSpec, RetrySpec, Windo
 use traffic_shadowing::shadow_core::decoy::DecoyProtocol;
 use traffic_shadowing::shadow_core::executor::{ChunkConfig, TelemetryOptions};
 use traffic_shadowing::shadow_dns::catalog::resolver_h;
-use traffic_shadowing::shadow_honeypot::authority::ExperimentAuthorityHost;
-use traffic_shadowing::shadow_honeypot::web::WebHost;
 use traffic_shadowing::shadow_netsim::fault::fnv1a64;
 use traffic_shadowing::shadow_packet::dns::DnsName;
 use traffic_shadowing::shadow_telemetry::EventKind;
@@ -80,17 +78,17 @@ fn default_path_retains_no_arrivals() {
     assert!(outcome.phase1.aggregates.unsolicited_total() > 0);
     let phase2 = outcome.phase2.as_ref().expect("Phase II ran");
     assert!(phase2.aggregates.arrivals_seen > 0, "Phase II streams too");
-    // With a sink installed, the honeypots keep no capture log at all.
-    let world = &outcome.world;
-    let auth = world
-        .engine
-        .host_as::<ExperimentAuthorityHost>(world.auth_node)
-        .expect("authoritative honeypot");
-    assert!(auth.captures.is_empty(), "authoritative buffered arrivals");
-    for &(node, _, _) in &world.honey_web {
-        let web = world.engine.host_as::<WebHost>(node).expect("web honeypot");
-        assert!(web.captures().is_empty(), "web honeypot buffered arrivals");
-    }
+}
+
+/// Each harvest moves the VP reports out, so Phase II's reports hold the
+/// probes Phase II posted and none of the pre-flight's or Phase I's.
+#[test]
+fn phase2_reports_hold_only_phase2_probes() {
+    let outcome = Study::run(StudyConfig::tiny(SEED));
+    let phase2 = outcome.phase2.as_ref().expect("Phase II ran");
+    let idents: usize = phase2.vp_reports.values().map(|r| r.ident_map.len()).sum();
+    assert!(phase2.decoy_count() > 0, "Phase II posted probes");
+    assert_eq!(idents, phase2.decoy_count());
 }
 
 #[test]
