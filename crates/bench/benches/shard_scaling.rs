@@ -8,8 +8,9 @@
 //!
 //! * `BENCH shard_scaling/phase1_threads_K` — wall-clock of the K×K
 //!   scheduler on *this* host. On a host with fewer than K cores the
-//!   chunks time-slice the cores and each one replays the pre-flight, so
-//!   wall-clock stops improving (and grows) past the core count.
+//!   chunks time-slice the cores and each extra one costs a fork of the
+//!   scout world, so wall-clock stops improving (and grows) past the core
+//!   count.
 //! * `SHARD_EVENTS {"threads":K,...}` — per-shard simulator event counts
 //!   from a metrics-enabled run (taken outside the timed loop; the
 //!   criterion measurements keep telemetry disabled), so load imbalance

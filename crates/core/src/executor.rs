@@ -5,21 +5,22 @@
 //! function of the (deterministic) world. A parallel run therefore:
 //!
 //! 1. generates the [`WorldSpec`] once (all randomness lives there);
-//! 2. instantiates a scout [`World`] on the calling thread, replays the
-//!    Appendix-E pre-flight on it, and compiles the global Phase I plan
-//!    there once, shared read-only with every chunk. The plan is the
-//!    closed-form [`Phase1Schedule`](crate::campaign::Phase1Schedule):
-//!    target list plus roster, O(VPs + targets), whatever the send count;
+//! 2. instantiates a scout [`World`] on the calling thread, runs the
+//!    Appendix-E pre-flight on it (the run's only one), and compiles the
+//!    global Phase I plan there once, shared read-only with every chunk.
+//!    The plan is the closed-form
+//!    [`Phase1Schedule`](crate::campaign::Phase1Schedule): target list
+//!    plus roster, O(VPs + targets), whatever the send count;
 //! 3. partitions the VP set round-robin into [`ChunkConfig::chunks`]
 //!    chunks, which [`ChunkConfig::workers`] threads claim one at a time
 //!    from one shared queue until it drains;
-//! 4. runs every chunk in a private world instantiated from the shared
-//!    spec — identical topology, exhibitor seeds and honeypots, and (after
-//!    its own pre-flight replay) identical platform vetting — expanding and
-//!    posting only the sends its VPs own, registering the decoys it posts
-//!    for its own correlation sink, and running the clock through the
-//!    global grace window, so retention-store timing matches the
-//!    sequential run;
+//! 4. runs chunk 0 in the scout and every other chunk in a private
+//!    [`World::fork`] of it, taken before any chunk starts — identical
+//!    topology, exhibitor seeds, honeypots, platform vetting and
+//!    post-pre-flight host state — expanding and posting only the sends
+//!    its VPs own, registering the decoys it posts for its own
+//!    correlation sink, and running the clock through the global grace
+//!    window, so retention-store timing matches the sequential run;
 //! 5. merges chunk outputs in chunk-index order with the commutative,
 //!    order-stable [`CampaignData::absorb`]; chunk journals stay in
 //!    emission order, concatenated in chunk order, until the study sorts
@@ -53,10 +54,10 @@ use std::sync::{Arc, Mutex};
 
 /// What a (parallel or sequential) run records about itself.
 ///
-/// Telemetry is installed **after** the pre-flight replay: the Appendix-E
-/// pre-flight runs identically in *every* chunk, so counting it K times
-/// would break the "merged world counters equal the sequential run's"
-/// invariant the telemetry exists to check.
+/// Telemetry is installed **after** the pre-flight, on the scout and on
+/// each fork of it, so it covers the campaign traffic only, as in the
+/// sequential run; the Appendix-E pre-flight is a measurement of the
+/// platform, not of shadowing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TelemetryOptions {
     /// Collect metrics (counters + histograms).
@@ -94,8 +95,9 @@ impl TelemetryOptions {
 /// Partition `vps` into `shards` round-robin sets (VP *i* goes to shard
 /// `i % shards`). Deterministic in the input order; every VP lands in
 /// exactly one shard. `shards` is clamped to at least 1 and at most the
-/// number of VPs (empty shards are pointless but harmless — they still
-/// replay the pre-flight — so we avoid creating them).
+/// number of VPs (empty shards are pointless but harmless — each still
+/// costs a world fork and a run of the clock — so we avoid creating
+/// them).
 pub fn shard_vps(vps: &[VpId], shards: usize) -> Vec<BTreeSet<VpId>> {
     let k = shards.clamp(1, vps.len().max(1));
     let mut out = vec![BTreeSet::new(); k];
@@ -115,7 +117,7 @@ fn executing_vps(vp_ids: &[VpId], limit: Option<usize>) -> Option<BTreeSet<VpId>
 /// Everything a parallel Phase I produces: the merged campaign data plus
 /// the per-chunk worlds kept alive for Phase II continuation.
 pub struct ShardedPhase1 {
-    /// Pre-flight outcome (identical in every chunk; chunk 0's copy).
+    /// The outcome of the run's one pre-flight, taken on the scout world.
     pub preflight: PreflightOutcome,
     /// Merged Phase I data, absorbed in chunk order.
     pub data: CampaignData,
@@ -124,7 +126,10 @@ pub struct ShardedPhase1 {
     pub worlds: Vec<World>,
     /// The VP partition, by chunk index.
     pub assignment: Vec<BTreeSet<VpId>>,
-    /// Engine statistics summed across chunks.
+    /// Engine statistics summed across chunks: chunk 0's world (the scout)
+    /// counts the pre-flight and its own Phase I, every fork only its own
+    /// Phase I, so the sum equals the sequential world's
+    /// [`Engine::stats`](shadow_netsim::engine::Engine::stats) after Phase I.
     pub stats: EngineStats,
 }
 
@@ -134,10 +139,10 @@ pub struct ShardedPhase1 {
 /// Chunks are the unit of work: workers claim them one at a time from one
 /// shared queue, so more chunks means better balancing on skewed worlds (a
 /// VP whose paths trigger heavy probe replay no longer pins a whole
-/// worker's share to one thread) at the cost of one world instantiation +
-/// pre-flight replay per chunk. The defaults oversubscribe 2× so a worker
-/// that finishes early always finds another chunk, except at
-/// `workers == 1` where splitting only adds instantiation overhead.
+/// worker's share to one thread) at the cost of one [`World::fork`] of the
+/// pre-flighted scout world per extra chunk. The defaults oversubscribe 2×
+/// so a worker that finishes early always finds another chunk, except at
+/// `workers == 1` where splitting only adds fork overhead.
 /// `with_workers(k).with_chunks(k)` is the "K shards" shape: the same
 /// round-robin partition, one chunk per worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -236,27 +241,27 @@ where
 ///   pure function of the post-pre-flight world. Each chunk expands only
 ///   its own VPs' sends from it.
 /// * Chunk→thread placement is nondeterministic, but each chunk runs in
-///   its own private world keyed by chunk index and the merge folds in
-///   chunk-index order, so output is byte-identical to the sequential run
-///   for any `(chunks, workers)`, enforced by
-///   `tests/sharded_equivalence.rs`.
+///   its own private world keyed by chunk index (the scout, or a fork of
+///   it taken before any chunk starts) and the merge folds in chunk-index
+///   order, so output is byte-identical to the sequential run for any
+///   `(chunks, workers)`, enforced by `tests/sharded_equivalence.rs`.
 /// * Telemetry and the fault conditioner go in per chunk, **after** the
-///   pre-flight replay, which therefore vets the platform on a healthy
-///   network and keeps the plan identical under faults. Every chunk
+///   pre-flight and the forks, so the pre-flight vets the platform on a
+///   healthy network and keeps the plan identical under faults. Every chunk
 ///   installs the same conditioner; its decisions are value-derived from
 ///   packet bytes, so chunks seeing disjoint traffic still agree with the
 ///   sequential run packet for packet. Per-chunk snapshots, journals and
 ///   sink aggregates ride back inside each chunk's [`CampaignData`] and
 ///   merge in [`CampaignData::absorb`]; no chunk buffers its arrivals.
 /// * When `vp_limit` is `Some(n)`, only the first `n` VPs in (pre-vetting)
-///   platform order post their sends. World construction and pre-flight
-///   replay still run at full scale: the bound trims the executed slice,
-///   not the set-up. The plan costs O(VPs + targets) either way, and the
-///   sends of VPs outside the bound are never expanded.
+///   platform order post their sends. World construction and the
+///   pre-flight still run at full scale: the bound trims the executed
+///   slice, not the set-up. The plan costs O(VPs + targets) either way,
+///   and the sends of VPs outside the bound are never expanded.
 ///
-/// The scout world is not wasted: chunk 0 runs in it (post-pre-flight,
-/// pre-telemetry), so `chunks == 1` costs exactly one instantiation, like
-/// the sequential pipeline.
+/// Whatever the shape, the run instantiates one world and pre-flights it
+/// once, like the sequential pipeline: chunk 0 runs in the scout
+/// (post-pre-flight, pre-telemetry), and each extra chunk costs one fork.
 #[allow(clippy::too_many_arguments)]
 pub fn run_phase1_chunks(
     spec: &WorldSpec,
@@ -272,26 +277,20 @@ pub fn run_phase1_chunks(
     let chunks = shape.chunks.clamp(1, vp_ids.len().max(1));
     let assignment = shard_vps(&vp_ids, chunks);
 
-    // Scout: pay one instantiation + pre-flight up front to compute the
-    // global plan every chunk shares. It stays on the calling thread, so
-    // chunk 0's world (the scout) lives in the main malloc arena rather
-    // than a worker's fresh per-thread one.
+    // Scout: the run's one instantiation and pre-flight, and the global
+    // plan every chunk shares. It stays on the calling thread, so chunk
+    // 0's world (the scout) lives in the main malloc arena rather than a
+    // worker's fresh per-thread one.
     let mut scout = spec.instantiate();
-    let scout_preflight = NoiseFilter::run_and_apply(&mut scout);
+    let preflight = NoiseFilter::run_and_apply(&mut scout);
     let plan = CampaignRunner::plan_phase1(&scout, config);
 
-    // Chunk 0 recycles the scout world; every other chunk builds its own.
-    let ready: Vec<Option<(World, PreflightOutcome)>> =
-        std::iter::once(Some((scout, scout_preflight)))
-            .chain((1..chunks).map(|_| None))
-            .collect();
-    let chunk_outputs = run_chunks(ready, shape.workers, |chunk, ready| {
+    // Chunk 0 keeps the scout; every other chunk runs in a fork of it,
+    // taken before any chunk installs telemetry or a conditioner.
+    let forks: Vec<World> = (1..chunks).map(|_| scout.fork()).collect();
+    let worlds: Vec<World> = std::iter::once(scout).chain(forks).collect();
+    let chunk_outputs = run_chunks(worlds, shape.workers, |chunk, mut world| {
         let started = std::time::Instant::now();
-        let (mut world, preflight) = ready.unwrap_or_else(|| {
-            let mut world = spec.instantiate();
-            let preflight = NoiseFilter::run_and_apply(&mut world);
-            (world, preflight)
-        });
         world.engine.set_telemetry(telemetry.handle(chunk as u32));
         world.engine.set_conditioner(conditioner.clone());
         let owned = &assignment[chunk];
@@ -299,9 +298,9 @@ pub fn run_phase1_chunks(
             owned.contains(&vp) && allowed.as_ref().is_none_or(|a| a.contains(&vp))
         });
         record_phase_wall(&mut data, "phase1", started);
-        (world, preflight, data)
+        (world, data)
     });
-    merge_shards(chunk_outputs, assignment)
+    merge_shards(chunk_outputs, assignment, preflight)
 }
 
 /// The former name of [`ChunkConfig`]: perfbench only; delete with
@@ -385,20 +384,15 @@ fn record_phase_wall(data: &mut CampaignData, phase: &str, started: std::time::I
 }
 
 fn merge_shards(
-    shard_outputs: Vec<(World, PreflightOutcome, CampaignData)>,
+    shard_outputs: Vec<(World, CampaignData)>,
     assignment: Vec<BTreeSet<VpId>>,
+    preflight: PreflightOutcome,
 ) -> ShardedPhase1 {
     let mut worlds = Vec::with_capacity(shard_outputs.len());
-    let mut preflight = None;
     let mut data: Option<CampaignData> = None;
     let mut stats = EngineStats::default();
-    for (shard_idx, (world, shard_preflight, mut shard_data)) in
-        shard_outputs.into_iter().enumerate()
-    {
+    for (shard_idx, (world, mut shard_data)) in shard_outputs.into_iter().enumerate() {
         stats.absorb(world.engine.stats());
-        if preflight.is_none() {
-            preflight = Some(shard_preflight);
-        }
         // Journaling runs get an audit marker per absorbed shard (meta —
         // diffs skip it, so shard counts stay comparable). It is the
         // shard's only `seq = u64::MAX` record, so (shard, seq) stays
@@ -423,7 +417,7 @@ fn merge_shards(
         worlds.push(world);
     }
     ShardedPhase1 {
-        preflight: preflight.expect("at least one shard"),
+        preflight,
         data: data.expect("at least one shard"),
         worlds,
         assignment,

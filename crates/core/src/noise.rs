@@ -29,7 +29,7 @@ pub const PREFLIGHT_TTLS: (u8, u8) = (20, 60);
 /// The controlled server of Appendix E ("directly sending packets to our
 /// controlled server and inspect whether contents or TTL fields have been
 /// tampered with"). Records the *arrival* TTL of every probe.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub struct ControlServerHost {
     /// (source address, arrival TTL, first payload byte as probe tag).
     pub received: Vec<(Ipv4Addr, u8, u8)>,

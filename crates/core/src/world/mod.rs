@@ -185,6 +185,47 @@ impl World {
         self.dns_destinations.iter().find(|d| d.dest.name == name)
     }
 
+    /// Copy an idle world through [`Engine::fork`]: same platform vetting,
+    /// host and tap state, and clock, so a fork of a pre-flighted world
+    /// runs a phase exactly as a freshly instantiated and pre-flighted one
+    /// would. The campaign forks its pre-flighted scout world once per
+    /// extra chunk.
+    ///
+    /// Panics where [`Engine::fork`] does, and on a world whose honeypots
+    /// hold an arrival sink: a fork would fold its captures into the same
+    /// sink.
+    pub fn fork(&self) -> World {
+        let engine = &self.engine;
+        let auth_sink = engine
+            .host_as::<shadow_honeypot::authority::ExperimentAuthorityHost>(self.auth_node)
+            .is_some_and(|auth| auth.has_arrival_sink());
+        let web_sink = self.honey_web.iter().any(|&(node, _, _)| {
+            engine
+                .host_as::<shadow_honeypot::web::WebHost>(node)
+                .is_some_and(|web| web.has_arrival_sink())
+        });
+        assert!(
+            !auth_sink && !web_sink,
+            "World::fork: an arrival sink is installed; uninstall it before forking"
+        );
+        World {
+            config: self.config.clone(),
+            engine: self.engine.fork(),
+            catalog: self.catalog.clone(),
+            geo: self.geo.clone(),
+            platform: self.platform.clone(),
+            zone: self.zone.clone(),
+            auth_node: self.auth_node,
+            auth_addr: self.auth_addr,
+            honey_web: self.honey_web.clone(),
+            control_node: self.control_node,
+            control_addr: self.control_addr,
+            dns_destinations: self.dns_destinations.clone(),
+            tranco: self.tranco.clone(),
+            ground_truth: self.ground_truth.clone(),
+        }
+    }
+
     /// Install (or clear, with `None`) a streaming arrival sink on every
     /// capture point — the authoritative server and all honey web hosts.
     /// Each host holds a clone of the shared handle, so every capture in

@@ -5,9 +5,10 @@
 //! placement) and records the outcome here as plain data — no engine, no
 //! boxed hosts, no RNG state. [`WorldSpec::instantiate`] then materializes a
 //! runnable [`World`] from it. Because instantiation is a pure function of
-//! the spec, every shard of a sharded campaign instantiates its own world
-//! from the *same* spec and is guaranteed the identical ground truth:
-//! identical topology, identical exhibitor seeds, identical honeypots.
+//! the spec, every world instantiated from the *same* spec has the
+//! identical ground truth: identical topology, identical exhibitor seeds,
+//! identical honeypots. A chunked campaign instantiates one (its scout)
+//! and gives every other chunk a [`World::fork`] of it.
 
 use super::{DeployedDnsDestination, GroundTruth, TrancoSite, World, WorldConfig};
 use crate::noise::ControlServerHost;

@@ -190,3 +190,11 @@ fn phase2_localizes_dns_observers_at_destination() {
     // Tracerouting revealed actual router addresses on the way.
     assert!(results.iter().any(|r| !r.revealed_routers.is_empty()));
 }
+
+#[test]
+#[should_panic(expected = "an arrival sink is installed")]
+fn fork_refuses_a_world_with_an_arrival_sink() {
+    let mut world = tiny_world(5);
+    world.install_arrival_sink(Some(shadow_honeypot::capture::CaptureLog::shared()));
+    let _ = world.fork();
+}

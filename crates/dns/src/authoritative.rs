@@ -33,6 +33,7 @@ pub struct AuthorityLogEntry {
 }
 
 /// A static authority host.
+#[derive(Clone)]
 pub struct StaticAuthorityHost {
     addr: Ipv4Addr,
     /// Name advertised in referral NS records.
@@ -140,6 +141,7 @@ mod tests {
     use shadow_netsim::engine::Engine;
     use shadow_netsim::topology::TopologyBuilder;
 
+    #[derive(Clone)]
     struct Sink {
         packets: Vec<Ipv4Packet>,
     }

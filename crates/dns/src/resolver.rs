@@ -51,7 +51,7 @@ enum ClientTransport {
     Encrypted { transport: DnsTransport, nonce: u32 },
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct PendingResolution {
     qname: DnsName,
     /// Clients waiting: (address, UDP port, original query id, transport).
@@ -62,6 +62,7 @@ struct PendingResolution {
 /// (e.g. 114DNS) several instances share the service address, each with its
 /// own profile — the paper's case study II (CN instances shadow, US do not)
 /// is expressed exactly this way.
+#[derive(Clone)]
 pub struct RecursiveResolverHost {
     /// Service address clients query (possibly anycast).
     service_addr: Ipv4Addr,

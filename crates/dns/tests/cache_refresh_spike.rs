@@ -22,6 +22,7 @@ use shadow_packet::udp::UdpDatagram;
 use std::any::Any;
 use std::net::Ipv4Addr;
 
+#[derive(Clone)]
 struct Quiet;
 
 impl Host for Quiet {

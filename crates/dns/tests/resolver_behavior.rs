@@ -20,6 +20,7 @@ use shadow_packet::udp::UdpDatagram;
 use std::any::Any;
 use std::net::Ipv4Addr;
 
+#[derive(Clone)]
 struct Sink {
     packets: Vec<(SimTime, Ipv4Packet)>,
     orders: Vec<(SimTime, ProbeOrder)>,

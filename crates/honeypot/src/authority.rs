@@ -20,6 +20,7 @@ use std::net::Ipv4Addr;
 pub const WILDCARD_TTL_SECS: u32 = 3_600;
 
 /// The authoritative host for one experiment zone.
+#[derive(Clone)]
 pub struct ExperimentAuthorityHost {
     addr: Ipv4Addr,
     zone: DnsName,
@@ -55,6 +56,11 @@ impl ExperimentAuthorityHost {
     /// Install (or clear) the streaming arrival sink.
     pub fn set_arrival_sink(&mut self, sink: Option<SharedArrivalSink>) {
         self.sink = sink;
+    }
+
+    /// Whether an arrival sink is installed.
+    pub fn has_arrival_sink(&self) -> bool {
+        self.sink.is_some()
     }
 
     pub fn zone(&self) -> &DnsName {
@@ -142,6 +148,7 @@ mod tests {
     use shadow_netsim::topology::TopologyBuilder;
     use shadow_packet::dns::RecordData;
 
+    #[derive(Clone)]
     struct Sink {
         packets: Vec<Ipv4Packet>,
     }

@@ -33,6 +33,7 @@ generated; no user data is involved. Contact: research@experiment.example\
 </p></body></html>";
 
 /// A web endpoint on ports 80 and 443.
+#[derive(Clone)]
 pub struct WebHost {
     addr: Ipv4Addr,
     tcp: TcpStack,
@@ -119,6 +120,11 @@ impl WebHost {
     /// Install (or clear) the streaming arrival sink.
     pub fn set_arrival_sink(&mut self, sink: Option<SharedArrivalSink>) {
         self.sink = sink;
+    }
+
+    /// Whether an arrival sink is installed.
+    pub fn has_arrival_sink(&self) -> bool {
+        self.sink.is_some()
     }
 
     fn emit(&self, peer: Ipv4Addr, segs: Vec<shadow_packet::tcp::TcpSegment>, ctx: &mut Ctx<'_>) {
@@ -270,6 +276,7 @@ mod tests {
     use shadow_packet::tls::FRONT_SNI;
 
     /// A minimal client driving one HTTP or TLS exchange.
+    #[derive(Clone)]
     struct Client {
         addr: Ipv4Addr,
         tcp: TcpStack,
@@ -465,6 +472,7 @@ mod tests {
     }
 
     /// Records the probe orders posted to its node.
+    #[derive(Clone)]
     struct Orders(Vec<ProbeOrder>);
 
     impl Host for Orders {

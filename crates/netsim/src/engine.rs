@@ -23,7 +23,10 @@ use std::sync::Arc;
 /// Hosts receive packets addressed to their node, fire timers they armed,
 /// and receive application-level messages posted by the campaign controller
 /// or by wire taps (e.g. "probe this domain in 2 days").
-pub trait Host: Send + Sync {
+///
+/// Every host is `Clone` (see [`HostFork`]), so [`Engine::fork`] can copy
+/// a world's hosts with their state.
+pub trait Host: HostFork + Send + Sync {
     fn on_packet(&mut self, pkt: Ipv4Packet, ctx: &mut Ctx<'_>);
 
     fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx<'_>) {}
@@ -54,7 +57,9 @@ pub enum TapVerdict {
 /// decode, every later tap (and every later hop) reads the cached result.
 /// Taps must read watched fields through the view rather than re-parsing
 /// the payload — see the contract in [`shadow_packet::view`].
-pub trait WireTap: Send + Sync {
+///
+/// Every tap is `Clone` (see [`TapFork`]), like every [`Host`].
+pub trait WireTap: TapFork + Send + Sync {
     fn on_packet(
         &mut self,
         pkt: &Ipv4Packet,
@@ -68,6 +73,31 @@ pub trait WireTap: Send + Sync {
     fn as_any(&self) -> &dyn Any;
 
     fn as_any_mut(&mut self) -> &mut dyn Any;
+}
+
+/// The fork hook behind [`Engine::fork`]: a boxed copy of a host, state
+/// included. Implemented for every `Clone` host by the blanket impl below,
+/// so a host type opts in by deriving `Clone`; there is no default to
+/// forget to override.
+pub trait HostFork {
+    fn fork_host(&self) -> Box<dyn Host>;
+}
+
+impl<T: Host + Clone + 'static> HostFork for T {
+    fn fork_host(&self) -> Box<dyn Host> {
+        Box::new(self.clone())
+    }
+}
+
+/// [`HostFork`] for wire taps.
+pub trait TapFork {
+    fn fork_tap(&self) -> Box<dyn WireTap>;
+}
+
+impl<T: WireTap + Clone + 'static> TapFork for T {
+    fn fork_tap(&self) -> Box<dyn WireTap> {
+        Box::new(self.clone())
+    }
 }
 
 /// Deferred side effects collected during a callback and applied by the
@@ -288,6 +318,51 @@ impl Engine {
             route_cache: HashMap::new(),
             scratch_actions: Vec::new(),
             batch: Vec::new(),
+        }
+    }
+
+    /// Copy an idle engine: its clock, its event-sequence and IP-ident
+    /// counters, a copy of every host and tap with its state, and the
+    /// topology. The copy starts with an empty event queue and route memo
+    /// and zeroed [`EngineStats`], so its counters cover only what it
+    /// runs itself. From there the two evolve independently, and the copy
+    /// runs exactly as the source would: neither the queue's storage nor
+    /// the memo decides an event's outcome (only the `topo_lookups` run
+    /// counter, which counts memo misses, sees the colder memo).
+    ///
+    /// Panics on a queued event (a boxed message cannot be copied), an
+    /// installed telemetry handle (the copy would count into the same
+    /// registry and journal) or a fault conditioner: both belong to one
+    /// run and go in after the fork.
+    pub fn fork(&self) -> Engine {
+        assert!(
+            self.queue.is_empty(),
+            "Engine::fork: {} queued events; only an idle engine forks",
+            self.queue.len()
+        );
+        assert!(
+            !self.telemetry.is_enabled(),
+            "Engine::fork: telemetry is installed; install it on the fork instead"
+        );
+        assert!(
+            self.conditioner.is_none(),
+            "Engine::fork: a fault conditioner is installed; install it on the fork instead"
+        );
+        Self {
+            hosts: self
+                .hosts
+                .iter()
+                .map(|(&node, host)| (node, host.fork_host()))
+                .collect(),
+            taps: self
+                .taps
+                .iter()
+                .map(|(&node, taps)| (node, taps.iter().map(|tap| tap.fork_tap()).collect()))
+                .collect(),
+            now: self.now,
+            seq: self.seq,
+            ident: self.ident,
+            ..Self::new(self.topo.clone())
         }
     }
 
@@ -804,12 +879,16 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tcp::{TcpEvent, TcpStack};
     use crate::topology::TopologyBuilder;
+    use crate::transport::Transport;
     use shadow_geo::{Asn, Region};
+    use shadow_packet::tcp::TcpSegment;
     use shadow_packet::udp::UdpDatagram;
     use std::net::Ipv4Addr;
 
     /// Echo host: bounces any UDP payload back to the sender.
+    #[derive(Clone)]
     struct Echo {
         addr: Ipv4Addr,
         received: Vec<(SimTime, Vec<u8>)>,
@@ -843,6 +922,7 @@ mod tests {
     }
 
     /// Sink host: records everything.
+    #[derive(Clone)]
     struct Sink {
         received: Vec<(SimTime, Ipv4Packet)>,
         timers: Vec<(SimTime, u64)>,
@@ -885,6 +965,7 @@ mod tests {
     }
 
     /// Counting tap; drops packets to `poison` destinations.
+    #[derive(Clone)]
     struct CountingTap {
         seen: usize,
         poison: Option<Ipv4Addr>,
@@ -1183,6 +1264,148 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
+    }
+
+    /// A host with a TCP stack: accepts on port 80, connects to a posted
+    /// address, and logs every TCP event.
+    #[derive(Clone)]
+    struct TcpPeer {
+        addr: Ipv4Addr,
+        tcp: TcpStack,
+        events: Vec<TcpEvent>,
+    }
+
+    impl TcpPeer {
+        fn new(addr: Ipv4Addr) -> Self {
+            let mut tcp = TcpStack::new(3);
+            tcp.listen(80);
+            Self {
+                addr,
+                tcp,
+                events: Vec::new(),
+            }
+        }
+
+        fn emit(&self, peer: Ipv4Addr, out: Vec<TcpSegment>, ctx: &mut Ctx<'_>) {
+            for seg in out {
+                let pkt = Ipv4Packet::new(self.addr, peer, IpProtocol::Tcp, 64, 1, seg.encode());
+                ctx.send(pkt);
+            }
+        }
+    }
+
+    impl Host for TcpPeer {
+        fn on_packet(&mut self, pkt: Ipv4Packet, ctx: &mut Ctx<'_>) {
+            let Ok(Transport::Tcp(seg)) = Transport::parse(&pkt) else {
+                return;
+            };
+            let mut out = Vec::new();
+            let events = self.tcp.on_segment(pkt.header.src, seg, &mut out);
+            self.events.extend(events);
+            self.emit(pkt.header.src, out, ctx);
+        }
+
+        fn on_message(&mut self, msg: Box<dyn Any + Send + Sync>, ctx: &mut Ctx<'_>) {
+            let peer = *msg.downcast::<Ipv4Addr>().expect("a peer address");
+            let mut out = Vec::new();
+            self.tcp.connect(peer, 80, &mut out).expect("a free port");
+            self.emit(peer, out, ctx);
+        }
+
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// What one engine's TCP peers and counters hold.
+    fn tcp_state(engine: &Engine, w: &World) -> (SimTime, EngineStats, Vec<TcpEvent>, [usize; 2]) {
+        let peer = |node| engine.host_as::<TcpPeer>(node).unwrap();
+        let (client, server) = (peer(w.client), peer(w.server));
+        let events = client
+            .events
+            .iter()
+            .chain(&server.events)
+            .cloned()
+            .collect();
+        let live = [
+            client.tcp.active_connections(),
+            server.tcp.active_connections(),
+        ];
+        (engine.now(), engine.stats().clone(), events, live)
+    }
+
+    #[test]
+    fn fork_and_source_evolve_independently() {
+        let mut w = world();
+        w.engine
+            .add_host(w.client, Box::new(TcpPeer::new(w.client_addr)));
+        w.engine
+            .add_host(w.server, Box::new(TcpPeer::new(w.server_addr)));
+        w.engine
+            .post(SimTime::ZERO, w.client, Box::new(w.server_addr));
+        w.engine.run_to_completion();
+        let source = tcp_state(&w.engine, &w);
+        assert_eq!(source.3, [1, 1], "one connection, both ends");
+
+        let mut fork = w.engine.fork();
+        assert_eq!(fork.now(), w.engine.now());
+        assert_eq!(fork.stats(), &EngineStats::default());
+        // A connection opened in the fork leaves the source untouched.
+        fork.post(fork.now(), w.client, Box::new(w.server_addr));
+        fork.run_to_completion();
+        assert_eq!(tcp_state(&w.engine, &w), source);
+        let forked = tcp_state(&fork, &w);
+        assert_eq!(forked.3, [2, 2], "the fork kept the source's connection");
+
+        // The same connection opened in the source: the source now matches
+        // the fork, whose counters cover only what it ran itself, and the
+        // fork stays as it was.
+        w.engine
+            .post(w.engine.now(), w.client, Box::new(w.server_addr));
+        w.engine.run_to_completion();
+        let after = tcp_state(&w.engine, &w);
+        assert_eq!(
+            (after.0, &after.2, after.3),
+            (forked.0, &forked.2, forked.3)
+        );
+        assert_eq!(
+            after.1.events_processed - source.1.events_processed,
+            forked.1.events_processed
+        );
+        assert_eq!(
+            after.1.packets_delivered - source.1.packets_delivered,
+            forked.1.packets_delivered
+        );
+        assert_eq!(tcp_state(&fork, &w), forked);
+    }
+
+    #[test]
+    #[should_panic(expected = "queued events; only an idle engine forks")]
+    fn fork_refuses_a_queued_event() {
+        let mut w = world();
+        w.engine.post(SimTime(5), w.client, Box::new(()));
+        let _ = w.engine.fork();
+    }
+
+    #[test]
+    #[should_panic(expected = "telemetry is installed")]
+    fn fork_refuses_installed_telemetry() {
+        let mut w = world();
+        w.engine.set_telemetry(Telemetry::metrics_only(0));
+        let _ = w.engine.fork();
+    }
+
+    #[test]
+    #[should_panic(expected = "a fault conditioner is installed")]
+    fn fork_refuses_a_conditioner() {
+        let mut w = world();
+        w.engine
+            .set_conditioner(Some(Arc::new(LinkConditioner::new(7))));
+        let _ = w.engine.fork();
     }
 
     #[test]

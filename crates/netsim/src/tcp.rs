@@ -43,7 +43,7 @@ enum ConnState {
     CloseWait,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Conn {
     state: ConnState,
     /// Next sequence number we will send.
@@ -74,7 +74,7 @@ const EPHEMERAL_PORTS: u32 = 32_768;
 /// Per-host TCP machinery. The owner passes outbound segments to the
 /// network itself (the stack only produces `TcpSegment`s, keeping it free of
 /// engine dependencies).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct TcpStack {
     /// Live connections only: a closed one is removed.
     conns: HashMap<ConnKey, Conn>,

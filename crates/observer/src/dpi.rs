@@ -83,6 +83,7 @@ pub struct DpiStats {
 
 /// The tap itself: name extraction, watch switches and recall telemetry
 /// in front of one [`Exhibitor`].
+#[derive(Clone)]
 pub struct DpiTap {
     watch_dns: bool,
     watch_http: bool,
@@ -291,6 +292,7 @@ mod tests {
     use shadow_packet::udp::UdpDatagram;
 
     /// Records ProbeOrders with their delivery times.
+    #[derive(Clone)]
     struct Recorder {
         orders: Vec<(SimTime, ProbeOrder)>,
     }

@@ -70,6 +70,7 @@ pub struct ExhibitorStats {
 /// store: all probe randomness is derived per observation from the seed
 /// ([`observation_rng`]), so what it does for one domain never depends on
 /// what other names it saw.
+#[derive(Clone)]
 pub struct Exhibitor {
     /// Ground-truth provenance carried on every order, shared by all of
     /// them.

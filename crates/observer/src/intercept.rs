@@ -31,6 +31,7 @@ pub enum InterceptMode {
 }
 
 /// A DNS interception middlebox attached to a router.
+#[derive(Clone)]
 pub struct InterceptorTap {
     pub mode: InterceptMode,
     /// Address returned in spoofed A records (redirect mode).
@@ -155,6 +156,7 @@ mod tests {
     use shadow_netsim::topology::TopologyBuilder;
     use shadow_packet::dns::DnsName;
 
+    #[derive(Clone)]
     struct Sink {
         packets: Vec<(SimTime, Ipv4Packet)>,
     }

@@ -84,7 +84,7 @@ pub const ENUMERATION_PATHS: &[&str] = &[
     "/old/",
 ];
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum ConnPurpose {
     Http { domain: DnsName, path: String },
     Https { domain: DnsName, seed: u64 },
@@ -98,6 +98,7 @@ struct FollowUpHttp {
 }
 
 /// A host that executes probe orders.
+#[derive(Clone)]
 pub struct ProbeOriginHost {
     addr: Ipv4Addr,
     dns_via: DnsVia,
@@ -110,6 +111,12 @@ pub struct ProbeOriginHost {
     pending_dns: HashMap<u16, (DnsName, ProbeKind, u64)>,
     /// TCP connections in flight.
     pending_conns: HashMap<ConnKey, ConnPurpose>,
+    /// How many HTTP connections in `pending_conns` each domain has (no
+    /// zero entries): an HTTP order for a domain listed here is a
+    /// follow-up. Kept in step with every insert into and removal from
+    /// `pending_conns`, so the check costs one lookup however many
+    /// connections stay pending (a SYN nothing answers stays forever).
+    http_pending: HashMap<DnsName, usize>,
 }
 
 impl ProbeOriginHost {
@@ -122,6 +129,7 @@ impl ProbeOriginHost {
             next_dns_id: 1,
             pending_dns: HashMap::new(),
             pending_conns: HashMap::new(),
+            http_pending: HashMap::new(),
         }
     }
 
@@ -186,11 +194,7 @@ impl ProbeOriginHost {
             }
             ProbeKind::Http => {
                 let mut rng = ChaCha20Rng::seed_from_u64(seed);
-                let path = if self
-                    .pending_conns
-                    .values()
-                    .any(|p| matches!(p, ConnPurpose::Http { domain: d, .. } if *d == domain))
-                {
+                let path = if self.http_pending.contains_key(&domain) {
                     // Follow-up orders enumerate deeper paths.
                     ENUMERATION_PATHS[rng.gen_range(1..ENUMERATION_PATHS.len())].to_string()
                 } else {
@@ -200,8 +204,7 @@ impl ProbeOriginHost {
                 let Some(key) = self.tcp.connect(addr, 80, &mut segs) else {
                     return; // Every ephemeral port is bound: the probe dies here.
                 };
-                self.pending_conns
-                    .insert(key, ConnPurpose::Http { domain, path });
+                self.track_conn(key, ConnPurpose::Http { domain, path });
                 self.tcp_packets(addr, segs, ctx);
             }
             ProbeKind::Https => {
@@ -209,10 +212,41 @@ impl ProbeOriginHost {
                 let Some(key) = self.tcp.connect(addr, 443, &mut segs) else {
                     return; // Every ephemeral port is bound: the probe dies here.
                 };
-                self.pending_conns
-                    .insert(key, ConnPurpose::Https { domain, seed });
+                self.track_conn(key, ConnPurpose::Https { domain, seed });
                 self.tcp_packets(addr, segs, ctx);
             }
+        }
+    }
+
+    /// Record a connection in flight; an entry its key still held (a
+    /// connection the stack dropped without an event) is replaced.
+    fn track_conn(&mut self, key: ConnKey, purpose: ConnPurpose) {
+        if let ConnPurpose::Http { domain, .. } = &purpose {
+            *self.http_pending.entry(domain.clone()).or_insert(0) += 1;
+        }
+        if let Some(replaced) = self.pending_conns.insert(key, purpose) {
+            self.forget_http(&replaced);
+        }
+    }
+
+    /// Stop tracking the connection at `key`, if it was tracked.
+    fn untrack_conn(&mut self, key: &ConnKey) {
+        if let Some(purpose) = self.pending_conns.remove(key) {
+            self.forget_http(&purpose);
+        }
+    }
+
+    fn forget_http(&mut self, purpose: &ConnPurpose) {
+        let ConnPurpose::Http { domain, .. } = purpose else {
+            return;
+        };
+        let count = self
+            .http_pending
+            .get_mut(domain)
+            .expect("every tracked HTTP connection is counted");
+        *count -= 1;
+        if *count == 0 {
+            self.http_pending.remove(domain);
         }
     }
 
@@ -245,10 +279,10 @@ impl ProbeOriginHost {
                     let mut out = Vec::new();
                     self.tcp.close(key, &mut out);
                     self.tcp_packets(key.peer, out, ctx);
-                    self.pending_conns.remove(&key);
+                    self.untrack_conn(&key);
                 }
                 TcpEvent::Closed(key) | TcpEvent::Reset(key) => {
-                    self.pending_conns.remove(&key);
+                    self.untrack_conn(&key);
                 }
             }
         }
@@ -315,5 +349,243 @@ impl Host for ProbeOriginHost {
 
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use shadow_geo::{Asn, Region};
+    use shadow_netsim::engine::Engine;
+    use shadow_netsim::time::SimTime;
+    use shadow_netsim::topology::{NodeId, TopologyBuilder};
+    use shadow_packet::dns::{DnsRecord, Rcode};
+    use shadow_packet::tcp::{TcpFlags, TcpSegment};
+
+    /// Answers every A query with the address its domain maps to.
+    #[derive(Clone)]
+    struct Resolver {
+        addr: Ipv4Addr,
+        answers: HashMap<DnsName, Ipv4Addr>,
+    }
+
+    impl Host for Resolver {
+        fn on_packet(&mut self, pkt: Ipv4Packet, ctx: &mut Ctx<'_>) {
+            let Ok(Transport::Udp(dg)) = Transport::parse(&pkt) else {
+                return;
+            };
+            let query = DnsMessage::decode(&dg.payload).expect("a DNS query");
+            let name = query.qname().expect("one question").clone();
+            let answer = DnsRecord::a(name.clone(), 300, self.answers[&name]);
+            let reply = DnsMessage::response(&query, false, Rcode::NoError, vec![answer]);
+            ctx.send(Ipv4Packet::new(
+                self.addr,
+                pkt.header.src,
+                IpProtocol::Udp,
+                DEFAULT_TTL,
+                0,
+                UdpDatagram::new(53, dg.src_port, reply.encode()).encode(),
+            ));
+        }
+
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// How a server ends a connection once the request is in.
+    #[derive(Clone, Copy, Debug)]
+    enum Ending {
+        /// Never: the connection stays pending at the origin.
+        Hold,
+        /// A response, then FIN (the origin's `Data` branch).
+        Respond,
+        /// FIN without a response (the origin's `Closed` branch).
+        Close,
+        /// RST (the origin's `Reset` branch).
+        Reset,
+    }
+
+    /// A web server on port 80 that records each request's path.
+    #[derive(Clone)]
+    struct Server {
+        addr: Ipv4Addr,
+        ending: Ending,
+        tcp: TcpStack,
+        paths: Vec<String>,
+    }
+
+    impl Host for Server {
+        fn on_packet(&mut self, pkt: Ipv4Packet, ctx: &mut Ctx<'_>) {
+            let Ok(Transport::Tcp(seg)) = Transport::parse(&pkt) else {
+                return;
+            };
+            let mut out = Vec::new();
+            for event in self.tcp.on_segment(pkt.header.src, seg, &mut out) {
+                let TcpEvent::Data(key, bytes) = event else {
+                    continue;
+                };
+                let request = HttpRequest::decode(&bytes).expect("one whole request");
+                self.paths.push(request.path);
+                match self.ending {
+                    Ending::Hold => {}
+                    Ending::Respond => {
+                        self.tcp
+                            .send(key, b"HTTP/1.1 404 Not Found\r\n\r\n".to_vec(), &mut out);
+                        self.tcp.close(key, &mut out);
+                    }
+                    Ending::Close => self.tcp.close(key, &mut out),
+                    Ending::Reset => out.push(TcpSegment::new(
+                        key.local_port,
+                        key.peer_port,
+                        0,
+                        0,
+                        TcpFlags::RST,
+                        Vec::new(),
+                    )),
+                }
+            }
+            for seg in out {
+                ctx.send(Ipv4Packet::new(
+                    self.addr,
+                    pkt.header.src,
+                    IpProtocol::Tcp,
+                    DEFAULT_TTL,
+                    0,
+                    seg.encode(),
+                ));
+            }
+        }
+
+        fn as_any(&self) -> &dyn Any {
+            self
+        }
+
+        fn as_any_mut(&mut self) -> &mut dyn Any {
+            self
+        }
+    }
+
+    /// The path an HTTP order with `seed` enumerates: any path for a
+    /// first order, a deeper one for a follow-up.
+    fn path(seed: u64, follow_up: bool) -> String {
+        let first = usize::from(follow_up);
+        let mut rng = ChaCha20Rng::seed_from_u64(seed);
+        ENUMERATION_PATHS[rng.gen_range(first..ENUMERATION_PATHS.len())].to_string()
+    }
+
+    /// The per-domain HTTP count, recomputed by scanning every pending
+    /// connection.
+    fn scanned_http_pending(origin: &ProbeOriginHost) -> HashMap<DnsName, usize> {
+        let mut counts = HashMap::new();
+        for purpose in origin.pending_conns.values() {
+            if let ConnPurpose::Http { domain, .. } = purpose {
+                *counts.entry(domain.clone()).or_insert(0) += 1;
+            }
+        }
+        counts
+    }
+
+    #[test]
+    fn http_path_choice_follows_pending_connections() {
+        let mut tb = TopologyBuilder::new(11);
+        tb.add_as(Asn(1), Region::Europe);
+        tb.add_as(Asn(2), Region::Europe);
+        tb.link(Asn(1), Asn(2)).unwrap();
+        tb.add_router(Asn(1), Ipv4Addr::new(1, 0, 0, 1), true)
+            .unwrap();
+        tb.add_router(Asn(2), Ipv4Addr::new(2, 0, 0, 1), true)
+            .unwrap();
+        let origin_addr = Ipv4Addr::new(1, 1, 0, 1);
+        let resolver_addr = Ipv4Addr::new(2, 1, 0, 53);
+        let origin = tb.add_host(Asn(1), origin_addr).unwrap();
+        let resolver = tb.add_host(Asn(2), resolver_addr).unwrap();
+        let endings = [Ending::Hold, Ending::Respond, Ending::Close, Ending::Reset];
+        let servers: Vec<(NodeId, Ipv4Addr, DnsName)> = endings
+            .iter()
+            .enumerate()
+            .map(|(i, ending)| {
+                let addr = Ipv4Addr::new(2, 1, 0, 80 + i as u8);
+                let domain = DnsName::parse(&format!("{ending:?}.example").to_lowercase());
+                (tb.add_host(Asn(2), addr).unwrap(), addr, domain.unwrap())
+            })
+            .collect();
+        let mut engine = Engine::new(tb.build().unwrap());
+        let mut origin_host = ProbeOriginHost::new(origin_addr, DnsVia::Resolver(resolver_addr), 5);
+        // One connection per order, so each order's path is its own.
+        origin_host.http_paths_per_order = 1;
+        engine.add_host(origin, Box::new(origin_host));
+        engine.add_host(
+            resolver,
+            Box::new(Resolver {
+                addr: resolver_addr,
+                answers: servers
+                    .iter()
+                    .map(|(_, addr, domain)| (domain.clone(), *addr))
+                    .collect(),
+            }),
+        );
+        for (&ending, (node, addr, _)) in endings.iter().zip(&servers) {
+            let mut tcp = TcpStack::new(7);
+            tcp.listen(80);
+            engine.add_host(
+                *node,
+                Box::new(Server {
+                    addr: *addr,
+                    ending,
+                    tcp,
+                    paths: Vec::new(),
+                }),
+            );
+        }
+
+        // Two orders per server, one second apart: the first order, then
+        // one while the first connection is held (Hold) or after it
+        // closed or was reset (the other three).
+        let mut at = SimTime::ZERO;
+        for (i, (_, _, domain)) in servers.iter().enumerate() {
+            for order in 0..2u64 {
+                let seed = 2 * i as u64 + order + 1;
+                assert_ne!(
+                    path(seed, false),
+                    path(seed, true),
+                    "seed {seed} tells nothing"
+                );
+                let probe = ProbeOrder {
+                    domain: domain.clone(),
+                    kind: ProbeKind::Http,
+                    exhibitor: "test".into(),
+                    seed,
+                };
+                engine.post(at, origin, Box::new(probe));
+                at += SimDuration::from_secs(1);
+                engine.run_until(at);
+                let host = engine.host_as::<ProbeOriginHost>(origin).unwrap();
+                assert_eq!(
+                    host.http_pending,
+                    scanned_http_pending(host),
+                    "after seed {seed}"
+                );
+            }
+        }
+
+        for (i, (&ending, (node, _, domain))) in endings.iter().zip(&servers).enumerate() {
+            let seeds = (2 * i as u64 + 1, 2 * i as u64 + 2);
+            let held = matches!(ending, Ending::Hold);
+            let expected = vec![path(seeds.0, false), path(seeds.1, held)];
+            let server = engine.host_as::<Server>(*node).unwrap();
+            assert_eq!(server.paths, expected, "{ending:?}");
+            let host = engine.host_as::<ProbeOriginHost>(origin).unwrap();
+            let pending = host.http_pending.get(domain).copied();
+            assert_eq!(
+                pending,
+                held.then_some(2),
+                "{ending:?}: pending connections"
+            );
+        }
     }
 }

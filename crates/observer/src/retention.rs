@@ -67,7 +67,7 @@ pub struct ObservedItem {
 const EMPTY: u64 = u64::MAX;
 
 /// Bounded FIFO store with TTL expiry and O(1) domain lookup.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct RetentionStore {
     items: VecDeque<ObservedItem>,
     /// Open-addressed (linear-probe) table of absolute insertion numbers;

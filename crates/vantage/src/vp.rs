@@ -132,7 +132,7 @@ pub struct VpReport {
 
 /// An HTTP/TLS decoy on an open connection: its payload goes out once the
 /// handshake completes, and every segment carries its ident and TTL.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct PendingConn {
     domain: DnsName,
     ident: u16,
@@ -141,7 +141,7 @@ struct PendingConn {
 }
 
 /// An unanswered retry-protected DNS decoy awaiting its timeout.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct PendingDns {
     dst: Ipv4Addr,
     ttl: u8,
@@ -156,6 +156,7 @@ struct PendingDns {
 const DNS_RETRY_TOKEN: u64 = 0x5245_5452_0000_0000;
 
 /// The VP host.
+#[derive(Clone)]
 pub struct VantagePointHost {
     addr: Ipv4Addr,
     /// Ground-truth provider defect: force every outgoing TTL to this

@@ -23,6 +23,7 @@ use std::any::Any;
 use std::net::Ipv4Addr;
 
 /// Minimal DNS responder (answers every A query with a fixed address).
+#[derive(Clone)]
 struct MiniResolver {
     addr: Ipv4Addr,
     answer: Ipv4Addr,
@@ -73,6 +74,7 @@ impl Host for MiniResolver {
 }
 
 /// Keeps every packet `src` emits, as it arrives at the first-hop router.
+#[derive(Clone)]
 struct WireRecorder {
     src: Ipv4Addr,
     sent: Vec<Ipv4Packet>,

@@ -194,9 +194,9 @@ impl Study {
         let mut world = spec.instantiate();
         let preflight = NoiseFilter::run_and_apply(&mut world);
         // Telemetry and faults start *after* the pre-flight, mirroring the
-        // parallel path (where the pre-flight replays in every chunk and
-        // must not be counted K times, and vets the platform on a healthy
-        // network so the global plan survives impairment).
+        // parallel path (where they go in on the scout and its forks, and
+        // the pre-flight vets the platform on a healthy network so the
+        // global plan survives impairment).
         world.engine.set_telemetry(config.telemetry.handle(0));
         world.engine.set_conditioner(conditioner);
 

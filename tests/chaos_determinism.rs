@@ -10,9 +10,21 @@
 //! with no profile at all.
 
 use proptest::prelude::*;
+use std::sync::Arc;
+use traffic_shadowing::robustness::fault_targets;
 use traffic_shadowing::shadow_chaos::{ChurnSpec, FaultProfile, OutageSpec, RetrySpec, Window};
+use traffic_shadowing::shadow_core::campaign::{
+    CampaignData, CampaignRunner, Phase1Config, Phase1Plan,
+};
+use traffic_shadowing::shadow_core::decoy::DecoyRegistry;
 use traffic_shadowing::shadow_core::executor::{ChunkConfig, TelemetryOptions};
-use traffic_shadowing::shadow_telemetry::{diff, EventKind, JournalRecord};
+use traffic_shadowing::shadow_core::noise::NoiseFilter;
+use traffic_shadowing::shadow_core::sink::SinkConfig;
+use traffic_shadowing::shadow_core::world::{generate_spec, World, WorldConfig};
+use traffic_shadowing::shadow_netsim::fault::{fnv1a64, LinkConditioner};
+use traffic_shadowing::shadow_packet::EncryptionDeployment;
+use traffic_shadowing::shadow_telemetry::{diff, to_jsonl, EventKind, JournalRecord};
+use traffic_shadowing::shadow_vantage::vp::DnsRetry;
 use traffic_shadowing::study::{Study, StudyConfig, StudyOutcome};
 
 const SEED: u64 = 99;
@@ -152,6 +164,112 @@ fn chunked_equivalence_survives_faults() {
             "{shape:?}: exported analysis bundles diverge under faults"
         );
     }
+}
+
+/// A registry's record count and order-insensitive digest: one line per
+/// record, the lines sorted and concatenated, hashed with FNV-1a.
+fn registry_digest(registry: &DecoyRegistry) -> (usize, u64) {
+    let mut lines: Vec<String> = registry
+        .iter()
+        .map(|r| {
+            format!(
+                "{} {} {} {} {} {}\n",
+                r.domain.as_str(),
+                r.dst,
+                r.ttl,
+                r.protocol.as_str(),
+                r.vp.0,
+                r.planned_at.millis()
+            )
+        })
+        .collect();
+    lines.sort();
+    (lines.len(), fnv1a64(lines.concat().as_bytes()))
+}
+
+/// Phase I the way a chunk runs it: journal and faults installed on a
+/// pre-flighted world, every VP owned.
+fn run_phase1(
+    world: &mut World,
+    plan: &Phase1Plan,
+    config: &Phase1Config,
+    conditioner: &Arc<LinkConditioner>,
+) -> CampaignData {
+    world
+        .engine
+        .set_telemetry(TelemetryOptions::enabled(true).handle(0));
+    world.engine.set_conditioner(Some(conditioner.clone()));
+    CampaignRunner::execute_phase1(world, plan, config, SinkConfig::streaming(), |_| true)
+}
+
+/// A chunk runs in a fork of the pre-flighted scout world: under every
+/// fault class and mixed encryption, Phase I there equals Phase I in a
+/// freshly instantiated and pre-flighted world, and the fork's counters
+/// plus the scout's pre-flight counters equal the fresh world's.
+#[test]
+fn forked_world_runs_phase1_like_a_fresh_one() {
+    let spec = generate_spec(WorldConfig::tiny(4021));
+    let profile = rich_profile();
+    let conditioner = Arc::new(profile.compile(&fault_targets(&spec)));
+    let retry = profile.dns_retry.expect("the rich profile retries DNS");
+    let config = Phase1Config {
+        encryption: EncryptionDeployment::mixed(),
+        dns_retry: Some(DnsRetry {
+            attempts: retry.attempts,
+            timeout_ms: retry.timeout_ms,
+        }),
+        ..Phase1Config::default()
+    };
+
+    let mut scout = spec.instantiate();
+    NoiseFilter::run_and_apply(&mut scout);
+    let mut stats = scout.engine.stats().clone();
+    let mut fork = scout.fork();
+    drop(scout);
+    let mut fresh = spec.instantiate();
+    NoiseFilter::run_and_apply(&mut fresh);
+    let plan = CampaignRunner::plan_phase1(&fresh, &config);
+
+    let forked = run_phase1(&mut fork, &plan, &config, &conditioner);
+    let expected = run_phase1(&mut fresh, &plan, &config, &conditioner);
+    assert!(
+        expected.aggregates.arrivals_seen > 0,
+        "the run captured nothing"
+    );
+    assert_eq!(
+        forked.aggregates, expected.aggregates,
+        "streamed aggregates"
+    );
+    assert_eq!(
+        to_jsonl(&forked.journal).expect("journal serializes"),
+        to_jsonl(&expected.journal).expect("journal serializes"),
+        "journal bytes"
+    );
+    assert_eq!(
+        registry_digest(&forked.registry),
+        registry_digest(&expected.registry),
+        "decoy registries"
+    );
+    assert_eq!(
+        forked.metrics.world, expected.metrics.world,
+        "world metrics"
+    );
+    assert_eq!(forked.vp_reports.len(), expected.vp_reports.len());
+    for (vp, report) in &expected.vp_reports {
+        let other = &forked.vp_reports[vp];
+        assert_eq!(
+            (&other.dns_answers, &other.icmp, &other.ident_map),
+            (&report.dns_answers, &report.icmp, &report.ident_map),
+            "{vp:?}: VP report, pre-flight evidence included"
+        );
+        assert_eq!(other.handshake_failures, report.handshake_failures);
+    }
+    stats.absorb(fork.engine.stats());
+    assert_eq!(
+        &stats,
+        fresh.engine.stats(),
+        "pre-flight plus fork counters"
+    );
 }
 
 #[test]

@@ -284,6 +284,11 @@ fn vp_limit_matches_filtered_sequential_composition() {
                 expected.aggregates, bounded.data.aggregates,
                 "vp_limit {limit:?}, {shape:?}: streamed aggregates diverge"
             );
+            assert_eq!(
+                &bounded.stats,
+                world.engine.stats(),
+                "vp_limit {limit:?}, {shape:?}: merged engine counters"
+            );
         }
         decoys.push(expected.decoy_count());
     }
@@ -291,4 +296,41 @@ fn vp_limit_matches_filtered_sequential_composition() {
         0 < decoys[0] && decoys[0] < decoys[1],
         "the bound must trim the campaign to a non-empty slice: {decoys:?}"
     );
+}
+
+/// The merged engine counters count the run's one pre-flight once: at
+/// every shape the tests above run, `ShardedPhase1::stats` equals the
+/// sequential world's `EngineStats` after the pre-flight and Phase I.
+#[test]
+fn merged_engine_stats_equal_sequential_for_every_shape() {
+    let config = Phase1Config::default();
+    let mut shapes: Vec<ChunkConfig> = shard_counts()
+        .into_iter()
+        .map(|k| ChunkConfig::with_workers(k).with_chunks(k))
+        .collect();
+    shapes.extend(chunk_shapes());
+    for seed in SEEDS {
+        let spec = generate_spec(WorldConfig::tiny(seed));
+        let mut world = spec.instantiate();
+        NoiseFilter::run_and_apply(&mut world);
+        let plan = CampaignRunner::plan_phase1(&world, &config);
+        let sink = SinkConfig::streaming();
+        CampaignRunner::execute_phase1(&mut world, &plan, &config, sink, |_| true);
+        for &shape in &shapes {
+            let chunked = run_phase1_chunks(
+                &spec,
+                &config,
+                shape,
+                TelemetryOptions::disabled(),
+                None,
+                sink,
+                None,
+            );
+            assert_eq!(
+                &chunked.stats,
+                world.engine.stats(),
+                "seed {seed}, {shape:?}: merged engine counters"
+            );
+        }
+    }
 }
