@@ -33,7 +33,7 @@ fn bench(c: &mut Criterion) {
     let config = Phase1Config::default();
     println!(
         "\nsharding {} VPs across worker threads (standard world)",
-        spec.platform.vps.len()
+        spec.world().platform.vps.len()
     );
     let run = |k: usize, telemetry: TelemetryOptions| {
         run_phase1_chunks(

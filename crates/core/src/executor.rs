@@ -4,11 +4,12 @@
 //! decoy is sent by exactly one VP, and the global send schedule is a pure
 //! function of the (deterministic) world. A parallel run therefore:
 //!
-//! 1. generates the [`WorldSpec`] once (all randomness lives there);
-//! 2. instantiates a scout [`World`] on the calling thread, runs the
-//!    Appendix-E pre-flight on it (the run's only one), and compiles the
-//!    global Phase I plan there once, shared read-only with every chunk.
-//!    The plan is the closed-form
+//! 1. generates the [`WorldSpec`] once: the never-run template world, with
+//!    every host and tap constructed (all randomness lives there);
+//! 2. forks a scout [`World`] from the template on the calling thread,
+//!    runs the Appendix-E pre-flight on it (the run's only one), and
+//!    compiles the global Phase I plan there once, shared read-only with
+//!    every chunk. The plan is the closed-form
 //!    [`Phase1Schedule`](crate::campaign::Phase1Schedule): target list
 //!    plus roster, O(VPs + targets), whatever the send count;
 //! 3. partitions the VP set round-robin into [`ChunkConfig::chunks`]
@@ -259,9 +260,10 @@ where
 ///   slice, not the set-up. The plan costs O(VPs + targets) either way,
 ///   and the sends of VPs outside the bound are never expanded.
 ///
-/// Whatever the shape, the run instantiates one world and pre-flights it
-/// once, like the sequential pipeline: chunk 0 runs in the scout
-/// (post-pre-flight, pre-telemetry), and each extra chunk costs one fork.
+/// Whatever the shape, the run instantiates one scout world from the
+/// template (a fork of it) and pre-flights it once, like the sequential
+/// pipeline: chunk 0 runs in the scout (post-pre-flight, pre-telemetry),
+/// and each extra chunk costs one fork of the scout.
 #[allow(clippy::too_many_arguments)]
 pub fn run_phase1_chunks(
     spec: &WorldSpec,
@@ -272,7 +274,7 @@ pub fn run_phase1_chunks(
     sink: SinkConfig,
     vp_limit: Option<usize>,
 ) -> ShardedPhase1 {
-    let vp_ids: Vec<VpId> = spec.platform.vps.iter().map(|vp| vp.id).collect();
+    let vp_ids: Vec<VpId> = spec.world().platform.vps.iter().map(|vp| vp.id).collect();
     let allowed = executing_vps(&vp_ids, vp_limit);
     let chunks = shape.chunks.clamp(1, vp_ids.len().max(1));
     let assignment = shard_vps(&vp_ids, chunks);

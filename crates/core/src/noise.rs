@@ -15,7 +15,6 @@ use shadow_packet::ipv4::Ipv4Packet;
 use shadow_packet::transport::DnsTransport;
 use shadow_vantage::platform::VpId;
 use shadow_vantage::vp::{DecoyPayload, DecoySend, VantagePointHost, VpCommand};
-use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
 
@@ -43,14 +42,6 @@ impl Host for ControlServerHost {
                 self.received.push((pkt.header.src, pkt.header.ttl, tag));
             }
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -7,31 +7,37 @@
 //! would flag. The measurement pipeline must recover all of it from
 //! packets alone.
 
-use super::spec::{HostSpec, SiteShadowSpec, TapSpec, WorldSpec};
 use super::DeployedDnsDestination;
-use super::{GroundTruth, TrancoSite, World, WorldConfig};
+use super::{GroundTruth, TrancoSite, World, WorldConfig, WorldSpec};
+use crate::noise::ControlServerHost;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha20Rng;
-use shadow_dns::authoritative::AuthorityMode;
+use shadow_dns::authoritative::{AuthorityMode, StaticAuthorityHost};
 use shadow_dns::catalog::{pair_address, DnsDestinationKind, ShadowClass, DNS_DESTINATIONS};
 use shadow_dns::profile::ResolverProfile;
+use shadow_dns::resolver::RecursiveResolverHost;
 use shadow_geo::country::{cc, country_info, COUNTRIES};
 use shadow_geo::{
     AsCatalog, AsInfo, AsKind, Asn, CountryCode, GeoDb, GeoRecord, HostingLabel, Ipv4Prefix,
     PrefixAllocator, Region,
 };
+use shadow_honeypot::authority::ExperimentAuthorityHost;
+use shadow_honeypot::web::WebHost;
+use shadow_netsim::engine::{Engine, Host, WireTap};
 use shadow_netsim::fault::fnv1a64;
 use shadow_netsim::time::SimDuration;
 use shadow_netsim::topology::{NodeId, TopologyBuilder};
-use shadow_observer::dpi::DpiConfig;
+use shadow_observer::dpi::{DpiConfig, DpiTap};
 use shadow_observer::exhibitor::ExhibitorConfig;
+use shadow_observer::intercept::InterceptorTap;
 use shadow_observer::policy::{DelayBucket, ProbeKind, ReplayPolicy, WeightedChoice};
-use shadow_observer::probe::DnsVia;
+use shadow_observer::probe::{DnsVia, ProbeOriginHost};
 use shadow_packet::dns::DnsName;
 use shadow_vantage::platform::{Platform, VantagePoint, VpId};
 use shadow_vantage::providers::{providers_in, Market};
+use shadow_vantage::vp::VantagePointHost;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -48,8 +54,10 @@ struct Builder {
     tb: TopologyBuilder,
     as_prefix: HashMap<Asn, Ipv4Prefix>,
     next_host_index: HashMap<Asn, u32>,
-    hosts: Vec<(NodeId, HostSpec)>,
-    taps: Vec<(NodeId, TapSpec)>,
+    /// Hosts and taps in placement order; they move into the engine once
+    /// the topology is frozen.
+    hosts: Vec<(NodeId, Box<dyn Host>)>,
+    taps: Vec<(NodeId, Box<dyn WireTap>)>,
     ground_truth: GroundTruth,
     zone: DnsName,
     /// Origin pools per exhibitor label.
@@ -134,11 +142,15 @@ impl Builder {
         }
     }
 
+    /// Bind a host application to a node.
+    fn place(&mut self, node: NodeId, host: impl Host + 'static) {
+        self.hosts.push((node, Box::new(host)));
+    }
+
     /// Register a probe origin host; returns its node.
     fn add_origin(&mut self, asn: Asn, via: DnsVia, dirty: bool, seed: u64) -> NodeId {
         let (node, addr) = self.add_host_in(asn);
-        self.hosts
-            .push((node, HostSpec::Origin { addr, via, seed }));
+        self.place(node, ProbeOriginHost::new(addr, via, seed));
         self.ground_truth.origin_addrs.push(addr);
         if dirty {
             self.ground_truth.blocklisted_addrs.insert(addr);
@@ -147,14 +159,10 @@ impl Builder {
     }
 }
 
-/// Assemble a [`World`] from `config`. Deterministic in `config.seed`.
-pub fn build_world(config: WorldConfig) -> World {
-    generate_spec(config).instantiate()
-}
-
-/// Run the full ground-truth generation pass and record the outcome as an
-/// immutable [`WorldSpec`]. All randomness happens here; instantiation is
-/// a pure function of the spec, so shards share one spec safely.
+/// Run the full ground-truth generation pass, constructing every host and
+/// tap into the engine of a never-run [`World`]: the [`WorldSpec`]
+/// template. Deterministic in `config.seed`; all randomness happens here,
+/// so every fork of the template has the same ground truth.
 pub fn generate_spec(config: WorldConfig) -> WorldSpec {
     let zone = DnsName::parse(&config.experiment_zone).expect("valid experiment zone");
     let mut catalog = AsCatalog::generate(config.seed, config.synthetic_as_density);
@@ -302,9 +310,16 @@ pub fn generate_spec(config: WorldConfig) -> WorldSpec {
             }
         }
     }
-    WorldSpec {
+    let mut engine = Engine::new(topo);
+    for (node, host) in hosts {
+        engine.add_host(node, host);
+    }
+    for (node, tap) in taps {
+        engine.add_tap(node, tap);
+    }
+    WorldSpec(World {
         config,
-        topology: topo,
+        engine,
         catalog,
         geo,
         platform,
@@ -317,9 +332,7 @@ pub fn generate_spec(config: WorldConfig) -> WorldSpec {
         dns_destinations,
         tranco,
         ground_truth,
-        hosts,
-        taps,
-    }
+    })
 }
 
 /// Honeypot handles threaded through the later phases.
@@ -460,30 +473,19 @@ fn place_honeypots(b: &mut Builder) -> Honeypots {
     let mut web_addrs = Vec::new();
     for (asn, region, seed) in [(us, "US", 11u32), (de, "DE", 12), (sg, "SG", 13)] {
         let (node, addr) = b.add_host_in(asn);
-        b.hosts.push((
-            node,
-            HostSpec::HoneypotWeb {
-                addr,
-                region: region.to_string(),
-                seed,
-            },
-        ));
+        b.place(node, WebHost::honeypot(addr, region, seed));
         web.push((node, addr, region.to_string()));
         web_addrs.push(addr);
     }
 
     let (auth_node, auth_addr) = b.add_host_in(us);
-    b.hosts.push((
+    b.place(
         auth_node,
-        HostSpec::Authority {
-            addr: auth_addr,
-            zone: b.zone.clone(),
-            web_addrs,
-        },
-    ));
+        ExperimentAuthorityHost::new(auth_addr, b.zone.clone(), web_addrs),
+    );
 
     let (control_node, control_addr) = b.add_host_in(us);
-    b.hosts.push((control_node, HostSpec::Control));
+    b.place(control_node, ControlServerHost::default());
 
     Honeypots {
         auth_node,
@@ -691,14 +693,11 @@ fn place_dns_destinations(b: &mut Builder, honeypots: &Honeypots) -> Vec<Deploye
                     b.tb.add_host(operator, dest.addr)
                         .expect("operator AS registered");
                 nodes.push(node);
-                b.hosts.push((
+                let ns_name = format!("ns.{}.example", dest.name.replace('.', "-"));
+                b.place(
                     node,
-                    HostSpec::StaticAuthority {
-                        addr: dest.addr,
-                        ns_name: format!("ns.{}.example", dest.name.replace('.', "-")),
-                        mode: AuthorityMode::Referral,
-                    },
-                ));
+                    StaticAuthorityHost::new(dest.addr, &ns_name, AuthorityMode::Referral),
+                );
             }
             DnsDestinationKind::SelfBuiltResolver => {
                 let node =
@@ -707,15 +706,11 @@ fn place_dns_destinations(b: &mut Builder, honeypots: &Honeypots) -> Vec<Deploye
                 let egress = bump_last_octet(dest.addr, 1);
                 b.tb.add_alias(node, egress).expect("node just added");
                 nodes.push(node);
-                b.hosts.push((
+                let profile = ResolverProfile::well_behaved(dest.name, b.config.seed ^ 0xce11);
+                b.place(
                     node,
-                    HostSpec::Resolver {
-                        addr: dest.addr,
-                        egress,
-                        profile: ResolverProfile::well_behaved(dest.name, b.config.seed ^ 0xce11),
-                        zones: zone_table.clone(),
-                    },
-                ));
+                    RecursiveResolverHost::new(dest.addr, egress, profile, zone_table.clone()),
+                );
             }
             DnsDestinationKind::PublicResolver => {
                 if dest.shadow_class == ShadowClass::HeavyCnAnycast {
@@ -727,18 +722,19 @@ fn place_dns_destinations(b: &mut Builder, honeypots: &Honeypots) -> Vec<Deploye
                             .expect("US cloud registered");
                     let us_egress = bump_last_octet(dest.addr, 2);
                     b.tb.add_alias(us_node, us_egress).expect("node just added");
-                    b.hosts.push((
+                    let us_profile = ResolverProfile::with_retries(
+                        &format!("{} (US)", dest.name),
+                        b.config.seed ^ 0x0011_5d05,
+                    );
+                    b.place(
                         us_node,
-                        HostSpec::Resolver {
-                            addr: dest.addr,
-                            egress: us_egress,
-                            profile: ResolverProfile::with_retries(
-                                &format!("{} (US)", dest.name),
-                                b.config.seed ^ 0x0011_5d05,
-                            ),
-                            zones: zone_table.clone(),
-                        },
-                    ));
+                        RecursiveResolverHost::new(
+                            dest.addr,
+                            us_egress,
+                            us_profile,
+                            zone_table.clone(),
+                        ),
+                    );
                     let cn_node =
                         b.tb.add_host(operator, dest.addr)
                             .expect("operator AS registered");
@@ -759,15 +755,15 @@ fn place_dns_destinations(b: &mut Builder, honeypots: &Honeypots) -> Vec<Deploye
                     b.ground_truth
                         .shadowing_resolvers
                         .push(format!("{} (CN)", dest.name));
-                    b.hosts.push((
+                    b.place(
                         cn_node,
-                        HostSpec::Resolver {
-                            addr: dest.addr,
-                            egress: cn_egress,
+                        RecursiveResolverHost::new(
+                            dest.addr,
+                            cn_egress,
                             profile,
-                            zones: zone_table.clone(),
-                        },
-                    ));
+                            zone_table.clone(),
+                        ),
+                    );
                     nodes.push(us_node);
                     nodes.push(cn_node);
                 } else {
@@ -799,15 +795,10 @@ fn place_dns_destinations(b: &mut Builder, honeypots: &Honeypots) -> Vec<Deploye
                             b.config.seed ^ u64::from(dest.operator_asn),
                         ),
                     };
-                    b.hosts.push((
+                    b.place(
                         node,
-                        HostSpec::Resolver {
-                            addr: dest.addr,
-                            egress,
-                            profile,
-                            zones: zone_table.clone(),
-                        },
-                    ));
+                        RecursiveResolverHost::new(dest.addr, egress, profile, zone_table.clone()),
+                    );
                 }
             }
         }
@@ -878,42 +869,31 @@ fn place_tranco_sites(b: &mut Builder, _honeypots: &Honeypots) -> Vec<TrancoSite
         let (node, addr) = b.add_host_in(asn);
         // A slice of CN-hosted sites shadow SNI at the destination — the
         // source of Table 2's TLS-at-destination mass.
-        let shadow = if country == cc("CN") && b.rng.gen_range(0..100) < 30 {
-            Some(SiteShadowSpec {
-                label: "tls-dst".to_string(),
-                seed: b.config.seed ^ (i as u64) << 17,
-                exhibitor: ExhibitorConfig {
-                    zone_filter: Some(b.zone.clone()),
-                    policy: ReplayPolicy {
-                        trigger_percent: 75,
-                        delays: vec![
-                            WeightedChoice::new(DelayBucket::Minutes(2, 50), 20),
-                            WeightedChoice::new(DelayBucket::Hours(1, 20), 40),
-                            WeightedChoice::new(DelayBucket::Days(1, 6), 40),
-                        ],
-                        protocols: vec![
-                            WeightedChoice::new(ProbeKind::Dns, 40),
-                            WeightedChoice::new(ProbeKind::Http, 35),
-                            WeightedChoice::new(ProbeKind::Https, 25),
-                        ],
-                        reuse: vec![WeightedChoice::new(1, 50), WeightedChoice::new(2, 50)],
-                    },
-                    retention_capacity: 100_000,
-                    retention_ttl: SimDuration::from_days(8),
-                    origins: origin_pool(b, "tls-dst"),
+        let mut site = WebHost::plain(addr, i as u32);
+        if country == cc("CN") && b.rng.gen_range(0..100) < 30 {
+            let sensor = ExhibitorConfig {
+                zone_filter: Some(b.zone.clone()),
+                policy: ReplayPolicy {
+                    trigger_percent: 75,
+                    delays: vec![
+                        WeightedChoice::new(DelayBucket::Minutes(2, 50), 20),
+                        WeightedChoice::new(DelayBucket::Hours(1, 20), 40),
+                        WeightedChoice::new(DelayBucket::Days(1, 6), 40),
+                    ],
+                    protocols: vec![
+                        WeightedChoice::new(ProbeKind::Dns, 40),
+                        WeightedChoice::new(ProbeKind::Http, 35),
+                        WeightedChoice::new(ProbeKind::Https, 25),
+                    ],
+                    reuse: vec![WeightedChoice::new(1, 50), WeightedChoice::new(2, 50)],
                 },
-            })
-        } else {
-            None
-        };
-        b.hosts.push((
-            node,
-            HostSpec::PlainWeb {
-                addr,
-                seed: i as u32,
-                shadow,
-            },
-        ));
+                retention_capacity: 100_000,
+                retention_ttl: SimDuration::from_days(8),
+                origins: origin_pool(b, "tls-dst"),
+            };
+            site = site.with_shadow("tls-dst", b.config.seed ^ (i as u64) << 17, sensor);
+        }
+        b.place(node, site);
         sites.push(TrancoSite {
             node,
             addr,
@@ -949,14 +929,10 @@ fn recruit_vps(b: &mut Builder) -> Platform {
         }
         let asn = b.as_in(country, AsKind::Cloud);
         let (node, addr) = b.add_host_in(asn);
-        b.hosts.push((
+        b.place(
             node,
-            HostSpec::Vp {
-                addr,
-                seed: next_id.wrapping_mul(97) | 1,
-                ttl_rewrite: None,
-            },
-        ));
+            VantagePointHost::new(addr, next_id.wrapping_mul(97) | 1, provider.rewrites_ttl),
+        );
         let advertised = if b.rng.gen_range(0..100) < 7 {
             // Skewed marketing location.
             cc("PA")
@@ -995,14 +971,10 @@ fn recruit_vps(b: &mut Builder) -> Platform {
             cn_clouds[b.rng.gen_range(0..cn_clouds.len())]
         };
         let (node, addr) = b.add_host_in(asn);
-        b.hosts.push((
+        b.place(
             node,
-            HostSpec::Vp {
-                addr,
-                seed: next_id.wrapping_mul(97) | 1,
-                ttl_rewrite: None,
-            },
-        ));
+            VantagePointHost::new(addr, next_id.wrapping_mul(97) | 1, provider.rewrites_ttl),
+        );
         vps.push(VantagePoint {
             id: VpId(next_id),
             provider: provider.name,
@@ -1249,7 +1221,7 @@ fn place_dpi_taps(b: &mut Builder, tranco: &[TrancoSite], platform: &Platform) {
                 fingerprints: fingerprints.clone(),
                 recall_sources: Some(recall_sources.clone()),
             };
-            b.taps.push((*router, TapSpec::Dpi(config)));
+            b.taps.push((*router, Box::new(DpiTap::new(config))));
             b.ground_truth
                 .dpi_taps
                 .push((*router, spec.label.to_string()));
@@ -1287,9 +1259,7 @@ fn place_interceptors(b: &mut Builder) {
         }
         b.taps.push((
             router,
-            TapSpec::Intercept {
-                redirect_to: Ipv4Addr::new(127, 66, 66, 66),
-            },
+            Box::new(InterceptorTap::redirect(Ipv4Addr::new(127, 66, 66, 66))),
         ));
         b.ground_truth.interceptor_nodes.push(router);
     }

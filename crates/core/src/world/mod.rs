@@ -1,17 +1,17 @@
 //! The simulated world: topology, resolvers, observers, honeypots, vantage
 //! points — everything DESIGN.md §2 substitutes for the real Internet.
 //!
-//! [`WorldConfig`] holds the scale knobs; [`World::build`] assembles a
-//! deterministic world from a seed. Ground truth (which resolvers shadow,
-//! where DPI taps sit, which origin addresses a blocklist would flag) is
-//! recorded in [`GroundTruth`] for tests — the measurement pipeline never
-//! reads it.
+//! [`WorldConfig`] holds the scale knobs. [`generate_spec`] runs the one
+//! deterministic construction pass from a seed and constructs every host
+//! and tap straight into the engine of a never-run [`World`], wrapped as a
+//! [`WorldSpec`]; [`World::build`] unwraps it. Ground truth (which
+//! resolvers shadow, where DPI taps sit, which origin addresses a
+//! blocklist would flag) is recorded in [`GroundTruth`] for tests — the
+//! measurement pipeline never reads it.
 
 mod build;
-mod spec;
 
-pub use build::{build_world, generate_spec};
-pub use spec::{HostSpec, SiteShadowSpec, TapSpec, WorldSpec};
+pub use build::generate_spec;
 
 use serde::{Deserialize, Serialize};
 use shadow_dns::catalog::DnsDestination;
@@ -175,9 +175,10 @@ pub struct World {
 }
 
 impl World {
-    /// Build a world from a configuration (see [`build_world`]).
+    /// Build a world from a configuration: the [`generate_spec`] template
+    /// itself. Deterministic in `config.seed`.
     pub fn build(config: WorldConfig) -> Self {
-        build_world(config)
+        generate_spec(config).into_world()
     }
 
     /// The deployed destination for a catalog name, if present.
@@ -188,8 +189,9 @@ impl World {
     /// Copy an idle world through [`Engine::fork`]: same platform vetting,
     /// host and tap state, and clock, so a fork of a pre-flighted world
     /// runs a phase exactly as a freshly instantiated and pre-flighted one
-    /// would. The campaign forks its pre-flighted scout world once per
-    /// extra chunk.
+    /// would. [`WorldSpec::instantiate`] is a fork of the never-run
+    /// template, and the campaign forks its pre-flighted scout world once
+    /// per extra chunk.
     ///
     /// Panics where [`Engine::fork`] does, and on a world whose honeypots
     /// hold an arrival sink: a fork would fold its captures into the same
@@ -250,5 +252,31 @@ impl World {
                 web.set_arrival_sink(sink.clone());
             }
         }
+    }
+}
+
+/// The never-run template world [`generate_spec`] returns: every host and
+/// tap already constructed in its engine. The wrapper hands the world out
+/// only as a fork, by value or read-only, so the template itself never
+/// runs — and a never-run engine is idle, with no telemetry, conditioner
+/// or arrival sink, which is all [`World::fork`] asks of it.
+pub struct WorldSpec(World);
+
+impl WorldSpec {
+    /// A runnable copy of the template ([`World::fork`]). Every copy has
+    /// the template's ground truth — topology, exhibitor seeds, honeypots,
+    /// platform vetting — and freshly zeroed runtime state.
+    pub fn instantiate(&self) -> World {
+        self.0.fork()
+    }
+
+    /// The template itself, for callers that run one world.
+    pub fn into_world(self) -> World {
+        self.0
+    }
+
+    /// Read access to the template.
+    pub fn world(&self) -> &World {
+        &self.0
     }
 }

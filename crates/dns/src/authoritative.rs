@@ -10,7 +10,6 @@ use shadow_netsim::transport::Transport;
 use shadow_packet::dns::{DnsClass, DnsMessage, DnsName, DnsRecord, Rcode, RecordData, RecordType};
 use shadow_packet::ipv4::{IpProtocol, Ipv4Packet, DEFAULT_TTL};
 use shadow_packet::udp::UdpDatagram;
-use std::any::Any;
 use std::net::Ipv4Addr;
 
 /// How the server answers queries outside any configured zone data.
@@ -124,14 +123,6 @@ impl Host for StaticAuthorityHost {
             UdpDatagram::new(53, dg.src_port, response.encode()).encode(),
         ));
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -149,14 +140,6 @@ mod tests {
     impl Host for Sink {
         fn on_packet(&mut self, pkt: Ipv4Packet, _ctx: &mut Ctx<'_>) {
             self.packets.push(pkt);
-        }
-
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

@@ -19,7 +19,6 @@ use shadow_packet::encrypted;
 use shadow_packet::ipv4::{IpProtocol, Ipv4Packet, DEFAULT_TTL};
 use shadow_packet::transport::DnsTransport;
 use shadow_packet::udp::UdpDatagram;
-use std::any::Any;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -388,13 +387,5 @@ impl Host for RecursiveResolverHost {
                 clients: Vec::new(),
             },
         );
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }

@@ -19,7 +19,6 @@ use shadow_netsim::topology::TopologyBuilder;
 use shadow_packet::dns::{DnsMessage, DnsName};
 use shadow_packet::ipv4::{IpProtocol, Ipv4Packet, DEFAULT_TTL};
 use shadow_packet::udp::UdpDatagram;
-use std::any::Any;
 use std::net::Ipv4Addr;
 
 #[derive(Clone)]
@@ -27,14 +26,6 @@ struct Quiet;
 
 impl Host for Quiet {
     fn on_packet(&mut self, _pkt: Ipv4Packet, _ctx: &mut Ctx<'_>) {}
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 const ZONE: &str = "www.experiment.example";

@@ -55,14 +55,6 @@ impl Host for Sink {
             self.orders.push((ctx.now(), *order));
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 struct World {
@@ -77,7 +69,7 @@ struct World {
 
 const ZONE: &str = "www.experiment.example";
 
-fn build_world(profile_for: impl FnOnce(NodeId) -> ResolverProfile) -> World {
+fn resolver_world(profile_for: impl FnOnce(NodeId) -> ResolverProfile) -> World {
     let mut tb = TopologyBuilder::new(21);
     tb.add_as(Asn(1), Region::Europe);
     tb.add_as(Asn(2), Region::NorthAmerica);
@@ -148,7 +140,7 @@ fn dns_query(src: Ipv4Addr, dst: Ipv4Addr, id: u16, name: &str) -> Ipv4Packet {
 
 #[test]
 fn full_resolution_round_trip() {
-    let mut w = build_world(|_| ResolverProfile::well_behaved("test", 1));
+    let mut w = resolver_world(|_| ResolverProfile::well_behaved("test", 1));
     w.engine.inject(
         SimTime::ZERO,
         w.client,
@@ -172,7 +164,7 @@ fn full_resolution_round_trip() {
 
 #[test]
 fn cache_answers_second_query_without_recursion() {
-    let mut w = build_world(|_| ResolverProfile::well_behaved("test", 2));
+    let mut w = resolver_world(|_| ResolverProfile::well_behaved("test", 2));
     let name = format!("decoy1.{ZONE}");
     w.engine.inject(
         SimTime::ZERO,
@@ -198,7 +190,7 @@ fn cache_answers_second_query_without_recursion() {
 
 #[test]
 fn cache_expires_after_record_ttl() {
-    let mut w = build_world(|_| ResolverProfile::well_behaved("test", 3));
+    let mut w = resolver_world(|_| ResolverProfile::well_behaved("test", 3));
     let name = format!("decoy1.{ZONE}");
     w.engine.inject(
         SimTime::ZERO,
@@ -218,7 +210,7 @@ fn cache_expires_after_record_ttl() {
 
 #[test]
 fn concurrent_queries_coalesce() {
-    let mut w = build_world(|_| ResolverProfile::well_behaved("test", 4));
+    let mut w = resolver_world(|_| ResolverProfile::well_behaved("test", 4));
     let name = format!("decoy2.{ZONE}");
     // Two queries a millisecond apart: the second arrives while the first
     // resolution is in flight.
@@ -241,7 +233,7 @@ fn concurrent_queries_coalesce() {
 
 #[test]
 fn unknown_zone_gets_nxdomain() {
-    let mut w = build_world(|_| ResolverProfile::well_behaved("test", 5));
+    let mut w = resolver_world(|_| ResolverProfile::well_behaved("test", 5));
     w.engine.inject(
         SimTime::ZERO,
         w.client,
@@ -259,7 +251,7 @@ fn unknown_zone_gets_nxdomain() {
 #[test]
 fn benign_retries_reach_the_authority_again() {
     // 100% retry probability for determinism.
-    let mut w = build_world(|_| ResolverProfile {
+    let mut w = resolver_world(|_| ResolverProfile {
         retry: Some(RetryHabit {
             percent: 100,
             delay: DelayBucket::Seconds(5, 30),
@@ -287,7 +279,7 @@ fn benign_retries_reach_the_authority_again() {
 
 #[test]
 fn shadowing_resolver_schedules_probes() {
-    let mut w = build_world(|origin| {
+    let mut w = resolver_world(|origin| {
         ResolverProfile::shadowing(
             "yandex-sim",
             7,
@@ -332,7 +324,7 @@ fn shadowing_resolver_schedules_probes() {
 
 #[test]
 fn shadowing_triggers_once_per_unique_name() {
-    let mut w = build_world(|origin| {
+    let mut w = resolver_world(|origin| {
         ResolverProfile::shadowing(
             "dedup",
             8,

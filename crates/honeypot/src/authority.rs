@@ -12,7 +12,6 @@ use shadow_netsim::transport::Transport;
 use shadow_packet::dns::{DnsMessage, DnsName, DnsRecord, Rcode};
 use shadow_packet::ipv4::{IpProtocol, Ipv4Packet, DEFAULT_TTL};
 use shadow_packet::udp::UdpDatagram;
-use std::any::Any;
 use std::net::Ipv4Addr;
 
 /// TTL of the wildcard records — the paper configures 3,600 s and uses the
@@ -128,14 +127,6 @@ impl Host for ExperimentAuthorityHost {
             UdpDatagram::new(53, dg.src_port, response.encode()).encode(),
         ));
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -156,14 +147,6 @@ mod tests {
     impl Host for Sink {
         fn on_packet(&mut self, pkt: Ipv4Packet, _ctx: &mut Ctx<'_>) {
             self.packets.push(pkt);
-        }
-
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

@@ -14,7 +14,6 @@ use shadow_packet::http::{HttpRequest, HttpResponse};
 use shadow_packet::ipv4::{IpProtocol, Ipv4Packet, DEFAULT_TTL};
 use shadow_packet::tcp::TcpSegment;
 use shadow_packet::tls::{ClientHello, TlsRecord};
-use std::any::Any;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -251,14 +250,6 @@ impl Host for WebHost {
             }
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -274,6 +265,7 @@ mod tests {
     use shadow_packet::encrypted;
     use shadow_packet::tcp::TcpFlags;
     use shadow_packet::tls::FRONT_SNI;
+    use std::any::Any;
 
     /// A minimal client driving one HTTP or TLS exchange.
     #[derive(Clone)]
@@ -344,14 +336,6 @@ mod tests {
                 self.key = self.tcp.connect(self.server, self.port, &mut out);
                 self.emit(out, ctx);
             }
-        }
-
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -482,14 +466,6 @@ mod tests {
             if let Ok(order) = msg.downcast::<ProbeOrder>() {
                 self.0.push(*order);
             }
-        }
-
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

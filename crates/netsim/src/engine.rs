@@ -24,19 +24,15 @@ use std::sync::Arc;
 /// and receive application-level messages posted by the campaign controller
 /// or by wire taps (e.g. "probe this domain in 2 days").
 ///
-/// Every host is `Clone` (see [`HostFork`]), so [`Engine::fork`] can copy
-/// a world's hosts with their state.
+/// Every host is `Clone + 'static` (see [`HostFork`]), so [`Engine::fork`]
+/// can copy a world's hosts with their state and [`Engine::host_as`] can
+/// downcast them.
 pub trait Host: HostFork + Send + Sync {
     fn on_packet(&mut self, pkt: Ipv4Packet, ctx: &mut Ctx<'_>);
 
     fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx<'_>) {}
 
     fn on_message(&mut self, _msg: Box<dyn Any + Send + Sync>, _ctx: &mut Ctx<'_>) {}
-
-    /// Downcasting hook so campaign code can harvest results after a run.
-    fn as_any(&self) -> &dyn Any;
-
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// What a wire tap tells the engine to do with an observed packet.
@@ -58,7 +54,7 @@ pub enum TapVerdict {
 /// Taps must read watched fields through the view rather than re-parsing
 /// the payload — see the contract in [`shadow_packet::view`].
 ///
-/// Every tap is `Clone` (see [`TapFork`]), like every [`Host`].
+/// Every tap is `Clone + 'static` (see [`TapFork`]), like every [`Host`].
 pub trait WireTap: TapFork + Send + Sync {
     fn on_packet(
         &mut self,
@@ -69,34 +65,54 @@ pub trait WireTap: TapFork + Send + Sync {
     ) -> TapVerdict;
 
     fn on_timer(&mut self, _token: u64, _ctx: &mut Ctx<'_>) {}
+}
+
+/// The hooks behind [`Engine::fork`] and [`Engine::host_as`]: a boxed copy
+/// of a host, state included, and its downcast. Implemented for every
+/// `Clone + 'static` host by the blanket impl below, so a host type opts
+/// in by deriving `Clone`; there is no body to write or forget.
+pub trait HostFork {
+    fn fork_host(&self) -> Box<dyn Host>;
 
     fn as_any(&self) -> &dyn Any;
 
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-/// The fork hook behind [`Engine::fork`]: a boxed copy of a host, state
-/// included. Implemented for every `Clone` host by the blanket impl below,
-/// so a host type opts in by deriving `Clone`; there is no default to
-/// forget to override.
-pub trait HostFork {
-    fn fork_host(&self) -> Box<dyn Host>;
-}
-
 impl<T: Host + Clone + 'static> HostFork for T {
     fn fork_host(&self) -> Box<dyn Host> {
         Box::new(self.clone())
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
     }
 }
 
 /// [`HostFork`] for wire taps.
 pub trait TapFork {
     fn fork_tap(&self) -> Box<dyn WireTap>;
+
+    fn as_any(&self) -> &dyn Any;
+
+    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 impl<T: WireTap + Clone + 'static> TapFork for T {
     fn fork_tap(&self) -> Box<dyn WireTap> {
         Box::new(self.clone())
+    }
+
+    fn as_any(&self) -> &dyn Any {
+        self
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
     }
 }
 
@@ -911,14 +927,6 @@ mod tests {
                 reply.encode(),
             ));
         }
-
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     /// Sink host: records everything.
@@ -954,14 +962,6 @@ mod tests {
         fn on_message(&mut self, _msg: Box<dyn Any + Send + Sync>, ctx: &mut Ctx<'_>) {
             self.messages.push(ctx.now());
         }
-
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     /// Counting tap; drops packets to `poison` destinations.
@@ -985,14 +985,6 @@ mod tests {
             } else {
                 TapVerdict::Continue
             }
-        }
-
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -1310,14 +1302,6 @@ mod tests {
             let mut out = Vec::new();
             self.tcp.connect(peer, 80, &mut out).expect("a free port");
             self.emit(peer, out, ctx);
-        }
-
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

@@ -24,7 +24,6 @@ use shadow_netsim::topology::NodeId;
 use shadow_packet::ipv4::Ipv4Packet;
 use shadow_packet::tls::FRONT_SNI;
 use shadow_packet::{AppProtocol, DecodedView, Visibility};
-use std::any::Any;
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
@@ -265,14 +264,6 @@ impl WireTap for DpiTap {
             .observe(&field.name, field.protocol.into(), ctx);
         TapVerdict::Continue
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -290,6 +281,7 @@ mod tests {
     use shadow_packet::tcp::{TcpFlags, TcpSegment};
     use shadow_packet::tls;
     use shadow_packet::udp::UdpDatagram;
+    use std::any::Any;
 
     /// Records ProbeOrders with their delivery times.
     #[derive(Clone)]
@@ -304,14 +296,6 @@ mod tests {
             if let Ok(order) = msg.downcast::<ProbeOrder>() {
                 self.orders.push((ctx.now(), *order));
             }
-        }
-
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

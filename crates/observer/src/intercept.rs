@@ -1,12 +1,11 @@
 //! DNS interception devices — the noise source of Appendix E.
 //!
 //! Unlike shadowing observers, interceptors *tamper* with live traffic:
-//! they answer DNS queries with spoofed responses (redirect mode) or let the
-//! query through while also resolving it via an alternative server
-//! (replication mode). Both confuse naive observer localization, which is
-//! why the paper's pair-resolver heuristic exists: an interceptor answers
-//! queries sent to *any* address on the path, including addresses that run
-//! no DNS service at all.
+//! they swallow DNS queries and answer with spoofed responses. That
+//! confuses naive observer localization, which is why the paper's
+//! pair-resolver heuristic exists: an interceptor answers queries sent to
+//! *any* address on the path, including addresses that run no DNS service
+//! at all.
 
 use shadow_netsim::engine::{Ctx, TapVerdict, WireTap};
 use shadow_netsim::time::SimDuration;
@@ -16,30 +15,15 @@ use shadow_packet::dns::{DnsMessage, DnsRecord, Rcode};
 use shadow_packet::ipv4::{IpProtocol, Ipv4Packet, DEFAULT_TTL};
 use shadow_packet::udp::UdpDatagram;
 use shadow_packet::DecodedView;
-use std::any::Any;
 use std::net::Ipv4Addr;
 
-/// Interception tactic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InterceptMode {
-    /// Swallow the query and answer with a spoofed response whose source is
-    /// the query's original destination.
-    Redirect,
-    /// Forward the query untouched, but also have an alternative resolver
-    /// client resolve the same name (the duplicate the paper filters out).
-    Replicate,
-}
-
-/// A DNS interception middlebox attached to a router.
+/// A DNS interception middlebox attached to a router: it swallows every
+/// DNS query it forwards and answers with a spoofed response whose source
+/// is the query's original destination.
 #[derive(Clone)]
 pub struct InterceptorTap {
-    pub mode: InterceptMode,
-    /// Address returned in spoofed A records (redirect mode).
+    /// Address returned in spoofed A records.
     pub spoof_answer: Ipv4Addr,
-    /// For replication: the shadow client node/address that re-issues the
-    /// query, and the alternative resolver it uses.
-    pub alt_client: Option<(NodeId, Ipv4Addr)>,
-    pub alt_resolver: Ipv4Addr,
     /// Processing delay before the spoofed answer leaves the box.
     pub response_delay: SimDuration,
     pub queries_intercepted: u64,
@@ -48,21 +32,7 @@ pub struct InterceptorTap {
 impl InterceptorTap {
     pub fn redirect(spoof_answer: Ipv4Addr) -> Self {
         Self {
-            mode: InterceptMode::Redirect,
             spoof_answer,
-            alt_client: None,
-            alt_resolver: Ipv4Addr::new(0, 0, 0, 0),
-            response_delay: SimDuration::from_millis(2),
-            queries_intercepted: 0,
-        }
-    }
-
-    pub fn replicate(alt_client: (NodeId, Ipv4Addr), alt_resolver: Ipv4Addr) -> Self {
-        Self {
-            mode: InterceptMode::Replicate,
-            spoof_answer: Ipv4Addr::new(0, 0, 0, 0),
-            alt_client: Some(alt_client),
-            alt_resolver,
             response_delay: SimDuration::from_millis(2),
             queries_intercepted: 0,
         }
@@ -92,58 +62,25 @@ impl WireTap for InterceptorTap {
         if query.flags.response {
             return TapVerdict::Continue;
         }
-        // Never re-intercept the box's own replicated queries — they would
-        // replicate recursively forever.
-        if let Some((_, alt_addr)) = self.alt_client {
-            if pkt.header.src == alt_addr {
-                return TapVerdict::Continue;
-            }
-        }
         self.queries_intercepted += 1;
-        match self.mode {
-            InterceptMode::Redirect => {
-                // Spoof: answer as if we were the destination, regardless of
-                // whether the destination actually runs DNS. This is what
-                // the pair-resolver test catches.
-                let answers = query
-                    .qname()
-                    .map(|name| vec![DnsRecord::a(name.clone(), 300, self.spoof_answer)])
-                    .unwrap_or_default();
-                let response = DnsMessage::response(&query, false, Rcode::NoError, answers);
-                let reply = Ipv4Packet::new(
-                    pkt.header.dst, // spoofed source!
-                    pkt.header.src,
-                    IpProtocol::Udp,
-                    DEFAULT_TTL,
-                    0,
-                    UdpDatagram::new(53, dg.src_port, response.encode()).encode(),
-                );
-                ctx.send_from(ctx.node(), self.response_delay, reply);
-                TapVerdict::Drop
-            }
-            InterceptMode::Replicate => {
-                if let Some((alt_node, alt_addr)) = self.alt_client {
-                    let copy = Ipv4Packet::new(
-                        alt_addr,
-                        self.alt_resolver,
-                        IpProtocol::Udp,
-                        DEFAULT_TTL,
-                        0,
-                        UdpDatagram::new(40_000, 53, dg.payload.clone()).encode(),
-                    );
-                    ctx.send_from(alt_node, self.response_delay, copy);
-                }
-                TapVerdict::Continue
-            }
-        }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+        // Spoof: answer as if we were the destination, regardless of
+        // whether the destination actually runs DNS. This is what the
+        // pair-resolver test catches.
+        let answers = query
+            .qname()
+            .map(|name| vec![DnsRecord::a(name.clone(), 300, self.spoof_answer)])
+            .unwrap_or_default();
+        let response = DnsMessage::response(&query, false, Rcode::NoError, answers);
+        let reply = Ipv4Packet::new(
+            pkt.header.dst, // spoofed source!
+            pkt.header.src,
+            IpProtocol::Udp,
+            DEFAULT_TTL,
+            0,
+            UdpDatagram::new(53, dg.src_port, response.encode()).encode(),
+        );
+        ctx.send_from(ctx.node(), self.response_delay, reply);
+        TapVerdict::Drop
     }
 }
 
@@ -165,28 +102,16 @@ mod tests {
         fn on_packet(&mut self, pkt: Ipv4Packet, ctx: &mut Ctx<'_>) {
             self.packets.push((ctx.now(), pkt));
         }
-
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     struct World {
         engine: Engine,
         client: NodeId,
         resolver: NodeId,
-        alt_resolver: NodeId,
-        alt_client: NodeId,
         tap_node: NodeId,
         client_addr: Ipv4Addr,
         resolver_addr: Ipv4Addr,
         pair_addr: Ipv4Addr,
-        alt_resolver_addr: Ipv4Addr,
-        alt_client_addr: Ipv4Addr,
     }
 
     fn world() -> World {
@@ -201,13 +126,9 @@ mod tests {
         let client_addr = Ipv4Addr::new(1, 1, 0, 1);
         let resolver_addr = Ipv4Addr::new(2, 1, 0, 1);
         let pair_addr = Ipv4Addr::new(2, 1, 0, 4); // same /24, no DNS service
-        let alt_resolver_addr = Ipv4Addr::new(2, 1, 0, 77);
-        let alt_client_addr = Ipv4Addr::new(1, 1, 0, 200);
         let client = tb.add_host(Asn(1), client_addr).unwrap();
         let resolver = tb.add_host(Asn(2), resolver_addr).unwrap();
         let _pair = tb.add_host(Asn(2), pair_addr).unwrap();
-        let alt_resolver = tb.add_host(Asn(2), alt_resolver_addr).unwrap();
-        let alt_client = tb.add_host(Asn(1), alt_client_addr).unwrap();
         let topo = tb.build().unwrap();
         let route = topo.route(client, resolver).unwrap();
         let tap_node = route[1];
@@ -216,14 +137,10 @@ mod tests {
             engine,
             client,
             resolver,
-            alt_resolver,
-            alt_client,
             tap_node,
             client_addr,
             resolver_addr,
             pair_addr,
-            alt_resolver_addr,
-            alt_client_addr,
         }
     }
 
@@ -278,47 +195,6 @@ mod tests {
         );
         // The query never reached the pair host (dropped at the tap).
         assert_eq!(w.engine.stats().packets_dropped_by_tap, 1);
-    }
-
-    #[test]
-    fn replicate_duplicates_to_alternative_resolver() {
-        let mut w = world();
-        w.engine.add_tap(
-            w.tap_node,
-            Box::new(InterceptorTap::replicate(
-                (w.alt_client, w.alt_client_addr),
-                w.alt_resolver_addr,
-            )),
-        );
-        w.engine.add_host(
-            w.resolver,
-            Box::new(Sink {
-                packets: Vec::new(),
-            }),
-        );
-        w.engine.add_host(
-            w.alt_resolver,
-            Box::new(Sink {
-                packets: Vec::new(),
-            }),
-        );
-        w.engine.inject(
-            SimTime::ZERO,
-            w.client,
-            query_packet(w.client_addr, w.resolver_addr, "rep.www.experiment.example"),
-        );
-        w.engine.run_to_completion();
-        // Original reaches the real resolver...
-        let resolver_sink = w.engine.host_as::<Sink>(w.resolver).unwrap();
-        assert_eq!(resolver_sink.packets.len(), 1);
-        // ...and a copy reaches the alternative resolver from the shadow
-        // client.
-        let alt_sink = w.engine.host_as::<Sink>(w.alt_resolver).unwrap();
-        assert_eq!(alt_sink.packets.len(), 1);
-        assert_eq!(alt_sink.packets[0].1.header.src, w.alt_client_addr);
-        // Wait: the replicated copy leaves from alt_client's node, so it
-        // must traverse the network again (not teleport).
-        assert!(alt_sink.packets[0].0 > SimTime::ZERO);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod retention;
 pub use dpi::{DpiConfig, DpiTap, ObservedProtocol};
 pub use exhibitor::{Exhibitor, ExhibitorConfig, ExhibitorStats};
 pub use fingerprint::FingerprintDb;
-pub use intercept::{InterceptMode, InterceptorTap};
+pub use intercept::InterceptorTap;
 pub use policy::{DelayBucket, ProbeKind, ReplayPolicy, WeightedChoice};
 pub use probe::{DnsVia, ProbeOrder, ProbeOriginHost};
 pub use retention::{ObservedItem, RetentionStore};

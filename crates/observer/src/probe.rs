@@ -342,14 +342,6 @@ impl Host for ProbeOriginHost {
             self.start_lookup(follow_up.domain, ProbeKind::Http, follow_up.seed, ctx);
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -386,14 +378,6 @@ mod tests {
                 0,
                 UdpDatagram::new(53, dg.src_port, reply.encode()).encode(),
             ));
-        }
-
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -459,14 +443,6 @@ mod tests {
                     seg.encode(),
                 ));
             }
-        }
-
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

@@ -474,14 +474,6 @@ impl Host for VantagePointHost {
             self.run_command(*cmd, ctx);
         }
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]

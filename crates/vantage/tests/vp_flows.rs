@@ -19,7 +19,6 @@ use shadow_packet::udp::UdpDatagram;
 use shadow_packet::DecodedView;
 use shadow_vantage::vp::DecoyPayload::{self, Dns, Http, Tls};
 use shadow_vantage::vp::{DecoySend, DnsRetry, VantagePointHost, VpCommand};
-use std::any::Any;
 use std::net::Ipv4Addr;
 
 /// Minimal DNS responder (answers every A query with a fixed address).
@@ -63,14 +62,6 @@ impl Host for MiniResolver {
             UdpDatagram::new(53, dg.src_port, resp.encode()).encode(),
         ));
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Keeps every packet `src` emits, as it arrives at the first-hop router.
@@ -92,14 +83,6 @@ impl WireTap for WireRecorder {
             self.sent.push(pkt.clone());
         }
         TapVerdict::Continue
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -1,8 +1,9 @@
-//! The paper-scale (simulated) campaign: builds the standard world, runs
-//! pre-flight vetting, Phase I, Phase II, and prints every table and figure
-//! of the evaluation section side by side with the paper's reported
-//! numbers (`traffic_shadowing::tables::report`). This is the binary
-//! behind EXPERIMENTS.md.
+//! The full (simulated) campaign: builds a world (by default the standard
+//! one, `StudyConfig::standard`), runs pre-flight vetting, Phase I, Phase
+//! II, and prints every table and figure of the evaluation section side
+//! by side with the paper's reported numbers
+//! (`traffic_shadowing::tables::report`). This is the binary behind
+//! EXPERIMENTS.md.
 //!
 //! Run with `cargo run --release --example full_campaign [seed] [--shards N]
 //! [--tiny] [--metrics-out PATH] [--journal PATH]`.
@@ -16,7 +17,7 @@
 //! telemetry snapshot as JSON (and prints a summary table); `--journal`
 //! writes the canonically sorted event journal as JSONL (compare runs with
 //! the `journal_diff` example). `--tiny` runs the small test world instead
-//! of the paper-scale one (used by CI). `--loss P` injects P% uniform
+//! of the standard one (used by CI). `--loss P` injects P% uniform
 //! per-link packet loss (with the standard DNS retry policy);
 //! `--fault-seed S` re-keys which packets the faults hit.
 //!
@@ -327,8 +328,8 @@ fn main() {
     let config = study_config(preset, telemetry, faults, encryption.clone());
     if let Some(factor) = scale_factor {
         eprintln!(
-            "[paper-scale] factor {factor}: {} VPs x {} sites (building world + plan; \
-             this is minutes of setup before sends start)",
+            "[paper-scale] factor {factor}: {} VPs x {} sites (building world + plan \
+             before sends start; the plan is closed-form, so this takes seconds)",
             config.world.vps_global + config.world.vps_cn,
             config.world.tranco_sites,
         );

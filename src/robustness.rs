@@ -1,4 +1,4 @@
-//! Chaos-sweep glue: extract fault targets from a world spec, fold a
+//! Chaos-sweep glue: extract fault targets from a world template, fold a
 //! study outcome into [`CellMetrics`], and drive a grid of fault profiles
 //! through full sharded campaigns.
 //!
@@ -12,7 +12,9 @@ use crate::study::{Study, StudyConfig, StudyOutcome};
 use shadow_chaos::{FaultProfile, FaultTargets};
 use shadow_core::decoy::DecoyProtocol;
 use shadow_core::executor::run_chunks;
-use shadow_core::world::{HostSpec, WorldSpec};
+use shadow_core::world::WorldSpec;
+use shadow_dns::resolver::RecursiveResolverHost;
+use shadow_vantage::vp::VantagePointHost;
 
 // The comparison types live in `shadow-analysis`; this facade re-exports
 // them so sweep drivers import everything robustness-related from one
@@ -20,29 +22,28 @@ use shadow_core::world::{HostSpec, WorldSpec};
 pub use shadow_analysis::robustness::{CellMetrics, CellReport, RobustnessReport};
 
 /// Pull the node populations a fault profile's scheduled outages act on
-/// out of a world spec. Pure spec data, so every shard — and the
-/// sequential run — extracts the identical target set.
+/// out of a never-run world template: routers, then resolver and VP hosts
+/// (residential VPs the vetting dropped included), each in node order, and
+/// the honeypots. One template per campaign, so every shard — and the
+/// sequential run — compiles its conditioner from the identical target
+/// set.
 pub fn fault_targets(spec: &WorldSpec) -> FaultTargets {
-    let mut targets = FaultTargets {
-        routers: spec
-            .topology
-            .nodes()
-            .filter(|n| n.is_router())
-            .map(|n| n.id)
-            .collect(),
-        ..FaultTargets::default()
-    };
-    for (node, host) in &spec.hosts {
-        match host {
-            HostSpec::Resolver { .. } => targets.resolvers.push(*node),
-            HostSpec::Vp { .. } => targets.vps.push(*node),
-            _ => {}
+    let world = spec.world();
+    let engine = &world.engine;
+    let mut targets = FaultTargets::default();
+    for node in engine.topology().nodes() {
+        if node.is_router() {
+            targets.routers.push(node.id);
+        } else if engine.host_as::<RecursiveResolverHost>(node.id).is_some() {
+            targets.resolvers.push(node.id);
+        } else if engine.host_as::<VantagePointHost>(node.id).is_some() {
+            targets.vps.push(node.id);
         }
     }
-    targets.honeypots.push(spec.auth_node);
+    targets.honeypots.push(world.auth_node);
     targets
         .honeypots
-        .extend(spec.honey_web.iter().map(|&(node, _, _)| node));
+        .extend(world.honey_web.iter().map(|&(node, _, _)| node));
     targets
 }
 

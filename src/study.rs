@@ -133,7 +133,7 @@ impl StudyConfig {
         }
     }
 
-    /// Compile the fault profile against `spec`'s node populations.
+    /// Compile the fault profile against the template's node populations.
     /// `None` when no profile is installed — the engine keeps its
     /// zero-cost empty conditioner slot.
     fn conditioner(&self, spec: &WorldSpec) -> Option<Arc<LinkConditioner>> {
@@ -186,12 +186,11 @@ impl Study {
     /// The straight-line sequential reference: one world, no threads. The
     /// equivalence suites compare every parallel shape against it.
     pub fn run(config: StudyConfig) -> StudyOutcome {
-        // `World::build` is `generate_spec(..).instantiate()`; going
-        // through the spec here keeps one copy around for compiling the
-        // fault profile against the world's node populations.
+        // The fault profile compiles against the template's node
+        // populations; then the template itself becomes the run's world.
         let spec = generate_spec(config.world.clone());
         let conditioner = config.conditioner(&spec);
-        let mut world = spec.instantiate();
+        let mut world = spec.into_world();
         let preflight = NoiseFilter::run_and_apply(&mut world);
         // Telemetry and faults start *after* the pre-flight, mirroring the
         // parallel path (where they go in on the scout and its forks, and
@@ -272,8 +271,8 @@ impl Study {
             (traced, results, data)
         });
         // Chunk 0's world carries the analysis inputs: platform vetting,
-        // destinations, and ground truth are spec data, identical in every
-        // chunk and in the sequential run.
+        // destinations, and ground truth come from the one template,
+        // identical in every chunk and in the sequential run.
         let world = sharded.worlds.swap_remove(0);
         Self::assemble(config, world, sharded.preflight, sharded.data, phase2)
     }

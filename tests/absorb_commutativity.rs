@@ -17,7 +17,7 @@ use traffic_shadowing::shadow_vantage::platform::VpId;
 fn shard_datas(seed: u64, shards: usize) -> Vec<CampaignData> {
     let spec = generate_spec(WorldConfig::tiny(seed));
     let config = Phase1Config::default();
-    let vp_ids: Vec<VpId> = spec.platform.vps.iter().map(|vp| vp.id).collect();
+    let vp_ids: Vec<VpId> = spec.world().platform.vps.iter().map(|vp| vp.id).collect();
     shard_vps(&vp_ids, shards)
         .into_iter()
         .enumerate()

@@ -272,6 +272,60 @@ fn forked_world_runs_phase1_like_a_fresh_one() {
     );
 }
 
+/// Per shape: record count, JSONL byte length and FNV-1a digest of the
+/// rich-profile journal on the tiny world (`None` sequential, `Some(2)`
+/// two shards). The shape-against-shape suites above still pass when a
+/// change moves every shape alike — a different outage victim set, say —
+/// so the faulted bytes are pinned too.
+const PINNED_FAULTED: [(Option<usize>, usize, usize, u64); 2] = [
+    (None, 16_068, 2_591_523, 0x8c0cc02e4890dd7a),
+    (Some(2), 16_073, 2_584_942, 0x82af054904d3cd1c),
+];
+
+/// The tiny world's fault targets: the sizes of the router, resolver, VP
+/// and honeypot lists, and an FNV-1a digest of their node ids in order.
+const PINNED_TARGETS: ([usize; 4], u64) = ([968, 22, 12, 4], 0x780ea9f1e962e26d);
+
+#[test]
+fn faulted_journals_are_pinned() {
+    for (shards, records, bytes, digest) in PINNED_FAULTED {
+        let outcome = match shards {
+            Some(k) => Study::run_sharded(config_with(rich_profile()), k),
+            None => Study::run(config_with(rich_profile())),
+        };
+        let entries = journal(&outcome);
+        let jsonl = to_jsonl(entries).expect("journal serializes");
+        assert_eq!(
+            (entries.len(), jsonl.len(), fnv1a64(jsonl.as_bytes())),
+            (records, bytes, digest),
+            "shards {shards:?}: faulted journal records, bytes or digest moved"
+        );
+    }
+}
+
+#[test]
+fn fault_targets_are_pinned() {
+    let targets = fault_targets(&generate_spec(WorldConfig::tiny(SEED)));
+    let lists = [
+        &targets.routers,
+        &targets.resolvers,
+        &targets.vps,
+        &targets.honeypots,
+    ];
+    let ids: String = lists
+        .iter()
+        .map(|list| {
+            let line: Vec<String> = list.iter().map(|node| node.0.to_string()).collect();
+            line.join(" ") + "\n"
+        })
+        .collect();
+    assert_eq!(
+        (lists.map(|list| list.len()), fnv1a64(ids.as_bytes())),
+        PINNED_TARGETS,
+        "fault target lists moved"
+    );
+}
+
 #[test]
 fn fault_seed_changes_which_packets_suffer() {
     let a = Study::run(config_with(FaultProfile::with_loss("l", 0.05, 1)));

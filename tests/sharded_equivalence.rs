@@ -232,7 +232,7 @@ fn distinct_seeds_still_differ_under_sharding() {
 fn vp_limit_matches_filtered_sequential_composition() {
     let spec = generate_spec(WorldConfig::tiny(99));
     let config = Phase1Config::default();
-    let platform_order: Vec<VpId> = spec.platform.vps.iter().map(|vp| vp.id).collect();
+    let platform_order: Vec<VpId> = spec.world().platform.vps.iter().map(|vp| vp.id).collect();
     let shapes = [
         ChunkConfig::with_workers(1),
         ChunkConfig::with_workers(2).with_chunks(2),
