@@ -559,13 +559,12 @@ fn record_decoy_send(world: &World, record: &DecoyRecord, node: NodeId) {
     if !telemetry.is_enabled() {
         return;
     }
-    let protocol = record.protocol.as_str();
     if let Some(m) = telemetry.metrics() {
-        m.decoys_sent.inc(protocol);
+        m.decoys_sent.inc(record.protocol.as_str());
     }
     telemetry.event(record.planned_at.0, Some(node.0), || EventKind::DecoySent {
-        protocol: protocol.to_string(),
-        domain: record.domain.as_str().to_string(),
+        protocol: record.protocol.journal_label(),
+        domain: record.domain.shared(),
         vp: record.vp.0,
         dst: record.dst,
         ttl: record.ttl,

@@ -49,6 +49,18 @@ impl UnsolicitedLabel {
             UnsolicitedLabel::ReplicationNoise => "ReplicationNoise",
         }
     }
+
+    /// The journal's one-byte form of [`Self::as_str`].
+    pub fn journal_label(self) -> shadow_telemetry::Label {
+        use shadow_telemetry::Label;
+        match self {
+            UnsolicitedLabel::SolicitedResolution => Label::SolicitedResolution,
+            UnsolicitedLabel::CrossProtocol => Label::CrossProtocol,
+            UnsolicitedLabel::HttpTlsArrival => Label::HttpTlsArrival,
+            UnsolicitedLabel::RepeatedDnsQuery => Label::RepeatedDnsQuery,
+            UnsolicitedLabel::ReplicationNoise => Label::ReplicationNoise,
+        }
+    }
 }
 
 /// The paper's protocol-combination label (decoy protocol × arrival
@@ -204,6 +216,19 @@ mod tests {
     use super::*;
     use crate::decoy::DecoyRegistry;
     use shadow_packet::dns::DnsName;
+
+    #[test]
+    fn journal_labels_render_as_str() {
+        for label in [
+            UnsolicitedLabel::SolicitedResolution,
+            UnsolicitedLabel::CrossProtocol,
+            UnsolicitedLabel::HttpTlsArrival,
+            UnsolicitedLabel::RepeatedDnsQuery,
+            UnsolicitedLabel::ReplicationNoise,
+        ] {
+            assert_eq!(label.journal_label().as_str(), label.as_str());
+        }
+    }
 
     fn zone() -> DnsName {
         DnsName::parse("www.experiment.example").unwrap()

@@ -33,6 +33,15 @@ impl DecoyProtocol {
             DecoyProtocol::Tls => "TLS",
         }
     }
+
+    /// The journal's one-byte form of [`Self::as_str`].
+    pub fn journal_label(self) -> shadow_telemetry::Label {
+        match self {
+            DecoyProtocol::Dns => shadow_telemetry::Label::Dns,
+            DecoyProtocol::Http => shadow_telemetry::Label::Http,
+            DecoyProtocol::Tls => shadow_telemetry::Label::Tls,
+        }
+    }
 }
 
 /// One generated decoy.
@@ -180,6 +189,13 @@ impl DecoyRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn journal_labels_render_as_str() {
+        for protocol in [DecoyProtocol::Dns, DecoyProtocol::Http, DecoyProtocol::Tls] {
+            assert_eq!(protocol.journal_label().as_str(), protocol.as_str());
+        }
+    }
 
     fn zone() -> DnsName {
         DnsName::parse("www.experiment.example").unwrap()

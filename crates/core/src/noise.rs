@@ -180,6 +180,9 @@ impl NoiseFilter {
         platform.vet_ttl_rewrite(&deltas, Self::expected_delta());
         platform.exclude_intercepted(&intercepted);
         world.platform = platform;
+        // The pre-flight has drained its queue; the campaign that follows
+        // (or every fork of this world) grows its own.
+        world.engine.release_queue_storage();
         PreflightOutcome {
             ttl_deltas,
             intercepted,

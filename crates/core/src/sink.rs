@@ -596,7 +596,7 @@ impl ArrivalSink for CorrelationSink {
         SinkDecision {
             classified: true,
             unsolicited: label.is_unsolicited(),
-            rule: label.is_unsolicited().then(|| label.as_str()),
+            rule: label.is_unsolicited().then(|| label.journal_label()),
         }
     }
 
@@ -728,7 +728,7 @@ mod tests {
         assert_eq!(solicited.rule, None);
         let verdict = sink.offer(&arrivals[3]);
         assert!(verdict.unsolicited);
-        assert_eq!(verdict.rule, Some("HttpTlsArrival"));
+        assert_eq!(verdict.rule.map(|r| r.as_str()), Some("HttpTlsArrival"));
         assert!(!sink.offer(&arrivals[5]).classified, "unknown domain");
     }
 

@@ -20,6 +20,11 @@ impl Label {
     pub fn as_str(&self) -> &str {
         &self.0
     }
+
+    /// The label's shared string: a reference-count bump, not a copy.
+    pub fn shared(&self) -> Arc<str> {
+        Arc::clone(&self.0)
+    }
 }
 
 impl From<&str> for Label {
@@ -64,6 +69,15 @@ impl ArrivalProtocol {
             ArrivalProtocol::Https => "HTTPS",
         }
     }
+
+    /// The journal's one-byte form of [`Self::as_str`].
+    pub fn journal_label(self) -> shadow_telemetry::Label {
+        match self {
+            ArrivalProtocol::Dns => shadow_telemetry::Label::Dns,
+            ArrivalProtocol::Http => shadow_telemetry::Label::Http,
+            ArrivalProtocol::Https => shadow_telemetry::Label::Https,
+        }
+    }
 }
 
 /// One request that reached a honeypot bearing an experiment domain.
@@ -87,11 +101,11 @@ pub struct SinkDecision {
     pub classified: bool,
     /// Was it classified unsolicited?
     pub unsolicited: bool,
-    /// The unsolicited rule name, when `unsolicited`. Solicited-class
+    /// The unsolicited rule, when `unsolicited`. Solicited-class
     /// attribution is deliberately unnamed: which of two same-millisecond
     /// duplicates counts as the solicited resolution depends on engine
     /// event order, and journals must stay shard-invariant.
-    pub rule: Option<&'static str>,
+    pub rule: Option<shadow_telemetry::Label>,
 }
 
 impl SinkDecision {
@@ -172,13 +186,12 @@ pub fn capture_with_telemetry(sink: Option<&SharedArrivalSink>, arrival: Arrival
         if let Some(m) = telemetry.metrics() {
             m.arrivals_captured.inc(arrival.protocol.as_str());
         }
-        // The owned copy of the label is built inside the closure, so it
-        // is only paid for when a journal is actually attached.
+        // The record shares the arrival's names: no string is copied.
         telemetry.event(arrival.at.millis(), Some(ctx.node().0), || {
             EventKind::ArrivalCaptured {
-                honeypot: arrival.honeypot.as_str().to_owned(),
-                protocol: arrival.protocol.as_str().to_string(),
-                domain: arrival.domain.as_str().to_string(),
+                honeypot: arrival.honeypot.shared(),
+                protocol: arrival.protocol.journal_label(),
+                domain: arrival.domain.shared(),
                 src: arrival.src,
             }
         });
@@ -193,12 +206,12 @@ pub fn capture_with_telemetry(sink: Option<&SharedArrivalSink>, arrival: Arrival
         }
         telemetry.event(arrival.at.millis(), Some(ctx.node().0), || {
             EventKind::ArrivalClassified {
-                honeypot: arrival.honeypot.as_str().to_owned(),
-                protocol: arrival.protocol.as_str().to_string(),
-                domain: arrival.domain.as_str().to_string(),
+                honeypot: arrival.honeypot.shared(),
+                protocol: arrival.protocol.journal_label(),
+                domain: arrival.domain.shared(),
                 src: arrival.src,
                 unsolicited: decision.unsolicited,
-                rule: decision.rule.map(str::to_string),
+                rule: decision.rule,
             }
         });
     }
@@ -216,6 +229,17 @@ mod tests {
             domain: DnsName::parse("x.www.experiment.example").unwrap(),
             http_path: None,
             honeypot: hp.into(),
+        }
+    }
+
+    #[test]
+    fn journal_labels_render_as_str() {
+        for protocol in [
+            ArrivalProtocol::Dns,
+            ArrivalProtocol::Http,
+            ArrivalProtocol::Https,
+        ] {
+            assert_eq!(protocol.journal_label().as_str(), protocol.as_str());
         }
     }
 

@@ -10,7 +10,7 @@ use crate::wheel::TimeWheel;
 use shadow_packet::icmp::IcmpMessage;
 use shadow_packet::ipv4::{IpProtocol, Ipv4Packet, DEFAULT_TTL};
 use shadow_packet::DecodedView;
-use shadow_telemetry::{EventKind as TelemetryEvent, Telemetry};
+use shadow_telemetry::{EventKind as TelemetryEvent, IpLabel, Telemetry};
 use std::any::Any;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -144,16 +144,6 @@ enum Action {
         msg: Box<dyn Any + Send + Sync>,
         delay: SimDuration,
     },
-}
-
-/// Stable journal label for an IP protocol ("ICMP"/"TCP"/"UDP"/"IP(n)").
-pub fn ip_protocol_label(proto: IpProtocol) -> String {
-    match proto {
-        IpProtocol::Icmp => "ICMP".to_string(),
-        IpProtocol::Tcp => "TCP".to_string(),
-        IpProtocol::Udp => "UDP".to_string(),
-        IpProtocol::Other(n) => format!("IP({n})"),
-    }
 }
 
 /// Callback context: simulated clock plus an action buffer.
@@ -380,6 +370,26 @@ impl Engine {
             ident: self.ident,
             ..Self::new(self.topo.clone())
         }
+    }
+
+    /// Drop the storage a finished run grew: the event slab, the time
+    /// wheel's buckets and overflow heap, and the dispatch buffers. The
+    /// clock, the counters, every host and tap and the route memo stay,
+    /// so a later run behaves exactly as it would have; its queue starts
+    /// empty, as a fork's does.
+    ///
+    /// Panics on a queued event: only an idle engine has nothing left to
+    /// run.
+    pub fn release_queue_storage(&mut self) {
+        assert!(
+            self.queue.is_empty(),
+            "Engine::release_queue_storage: {} queued events; only an idle engine releases",
+            self.queue.len()
+        );
+        self.queue = TimeWheel::new();
+        self.events = Slab::new();
+        self.scratch_actions = Vec::new();
+        self.batch = Vec::new();
     }
 
     pub fn topology(&self) -> &Topology {
@@ -750,7 +760,7 @@ impl Engine {
                         TelemetryEvent::TapObserved {
                             src,
                             dst,
-                            protocol: ip_protocol_label(proto),
+                            protocol: IpLabel::new(proto.number()),
                         }
                     });
                     let mut ctx = Ctx {
@@ -1390,6 +1400,55 @@ mod tests {
         w.engine
             .set_conditioner(Some(Arc::new(LinkConditioner::new(7))));
         let _ = w.engine.fork();
+    }
+
+    #[test]
+    fn released_storage_runs_like_kept_storage() {
+        let run_twice = |release: bool| {
+            let mut w = world();
+            w.engine
+                .add_host(w.client, Box::new(TcpPeer::new(w.client_addr)));
+            w.engine
+                .add_host(w.server, Box::new(TcpPeer::new(w.server_addr)));
+            w.engine
+                .post(SimTime::ZERO, w.client, Box::new(w.server_addr));
+            w.engine.run_to_completion();
+            let routes = w.engine.route_cache.len();
+            assert!(routes > 0);
+            if release {
+                w.engine.release_queue_storage();
+                assert_eq!(w.engine.scratch_actions.capacity(), 0);
+                assert_eq!(w.engine.batch.capacity(), 0);
+                assert_eq!(w.engine.route_cache.len(), routes, "the memo stays");
+            }
+            w.engine
+                .post(w.engine.now(), w.client, Box::new(w.server_addr));
+            w.engine.run_to_completion();
+            tcp_state(&w.engine, &w)
+        };
+        assert_eq!(run_twice(true), run_twice(false));
+    }
+
+    #[test]
+    #[should_panic(expected = "queued events; only an idle engine releases")]
+    fn release_refuses_a_queued_event() {
+        let mut w = world();
+        w.engine.post(SimTime(5), w.client, Box::new(()));
+        w.engine.release_queue_storage();
+    }
+
+    #[test]
+    fn tap_labels_name_every_ip_protocol() {
+        for n in 0..=u8::MAX {
+            let proto = IpProtocol::from_number(n);
+            let name = match proto {
+                IpProtocol::Icmp => "ICMP".to_string(),
+                IpProtocol::Tcp => "TCP".to_string(),
+                IpProtocol::Udp => "UDP".to_string(),
+                IpProtocol::Other(n) => format!("IP({n})"),
+            };
+            assert_eq!(IpLabel::new(proto.number()).to_string(), name);
+        }
     }
 
     #[test]

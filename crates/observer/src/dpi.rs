@@ -178,8 +178,7 @@ impl DpiTap {
         self.stats.encrypted_flows_seen += 1;
         let classified = self
             .fingerprints
-            .classify(pkt.header.dst, pkt.payload.len())
-            .map(str::to_string);
+            .classify(pkt.header.dst, pkt.payload.len());
         if classified.is_some() {
             self.stats.name_blind_classified += 1;
         }
@@ -199,10 +198,22 @@ impl DpiTap {
             shadow_telemetry::EventKind::EncryptedFlowTapped {
                 src: pkt.header.src,
                 dst: pkt.header.dst,
-                transport: transport.as_str().to_string(),
-                classified,
+                transport: transport_label(transport),
+                classified: classified.map(str::to_string),
             }
         });
+    }
+}
+
+/// The journal's one-byte form of an encrypted transport's name.
+fn transport_label(transport: shadow_packet::EncryptedTransport) -> shadow_telemetry::Label {
+    use shadow_packet::EncryptedTransport;
+    use shadow_telemetry::Label;
+    match transport {
+        EncryptedTransport::DoT => Label::Dot,
+        EncryptedTransport::DoH => Label::Doh,
+        EncryptedTransport::DoQ => Label::Doq,
+        EncryptedTransport::Ech => Label::Ech,
     }
 }
 
@@ -282,6 +293,19 @@ mod tests {
     use shadow_packet::tls;
     use shadow_packet::udp::UdpDatagram;
     use std::any::Any;
+
+    #[test]
+    fn journal_labels_render_as_str() {
+        use shadow_packet::EncryptedTransport;
+        for transport in [
+            EncryptedTransport::DoT,
+            EncryptedTransport::DoH,
+            EncryptedTransport::DoQ,
+            EncryptedTransport::Ech,
+        ] {
+            assert_eq!(transport_label(transport).as_str(), transport.as_str());
+        }
+    }
 
     /// Records ProbeOrders with their delivery times.
     #[derive(Clone)]

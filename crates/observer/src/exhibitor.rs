@@ -129,7 +129,7 @@ impl Exhibitor {
             }
             telemetry.event(ctx.now().millis(), Some(ctx.node().0), || {
                 shadow_telemetry::EventKind::ShadowProbeScheduled {
-                    domain: domain.as_str().to_string(),
+                    domain: domain.shared(),
                 }
             });
         }

@@ -101,6 +101,11 @@ impl DnsName {
         &self.0
     }
 
+    /// The name's shared string: a reference-count bump, not a copy.
+    pub fn shared(&self) -> Arc<str> {
+        Arc::clone(&self.0)
+    }
+
     pub fn labels(&self) -> impl Iterator<Item = &str> {
         self.0.split('.').filter(|l| !l.is_empty())
     }

@@ -316,6 +316,56 @@ mod tests {
     }
 
     #[test]
+    fn an_unknown_journal_label_is_a_parse_error() {
+        use shadow_telemetry::{EventKind, IpLabel, Label};
+        let mut checkpoint = CampaignDriver::new(ServeConfig::tiny(3)).checkpoint();
+        let record = |seq, event| JournalRecord {
+            at_ms: 5,
+            shard: 0,
+            node: Some(1),
+            seq,
+            event,
+        };
+        let (src, dst) = ("10.0.0.1".parse().unwrap(), "8.8.8.8".parse().unwrap());
+        checkpoint.journal = vec![
+            record(
+                0,
+                EventKind::TapObserved {
+                    src,
+                    dst,
+                    protocol: IpLabel::new(6),
+                },
+            ),
+            record(
+                1,
+                EventKind::EncryptedFlowTapped {
+                    src,
+                    dst,
+                    transport: Label::Doh,
+                    classified: None,
+                },
+            ),
+        ];
+        let json = checkpoint.to_json().unwrap();
+        assert_eq!(CampaignCheckpoint::from_json(&json).unwrap(), checkpoint);
+        for (known, unknown, line) in [
+            (r#""protocol":"TCP""#, r#""protocol":"TCPX""#, 2),
+            (r#""protocol":"TCP""#, r#""protocol":"IP(6)""#, 2),
+            (r#""transport":"doh""#, r#""transport":"DoH""#, 3),
+        ] {
+            let tampered = json.replacen(known, unknown, 1);
+            assert_ne!(tampered, json);
+            match CampaignCheckpoint::from_json(&tampered) {
+                Err(ServeError::Parse(message)) => {
+                    assert!(message.starts_with(&format!("line {line}:")), "{message}");
+                    assert!(message.contains("unknown journal label"), "{message}");
+                }
+                other => panic!("expected a parse error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn missing_file_is_a_distinct_error() {
         let path = std::env::temp_dir().join("shadow-serve-no-such-checkpoint.json");
         match CampaignCheckpoint::load(&path) {

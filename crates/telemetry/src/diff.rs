@@ -97,7 +97,7 @@ pub fn diff(left: &[JournalRecord], right: &[JournalRecord]) -> DiffReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::EventKind;
+    use crate::journal::{EventKind, IpLabel};
     use std::net::Ipv4Addr;
 
     fn tap(at: u64, shard: u32, last_octet: u8) -> JournalRecord {
@@ -109,7 +109,7 @@ mod tests {
             event: EventKind::TapObserved {
                 src: Ipv4Addr::new(10, 0, 0, last_octet),
                 dst: Ipv4Addr::new(8, 8, 8, 8),
-                protocol: "UDP".to_string(),
+                protocol: IpLabel::new(17),
             },
         }
     }

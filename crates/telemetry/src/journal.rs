@@ -19,20 +19,189 @@
 //! within a run, and [`sort_records`] on the concatenation of every
 //! drained journal yields the total key order in one pass. The study
 //! makes that one sort, then the journal is written as JSONL.
+//!
+//! Records are compact: a fixed label (protocol, transport, rule) is a
+//! one-byte [`Label`] or [`IpLabel`], and a domain or honeypot name is an
+//! `Arc<str>` shared with the emitter's own copy, so a record is at most
+//! 80 bytes and no event allocates a label string. Both serialize as the
+//! strings the journal has always carried.
 
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, Serialize};
+use std::fmt;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
+
+/// A fixed journal label: a decoy or arrival protocol, an encrypted
+/// transport, or a §3 rule name. Emitters map their own enums onto it.
+/// It serializes as [`Label::as_str`], and a string that names no label
+/// fails to deserialize.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Label {
+    Dns,
+    Http,
+    Https,
+    Tls,
+    Dot,
+    Doh,
+    Doq,
+    Ech,
+    SolicitedResolution,
+    CrossProtocol,
+    HttpTlsArrival,
+    RepeatedDnsQuery,
+    ReplicationNoise,
+}
+
+impl Label {
+    /// Every label.
+    const ALL: [Label; 13] = [
+        Label::Dns,
+        Label::Http,
+        Label::Https,
+        Label::Tls,
+        Label::Dot,
+        Label::Doh,
+        Label::Doq,
+        Label::Ech,
+        Label::SolicitedResolution,
+        Label::CrossProtocol,
+        Label::HttpTlsArrival,
+        Label::RepeatedDnsQuery,
+        Label::ReplicationNoise,
+    ];
+
+    /// The string the journal carries.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Label::Dns => "DNS",
+            Label::Http => "HTTP",
+            Label::Https => "HTTPS",
+            Label::Tls => "TLS",
+            Label::Dot => "dot",
+            Label::Doh => "doh",
+            Label::Doq => "doq",
+            Label::Ech => "ech",
+            Label::SolicitedResolution => "SolicitedResolution",
+            Label::CrossProtocol => "CrossProtocol",
+            Label::HttpTlsArrival => "HttpTlsArrival",
+            Label::RepeatedDnsQuery => "RepeatedDnsQuery",
+            Label::ReplicationNoise => "ReplicationNoise",
+        }
+    }
+
+    /// The label that renders as `s`, if any.
+    fn parse(s: &str) -> Option<Label> {
+        Label::ALL.into_iter().find(|label| label.as_str() == s)
+    }
+}
+
+/// The IP protocol a tap saw, kept as its protocol number: "ICMP", "TCP"
+/// and "UDP" for 1, 6 and 17, and "IP(n)" for any other number n.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct IpLabel(u8);
+
+impl IpLabel {
+    pub fn new(number: u8) -> Self {
+        IpLabel(number)
+    }
+
+    fn name(self) -> Option<&'static str> {
+        match self.0 {
+            1 => Some("ICMP"),
+            6 => Some("TCP"),
+            17 => Some("UDP"),
+            _ => None,
+        }
+    }
+
+    /// The label that renders as `s`, if any: "IP(6)" and "IP(06)" are
+    /// not strings the journal writes, so they parse to nothing.
+    fn parse(s: &str) -> Option<IpLabel> {
+        match s {
+            "ICMP" => Some(IpLabel(1)),
+            "TCP" => Some(IpLabel(6)),
+            "UDP" => Some(IpLabel(17)),
+            _ => {
+                let digits = s.strip_prefix("IP(")?.strip_suffix(')')?;
+                let label = IpLabel(digits.parse().ok()?);
+                (label.to_string() == s).then_some(label)
+            }
+        }
+    }
+}
+
+impl fmt::Display for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl fmt::Display for IpLabel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.name() {
+            Some(name) => f.write_str(name),
+            None => write!(f, "IP({})", self.0),
+        }
+    }
+}
+
+// `Debug` prints the journal string, quoted, so a record's `Debug` (the
+// form `journal_diff` reports a divergence in) reads as it did when the
+// labels were strings.
+impl fmt::Debug for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Debug for IpLabel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.to_string(), f)
+    }
+}
+
+impl Serialize for Label {
+    fn serialize_content(&self) -> Content {
+        Content::Str(self.as_str().to_string())
+    }
+}
+
+impl Serialize for IpLabel {
+    fn serialize_content(&self) -> Content {
+        Content::Str(self.to_string())
+    }
+}
+
+impl Deserialize for Label {
+    fn deserialize_content(content: &Content) -> Result<Self, DeError> {
+        parse_label(content, Label::parse)
+    }
+}
+
+impl Deserialize for IpLabel {
+    fn deserialize_content(content: &Content) -> Result<Self, DeError> {
+        parse_label(content, IpLabel::parse)
+    }
+}
+
+fn parse_label<T>(content: &Content, parse: fn(&str) -> Option<T>) -> Result<T, DeError> {
+    match content {
+        Content::Str(s) => {
+            parse(s).ok_or_else(|| DeError::new(format!("unknown journal label `{s}`")))
+        }
+        other => Err(DeError::mismatch("journal label", other)),
+    }
+}
 
 /// A typed journal event.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum EventKind {
     /// A decoy was posted from a vantage point.
     DecoySent {
-        protocol: String,
-        domain: String,
+        protocol: Label,
+        domain: Arc<str>,
         vp: u32,
         dst: Ipv4Addr,
         ttl: u8,
@@ -41,7 +210,7 @@ pub enum EventKind {
     TapObserved {
         src: Ipv4Addr,
         dst: Ipv4Addr,
-        protocol: String,
+        protocol: IpLabel,
     },
     /// A TTL hit zero at a router that answers with ICMP Time Exceeded.
     IcmpTimeExceeded {
@@ -50,25 +219,25 @@ pub enum EventKind {
     },
     /// A honeypot captured a request bearing an experiment domain.
     ArrivalCaptured {
-        honeypot: String,
-        protocol: String,
-        domain: String,
+        honeypot: Arc<str>,
+        protocol: Label,
+        domain: Arc<str>,
         src: Ipv4Addr,
     },
     /// A shadowing pipeline scheduled a future probe for a retained name.
-    ShadowProbeScheduled { domain: String },
+    ShadowProbeScheduled { domain: Arc<str> },
     /// The streaming correlation sink classified an arrival at capture
     /// time. `rule` is only present for unsolicited arrivals: attributing
     /// solicited-vs-replication is a same-millisecond tie-break whose
     /// winner depends on engine event order, so naming it would make
     /// journals shard-sensitive; the unsolicited rules are order-invariant.
     ArrivalClassified {
-        honeypot: String,
-        protocol: String,
-        domain: String,
+        honeypot: Arc<str>,
+        protocol: Label,
+        domain: Arc<str>,
         src: Ipv4Addr,
         unsolicited: bool,
-        rule: Option<String>,
+        rule: Option<Label>,
     },
     /// Meta: one shard's campaign data was absorbed into the merge.
     ShardMerged {
@@ -94,7 +263,7 @@ pub enum EventKind {
     EncryptedFlowTapped {
         src: Ipv4Addr,
         dst: Ipv4Addr,
-        transport: String,
+        transport: Label,
         classified: Option<String>,
     },
 }
@@ -150,15 +319,26 @@ pub struct JournalRecord {
 }
 
 impl JournalRecord {
+    /// The leading fields of both keys below: (sim-time, event rank,
+    /// node + 1, or 0 for none). It renders nothing.
+    fn order_prefix(&self) -> (u64, u8, u32) {
+        (
+            self.at_ms,
+            self.event.rank(),
+            self.node.map(|n| n + 1).unwrap_or(0),
+        )
+    }
+
     /// The shard-independent total key [`crate::diff`] aligns on:
     /// (sim-time, event rank, node, canonical payload). Two world events
     /// from different shard counts compare equal iff they describe the
     /// same simulated fact.
     pub fn diff_key(&self) -> (u64, u8, u32, String) {
+        let (at, rank, node) = self.order_prefix();
         (
-            self.at_ms,
-            self.event.rank(),
-            self.node.map(|n| n + 1).unwrap_or(0),
+            at,
+            rank,
+            node,
             serde_json::to_string(&self.event).unwrap_or_default(),
         )
     }
@@ -172,9 +352,26 @@ impl JournalRecord {
 }
 
 /// Sort records into the canonical total order (deterministic for a fixed
-/// seed and shard count; world-event prefix identical across shard counts).
+/// seed and shard count; world-event prefix identical across shard counts):
+/// the order of [`JournalRecord::sort_key`]. An in-place sort on the
+/// key's (sim-time, rank, node) prefix comes first; only the records of a
+/// run that ties on it are then sorted on the full key, so only they have
+/// their payload rendered.
 pub fn sort_records(records: &mut [JournalRecord]) {
-    records.sort_by_cached_key(|r| r.sort_key());
+    // Unstable is exact here: every tie on the prefix is re-sorted below.
+    records.sort_unstable_by_key(JournalRecord::order_prefix);
+    let mut start = 0;
+    while start < records.len() {
+        let prefix = records[start].order_prefix();
+        let ties = records[start..]
+            .iter()
+            .take_while(|r| r.order_prefix() == prefix)
+            .count();
+        if ties > 1 {
+            records[start..start + ties].sort_by_cached_key(JournalRecord::sort_key);
+        }
+        start += ties;
+    }
 }
 
 /// Serialize records as JSONL, one record per line, in the given order.
@@ -319,8 +516,8 @@ mod tests {
             node: Some(3),
             seq: 0,
             event: EventKind::DecoySent {
-                protocol: "DNS".to_string(),
-                domain: domain.to_string(),
+                protocol: Label::Dns,
+                domain: domain.into(),
                 vp: 1,
                 dst: Ipv4Addr::new(77, 88, 8, 8),
                 ttl: 64,
@@ -408,6 +605,157 @@ mod tests {
         assert_eq!(text.lines().count(), 3);
         let parsed = from_jsonl(&text).unwrap();
         assert_eq!(parsed, records);
+    }
+
+    fn record(at: u64, shard: u32, seq: u64, node: Option<u32>, event: EventKind) -> JournalRecord {
+        JournalRecord {
+            at_ms: at,
+            shard,
+            node,
+            seq,
+            event,
+        }
+    }
+
+    fn sent(ttl: u8, dst: [u8; 4], domain: &str) -> EventKind {
+        EventKind::DecoySent {
+            protocol: Label::Dns,
+            domain: domain.into(),
+            vp: 1,
+            dst: Ipv4Addr::from(dst),
+            ttl,
+        }
+    }
+
+    fn tapped(protocol: u8) -> EventKind {
+        EventKind::TapObserved {
+            src: Ipv4Addr::new(10, 0, 0, 1),
+            dst: Ipv4Addr::new(8, 8, 8, 8),
+            protocol: IpLabel::new(protocol),
+        }
+    }
+
+    #[test]
+    fn sort_records_is_the_full_key_sort_on_ties() {
+        let records = vec![
+            // A last numeric field compares as text: "ttl":50} < "ttl":5}.
+            record(100, 0, 0, Some(3), sent(5, [1, 1, 1, 1], "a.example")),
+            record(100, 0, 1, Some(3), sent(50, [1, 1, 1, 1], "a.example")),
+            // So do addresses: "10.0.0.1" < "9.0.0.1".
+            record(200, 0, 2, Some(3), sent(64, [9, 0, 0, 1], "a.example")),
+            record(200, 0, 3, Some(3), sent(64, [10, 0, 0, 1], "a.example")),
+            // A domain sorts before the domains it prefixes.
+            record(300, 0, 4, Some(3), sent(64, [1, 1, 1, 1], "a.example.org")),
+            record(300, 0, 5, Some(3), sent(64, [1, 1, 1, 1], "a.example")),
+            // Equal payloads order by shard, then seq.
+            record(400, 1, 0, Some(3), sent(64, [1, 1, 1, 1], "a.example")),
+            record(400, 0, 9, Some(3), sent(64, [1, 1, 1, 1], "a.example")),
+            record(400, 0, 7, Some(3), sent(64, [1, 1, 1, 1], "a.example")),
+            // The prefix alone decides these: no node first, then rank.
+            record(400, 0, 8, None, sent(64, [1, 1, 1, 1], "a.example")),
+            record(400, 0, 10, Some(3), tapped(6)),
+            record(50, 2, 0, Some(9), tapped(17)),
+        ];
+        let mut reference = records.clone();
+        reference.sort_by_cached_key(JournalRecord::sort_key);
+        let order: Vec<(u32, u64)> = reference.iter().map(|r| (r.shard, r.seq)).collect();
+        assert_eq!(
+            order,
+            [
+                (2, 0),
+                (0, 1),
+                (0, 0),
+                (0, 3),
+                (0, 2),
+                (0, 5),
+                (0, 4),
+                (0, 8),
+                (0, 7),
+                (0, 9),
+                (1, 0),
+                (0, 10),
+            ]
+        );
+        let n = records.len();
+        let mut orders: Vec<Vec<usize>> = (0..n)
+            .map(|k| (0..n).map(|i| (i + k) % n).collect())
+            .collect();
+        orders.push((0..n).rev().collect());
+        orders.push((0..n).map(|i| i * 5 % n).collect());
+        for permutation in orders {
+            let mut shuffled: Vec<JournalRecord> =
+                permutation.iter().map(|&i| records[i].clone()).collect();
+            sort_records(&mut shuffled);
+            assert_eq!(shuffled, reference, "from order {permutation:?}");
+        }
+    }
+
+    #[test]
+    fn journal_record_stays_80_bytes() {
+        // A 3-wave daemon campaign holds about half a million of them.
+        assert!(std::mem::size_of::<JournalRecord>() <= 80);
+    }
+
+    #[test]
+    fn compact_fields_render_as_the_journal_strings() {
+        let tap = record(7, 1, 3, Some(2), tapped(6));
+        let line = serde_json::to_string(&tap).unwrap();
+        assert_eq!(
+            line,
+            r#"{"at_ms":7,"shard":1,"node":2,"seq":3,"event":{"TapObserved":{"src":"10.0.0.1","dst":"8.8.8.8","protocol":"TCP"}}}"#
+        );
+        assert_eq!(serde_json::from_str::<JournalRecord>(&line).unwrap(), tap);
+        let classified = EventKind::ArrivalClassified {
+            honeypot: "US".into(),
+            protocol: Label::Https,
+            domain: "x.example".into(),
+            src: Ipv4Addr::new(192, 0, 2, 1),
+            unsolicited: true,
+            rule: Some(Label::CrossProtocol),
+        };
+        let line = serde_json::to_string(&classified).unwrap();
+        assert_eq!(
+            line,
+            r#"{"ArrivalClassified":{"honeypot":"US","protocol":"HTTPS","domain":"x.example","src":"192.0.2.1","unsolicited":true,"rule":"CrossProtocol"}}"#
+        );
+        assert_eq!(
+            serde_json::from_str::<EventKind>(&line).unwrap(),
+            classified
+        );
+        // `Debug` (journal_diff's divergence report) quotes labels as it
+        // quoted the strings.
+        assert_eq!(
+            format!("{:?}", tapped(47)),
+            r#"TapObserved { src: 10.0.0.1, dst: 8.8.8.8, protocol: "IP(47)" }"#
+        );
+    }
+
+    #[test]
+    fn labels_parse_what_they_render_and_nothing_else() {
+        for label in Label::ALL {
+            let content = label.serialize_content();
+            assert_eq!(content, Content::Str(label.as_str().to_string()));
+            assert_eq!(Label::deserialize_content(&content), Ok(label));
+        }
+        for n in 0..=u8::MAX {
+            let label = IpLabel::new(n);
+            assert_eq!(IpLabel::parse(&label.to_string()), Some(label), "{label}");
+        }
+        let names: Vec<String> = [1, 6, 17, 47].map(|n| IpLabel::new(n).to_string()).into();
+        assert_eq!(names, ["ICMP", "TCP", "UDP", "IP(47)"]);
+        for unknown in [
+            "", "dns", "Tcp", "IP(6)", "IP(06)", "IP(256)", "IP(-1)", "IP()",
+        ] {
+            let content = Content::Str(unknown.to_string());
+            for error in [
+                Label::deserialize_content(&content).err(),
+                IpLabel::deserialize_content(&content).err(),
+            ] {
+                let error = error.unwrap_or_else(|| panic!("`{unknown}` must not parse"));
+                assert!(error.message().contains("unknown journal label"), "{error}");
+            }
+        }
+        assert!(Label::deserialize_content(&Content::U64(1)).is_err());
     }
 
     #[test]

@@ -32,6 +32,8 @@ pub mod metrics;
 pub mod tail;
 
 pub use diff::{diff, DiffReport, Divergence};
-pub use journal::{from_jsonl, sort_records, to_jsonl, EventKind, JournalRecord, Telemetry};
+pub use journal::{
+    from_jsonl, sort_records, to_jsonl, EventKind, IpLabel, JournalRecord, Label, Telemetry,
+};
 pub use metrics::{HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 pub use tail::{JournalTailHub, TailSubscriber};

@@ -7,10 +7,18 @@
 //!    total event key order: the same world events occur at the same
 //!    sim-times regardless of how the VPs were partitioned.
 //! 3. The per-chunk `ShardMerged` audit records account for every arrival.
+//! 4. A mixed-encryption, lossy journal, which carries every label family
+//!    (decoy, tap and arrival protocols, encrypted transports, rules), is
+//!    pinned too, and the one sort restores a shuffled journal.
 
+use std::collections::BTreeSet;
+use traffic_shadowing::shadow_chaos::{FaultProfile, RetrySpec};
 use traffic_shadowing::shadow_core::executor::TelemetryOptions;
 use traffic_shadowing::shadow_netsim::fault::fnv1a64;
-use traffic_shadowing::shadow_telemetry::{diff, from_jsonl, to_jsonl, EventKind, JournalRecord};
+use traffic_shadowing::shadow_packet::transport::{splitmix64, EncryptionDeployment};
+use traffic_shadowing::shadow_telemetry::{
+    diff, from_jsonl, sort_records, to_jsonl, EventKind, JournalRecord,
+};
 use traffic_shadowing::study::{Study, StudyConfig};
 
 const SEED: u64 = 99;
@@ -30,12 +38,39 @@ fn config() -> StudyConfig {
     }
 }
 
-fn journal_of(shards: Option<usize>) -> Vec<JournalRecord> {
+/// The same three values for the mixed-encryption, 2%-loss tiny world of
+/// `full_campaign 7 --tiny --encryption mixed --loss 2 [--shards 2]
+/// --journal`.
+const LABELLED_PINNED: [(Option<usize>, usize, usize, u64); 2] = [
+    (None, 4_034, 705_939, 0x8c9b_6f9c_37cf_1909),
+    (Some(2), 4_039, 705_539, 0x3f40_43b5_2da4_955f),
+];
+
+/// `full_campaign 7 --tiny --encryption mixed --loss 2`'s configuration,
+/// journal on.
+fn labelled_config() -> StudyConfig {
+    let mut config = StudyConfig {
+        telemetry: TelemetryOptions::enabled(true),
+        faults: Some(FaultProfile {
+            dns_retry: Some(RetrySpec::STANDARD),
+            ..FaultProfile::with_loss("loss2%", 0.02, 1)
+        }),
+        ..StudyConfig::tiny(7)
+    };
+    config.phase1.encryption = EncryptionDeployment::mixed();
+    config
+}
+
+fn journal_with(config: StudyConfig, shards: Option<usize>) -> Vec<JournalRecord> {
     let outcome = match shards {
-        Some(k) => Study::run_sharded(config(), k),
-        None => Study::run(config()),
+        Some(k) => Study::run_sharded(config, k),
+        None => Study::run(config),
     };
     outcome.journal.expect("journal enabled")
+}
+
+fn journal_of(shards: Option<usize>) -> Vec<JournalRecord> {
+    journal_with(config(), shards)
 }
 
 #[test]
@@ -111,4 +146,56 @@ fn different_seeds_produce_different_journals() {
         !report.identical(),
         "distinct seeds must produce distinct journals"
     );
+}
+
+#[test]
+fn mixed_encryption_lossy_journals_are_pinned() {
+    for (shards, records, bytes, digest) in LABELLED_PINNED {
+        let journal = journal_with(labelled_config(), shards);
+        let text = to_jsonl(&journal).expect("serializes");
+        assert_eq!(
+            (journal.len(), text.len(), fnv1a64(text.as_bytes())),
+            (records, bytes, digest),
+            "shards {shards:?}: journal records, bytes or digest moved"
+        );
+        assert!(
+            journal.iter().any(|r| matches!(
+                &r.event,
+                EventKind::EncryptedFlowTapped {
+                    classified: Some(_),
+                    ..
+                }
+            )),
+            "shards {shards:?}: no fingerprinted encrypted flow"
+        );
+        let rules: BTreeSet<String> = journal
+            .iter()
+            .filter_map(|r| match &r.event {
+                EventKind::ArrivalClassified {
+                    rule: Some(rule), ..
+                } => Some(rule.to_string()),
+                _ => None,
+            })
+            .collect();
+        assert!(rules.len() >= 3, "shards {shards:?}: rules {rules:?}");
+        let reparsed = from_jsonl(&text).expect("parses");
+        assert_eq!(reparsed, journal);
+    }
+}
+
+#[test]
+fn sort_records_restores_a_shuffled_journal() {
+    let journal = journal_with(labelled_config(), Some(2));
+    let mut shuffled = journal.clone();
+    let mut state = 0x5eed;
+    for i in (1..shuffled.len()).rev() {
+        let j = (splitmix64(&mut state) % (i as u64 + 1)) as usize;
+        shuffled.swap(i, j);
+    }
+    assert_ne!(shuffled, journal);
+    let mut reference = shuffled.clone();
+    reference.sort_by_cached_key(JournalRecord::sort_key);
+    sort_records(&mut shuffled);
+    assert_eq!(shuffled, reference);
+    assert_eq!(shuffled, journal);
 }
