@@ -11,10 +11,17 @@
 //!    `GeoScanIndex`) on the standard world: asn/country/hosting agree on
 //!    every routed address and on adversarial probes around every prefix
 //!    boundary.
+//!
+//! 3. **Routing is pinned.** Every host-to-address route of the standard
+//!    world, the latency of every link on those routes and every AS path
+//!    fold into pinned counts and an FNV-1a digest, so a change to how
+//!    routes are computed cannot move a single hop unnoticed.
 
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 use traffic_shadowing::shadow_chaos::FaultProfile;
 use traffic_shadowing::shadow_core::world::{generate_spec, WorldConfig};
+use traffic_shadowing::shadow_netsim::fault::fnv1a64;
 use traffic_shadowing::study::{Study, StudyConfig};
 
 fn graph_json(outcome: &traffic_shadowing::study::StudyOutcome) -> String {
@@ -111,4 +118,84 @@ fn trie_agrees_with_scan_reference_on_the_standard_world() {
             .map(|r| (r.prefix, r.asn, r.country, r.hosting));
         assert_eq!(via_trie, via_scan, "lookup({addr}) diverges from the scan");
     }
+}
+
+/// `generate_spec(WorldConfig::standard(7))`'s routing: routes (host node
+/// × registered host address), links on those routes, AS paths (every
+/// ordered pair of ASes holding a node), and the FNV-1a digest of all
+/// three.
+const PINNED_ROUTING: (usize, usize, usize, u64) =
+    (142_396, 923_221, 78_961, 0x8f53_2836_9b78_69ba);
+
+#[test]
+fn standard_world_routing_is_pinned() {
+    let spec = generate_spec(WorldConfig::standard(7));
+    let topo = spec.world().engine.topology();
+    let hosts: Vec<_> = topo.nodes().filter(|n| !n.is_router()).collect();
+    // Every address a host answers on: its own, plus the resolver egress
+    // aliases the world registers one or two above a service address.
+    // Anycast addresses appear once, with every instance behind them.
+    let mut addrs = BTreeSet::new();
+    for host in &hosts {
+        let [a, b, c, d] = host.addr.octets();
+        for bump in 0..=2u8 {
+            let addr = Ipv4Addr::new(a, b, c, d.wrapping_add(bump));
+            let at = topo.nodes_at(addr);
+            if !at.is_empty() && at.iter().all(|&n| !topo.node(n).is_router()) {
+                addrs.insert(addr);
+            }
+        }
+    }
+    let primary: BTreeSet<_> = hosts.iter().map(|h| h.addr).collect();
+    assert!(
+        addrs.len() > primary.len(),
+        "the standard world registers egress aliases"
+    );
+    assert!(
+        addrs.iter().any(|&a| topo.nodes_at(a).len() > 1),
+        "the standard world has an anycast address"
+    );
+
+    let mut bytes = Vec::new();
+    let (mut routes, mut links) = (0, 0);
+    for host in &hosts {
+        for &addr in &addrs {
+            routes += 1;
+            bytes.extend_from_slice(&host.id.0.to_le_bytes());
+            bytes.extend_from_slice(&addr.octets());
+            let Some(route) = topo.route_to_addr(host.id, addr) else {
+                bytes.push(0xff);
+                continue;
+            };
+            bytes.extend_from_slice(&(route.len() as u32).to_le_bytes());
+            for node in route.iter() {
+                bytes.extend_from_slice(&node.0.to_le_bytes());
+            }
+            for pair in route.windows(2) {
+                links += 1;
+                bytes.extend_from_slice(&topo.latency_ms(pair[0], pair[1]).to_le_bytes());
+            }
+        }
+    }
+    let ases: BTreeSet<_> = topo.nodes().map(|n| n.asn).collect();
+    let mut paths = 0;
+    for &src in &ases {
+        for &dst in &ases {
+            paths += 1;
+            match topo.as_path(src, dst) {
+                Some(path) => {
+                    bytes.extend_from_slice(&(path.len() as u32).to_le_bytes());
+                    for asn in path {
+                        bytes.extend_from_slice(&asn.0.to_le_bytes());
+                    }
+                }
+                None => bytes.push(0xff),
+            }
+        }
+    }
+    assert_eq!(
+        (routes, links, paths, fnv1a64(&bytes)),
+        PINNED_ROUTING,
+        "standard-world routing moved"
+    );
 }
