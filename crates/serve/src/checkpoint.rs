@@ -220,7 +220,9 @@ fn read_checkpoint(
             supported: CHECKPOINT_VERSION,
         });
     }
-    let mut journal = Vec::new();
+    // The count comes from the file: reserve for it, but no more than
+    // 2^20 records up front, so a corrupt count cannot ask for the heap.
+    let mut journal = Vec::with_capacity(state.journal_records.min(1 << 20));
     while journal.len() < state.journal_records {
         if !read_line(&mut input, &mut line, &io_error)? {
             return Err(ServeError::Corrupt(format!(

@@ -29,6 +29,7 @@
 use crate::metrics::{MetricsRegistry, MetricsSnapshot};
 use parking_lot::Mutex;
 use serde::{Content, DeError, Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::fmt;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
@@ -321,7 +322,7 @@ pub struct JournalRecord {
 impl JournalRecord {
     /// The leading fields of both keys below: (sim-time, event rank,
     /// node + 1, or 0 for none). It renders nothing.
-    fn order_prefix(&self) -> (u64, u8, u32) {
+    pub(crate) fn order_prefix(&self) -> (u64, u8, u32) {
         (
             self.at_ms,
             self.event.rank(),
@@ -358,17 +359,29 @@ impl JournalRecord {
 /// run that ties on it are then sorted on the full key, so only they have
 /// their payload rendered.
 pub fn sort_records(records: &mut [JournalRecord]) {
-    // Unstable is exact here: every tie on the prefix is re-sorted below.
+    // Unstable is exact here: every tie on the prefix is re-sorted below,
+    // and the sort key is total.
     records.sort_unstable_by_key(JournalRecord::order_prefix);
+    sort_prefix_ties(records, JournalRecord::sort_key);
+}
+
+/// Sort every run of `records` (already in prefix order) that ties on
+/// [`JournalRecord::order_prefix`] by `key`, which must extend the
+/// prefix: only the records of such a run have `key` computed. Stable.
+pub(crate) fn sort_prefix_ties<R: Borrow<JournalRecord>, K: Ord>(
+    records: &mut [R],
+    key: impl Fn(&JournalRecord) -> K,
+) {
+    let prefix = |r: &R| r.borrow().order_prefix();
     let mut start = 0;
     while start < records.len() {
-        let prefix = records[start].order_prefix();
+        let first = prefix(&records[start]);
         let ties = records[start..]
             .iter()
-            .take_while(|r| r.order_prefix() == prefix)
+            .take_while(|r| prefix(r) == first)
             .count();
         if ties > 1 {
-            records[start..start + ties].sort_by_cached_key(JournalRecord::sort_key);
+            records[start..start + ties].sort_by_cached_key(|r| key(r.borrow()));
         }
         start += ties;
     }
@@ -635,9 +648,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sort_records_is_the_full_key_sort_on_ties() {
-        let records = vec![
+    /// Records whose order the prefix alone does not decide.
+    fn tie_fixtures() -> Vec<JournalRecord> {
+        vec![
             // A last numeric field compares as text: "ttl":50} < "ttl":5}.
             record(100, 0, 0, Some(3), sent(5, [1, 1, 1, 1], "a.example")),
             record(100, 0, 1, Some(3), sent(50, [1, 1, 1, 1], "a.example")),
@@ -655,7 +668,28 @@ mod tests {
             record(400, 0, 8, None, sent(64, [1, 1, 1, 1], "a.example")),
             record(400, 0, 10, Some(3), tapped(6)),
             record(50, 2, 0, Some(9), tapped(17)),
-        ];
+        ]
+    }
+
+    /// The fixtures in their own order, every rotation, reversed and
+    /// strided.
+    fn fixture_orders() -> Vec<Vec<JournalRecord>> {
+        let records = tie_fixtures();
+        let n = records.len();
+        let mut orders: Vec<Vec<usize>> = (0..n)
+            .map(|k| (0..n).map(|i| (i + k) % n).collect())
+            .collect();
+        orders.push((0..n).rev().collect());
+        orders.push((0..n).map(|i| i * 5 % n).collect());
+        orders
+            .into_iter()
+            .map(|order| order.iter().map(|&i| records[i].clone()).collect())
+            .collect()
+    }
+
+    #[test]
+    fn sort_records_is_the_full_key_sort_on_ties() {
+        let records = tie_fixtures();
         let mut reference = records.clone();
         reference.sort_by_cached_key(JournalRecord::sort_key);
         let order: Vec<(u32, u64)> = reference.iter().map(|r| (r.shard, r.seq)).collect();
@@ -676,17 +710,22 @@ mod tests {
                 (0, 10),
             ]
         );
-        let n = records.len();
-        let mut orders: Vec<Vec<usize>> = (0..n)
-            .map(|k| (0..n).map(|i| (i + k) % n).collect())
-            .collect();
-        orders.push((0..n).rev().collect());
-        orders.push((0..n).map(|i| i * 5 % n).collect());
-        for permutation in orders {
-            let mut shuffled: Vec<JournalRecord> =
-                permutation.iter().map(|&i| records[i].clone()).collect();
+        for mut shuffled in fixture_orders() {
+            let from = shuffled.clone();
             sort_records(&mut shuffled);
-            assert_eq!(shuffled, reference, "from order {permutation:?}");
+            assert_eq!(shuffled, reference, "from order {from:?}");
+        }
+    }
+
+    #[test]
+    fn diff_order_is_the_stable_diff_key_sort() {
+        for shuffled in fixture_orders() {
+            let mut reference: Vec<&JournalRecord> = shuffled.iter().collect();
+            reference.sort_by_cached_key(|r| r.diff_key());
+            let sorted = crate::diff::world_events_sorted(&shuffled);
+            let seqs =
+                |v: &[&JournalRecord]| v.iter().map(|r| (r.shard, r.seq)).collect::<Vec<_>>();
+            assert_eq!(seqs(&sorted), seqs(&reference), "from order {shuffled:?}");
         }
     }
 

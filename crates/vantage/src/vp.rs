@@ -265,18 +265,23 @@ impl VantagePointHost {
             DecoyPayload::Dns(transport) => {
                 let bytes = decoy_bytes(&decoy.domain, payload, ident);
                 let datagram = UdpDatagram::new(src_port, dst_port, bytes).encode();
-                ctx.send(self.packet(dst, IpProtocol::Udp, ttl, ident, datagram.clone()));
-                // Only clear-text queries retry. Retry-free decoys arm no
-                // timer at all, so runs planned without retry stay
-                // byte-identical to pre-chaos runs.
+                // Only clear-text queries retry, and only they keep a copy
+                // of the datagram. Retry-free decoys arm no timer at all,
+                // so runs planned without retry stay byte-identical to
+                // pre-chaos runs.
                 let clear = transport == DnsTransport::Udp53;
-                if let Some(retry) = decoy.retry.filter(|r| clear && r.attempts > 0) {
+                let kept = decoy
+                    .retry
+                    .filter(|r| clear && r.attempts > 0)
+                    .map(|retry| (retry, datagram.clone()));
+                ctx.send(self.packet(dst, IpProtocol::Udp, ttl, ident, datagram));
+                if let Some((retry, payload)) = kept {
                     self.pending_dns.insert(
                         ident,
                         PendingDns {
                             dst,
                             ttl,
-                            payload: datagram,
+                            payload,
                             remaining: retry.attempts,
                             timeout_ms: retry.timeout_ms,
                         },

@@ -9,13 +9,15 @@
 //! 3. The per-chunk `ShardMerged` audit records account for every arrival.
 //! 4. A mixed-encryption, lossy journal, which carries every label family
 //!    (decoy, tap and arrival protocols, encrypted transports, rules), is
-//!    pinned too, and the one sort restores a shuffled journal.
+//!    pinned too, the one sort restores a shuffled journal, and
+//!    `journal diff` orders that shuffle as the full diff-key sort would.
 
 use std::collections::BTreeSet;
 use traffic_shadowing::shadow_chaos::{FaultProfile, RetrySpec};
 use traffic_shadowing::shadow_core::executor::TelemetryOptions;
 use traffic_shadowing::shadow_netsim::fault::fnv1a64;
 use traffic_shadowing::shadow_packet::transport::{splitmix64, EncryptionDeployment};
+use traffic_shadowing::shadow_telemetry::diff::world_events_sorted;
 use traffic_shadowing::shadow_telemetry::{
     diff, from_jsonl, sort_records, to_jsonl, EventKind, JournalRecord,
 };
@@ -183,8 +185,8 @@ fn mixed_encryption_lossy_journals_are_pinned() {
     }
 }
 
-#[test]
-fn sort_records_restores_a_shuffled_journal() {
+/// The pinned 2-shard labelled journal and a seeded shuffle of it.
+fn shuffled_labelled_journal() -> (Vec<JournalRecord>, Vec<JournalRecord>) {
     let journal = journal_with(labelled_config(), Some(2));
     let mut shuffled = journal.clone();
     let mut state = 0x5eed;
@@ -193,9 +195,32 @@ fn sort_records_restores_a_shuffled_journal() {
         shuffled.swap(i, j);
     }
     assert_ne!(shuffled, journal);
+    (journal, shuffled)
+}
+
+#[test]
+fn sort_records_restores_a_shuffled_journal() {
+    let (journal, mut shuffled) = shuffled_labelled_journal();
     let mut reference = shuffled.clone();
     reference.sort_by_cached_key(JournalRecord::sort_key);
     sort_records(&mut shuffled);
     assert_eq!(shuffled, reference);
     assert_eq!(shuffled, journal);
+}
+
+#[test]
+fn diff_order_is_the_diff_key_sort_of_a_shuffled_journal() {
+    let (_, shuffled) = shuffled_labelled_journal();
+    let mut reference: Vec<&JournalRecord> =
+        shuffled.iter().filter(|r| !r.event.is_meta()).collect();
+    reference.sort_by_cached_key(|r| r.diff_key());
+    let sorted = world_events_sorted(&shuffled);
+    assert_eq!(sorted.len(), reference.len());
+    assert!(
+        sorted
+            .iter()
+            .zip(&reference)
+            .all(|(a, b)| std::ptr::eq(*a, *b)),
+        "journal_diff orders a shuffled journal as the full diff-key sort does"
+    );
 }
