@@ -174,12 +174,10 @@ impl NoiseFilter {
     pub fn run_and_apply(world: &mut World) -> PreflightOutcome {
         let ttl_deltas = Self::ttl_preflight(world);
         let intercepted = Self::pair_resolver_test(world);
-        let deltas = ttl_deltas.clone();
-        // Split the platform out to appease the borrow checker.
-        let mut platform = std::mem::take(&mut world.platform);
-        platform.vet_ttl_rewrite(&deltas, Self::expected_delta());
-        platform.exclude_intercepted(&intercepted);
-        world.platform = platform;
+        world
+            .platform
+            .vet_ttl_rewrite(&ttl_deltas, Self::expected_delta());
+        world.platform.exclude_intercepted(&intercepted);
         // The pre-flight has drained its queue; the campaign that follows
         // (or every fork of this world) grows its own.
         world.engine.release_queue_storage();

@@ -222,9 +222,12 @@ impl Ctx<'_> {
 /// Why a timer callback targets a tap and not a host: taps call
 /// [`Ctx::timer`] too, so the engine must remember which kind armed it.
 enum EventKind {
-    /// Packet arriving at `path[idx]`. The view is the packet's parse-once
-    /// memo, shared (Arc) with any fault-injected duplicate — duplicates
-    /// carry identical bytes, so they share one decode.
+    /// Packet arriving at `path[idx]`. `path` is a route tail
+    /// ([`Topology::route_tail`]): it starts at the first hop after the
+    /// sender, so `path[0]` is reached over the link from the sender.
+    /// The view is the packet's parse-once memo, shared (Arc) with any
+    /// fault-injected duplicate — duplicates carry identical bytes, so
+    /// they share one decode.
     Hop {
         pkt: Ipv4Packet,
         view: Arc<DecodedView>,
@@ -298,12 +301,16 @@ pub struct Engine {
     /// Installed fault profile (None = perfectly reliable network; every
     /// conditioner check then reduces to one `None` branch).
     conditioner: Option<Arc<LinkConditioner>>,
-    /// Per-engine route memo, consulted on every [`Engine::launch`].
-    /// Lives here rather than in [`Topology`] so sharded campaigns never
-    /// contend on a shared lock — each shard's engine warms its own cache
-    /// with exactly the routes its traffic uses. `None` records an
-    /// unroutable destination (negative caching).
-    route_cache: HashMap<(NodeId, Ipv4Addr), Option<Arc<[NodeId]>>>,
+    /// Per-engine route memo, consulted on every [`Engine::launch`]:
+    /// (the sender's dense AS index, destination) → the route tail
+    /// without its sender ([`Topology::route_tail`]). Anycast selection,
+    /// the AS path and its expansion read only the sender's AS, so every
+    /// host of one AS shares one entry per address. Lives here rather
+    /// than in [`Topology`] so sharded campaigns never contend on a
+    /// shared lock — each shard's engine warms its own cache with exactly
+    /// the routes its traffic uses. `None` records an unroutable
+    /// destination (negative caching).
+    route_cache: HashMap<(u32, Ipv4Addr), Option<Arc<[NodeId]>>>,
     /// Reusable action buffer for [`Engine::dispatch`] (one allocation for
     /// the whole run instead of one per event).
     scratch_actions: Vec<Action>,
@@ -519,16 +526,16 @@ impl Engine {
                 return;
             }
         }
-        let path = match self.route_cache.entry((from, pkt.header.dst)) {
+        let key = (self.topo.as_index(from), pkt.header.dst);
+        let path = match self.route_cache.entry(key) {
             Entry::Occupied(e) => e.get().clone(),
             Entry::Vacant(v) => {
                 // Cache miss: resolve the destination through the LPM
-                // address table (via route_to_addr → select_instance).
+                // address table (via route_tail → select_instance).
                 if let Some(m) = self.telemetry.metrics() {
                     m.topo_lookups.inc();
                 }
-                v.insert(self.topo.route_to_addr(from, pkt.header.dst))
-                    .clone()
+                v.insert(self.topo.route_tail(key.0, key.1)).clone()
             }
         };
         let Some(path) = path else {
@@ -536,44 +543,40 @@ impl Engine {
             return;
         };
         let view = Arc::new(DecodedView::new());
-        if path.len() == 1 {
-            // Loopback: deliver to self immediately.
+        let last = path.len() - 1;
+        if path[last] == from {
+            // Loopback: the tail ends at the sender; deliver in place now.
             self.push(
                 at,
                 EventKind::Hop {
                     pkt,
                     view,
                     path,
-                    idx: 0,
+                    idx: last,
                 },
             );
             return;
         }
-        let delay = SimDuration::from_millis(self.topo.latency_ms(path[0], path[1]));
-        self.schedule_link(at, delay, pkt, view, path, 1);
+        self.schedule_link(at, pkt, view, path, from, 0);
     }
 
-    /// Schedule arrival at `path[idx]` after crossing the link
-    /// `path[idx-1] → path[idx]`, consulting the fault conditioner (loss,
-    /// jitter, duplication, link outages) when one is installed.
+    /// Schedule arrival at `path[idx]` after crossing the link from
+    /// `prev` (the sender for `idx` 0, else `path[idx-1]`): the link's
+    /// latency, plus what the fault conditioner (loss, jitter,
+    /// duplication, link outages) decides for the link when one is
+    /// installed.
     fn schedule_link(
         &mut self,
         depart: SimTime,
-        base_delay: SimDuration,
         pkt: Ipv4Packet,
         view: Arc<DecodedView>,
         path: Arc<[NodeId]>,
+        prev: NodeId,
         idx: usize,
     ) {
         let verdict = match &self.conditioner {
             None => LinkVerdict::CLEAN,
-            Some(cond) => cond.link_verdict(
-                depart.0,
-                path[idx - 1],
-                path[idx],
-                &pkt.header,
-                &pkt.payload,
-            ),
+            Some(cond) => cond.link_verdict(depart.0, prev, path[idx], &pkt.header, &pkt.payload),
         };
         match verdict {
             LinkVerdict::Lost => {
@@ -595,6 +598,7 @@ impl Engine {
                         m.fault_packets_delayed.inc();
                     }
                 }
+                let base_delay = SimDuration::from_millis(self.topo.latency_ms(prev, path[idx]));
                 let arrive = depart + base_delay + SimDuration::from_millis(extra_delay_ms);
                 if let Some(gap_ms) = duplicate_after_ms {
                     if let Some(m) = self.telemetry.metrics() {
@@ -857,11 +861,9 @@ impl Engine {
             if let Some(m) = self.telemetry.metrics() {
                 m.packets_forwarded.inc();
             }
-            let next = path[idx + 1];
-            let delay = SimDuration::from_millis(self.topo.latency_ms(node_id, next));
             // TTL decrement touched only the header; the payload (and
             // therefore the cached view) is unchanged — keep sharing it.
-            self.schedule_link(self.now, delay, pkt, view, path, idx + 1);
+            self.schedule_link(self.now, pkt, view, path, node_id, idx + 1);
         } else {
             // Endpoint delivery.
             debug_assert!(is_final, "hosts only appear at path ends");
@@ -1017,8 +1019,11 @@ mod tests {
         engine: Engine,
         client: NodeId,
         server: NodeId,
+        /// A second host in the client's AS.
+        neighbor: NodeId,
         client_addr: Ipv4Addr,
         server_addr: Ipv4Addr,
+        neighbor_addr: Ipv4Addr,
         #[allow(dead_code)]
         first_router: NodeId,
     }
@@ -1043,15 +1048,19 @@ mod tests {
         }
         let client_addr = Ipv4Addr::new(1, 1, 0, 1);
         let server_addr = Ipv4Addr::new(3, 1, 0, 1);
+        let neighbor_addr = Ipv4Addr::new(1, 1, 0, 2);
         let client = tb.add_host(Asn(10), client_addr).unwrap();
         let server = tb.add_host(Asn(30), server_addr).unwrap();
+        let neighbor = tb.add_host(Asn(10), neighbor_addr).unwrap();
         let engine = Engine::new(tb.build().unwrap());
         World {
             engine,
             client,
             server,
+            neighbor,
             client_addr,
             server_addr,
+            neighbor_addr,
             first_router: first_router.unwrap(),
         }
     }
@@ -1091,6 +1100,94 @@ mod tests {
         assert_eq!(sink.received.len(), 1, "client got the echo");
         assert!(sink.received[0].0 > SimTime::ZERO, "latency accrued");
         assert_eq!(w.engine.stats().packets_delivered, 2);
+    }
+
+    /// Sum of the link latencies along `route`.
+    fn route_ms(topo: &Topology, route: &[NodeId]) -> u64 {
+        route.windows(2).map(|l| topo.latency_ms(l[0], l[1])).sum()
+    }
+
+    #[test]
+    fn hosts_of_one_as_share_one_route() {
+        let mut w = world();
+        w.engine.set_telemetry(Telemetry::metrics_only(0));
+        w.engine.add_host(w.server, Box::new(Sink::new()));
+        for (from, src) in [(w.client, w.client_addr), (w.neighbor, w.neighbor_addr)] {
+            w.engine.inject(
+                SimTime::ZERO,
+                from,
+                udp_packet(src, w.server_addr, DEFAULT_TTL, b"shared"),
+            );
+        }
+        w.engine.run_to_completion();
+        let misses = w.engine.telemetry().metrics().unwrap().topo_lookups.get();
+        assert_eq!(misses, 1, "one memo entry serves the whole AS");
+        let topo = w.engine.topology();
+        let expected: Vec<_> = [(w.client, w.client_addr), (w.neighbor, w.neighbor_addr)]
+            .into_iter()
+            .map(|(from, src)| {
+                let route = topo.route_to_addr(from, w.server_addr).unwrap();
+                (src, SimTime(route_ms(topo, &route)))
+            })
+            .collect();
+        assert_ne!(
+            expected[0].1, expected[1].1,
+            "the two first links differ, so the arrivals tell them apart"
+        );
+        let sink = w.engine.host_as::<Sink>(w.server).unwrap();
+        let mut arrived: Vec<_> = sink
+            .received
+            .iter()
+            .map(|(t, pkt)| (pkt.header.src, *t))
+            .collect();
+        arrived.sort();
+        assert_eq!(arrived, expected, "each packet crosses its own first link");
+    }
+
+    #[test]
+    fn loopback_survives_a_neighbors_memo_entry() {
+        let mut w = world();
+        w.engine.add_host(w.client, Box::new(Sink::new()));
+        // The neighbour fills the (AS, client address) entry: its route
+        // crosses the AS's routers to the client.
+        w.engine.inject(
+            SimTime::ZERO,
+            w.neighbor,
+            udp_packet(w.neighbor_addr, w.client_addr, DEFAULT_TTL, b"across"),
+        );
+        w.engine.run_to_completion();
+        let sent = w.engine.now() + SimDuration::from_secs(1);
+        w.engine.inject(
+            sent,
+            w.client,
+            udp_packet(w.client_addr, w.client_addr, 1, b"self"),
+        );
+        w.engine.run_to_completion();
+        let topo = w.engine.topology();
+        let across = topo.route_to_addr(w.neighbor, w.client_addr).unwrap();
+        assert!(across.len() > 2, "the neighbour's route crosses routers");
+        assert_eq!(
+            topo.route_to_addr(w.client, w.client_addr)
+                .unwrap()
+                .as_ref(),
+            &[w.client]
+        );
+        let sink = w.engine.host_as::<Sink>(w.client).unwrap();
+        let got: Vec<_> = sink
+            .received
+            .iter()
+            .map(|(t, pkt)| (*t, pkt.payload.clone()))
+            .collect();
+        let payload = |p: &[u8]| udp_packet(w.client_addr, w.client_addr, 1, p).payload;
+        assert_eq!(
+            got,
+            vec![
+                (SimTime(route_ms(topo, &across)), payload(b"across")),
+                (sent, payload(b"self")),
+            ],
+            "loopback is delivered in place at the send time, TTL 1 intact"
+        );
+        assert_eq!(w.engine.stats().ttl_expirations, 0);
     }
 
     #[test]

@@ -9,7 +9,12 @@
 //!
 //! Anycast services (e.g. 114DNS's CN and US instances, Section 5.1 case
 //! study II) register several host nodes under one address; routing delivers
-//! to the instance closest in AS hops, as BGP anycast does.
+//! to an instance in the client's region first, then the one closest in AS
+//! hops, as regional BGP anycast catchments do.
+//!
+//! Anycast selection, the AS path and its expansion read only the sender's
+//! AS, so a route from an AS to an address ([`Topology::route_tail`]) serves
+//! every sender in that AS.
 
 use serde::{Deserialize, Serialize};
 use shadow_geo::{Asn, Region};
@@ -334,8 +339,8 @@ struct Tables {
 ///
 /// Cloning shares the frozen tables, BFS trees included: a clone (and so
 /// every `Engine::fork`) routes from the trees any other clone already
-/// built. Full node-level routes are memoized per engine, not here — see
-/// the engine's route cache.
+/// built. Route tails are memoized per engine, not here — see the
+/// engine's route cache.
 #[derive(Debug, Clone)]
 pub struct Topology {
     tables: Arc<Tables>,
@@ -367,7 +372,9 @@ impl Topology {
         &self.tables.ases[index as usize]
     }
 
-    fn as_of(&self, node: NodeId) -> u32 {
+    /// Dense index of `node`'s AS: the sender key of
+    /// [`Topology::route_tail`] and [`Topology::select_instance`].
+    pub fn as_index(&self, node: NodeId) -> u32 {
         self.tables.node_as[node.0 as usize]
     }
 
@@ -434,21 +441,21 @@ impl Topology {
         Some(path.into_iter().map(|i| self.as_entry(i).asn).collect())
     }
 
-    /// Pick the anycast instance of `addr` for `src_node`: the client's
-    /// own region first — BGP anycast catchments are regional — then the
+    /// Pick the anycast instance of `addr` for a sender in the AS at
+    /// dense index `src_as` ([`Topology::as_index`]): the client's own
+    /// region first — BGP anycast catchments are regional — then the
     /// nearest in AS hops, then the lowest node id for determinism.
-    pub fn select_instance(&self, src_node: NodeId, addr: Ipv4Addr) -> Option<NodeId> {
+    pub fn select_instance(&self, src_as: u32, addr: Ipv4Addr) -> Option<NodeId> {
         let candidates = self.nodes_at(addr);
         if candidates.is_empty() {
             return None;
         }
-        let src_as = self.as_of(src_node);
         let src_region = self.as_entry(src_as).region;
         let tree = self.bfs_from(src_as);
         candidates
             .iter()
             .filter_map(|&id| {
-                let asn = self.as_of(id);
+                let asn = self.as_index(id);
                 let region_penalty = u8::from(self.as_entry(asn).region != src_region);
                 let d = tree.dist[asn as usize];
                 (d != UNREACHED).then_some((region_penalty, d, id))
@@ -491,39 +498,64 @@ impl Topology {
         }
     }
 
-    /// Full node-level route from `src` to `dst` (both inclusive). `None`
-    /// if the ASes are disconnected. Only routers lie between the two
-    /// endpoints: an AS contributes routers only.
-    ///
-    /// Pure computation (the AS-level BFS underneath is memoized in the
-    /// shared tables); callers on the hot path memoize whole routes
-    /// themselves — the engine keeps a per-engine `(src, dst addr) →
-    /// route` cache.
-    pub fn route(&self, src: NodeId, dst: NodeId) -> Option<Arc<[NodeId]>> {
-        if src == dst {
-            return Some(Arc::from(vec![src].into_boxed_slice()));
-        }
-        let as_path = self.as_path_indices(self.as_of(src), self.as_of(dst))?;
-        let mut hops: Vec<NodeId> = Vec::with_capacity(2 * as_path.len() + 2);
-        hops.push(src);
+    /// Append the hops from a sender in AS `src_as` to `dst`, the sender
+    /// excluded: the routers each AS on the AS path contributes, then
+    /// `dst`. `None` if the ASes are disconnected. Only the sender's AS
+    /// is read, so every sender in one AS shares the hops.
+    fn push_hops(&self, src_as: u32, dst: NodeId, hops: &mut Vec<NodeId>) -> Option<()> {
+        let as_path = self.as_path_indices(src_as, self.as_index(dst))?;
+        hops.reserve(2 * as_path.len() + 1);
         for (i, &asn) in as_path.iter().enumerate() {
             let prev = i.checked_sub(1).map(|p| as_path[p]);
             let next = as_path.get(i + 1).copied();
-            self.expand_as(asn, prev, next, &mut hops);
+            self.expand_as(asn, prev, next, hops);
         }
         hops.push(dst);
-        Some(Arc::from(hops.into_boxed_slice()))
+        Some(())
     }
 
-    /// Route to an address, resolving anycast first.
+    /// Full node-level route from `src` to `dst` (both inclusive). `None`
+    /// if the ASes are disconnected. Only routers lie between the two
+    /// endpoints: an AS contributes routers only.
+    pub fn route(&self, src: NodeId, dst: NodeId) -> Option<Arc<[NodeId]>> {
+        if src == dst {
+            return Some(Arc::from([src]));
+        }
+        let mut hops = vec![src];
+        self.push_hops(self.as_index(src), dst, &mut hops)?;
+        Some(hops.into())
+    }
+
+    /// Route from a sender in the AS at dense index `src_as` to `addr`,
+    /// without the sender: anycast selection
+    /// ([`Topology::select_instance`]), then the routers along the AS
+    /// path, ending at the selected host. Every sender in the AS shares
+    /// it; for the one sender it ends at, it stands for loopback.
+    ///
+    /// Pure computation (the AS-level BFS underneath is memoized in the
+    /// shared tables); the engine memoizes whole tails per
+    /// `(src_as, addr)` itself.
+    pub fn route_tail(&self, src_as: u32, addr: Ipv4Addr) -> Option<Arc<[NodeId]>> {
+        let dst = self.select_instance(src_as, addr)?;
+        let mut hops = Vec::new();
+        self.push_hops(src_as, dst, &mut hops)?;
+        Some(hops.into())
+    }
+
+    /// Route from `src` to an address, resolving anycast first: `src`
+    /// followed by [`Topology::route_tail`], or `[src]` alone when the
+    /// tail ends at `src` (loopback).
     pub fn route_to_addr(&self, src: NodeId, addr: Ipv4Addr) -> Option<Arc<[NodeId]>> {
-        let dst = self.select_instance(src, addr)?;
-        self.route(src, dst)
+        let tail = self.route_tail(self.as_index(src), addr)?;
+        if tail.last() == Some(&src) {
+            return Some(Arc::from([src]));
+        }
+        Some(std::iter::once(src).chain(tail.iter().copied()).collect())
     }
 
     /// Classify the link between two adjacent path nodes.
     pub fn link_class(&self, a: NodeId, b: NodeId) -> LinkClass {
-        let (as_a, as_b) = (self.as_of(a), self.as_of(b));
+        let (as_a, as_b) = (self.as_index(a), self.as_index(b));
         if as_a == as_b {
             LinkClass::IntraAs
         } else if self.as_entry(as_a).region == self.as_entry(as_b).region {
@@ -676,7 +708,7 @@ mod tests {
         // ...and the region outranks distance.
         let home = instances(&mut tb, 4, &[300, 600]);
         let topo = tb.build().unwrap();
-        let pick = |last| topo.select_instance(client, addr(99, 0, 0, last));
+        let pick = |last| topo.select_instance(topo.as_index(client), addr(99, 0, 0, last));
         assert_eq!(pick(1), Some(regional[1]));
         assert_eq!(pick(2), Some(split[0]));
         assert_eq!(pick(3), Some(nearer[1]));
@@ -744,7 +776,10 @@ mod tests {
         let near = tb.add_host(Asn(100), anycast).unwrap();
         let far = tb.add_host(Asn(300), anycast).unwrap();
         let topo = tb.build().unwrap();
-        assert_eq!(topo.select_instance(client, anycast), Some(near));
+        assert_eq!(
+            topo.select_instance(topo.as_index(client), anycast),
+            Some(near)
+        );
         let route = topo.route_to_addr(client, anycast).unwrap();
         assert_eq!(*route.last().unwrap(), near);
         assert_ne!(*route.last().unwrap(), far);

@@ -31,6 +31,7 @@ use parking_lot::Mutex;
 use serde::{Content, DeError, Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::fmt;
+use std::io::BufRead;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -397,16 +398,19 @@ pub fn to_jsonl(records: &[JournalRecord]) -> Result<String, serde_json::Error> 
     Ok(out)
 }
 
-/// Parse a JSONL journal. Blank lines are skipped; any malformed line is an
-/// error naming its line number.
-pub fn from_jsonl(input: &str) -> Result<Vec<JournalRecord>, String> {
+/// Parse a JSONL journal line by line, so only one line's text is held
+/// at a time (text already in memory parses from `text.as_bytes()`).
+/// Blank lines are skipped; an unreadable or malformed line is an error
+/// naming its line number.
+pub fn from_jsonl(input: impl BufRead) -> Result<Vec<JournalRecord>, String> {
     let mut out = Vec::new();
     for (i, line) in input.lines().enumerate() {
+        let line = line.map_err(|e| format!("journal line {}: {e}", i + 1))?;
         if line.trim().is_empty() {
             continue;
         }
         let record: JournalRecord =
-            serde_json::from_str(line).map_err(|e| format!("journal line {}: {e:?}", i + 1))?;
+            serde_json::from_str(&line).map_err(|e| format!("journal line {}: {e:?}", i + 1))?;
         out.push(record);
     }
     Ok(out)
@@ -616,8 +620,20 @@ mod tests {
         assert_eq!(records[0].at_ms, 100);
         let text = to_jsonl(&records).unwrap();
         assert_eq!(text.lines().count(), 3);
-        let parsed = from_jsonl(&text).unwrap();
+        let parsed = from_jsonl(text.as_bytes()).unwrap();
         assert_eq!(parsed, records);
+    }
+
+    #[test]
+    fn from_jsonl_skips_blank_lines_and_names_a_bad_one() {
+        let records = vec![decoy(100, 0, "a.example"), decoy(200, 1, "b.example")];
+        let text = to_jsonl(&records).unwrap();
+        let mut lines: Vec<&str> = text.lines().collect();
+        lines.insert(1, "  ");
+        assert_eq!(from_jsonl(lines.join("\r\n").as_bytes()), Ok(records));
+        lines.push("{\"at_ms\":");
+        let err = from_jsonl(lines.join("\n").as_bytes()).unwrap_err();
+        assert!(err.starts_with("journal line 4: "), "{err}");
     }
 
     fn record(at: u64, shard: u32, seq: u64, node: Option<u32>, event: EventKind) -> JournalRecord {

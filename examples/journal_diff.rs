@@ -9,17 +9,21 @@
 //! Run with `cargo run --example journal_diff left.jsonl right.jsonl`.
 //! Exit codes: 0 identical, 1 diverged, 2 usage / read / parse error.
 
+use std::fs::File;
+use std::io::BufReader;
 use traffic_shadowing::shadow_telemetry::{diff, from_jsonl, JournalRecord};
 
+/// Parse one journal as it streams in, so the file's text is never held
+/// whole beside its records.
 fn load(path: &str) -> Vec<JournalRecord> {
-    let raw = match std::fs::read_to_string(path) {
-        Ok(raw) => raw,
+    let file = match File::open(path) {
+        Ok(file) => file,
         Err(e) => {
             eprintln!("cannot read {path}: {e}");
             std::process::exit(2);
         }
     };
-    match from_jsonl(&raw) {
+    match from_jsonl(BufReader::new(file)) {
         Ok(records) => records,
         Err(e) => {
             eprintln!("cannot parse {path}: {e}");

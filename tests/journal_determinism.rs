@@ -95,7 +95,7 @@ fn same_seed_and_shard_count_reproduce_identical_journals() {
             "shards {shards:?}: journal records, bytes or digest moved"
         );
         // And the serialization round-trips.
-        let reparsed = from_jsonl(&first).expect("parses");
+        let reparsed = from_jsonl(first.as_bytes()).expect("parses");
         assert_eq!(to_jsonl(&reparsed).expect("serializes"), first);
     }
 }
@@ -180,7 +180,7 @@ fn mixed_encryption_lossy_journals_are_pinned() {
             })
             .collect();
         assert!(rules.len() >= 3, "shards {shards:?}: rules {rules:?}");
-        let reparsed = from_jsonl(&text).expect("parses");
+        let reparsed = from_jsonl(text.as_bytes()).expect("parses");
         assert_eq!(reparsed, journal);
     }
 }

@@ -89,7 +89,7 @@ fn snapshot_merge_is_associative() {
 
 #[test]
 fn sharded_world_metrics_equal_sequential() {
-    for seed in [99u64, 424_242] {
+    for (seed, route_misses) in [(99u64, 885), (424_242, 588)] {
         let config = || StudyConfig {
             telemetry: TelemetryOptions::enabled(false),
             ..StudyConfig::tiny(seed)
@@ -98,6 +98,10 @@ fn sharded_world_metrics_equal_sequential() {
         let expected = sequential.metrics.as_ref().expect("metrics enabled");
         assert!(!expected.is_empty(), "sequential run recorded nothing");
         assert_eq!(expected.run.shards, 1);
+        assert_eq!(
+            expected.run.topo_lookups, route_misses,
+            "seed {seed}: sequential route-memo misses"
+        );
         for k in [1usize, 2, 4, 7] {
             let sharded = Study::run_sharded(config(), k);
             let merged = sharded.metrics.as_ref().expect("metrics enabled");

@@ -9,6 +9,7 @@ use traffic_shadowing::shadow_core::world::{generate_spec, World, WorldConfig};
 use traffic_shadowing::shadow_geo::country::cc;
 use traffic_shadowing::shadow_netsim::engine::EngineStats;
 use traffic_shadowing::shadow_netsim::fault::fnv1a64;
+use traffic_shadowing::shadow_telemetry::Telemetry;
 use traffic_shadowing::shadow_vantage::platform::ExclusionReason;
 use traffic_shadowing::shadow_vantage::vp::VantagePointHost;
 
@@ -134,6 +135,7 @@ fn paper_shaped_preflight_is_pinned() {
     );
 
     let mut world = spec.instantiate();
+    world.engine.set_telemetry(Telemetry::metrics_only(0));
     let vps = world.platform.vps.len();
     let outcome = NoiseFilter::run_and_apply(&mut world);
     assert_eq!(outcome.ttl_deltas.len(), vps, "every VP measured");
@@ -173,5 +175,13 @@ fn paper_shaped_preflight_is_pinned() {
             icmp_time_exceeded_sent: 0,
             icmp_suppressed: 0,
         }
+    );
+    // The route memo misses once per (sender AS, address): 1,090 VPs sit
+    // in 87 ASes.
+    let misses = world.engine.telemetry().metrics().expect("installed");
+    assert_eq!(
+        misses.topo_lookups.get(),
+        1_895,
+        "pre-flight route-memo misses"
     );
 }
